@@ -5,12 +5,17 @@ frozen dataclasses whose defining laws have been checked on every tuple of
 elements, and the certification entry points (universal properties, hom-set
 bijections, conjugation versus pullback) work by full enumeration with
 typed, witness-carrying failures.
+
+Racks and groups share one hom type (``Hom``), one crossed-module morphism
+type (``XModMorphism``), one pullback result and one universal-property
+certificate; the rack- and group-specific names are aliases of these.
 """
 
 from .errors import (
     AxiomError,
     BijectionFail,
     BoundExceeded,
+    ConstructionFail,
     NoIsomorphismFound,
     NotAMorphism,
     ParseError,
@@ -91,12 +96,14 @@ from .racks import (
     validate_rack_hom,
     validate_unpointed_rack,
 )
+from .tables import FiniteStructure, Hom, compose_homs, identity_hom, validate_hom
 from .xmod import (
     GroupXMod,
     GroupXModMorphism,
     RackAction,
     RackXMod,
     RackXModMorphism,
+    XModMorphism,
     compose_group_xmod_morphisms,
     compose_xmod_morphisms,
     conj_xmod,

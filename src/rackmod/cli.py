@@ -36,10 +36,11 @@ from .corpus import (
 )
 from .errors import AxiomError, BoundExceeded, ParseError
 from .functors import check_adjunction_bijection, check_xmod_adjunction
-from .groups import FiniteGroup, GroupHom
+from .groups import FiniteGroup
 from .interchange import (
     certificate_document,
     digest_file,
+    document_for,
     group_document,
     group_xmod_document,
     hom_document,
@@ -59,31 +60,17 @@ from .interchange import (
 )
 from .isomorphism import enumerate_pointed_racks
 from .pullback import (
+    PullbackXMod,
     check_conj_preserves_pullback,
     fiber_product,
     fiber_product_xmod,
     group_pullback_xmod,
     pullback_xmod,
-    verify_group_universal_property,
     verify_universal_property,
 )
-from .racks import (
-    FiniteRack,
-    RackHom,
-    UnpointedRack,
-    conj_hom,
-    conj_rack,
-    core_rack,
-    product_rack,
-)
-from .xmod import (
-    GroupXMod,
-    GroupXModMorphism,
-    RackAction,
-    RackXMod,
-    RackXModMorphism,
-    hemi_semidirect,
-)
+from .racks import FiniteRack, conj_hom, conj_rack, core_rack, product_rack
+from .tables import FiniteStructure, Hom
+from .xmod import GroupXMod, RackAction, RackXMod, XModMorphism, hemi_semidirect
 
 
 def _jsonable(value: Any) -> Any:
@@ -102,15 +89,13 @@ def _failure(exc: AxiomError) -> dict[str, Any]:
 
 
 def _counts_for(obj: Any) -> dict[str, int]:
-    if isinstance(obj, (FiniteRack, UnpointedRack, FiniteGroup)):
+    if isinstance(obj, FiniteStructure):
         return {"size": obj.size}
-    if isinstance(obj, (RackHom, GroupHom)):
+    if isinstance(obj, (Hom, RackXMod, GroupXMod)):
         return {"dom-size": obj.dom.size, "cod-size": obj.cod.size}
     if isinstance(obj, RackAction):
         return {"actee-size": obj.actee.size, "actor-size": obj.actor.size}
-    if isinstance(obj, (RackXMod, GroupXMod)):
-        return {"dom-size": obj.dom.size, "cod-size": obj.cod.size}
-    if isinstance(obj, (RackXModMorphism, GroupXModMorphism)):
+    if isinstance(obj, XModMorphism):
         return {"src-dom-size": obj.src.dom.size, "dst-dom-size": obj.dst.dom.size}
     if isinstance(obj, tuple) and len(obj) == 2:
         source, hom = obj
@@ -206,7 +191,7 @@ def cmd_construct_conj(args: argparse.Namespace) -> int:
         return _write(rack_document(rack), args.out, f"size {rack.size}")
     if kind == "hom":
         hom = parse_hom(doc)
-        if not isinstance(hom, GroupHom):
+        if not isinstance(hom.dom, FiniteGroup):
             raise ParseError("conj of a hom needs group endpoints")
         rh = conj_hom(hom)
         return _write(hom_document(rh), args.out, f"sizes {rh.dom.size} -> {rh.cod.size}")
@@ -241,33 +226,32 @@ def cmd_construct_fiber(args: argparse.Namespace) -> int:
     if kinds == ("hom", "hom"):
         alpha = parse_hom(left_doc)
         beta = parse_hom(right_doc)
-        if not (isinstance(alpha, RackHom) and isinstance(beta, RackHom)):
+        if not (isinstance(alpha.dom, FiniteRack) and isinstance(beta.dom, FiniteRack)):
             raise ParseError("fiber of homs needs rack endpoints")
         fp = fiber_product(alpha, beta)
         return _write(rack_document(fp.carrier), args.out, f"size {fp.carrier.size}")
     raise ParseError(f"fiber expects two rack-xmods or two rack homs, got {kinds}")
 
 
+def _write_pullback(args: argparse.Namespace, pb: PullbackXMod) -> int:
+    if args.hom_out:
+        write_document(hom_document(pb.phi_prime), args.hom_out)
+        print(f"wrote hom to {args.hom_out} (comparison back to the source)")
+    return _write(document_for(pb.xmod), args.out, f"carrier size {pb.carrier.size}")
+
+
 def cmd_construct_pullback(args: argparse.Namespace) -> int:
     source, phi = parse_pullback_request(load_document(args.file))
     if not isinstance(source, RackXMod):
         raise ParseError("pullback expects a rack-xmod request; use group-pullback for groups")
-    pb = pullback_xmod(source, phi)
-    if args.hom_out:
-        write_document(hom_document(pb.phi_prime), args.hom_out)
-        print(f"wrote hom to {args.hom_out} (comparison back to the source)")
-    return _write(rack_xmod_document(pb.xmod), args.out, f"carrier size {pb.carrier.size}")
+    return _write_pullback(args, pullback_xmod(source, phi))
 
 
 def cmd_construct_group_pullback(args: argparse.Namespace) -> int:
     source, phi = parse_pullback_request(load_document(args.file))
     if not isinstance(source, GroupXMod):
         raise ParseError("group-pullback expects a group-xmod request")
-    pb = group_pullback_xmod(source, phi)
-    if args.hom_out:
-        write_document(hom_document(pb.phi_prime), args.hom_out)
-        print(f"wrote hom to {args.hom_out} (comparison back to the source)")
-    return _write(group_xmod_document(pb.xmod), args.out, f"carrier size {pb.carrier.size}")
+    return _write_pullback(args, group_pullback_xmod(source, phi))
 
 
 # ------------------------------------------------------------------ certify
@@ -280,10 +264,9 @@ def cmd_certify_universal(args: argparse.Namespace) -> int:
     def fn():
         if isinstance(source, RackXMod):
             pb = pullback_xmod(source, phi)
-            cert = verify_universal_property(pb, pb.phi_prime, pb.xmod)
         else:
             pb = group_pullback_xmod(source, phi)
-            cert = verify_group_universal_property(pb, pb.phi_prime, pb.xmod)
+        cert = verify_universal_property(pb, pb.phi_prime, pb.xmod)
         counts = {
             "carrier-size": pb.carrier.size,
             "factorizations": cert.satisfying_count,

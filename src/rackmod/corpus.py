@@ -9,41 +9,29 @@ from __future__ import annotations
 
 from functools import cache
 
-from .groups import (
-    FiniteGroup,
-    GroupHom,
-    cyclic_group,
-    identity_group_hom,
-    subgroup,
-    symmetric_group_3,
-    validate_group_hom,
-)
+from .groups import FiniteGroup, cyclic_group, subgroup, symmetric_group_3
 from .isomorphism import enumerate_pointed_racks
 from .racks import (
     FiniteRack,
-    RackHom,
     UnpointedRack,
     adjoin_basepoint,
     conj_hom,
     conj_rack,
     constant_rack_hom,
-    identity_rack_hom,
     inclusion_rack_hom,
     trivial_rack,
     validate_rack,
-    validate_rack_hom,
     validate_unpointed_rack,
 )
+from .tables import Hom, identity_hom, validate_hom
 from .xmod import (
     GroupXMod,
-    GroupXModMorphism,
     RackXMod,
-    RackXModMorphism,
+    XModMorphism,
     identity_group_xmod,
     identity_xmod,
     inclusion_group_xmod,
     inclusion_xmod,
-    validate_group_xmod_morphism,
     validate_xmod_morphism,
 )
 
@@ -66,25 +54,25 @@ def groups() -> dict[str, FiniteGroup]:
 
 
 @cache
-def group_homs() -> dict[str, GroupHom]:
+def group_homs() -> dict[str, Hom]:
     g = groups()
     s3, z2, z3, z4, z6, a3 = g["s3"], g["z2"], g["z3"], g["z4"], g["z6"], g["a3"]
     _, incl_a3 = subgroup(s3, A3_IN_S3)
-    sgn = validate_group_hom(s3, z2, [0, 1, 1, 0, 0, 1])
+    sgn = validate_hom(s3, z2, [0, 1, 1, 0, 0, 1])
     return {
         "sgn": sgn,
         "incl_a3_s3": incl_a3,
-        "z3_to_s3": validate_group_hom(z3, s3, [0, 3, 4]),
-        "z2_to_s3": validate_group_hom(z2, s3, [0, 2]),
-        "z4_mod2": validate_group_hom(z4, z2, [0, 1, 0, 1]),
-        "z6_mod2": validate_group_hom(z6, z2, [0, 1, 0, 1, 0, 1]),
-        "z6_mod3": validate_group_hom(z6, z3, [0, 1, 2, 0, 1, 2]),
-        "z2_to_z4": validate_group_hom(z2, z4, [0, 2]),
-        "z3_to_z6": validate_group_hom(z3, z6, [0, 2, 4]),
-        "z2_to_z6": validate_group_hom(z2, z6, [0, 3]),
-        "id_z2": identity_group_hom(z2),
-        "id_z4": identity_group_hom(z4),
-        "id_s3": identity_group_hom(s3),
+        "z3_to_s3": validate_hom(z3, s3, [0, 3, 4]),
+        "z2_to_s3": validate_hom(z2, s3, [0, 2]),
+        "z4_mod2": validate_hom(z4, z2, [0, 1, 0, 1]),
+        "z6_mod2": validate_hom(z6, z2, [0, 1, 0, 1, 0, 1]),
+        "z6_mod3": validate_hom(z6, z3, [0, 1, 2, 0, 1, 2]),
+        "z2_to_z4": validate_hom(z2, z4, [0, 2]),
+        "z3_to_z6": validate_hom(z3, z6, [0, 2, 4]),
+        "z2_to_z6": validate_hom(z2, z6, [0, 3]),
+        "id_z2": identity_hom(z2),
+        "id_z4": identity_hom(z4),
+        "id_s3": identity_hom(s3),
     }
 
 
@@ -124,7 +112,7 @@ def a3_subrack() -> FiniteRack:
 
 
 @cache
-def rack_homs() -> dict[str, RackHom]:
+def rack_homs() -> dict[str, Hom]:
     r = racks()
     cs3, cz2, cz3, cz4, t2 = r["cs3"], r["cz2"], r["cz3"], r["cz4"], r["t2"]
     h = group_homs()
@@ -134,12 +122,12 @@ def rack_homs() -> dict[str, RackHom]:
         "z2_to_s3_rack": conj_hom(h["z2_to_s3"]),
         "z4_mod2_rack": conj_hom(h["z4_mod2"]),
         "incl_a3r_cs3": inclusion_rack_hom(cs3, A3_IN_S3),
-        "id_t2": identity_rack_hom(t2),
-        "id_cz2": identity_rack_hom(cz2),
-        "id_cs3": identity_rack_hom(cs3),
+        "id_t2": identity_hom(t2),
+        "id_cz2": identity_hom(cz2),
+        "id_cs3": identity_hom(cs3),
         "const_t2_cs3": constant_rack_hom(t2, cs3),
         "const_t2_cz2": constant_rack_hom(t2, cz2),
-        "cz2_to_t2": validate_rack_hom(cz2, t2, [0, 1]),
+        "cz2_to_t2": validate_hom(cz2, t2, [0, 1]),
         "cz3_to_cs3": conj_hom(h["z3_to_s3"]),
     }
 
@@ -194,7 +182,7 @@ def fiber_instances() -> tuple[tuple[str, RackXMod, RackXMod], ...]:
 
 
 @cache
-def pullback_instances() -> tuple[tuple[str, RackXMod, RackHom], ...]:
+def pullback_instances() -> tuple[tuple[str, RackXMod, Hom], ...]:
     """Pairs (crossed module over R, hom into R) for the pullback sweeps."""
     x = rack_xmods()
     h = rack_homs()
@@ -217,7 +205,7 @@ def pullback_instances() -> tuple[tuple[str, RackXMod, RackHom], ...]:
 
 
 @cache
-def preimage_instances() -> tuple[tuple[str, tuple[int, ...], FiniteRack, RackHom], ...]:
+def preimage_instances() -> tuple[tuple[str, tuple[int, ...], FiniteRack, Hom], ...]:
     """(name, normal subset N of R, R, phi: S -> R) for preimage checks."""
     r = racks()
     h = rack_homs()
@@ -233,7 +221,7 @@ def preimage_instances() -> tuple[tuple[str, tuple[int, ...], FiniteRack, RackHo
 
 
 @cache
-def conj_preservation_instances() -> tuple[tuple[str, GroupXMod, GroupHom], ...]:
+def conj_preservation_instances() -> tuple[tuple[str, GroupXMod, Hom], ...]:
     gx = group_xmods()
     gh = group_homs()
     return (
@@ -275,25 +263,25 @@ def adjunction_pairs() -> tuple[tuple[str, FiniteRack, FiniteGroup], ...]:
 
 
 @cache
-def slice_morphism_corpus() -> tuple[tuple[str, RackXModMorphism, RackXModMorphism, RackHom], ...]:
+def slice_morphism_corpus() -> tuple[tuple[str, XModMorphism, XModMorphism, Hom], ...]:
     """Composable pairs of base-fixing morphisms, with a hom to pull back along."""
     x = rack_xmods()
     h = rack_homs()
     r = racks()
     cs3 = r["cs3"]
     point_cs3, a3r_cs3, ident_cs3 = x["point_cs3"], x["a3r_cs3"], x["identity_cs3"]
-    id_cs3 = identity_rack_hom(cs3)
+    id_cs3 = identity_hom(cs3)
     m1 = validate_xmod_morphism(
         constant_rack_hom(point_cs3.dom, a3r_cs3.dom), id_cs3, point_cs3, a3r_cs3
     )
     m2 = validate_xmod_morphism(a3r_cs3.boundary, id_cs3, a3r_cs3, ident_cs3)
     cz2 = r["cz2"]
     point_cz2, ident_cz2 = x["point_cz2"], x["identity_cz2"]
-    id_cz2 = identity_rack_hom(cz2)
+    id_cz2 = identity_hom(cz2)
     n1 = validate_xmod_morphism(
         constant_rack_hom(point_cz2.dom, ident_cz2.dom), id_cz2, point_cz2, ident_cz2
     )
-    n2 = validate_xmod_morphism(identity_rack_hom(cz2), id_cz2, ident_cz2, ident_cz2)
+    n2 = validate_xmod_morphism(identity_hom(cz2), id_cz2, ident_cz2, ident_cz2)
     return (
         ("cs3_chain", m1, m2, h["cz3_to_cs3"]),
         ("cs3_chain_along_id", m1, m2, h["id_cs3"]),
@@ -303,19 +291,19 @@ def slice_morphism_corpus() -> tuple[tuple[str, RackXModMorphism, RackXModMorphi
 
 
 @cache
-def group_morphism_corpus() -> tuple[tuple[str, GroupXModMorphism], ...]:
+def group_morphism_corpus() -> tuple[tuple[str, XModMorphism], ...]:
     gx = group_xmods()
     g = groups()
     gh = group_homs()
     triv_s3, a3_s3, ident_s3 = gx["triv_s3"], gx["a3_s3"], gx["identity_s3"]
-    trivial_to_a3 = validate_group_hom(triv_s3.dom, a3_s3.dom, [0])
-    m1 = validate_group_xmod_morphism(trivial_to_a3, gh["id_s3"], triv_s3, a3_s3)
-    m2 = validate_group_xmod_morphism(a3_s3.boundary, gh["id_s3"], a3_s3, ident_s3)
+    trivial_to_a3 = validate_hom(triv_s3.dom, a3_s3.dom, [0])
+    m1 = validate_xmod_morphism(trivial_to_a3, gh["id_s3"], triv_s3, a3_s3)
+    m2 = validate_xmod_morphism(a3_s3.boundary, gh["id_s3"], a3_s3, ident_s3)
     ident_z2 = gx["identity_z2"]
-    m3 = validate_group_xmod_morphism(
-        identity_group_hom(g["z2"]), identity_group_hom(g["z2"]), ident_z2, ident_z2
+    m3 = validate_xmod_morphism(
+        identity_hom(g["z2"]), identity_hom(g["z2"]), ident_z2, ident_z2
     )
-    m4 = validate_group_xmod_morphism(
-        gx["triv_z2"].boundary, identity_group_hom(g["z2"]), gx["triv_z2"], ident_z2
+    m4 = validate_xmod_morphism(
+        gx["triv_z2"].boundary, identity_hom(g["z2"]), gx["triv_z2"], ident_z2
     )
     return (("triv_to_a3", m1), ("a3_to_identity", m2), ("id_z2", m3), ("triv_to_id_z2", m4))

@@ -250,6 +250,15 @@ class ResultNotRack(AxiomError):
         self.cause = cause
 
 
+class ConstructionFail(AxiomError):
+    """A construction's own consistency check failed: a bug, not bad input."""
+
+    law = "construction"
+
+    def __init__(self, what: str, witness: tuple):
+        super().__init__(f"construction is broken: {what}", witness)
+
+
 class UniquenessFail(AxiomError):
     law = "universal-property"
 

@@ -16,7 +16,8 @@ from itertools import product
 
 from .errors import BijectionFail
 from .groups import FiniteGroup
-from .racks import FiniteRack, conj_rack, validate_rack_hom
+from .racks import FiniteRack, conj_rack
+from .tables import validate_hom
 from .xmod import GroupXMod, RackXMod, conj_xmod
 
 Word = tuple[int, ...]
@@ -163,7 +164,7 @@ def check_adjunction_bijection(x: FiniteRack, g: FiniteGroup) -> AdjunctionRepor
         if m not in group_set:
             raise BijectionFail("rack", m)
     for m in group_side.maps:
-        validate_rack_hom(x, cg, m)
+        validate_hom(x, cg, m)
         if m not in rack_set:
             raise BijectionFail("presented", m)
     return AdjunctionReport(rack_side.count, group_side.count, rack_side.maps)
@@ -184,38 +185,33 @@ def check_xmod_adjunction(x: RackXMod, g: GroupXMod) -> XModAdjunctionReport:
     the boundary square and the action compatibility equations evaluated on
     generators.  The two sides must be literally equal.
     """
+    nr = x.dom.size
+    ns = x.cod.size
+    xd = x.boundary.map
+
+    def square_pairs(tops, bottoms, d, act):
+        """Pairs (m1, m0) whose squares commute against the target's d and act."""
+        pairs = []
+        for m1 in tops:
+            for m0 in bottoms:
+                if any(d[m1[r]] != m0[xd[r]] for r in range(nr)):
+                    continue
+                if any(
+                    m1[x.act(r, s)] != act(m1[r], m0[s])
+                    for r in range(nr)
+                    for s in range(ns)
+                ):
+                    continue
+                pairs.append((m1, m0))
+        return pairs
+
     cg = conj_xmod(g)
     top = enumerate_rack_homs(x.dom, cg.dom).maps
     bottom = enumerate_rack_homs(x.cod, cg.cod).maps
-    nr = x.dom.size
-    ns = x.cod.size
-    rack_pairs = []
-    for m1 in top:
-        for m0 in bottom:
-            if any(cg.boundary.map[m1[r]] != m0[x.boundary.map[r]] for r in range(nr)):
-                continue
-            if any(
-                m1[x.act(r, s)] != cg.act(m1[r], m0[s])
-                for r in range(nr)
-                for s in range(ns)
-            ):
-                continue
-            rack_pairs.append((m1, m0))
+    rack_pairs = square_pairs(top, bottom, cg.boundary.map, cg.act)
     a1s = enumerate_presented_homs(as_presentation(x.dom), g.dom).maps
     a0s = enumerate_presented_homs(as_presentation(x.cod), g.cod).maps
-    d = g.boundary.map
-    group_pairs = []
-    for a1 in a1s:
-        for a0 in a0s:
-            if any(d[a1[r]] != a0[x.boundary.map[r]] for r in range(nr)):
-                continue
-            if any(
-                a1[x.act(r, s)] != g.act(a1[r], a0[s])
-                for r in range(nr)
-                for s in range(ns)
-            ):
-                continue
-            group_pairs.append((a1, a0))
+    group_pairs = square_pairs(a1s, a0s, g.boundary.map, g.act)
     rack_set = set(rack_pairs)
     group_set = set(group_pairs)
     for pair in rack_pairs:

@@ -10,20 +10,41 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import permutations
 
-from .errors import AssociativityFail, HomBasepointFail, HomLawFail, IdentityFail, InverseFail
-from .tables import check_index, index_row, label_row, square_table
+from .errors import AssociativityFail, IdentityFail, InverseFail
+from .tables import (
+    FiniteStructure,
+    Hom,
+    check_index,
+    compose_homs,
+    identity_hom,
+    label_row,
+    square_table,
+    validate_hom,
+)
+
+# Group-side names of the shared hom core, kept for existing callers.
+GroupHom = Hom
+validate_group_hom = validate_hom
+identity_group_hom = identity_hom
+compose_group_homs = compose_homs
 
 
 @dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(FiniteStructure):
     size: int
     mul: tuple[tuple[int, ...], ...]
     identity: int
     inv: tuple[int, ...] = field(compare=False)
     labels: tuple[str, ...] | None = field(default=None, compare=False)
 
-    def op(self, a: int, b: int) -> int:
-        return self.mul[a][b]
+    # ``mul`` and ``identity`` under the names shared code reads
+    @property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        return self.mul
+
+    @property
+    def basepoint(self) -> int:
+        return self.identity
 
     def invert(self, a: int) -> int:
         return self.inv[a]
@@ -31,12 +52,6 @@ class FiniteGroup:
     def conj(self, g: int, h: int) -> int:
         """h^-1 g h"""
         return self.mul[self.mul[self.inv[h]][g]][h]
-
-    def elements(self) -> range:
-        return range(self.size)
-
-    def label(self, a: int) -> str:
-        return self.labels[a] if self.labels else str(a)
 
 
 def validate_group(mul, identity: int, labels=None) -> FiniteGroup:
@@ -60,38 +75,6 @@ def validate_group(mul, identity: int, labels=None) -> FiniteGroup:
             raise InverseFail(a)
         inv.append(b)
     return FiniteGroup(n, table, e, tuple(inv), label_row(labels, n))
-
-
-@dataclass(frozen=True)
-class GroupHom:
-    dom: FiniteGroup
-    cod: FiniteGroup
-    map: tuple[int, ...]
-
-    def __call__(self, a: int) -> int:
-        return self.map[a]
-
-
-def validate_group_hom(dom: FiniteGroup, cod: FiniteGroup, mapping) -> GroupHom:
-    m = index_row(mapping, dom.size, cod.size, "hom map")
-    if m[dom.identity] != cod.identity:
-        raise HomBasepointFail(dom.identity, m[dom.identity])
-    for a in range(dom.size):
-        for b in range(dom.size):
-            if m[dom.mul[a][b]] != cod.mul[m[a]][m[b]]:
-                raise HomLawFail(a, b)
-    return GroupHom(dom, cod, m)
-
-
-def identity_group_hom(g: FiniteGroup) -> GroupHom:
-    return validate_group_hom(g, g, range(g.size))
-
-
-def compose_group_homs(f: GroupHom, g: GroupHom) -> GroupHom:
-    """The composite "f then g"."""
-    if f.cod != g.dom:
-        raise ValueError("homs are not composable")
-    return validate_group_hom(f.dom, g.cod, tuple(g.map[v] for v in f.map))
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -122,7 +105,7 @@ def symmetric_group_3() -> FiniteGroup:
     return validate_group(table, 0, labels=[_S3_LABELS[p] for p in elems])
 
 
-def subgroup(g: FiniteGroup, elements) -> tuple[FiniteGroup, GroupHom]:
+def subgroup(g: FiniteGroup, elements) -> tuple[FiniteGroup, Hom]:
     """Restrict to a subset; returns the subgroup and its inclusion hom."""
     emb = tuple(sorted({check_index(x, g.size, "subgroup element") for x in elements}))
     pos = {x: i for i, x in enumerate(emb)}
@@ -137,7 +120,7 @@ def subgroup(g: FiniteGroup, elements) -> tuple[FiniteGroup, GroupHom]:
     table = [[pos[g.mul[a][b]] for b in emb] for a in emb]
     labels = [g.label(a) for a in emb] if g.labels else None
     sub = validate_group(table, pos[g.identity], labels=labels)
-    return sub, validate_group_hom(sub, g, emb)
+    return sub, validate_hom(sub, g, emb)
 
 
 def conjugacy_classes(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:

@@ -32,24 +32,16 @@ from pathlib import Path
 from typing import Any
 
 from .errors import ParseError
-from .groups import FiniteGroup, GroupHom, validate_group, validate_group_hom
-from .racks import (
-    FiniteRack,
-    RackHom,
-    UnpointedRack,
-    validate_rack,
-    validate_rack_hom,
-    validate_unpointed_rack,
-)
+from .groups import FiniteGroup, validate_group
+from .racks import FiniteRack, UnpointedRack, validate_rack, validate_unpointed_rack
+from .tables import FiniteStructure, Hom, validate_hom
 from .xmod import (
     GroupXMod,
-    GroupXModMorphism,
     RackAction,
     RackXMod,
-    RackXModMorphism,
+    XModMorphism,
     validate_action,
     validate_group_xmod,
-    validate_group_xmod_morphism,
     validate_rack_xmod,
     validate_xmod_morphism,
 )
@@ -71,30 +63,42 @@ def digest_file(path: str | Path) -> str:
 
 def load_document(path: str | Path) -> dict[str, Any]:
     """Read a document file and inline every ``{"path": ...}`` reference."""
-    p = Path(path)
+    return _load(Path(path), ())
+
+
+def _load(p: Path, loading: tuple[Path, ...]) -> dict[str, Any]:
+    """``loading`` holds the files whose references are being inlined."""
     try:
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {p}: {exc}") from exc
+    here = p.resolve()
+    if here in loading:
+        raise ParseError(f"{p}: path reference cycle")
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{p}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{p}: JSON nested too deeply") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"{p}: top-level value must be an object")
-    return _inline(raw, p.parent)
+    try:
+        return _inline(raw, p.parent, loading + (here,))
+    except RecursionError as exc:
+        raise ParseError(f"{p}: document nested too deeply") from exc
 
 
-def _inline(value: Any, base: Path) -> Any:
+def _inline(value: Any, base: Path, loading: tuple[Path, ...]) -> Any:
     if isinstance(value, dict):
         if set(value) == {"path"}:
             ref = value["path"]
             if not isinstance(ref, str):
                 raise ParseError("path reference must be a string")
-            return load_document(base / ref)
-        return {k: _inline(v, base) for k, v in value.items()}
+            return _load(base / ref, loading)
+        return {k: _inline(v, base, loading) for k, v in value.items()}
     if isinstance(value, list):
-        return [_inline(v, base) for v in value]
+        return [_inline(v, base, loading) for v in value]
     return value
 
 
@@ -136,38 +140,32 @@ def _check_size(doc: dict[str, Any], actual: int) -> None:
 # -- parsing ---------------------------------------------------------------
 
 
-def parse_rack(doc: dict[str, Any]) -> FiniteRack:
-    doc = _payload(doc, "rack")
-    table = _field(doc, "table")
+def _parse_structure(doc: dict[str, Any], kind: str, validate, *keys: str) -> Any:
+    """Parse a rack, unpointed rack or group: ``validate`` gets the values
+    under ``keys`` and the labels."""
+    doc = _payload(doc, kind)
+    values = [_field(doc, key) for key in keys]
     try:
-        rack = validate_rack(table, _field(doc, "basepoint"), labels=_labels(doc))
+        x = validate(*values, labels=_labels(doc))
     except (ValueError, TypeError) as exc:
-        raise ParseError(f"rack: {exc}") from exc
-    _check_size(doc, rack.size)
-    return rack
+        raise ParseError(f"{kind}: {exc}") from exc
+    _check_size(doc, x.size)
+    return x
+
+
+def parse_rack(doc: dict[str, Any]) -> FiniteRack:
+    return _parse_structure(doc, "rack", validate_rack, "table", "basepoint")
 
 
 def parse_unpointed_rack(doc: dict[str, Any]) -> UnpointedRack:
-    doc = _payload(doc, "unpointed-rack")
-    try:
-        rack = validate_unpointed_rack(_field(doc, "table"), labels=_labels(doc))
-    except (ValueError, TypeError) as exc:
-        raise ParseError(f"unpointed-rack: {exc}") from exc
-    _check_size(doc, rack.size)
-    return rack
+    return _parse_structure(doc, "unpointed-rack", validate_unpointed_rack, "table")
 
 
 def parse_group(doc: dict[str, Any]) -> FiniteGroup:
-    doc = _payload(doc, "group")
-    try:
-        group = validate_group(_field(doc, "table"), _field(doc, "identity"), labels=_labels(doc))
-    except (ValueError, TypeError) as exc:
-        raise ParseError(f"group: {exc}") from exc
-    _check_size(doc, group.size)
-    return group
+    return _parse_structure(doc, "group", validate_group, "table", "identity")
 
 
-def parse_hom(doc: dict[str, Any]) -> RackHom | GroupHom:
+def parse_hom(doc: dict[str, Any]) -> Hom:
     doc = _payload(doc, "hom")
     dom_doc = _field(doc, "dom")
     cod_doc = _field(doc, "cod")
@@ -176,14 +174,13 @@ def parse_hom(doc: dict[str, Any]) -> RackHom | GroupHom:
     if dom_kind != cod_kind:
         raise ParseError(f"hom endpoints disagree: {dom_kind!r} vs {cod_kind!r}")
     mapping = _field(doc, "map")
+    parse = {"rack": parse_rack, "group": parse_group}.get(dom_kind)
+    if parse is None:
+        raise ParseError(f"hom endpoints must be racks or groups, got {dom_kind!r}")
     try:
-        if dom_kind == "rack":
-            return validate_rack_hom(parse_rack(dom_doc), parse_rack(cod_doc), mapping)
-        if dom_kind == "group":
-            return validate_group_hom(parse_group(dom_doc), parse_group(cod_doc), mapping)
+        return validate_hom(parse(dom_doc), parse(cod_doc), mapping)
     except (ValueError, TypeError) as exc:
         raise ParseError(f"hom: {exc}") from exc
-    raise ParseError(f"hom endpoints must be racks or groups, got {dom_kind!r}")
 
 
 def parse_action(doc: dict[str, Any]) -> RackAction:
@@ -201,7 +198,7 @@ def parse_rack_xmod(doc: dict[str, Any]) -> RackXMod:
     dom = parse_rack(_field(doc, "dom"))
     cod = parse_rack(_field(doc, "cod"))
     try:
-        boundary = validate_rack_hom(dom, cod, _field(doc, "boundary"))
+        boundary = validate_hom(dom, cod, _field(doc, "boundary"))
         action = validate_action(_field(doc, "action"), dom, cod)
         return validate_rack_xmod(boundary, action)
     except (ValueError, TypeError) as exc:
@@ -213,13 +210,13 @@ def parse_group_xmod(doc: dict[str, Any]) -> GroupXMod:
     dom = parse_group(_field(doc, "dom"))
     cod = parse_group(_field(doc, "cod"))
     try:
-        boundary = validate_group_hom(dom, cod, _field(doc, "boundary"))
+        boundary = validate_hom(dom, cod, _field(doc, "boundary"))
         return validate_group_xmod(boundary, _field(doc, "action"))
     except (ValueError, TypeError) as exc:
         raise ParseError(f"group-xmod: {exc}") from exc
 
 
-def parse_xmod_morphism(doc: dict[str, Any]) -> RackXModMorphism | GroupXModMorphism:
+def parse_xmod_morphism(doc: dict[str, Any]) -> XModMorphism:
     doc = _payload(doc, "xmod-morphism")
     src_doc = _field(doc, "src")
     dst_doc = _field(doc, "dst")
@@ -227,34 +224,30 @@ def parse_xmod_morphism(doc: dict[str, Any]) -> RackXModMorphism | GroupXModMorp
     dst_kind = _payload(dst_doc)["kind"]
     if src_kind != dst_kind:
         raise ParseError(f"morphism endpoints disagree: {src_kind!r} vs {dst_kind!r}")
+    parse = {"rack-xmod": parse_rack_xmod, "group-xmod": parse_group_xmod}.get(src_kind)
+    if parse is None:
+        raise ParseError(f"morphism endpoints must be crossed modules, got {src_kind!r}")
     try:
-        if src_kind == "rack-xmod":
-            src, dst = parse_rack_xmod(src_doc), parse_rack_xmod(dst_doc)
-            f1 = validate_rack_hom(src.dom, dst.dom, _field(doc, "f1"))
-            f0 = validate_rack_hom(src.cod, dst.cod, _field(doc, "f0"))
-            return validate_xmod_morphism(f1, f0, src, dst)
-        if src_kind == "group-xmod":
-            gsrc, gdst = parse_group_xmod(src_doc), parse_group_xmod(dst_doc)
-            g1 = validate_group_hom(gsrc.dom, gdst.dom, _field(doc, "f1"))
-            g0 = validate_group_hom(gsrc.cod, gdst.cod, _field(doc, "f0"))
-            return validate_group_xmod_morphism(g1, g0, gsrc, gdst)
+        src, dst = parse(src_doc), parse(dst_doc)
+        f1 = validate_hom(src.dom, dst.dom, _field(doc, "f1"))
+        f0 = validate_hom(src.cod, dst.cod, _field(doc, "f0"))
+        return validate_xmod_morphism(f1, f0, src, dst)
     except (ValueError, TypeError) as exc:
         raise ParseError(f"xmod-morphism: {exc}") from exc
-    raise ParseError(f"morphism endpoints must be crossed modules, got {src_kind!r}")
 
 
-def parse_pullback_request(doc: dict[str, Any]) -> tuple[RackXMod, RackHom] | tuple[GroupXMod, GroupHom]:
+def parse_pullback_request(doc: dict[str, Any]) -> tuple[RackXMod | GroupXMod, Hom]:
     """A crossed module paired with a hom into its base, ready to pull back."""
     doc = _payload(doc, "pullback-request")
     xmod_doc = _field(doc, "xmod")
     hom = parse_hom(_field(doc, "hom"))
     xmod_kind = _payload(xmod_doc)["kind"]
     if xmod_kind == "rack-xmod":
-        if not isinstance(hom, RackHom):
+        if not isinstance(hom.dom, FiniteRack):
             raise ParseError("pullback-request: rack-xmod needs a rack hom")
         source = parse_rack_xmod(xmod_doc)
     elif xmod_kind == "group-xmod":
-        if not isinstance(hom, GroupHom):
+        if not isinstance(hom.dom, FiniteGroup):
             raise ParseError("pullback-request: group-xmod needs a group hom")
         source = parse_group_xmod(xmod_doc)
     else:
@@ -288,54 +281,37 @@ def parse_document(doc: dict[str, Any]) -> Any:
 # -- emission --------------------------------------------------------------
 
 
-def _with_labels(doc: dict[str, Any], labels: tuple[str, ...] | None) -> dict[str, Any]:
-    if labels is not None:
-        doc["labels"] = list(labels)
+def _structure_document(kind: str, x: FiniteStructure, **distinguished: int) -> dict[str, Any]:
+    doc = {
+        "format-version": FORMAT_VERSION,
+        "kind": kind,
+        "size": x.size,
+        "table": [list(row) for row in x.table],
+        **distinguished,
+    }
+    if x.labels is not None:
+        doc["labels"] = list(x.labels)
     return doc
 
 
 def rack_document(rack: FiniteRack) -> dict[str, Any]:
-    doc = {
-        "format-version": FORMAT_VERSION,
-        "kind": "rack",
-        "size": rack.size,
-        "table": [list(row) for row in rack.table],
-        "basepoint": rack.basepoint,
-    }
-    return _with_labels(doc, rack.labels)
+    return _structure_document("rack", rack, basepoint=rack.basepoint)
 
 
 def unpointed_rack_document(rack: UnpointedRack) -> dict[str, Any]:
-    doc = {
-        "format-version": FORMAT_VERSION,
-        "kind": "unpointed-rack",
-        "size": rack.size,
-        "table": [list(row) for row in rack.table],
-    }
-    return _with_labels(doc, rack.labels)
+    return _structure_document("unpointed-rack", rack)
 
 
 def group_document(group: FiniteGroup) -> dict[str, Any]:
-    doc = {
-        "format-version": FORMAT_VERSION,
-        "kind": "group",
-        "size": group.size,
-        "table": [list(row) for row in group.mul],
-        "identity": group.identity,
-    }
-    return _with_labels(doc, group.labels)
+    return _structure_document("group", group, identity=group.identity)
 
 
-def hom_document(hom: RackHom | GroupHom) -> dict[str, Any]:
-    if isinstance(hom, RackHom):
-        dom, cod = rack_document(hom.dom), rack_document(hom.cod)
-    else:
-        dom, cod = group_document(hom.dom), group_document(hom.cod)
+def hom_document(hom: Hom) -> dict[str, Any]:
     return {
         "format-version": FORMAT_VERSION,
         "kind": "hom",
-        "dom": dom,
-        "cod": cod,
+        "dom": document_for(hom.dom),
+        "cod": document_for(hom.cod),
         "map": list(hom.map),
     }
 
@@ -350,38 +326,31 @@ def action_document(action: RackAction) -> dict[str, Any]:
     }
 
 
-def rack_xmod_document(xmod: RackXMod) -> dict[str, Any]:
+def _xmod_document(kind: str, xmod: RackXMod | GroupXMod, action_rows) -> dict[str, Any]:
     return {
         "format-version": FORMAT_VERSION,
-        "kind": "rack-xmod",
-        "dom": rack_document(xmod.dom),
-        "cod": rack_document(xmod.cod),
+        "kind": kind,
+        "dom": document_for(xmod.dom),
+        "cod": document_for(xmod.cod),
         "boundary": list(xmod.boundary.map),
-        "action": [list(row) for row in xmod.action.table],
+        "action": [list(row) for row in action_rows],
     }
+
+
+def rack_xmod_document(xmod: RackXMod) -> dict[str, Any]:
+    return _xmod_document("rack-xmod", xmod, xmod.action.table)
 
 
 def group_xmod_document(xmod: GroupXMod) -> dict[str, Any]:
-    return {
-        "format-version": FORMAT_VERSION,
-        "kind": "group-xmod",
-        "dom": group_document(xmod.dom),
-        "cod": group_document(xmod.cod),
-        "boundary": list(xmod.boundary.map),
-        "action": [list(row) for row in xmod.action],
-    }
+    return _xmod_document("group-xmod", xmod, xmod.action)
 
 
-def xmod_morphism_document(m: RackXModMorphism | GroupXModMorphism) -> dict[str, Any]:
-    if isinstance(m, RackXModMorphism):
-        src, dst = rack_xmod_document(m.src), rack_xmod_document(m.dst)
-    else:
-        src, dst = group_xmod_document(m.src), group_xmod_document(m.dst)
+def xmod_morphism_document(m: XModMorphism) -> dict[str, Any]:
     return {
         "format-version": FORMAT_VERSION,
         "kind": "xmod-morphism",
-        "src": src,
-        "dst": dst,
+        "src": document_for(m.src),
+        "dst": document_for(m.dst),
         "f1": list(m.f1.map),
         "f0": list(m.f0.map),
     }
@@ -424,7 +393,7 @@ def document_for(obj: Any) -> dict[str, Any]:
         return unpointed_rack_document(obj)
     if isinstance(obj, FiniteGroup):
         return group_document(obj)
-    if isinstance(obj, (RackHom, GroupHom)):
+    if isinstance(obj, Hom):
         return hom_document(obj)
     if isinstance(obj, RackAction):
         return action_document(obj)
@@ -432,6 +401,6 @@ def document_for(obj: Any) -> dict[str, Any]:
         return rack_xmod_document(obj)
     if isinstance(obj, GroupXMod):
         return group_xmod_document(obj)
-    if isinstance(obj, (RackXModMorphism, GroupXModMorphism)):
+    if isinstance(obj, XModMorphism):
         return xmod_morphism_document(obj)
     raise TypeError(f"no document form for {type(obj).__name__}")

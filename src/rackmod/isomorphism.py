@@ -5,7 +5,8 @@ from __future__ import annotations
 from itertools import permutations, product
 
 from .errors import AxiomError, BoundExceeded
-from .racks import FiniteRack, RackHom, rack_orbits, validate_rack, validate_rack_hom
+from .racks import FiniteRack, _self_distributivity_witness, rack_orbits, validate_rack
+from .tables import Hom, validate_hom
 
 DEFAULT_ENUMERATION_BOUND = 4
 BRUTEFORCE_LIMIT = 3
@@ -91,35 +92,22 @@ def _iso_maps(a: FiniteRack, b: FiniteRack, first_only: bool) -> list[tuple[int,
     return found
 
 
-def find_isomorphism(a: FiniteRack, b: FiniteRack) -> RackHom | None:
+def find_isomorphism(a: FiniteRack, b: FiniteRack) -> Hom | None:
     """First pointed isomorphism in the deterministic search order, if any."""
     maps = _iso_maps(a, b, first_only=True)
     if not maps:
         return None
-    return validate_rack_hom(a, b, maps[0])
+    return validate_hom(a, b, maps[0])
 
 
-def all_isomorphisms(a: FiniteRack, b: FiniteRack) -> list[RackHom]:
+def all_isomorphisms(a: FiniteRack, b: FiniteRack) -> list[Hom]:
     """Every pointed isomorphism, sorted by map tuple."""
     maps = sorted(_iso_maps(a, b, first_only=False))
-    return [validate_rack_hom(a, b, m) for m in maps]
+    return [validate_hom(a, b, m) for m in maps]
 
 
-def rack_automorphisms(r: FiniteRack) -> list[RackHom]:
+def rack_automorphisms(r: FiniteRack) -> list[Hom]:
     return all_isomorphisms(r, r)
-
-
-def _self_distributive(table) -> bool:
-    n = len(table)
-    for x in range(n):
-        row_x = table[x]
-        for y in range(n):
-            xy = row_x[y]
-            row_y = table[y]
-            for z in range(n):
-                if table[xy][z] != table[row_x[z]][row_y[z]]:
-                    return False
-    return True
 
 
 def enumerate_pointed_racks(n: int, *, bound: int = DEFAULT_ENUMERATION_BOUND) -> list[FiniteRack]:
@@ -143,7 +131,7 @@ def enumerate_pointed_racks(n: int, *, bound: int = DEFAULT_ENUMERATION_BOUND) -
             col = cols[b - 1]
             for i, a in enumerate(range(1, n)):
                 table[a][b] = col[i]
-        if not _self_distributive(table):
+        if _self_distributivity_witness(table) is not None:
             continue
         rack = validate_rack(table, 0)
         if any(find_isomorphism(rack, rep) is not None for rep in reps):

@@ -5,7 +5,9 @@ pullback crossed module lives on the fiber product carrier
 {(p, s) : d(p) = phi(s)}, has boundary (p, s) -> s, and carries the action
 (p, s) . s' = (p . phi(s'), s ◁ s').  Its universal property is certified
 here by enumerating every set map into the carrier and counting the ones
-that make a morphism factor, which must leave exactly one.
+that make a morphism factor, which must leave exactly one.  Group pullbacks
+have their own construction but share the result type, the mediating
+morphism and the certification with the rack side.
 """
 
 from __future__ import annotations
@@ -13,19 +15,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import AxiomError, NoIsomorphismFound, NotAMorphism, UniquenessFail
-from .groups import FiniteGroup, GroupHom, validate_group, validate_group_hom
-from .racks import FiniteRack, RackHom, conj_hom, validate_rack, validate_rack_hom
+from .errors import (
+    AxiomError,
+    ConstructionFail,
+    NoIsomorphismFound,
+    NotAMorphism,
+    UniquenessFail,
+)
+from .groups import validate_group
+from .racks import FiniteRack, conj_hom, validate_rack
+from .tables import FiniteStructure, Hom, identity_hom, validate_hom
 from .xmod import (
     GroupXMod,
-    GroupXModMorphism,
     RackXMod,
-    RackXModMorphism,
+    XModMorphism,
     conj_xmod,
     find_xmod_isomorphism,
     validate_action,
     validate_group_xmod,
-    validate_group_xmod_morphism,
     validate_rack_xmod,
     validate_xmod_morphism,
 )
@@ -38,11 +45,22 @@ from .xmod import (
 class FiberProduct:
     carrier: FiniteRack
     pairs: tuple[tuple[int, int], ...]
-    proj1: RackHom
-    proj2: RackHom
+    proj1: Hom
+    proj2: Hom
 
 
-def fiber_product(alpha: RackHom, beta: RackHom) -> FiberProduct:
+def _fiber_pairs(alpha: Hom, beta: Hom) -> tuple[tuple[int, int], ...]:
+    """{(p, s) : alpha(p) = beta(s)} in lexicographic order."""
+    a, b = alpha.map, beta.map
+    return tuple(
+        (p, s)
+        for p in alpha.dom.elements()
+        for s in beta.dom.elements()
+        if a[p] == b[s]
+    )
+
+
+def fiber_product(alpha: Hom, beta: Hom) -> FiberProduct:
     """Subrack of the product on {(p, s) : alpha(p) = beta(s)}.
 
     Pairs are listed in lexicographic order; the equalizer property
@@ -51,12 +69,7 @@ def fiber_product(alpha: RackHom, beta: RackHom) -> FiberProduct:
     if alpha.cod != beta.cod:
         raise ValueError("homs do not share a codomain")
     p_rack, s_rack = alpha.dom, beta.dom
-    pairs = tuple(
-        (p, s)
-        for p in p_rack.elements()
-        for s in s_rack.elements()
-        if alpha.map[p] == beta.map[s]
-    )
+    pairs = _fiber_pairs(alpha, beta)
     pos = {pair: i for i, pair in enumerate(pairs)}
     bp_pair = (p_rack.basepoint, s_rack.basepoint)
     if bp_pair not in pos:
@@ -67,16 +80,16 @@ def fiber_product(alpha: RackHom, beta: RackHom) -> FiberProduct:
         for pp, sp in pairs:
             target = (p_rack.table[p][pp], s_rack.table[s][sp])
             if target not in pos:
-                raise RuntimeError("fiber product is not closed; hom validation is broken")
+                raise ConstructionFail("fiber product is not closed", (p, s, pp, sp))
             row.append(pos[target])
         table.append(row)
     labels = [f"({p_rack.label(p)},{s_rack.label(s)})" for p, s in pairs]
     carrier = validate_rack(table, pos[bp_pair], labels=labels)
-    proj1 = validate_rack_hom(carrier, p_rack, [p for p, _ in pairs])
-    proj2 = validate_rack_hom(carrier, s_rack, [s for _, s in pairs])
+    proj1 = validate_hom(carrier, p_rack, [p for p, _ in pairs])
+    proj2 = validate_hom(carrier, s_rack, [s for _, s in pairs])
     for i in range(carrier.size):
         if alpha.map[proj1.map[i]] != beta.map[proj2.map[i]]:
-            raise RuntimeError("equalizer property failed; construction is broken")
+            raise ConstructionFail("equalizer property failed", (i,))
     return FiberProduct(carrier, pairs, proj1, proj2)
 
 
@@ -89,7 +102,7 @@ def fiber_product_xmod(a: RackXMod, b: RackXMod) -> RackXMod:
         raise ValueError("crossed modules are not over the same rack")
     fp = fiber_product(a.boundary, b.boundary)
     r_rack = a.cod
-    boundary = validate_rack_hom(
+    boundary = validate_hom(
         fp.carrier, r_rack, [a.boundary.map[p] for p, _ in fp.pairs]
     )
     pos = {pair: i for i, pair in enumerate(fp.pairs)}
@@ -99,30 +112,42 @@ def fiber_product_xmod(a: RackXMod, b: RackXMod) -> RackXMod:
         for r in r_rack.elements():
             target = (a.act(p, r), b.act(s, r))
             if target not in pos:
-                raise RuntimeError("diagonal action escapes the carrier")
+                raise ConstructionFail("diagonal action escapes the carrier", (p, s, r))
             row.append(pos[target])
         table.append(row)
     action = validate_action(table, fp.carrier, r_rack)
     return validate_rack_xmod(boundary, action)
 
 
-# ---------------------------------------------------------------- rack pullbacks
+# ---------------------------------------------------------------- pullbacks
 
 
 @dataclass(frozen=True)
 class PullbackXMod:
-    xmod: RackXMod
-    phi_prime: RackHom
-    source: RackXMod
-    phi: RackHom
+    """The pullback of a crossed module of racks or of groups along phi."""
+
+    xmod: RackXMod | GroupXMod
+    phi_prime: Hom
+    source: RackXMod | GroupXMod
+    phi: Hom
     pairs: tuple[tuple[int, int], ...]
 
     @property
-    def carrier(self) -> FiniteRack:
+    def carrier(self) -> FiniteStructure:
         return self.xmod.dom
 
 
-def pullback_xmod(source: RackXMod, phi: RackHom) -> PullbackXMod:
+def _square_checked(pb: PullbackXMod) -> PullbackXMod:
+    """Re-check the commuting square phi . boundary = d . phi_prime."""
+    phi, d = pb.phi.map, pb.source.boundary.map
+    boundary, proj = pb.xmod.boundary.map, pb.phi_prime.map
+    for i in range(len(pb.pairs)):
+        if phi[boundary[i]] != d[proj[i]]:
+            raise ConstructionFail("pullback square does not commute", (i,))
+    return pb
+
+
+def pullback_xmod(source: RackXMod, phi: Hom) -> PullbackXMod:
     """Pull a crossed module d: P -> R back along phi: S -> R.
 
     The carrier is exactly the fiber product of d and phi; the boundary is
@@ -142,27 +167,54 @@ def pullback_xmod(source: RackXMod, phi: RackHom) -> PullbackXMod:
         for sp in s_rack.elements():
             target = (source.act(p, phi.map[sp]), s_rack.table[s][sp])
             if target not in pos:
-                raise RuntimeError("pullback action escapes the carrier")
+                raise ConstructionFail("pullback action escapes the carrier", (p, s, sp))
             row.append(pos[target])
         table.append(row)
     action = validate_action(table, fp.carrier, s_rack)
     xmod = validate_rack_xmod(fp.proj2, action)
-    for i, (p, s) in enumerate(fp.pairs):
-        if phi.map[xmod.boundary.map[i]] != source.boundary.map[fp.proj1.map[i]]:
-            raise RuntimeError("pullback square does not commute; construction is broken")
-    return PullbackXMod(xmod, fp.proj1, source, phi, fp.pairs)
+    return _square_checked(PullbackXMod(xmod, fp.proj1, source, phi, fp.pairs))
 
 
-def mediating_morphism(pb: PullbackXMod, f: RackHom, mu_xmod: RackXMod) -> RackXModMorphism:
+def group_pullback_xmod(source: GroupXMod, phi: Hom) -> PullbackXMod:
+    """Group-side pullback on {(m, s) : d(m) = phi(s)}.
+
+    Boundary (m, s) -> s and action (m, s).s' = (m.phi(s'), s'^-1 s s').
+    """
+    if phi.cod != source.cod:
+        raise ValueError("hom does not land in the base of the crossed module")
+    m_grp, s_grp = source.dom, phi.dom
+    pairs = _fiber_pairs(source.boundary, phi)
+    pos = {pair: i for i, pair in enumerate(pairs)}
+    ident_pair = (m_grp.identity, s_grp.identity)
+    mul = [
+        [pos[(m_grp.mul[m][mp], s_grp.mul[s][sp])] for mp, sp in pairs]
+        for m, s in pairs
+    ]
+    labels = [f"({m_grp.label(m)},{s_grp.label(s)})" for m, s in pairs]
+    carrier = validate_group(mul, pos[ident_pair], labels=labels)
+    boundary = validate_hom(carrier, s_grp, [s for _, s in pairs])
+    action = [
+        [pos[(source.act(m, phi.map[sp]), s_grp.conj(s, sp))] for sp in s_grp.elements()]
+        for m, s in pairs
+    ]
+    xmod = validate_group_xmod(boundary, action)
+    phi_prime = validate_hom(carrier, m_grp, [m for m, _ in pairs])
+    return _square_checked(PullbackXMod(xmod, phi_prime, source, phi, pairs))
+
+
+# ---------------------------------------------------------------- universal property
+
+
+def mediating_morphism(pb: PullbackXMod, f: Hom, mu_xmod: RackXMod | GroupXMod) -> XModMorphism:
     """The canonical factorization x -> (f(x), mu(x)) through the pullback.
 
     (f, pb.phi) must be a morphism from mu_xmod to the pulled-back crossed
     module's source; the result pairs with the identity on the base.
     """
-    x_rack = mu_xmod.dom
+    x_dom = mu_xmod.dom
     if mu_xmod.cod != pb.phi.dom:
         raise ValueError("test crossed module is not over the base of the pullback")
-    if f.dom != x_rack or f.cod != pb.source.dom:
+    if f.dom != x_dom or f.cod != pb.source.dom:
         raise ValueError("f endpoints do not match the pullback data")
     try:
         validate_xmod_morphism(f, pb.phi, mu_xmod, pb.source)
@@ -171,27 +223,28 @@ def mediating_morphism(pb: PullbackXMod, f: RackHom, mu_xmod: RackXMod) -> RackX
     pos = {pair: i for i, pair in enumerate(pb.pairs)}
     mu = mu_xmod.boundary.map
     star = []
-    for x in x_rack.elements():
+    for x in x_dom.elements():
         pair = (f.map[x], mu[x])
-        assert pair in pos, "image escapes the carrier despite the morphism laws"
+        if pair not in pos:
+            raise ConstructionFail("image escapes the carrier despite the morphism laws", (x,))
         star.append(pos[pair])
-    f_star = validate_rack_hom(x_rack, pb.carrier, star)
-    ident = validate_rack_hom(mu_xmod.cod, mu_xmod.cod, range(mu_xmod.cod.size))
-    med = validate_xmod_morphism(f_star, ident, mu_xmod, pb.xmod)
-    for x in x_rack.elements():
-        assert pb.phi_prime.map[star[x]] == f.map[x]
+    f_star = validate_hom(x_dom, pb.carrier, star)
+    med = validate_xmod_morphism(f_star, identity_hom(mu_xmod.cod), mu_xmod, pb.xmod)
+    for x in x_dom.elements():
+        if pb.phi_prime.map[star[x]] != f.map[x]:
+            raise ConstructionFail("mediating map does not lift f", (x,))
     return med
 
 
 @dataclass(frozen=True)
 class UniversalityCertificate:
-    mediating: RackXModMorphism
+    mediating: XModMorphism
     satisfying_count: int
     search_space: int
 
 
 def verify_universal_property(
-    pb: PullbackXMod, f: RackHom, mu_xmod: RackXMod
+    pb: PullbackXMod, f: Hom, mu_xmod: RackXMod | GroupXMod
 ) -> UniversalityCertificate:
     """Brute-force the universal property over every set map into the carrier.
 
@@ -200,40 +253,51 @@ def verify_universal_property(
     survive, and it must be the canonical mediating morphism.
     """
     med = mediating_morphism(pb, f, mu_xmod)
-    x_rack = mu_xmod.dom
-    carrier = pb.carrier
+    x_dom, carrier = mu_xmod.dom, pb.carrier
+    x_table, c_table = x_dom.table, carrier.table
+    x_bp, c_bp = x_dom.basepoint, carrier.basepoint
+    x_act, pb_act = mu_xmod.act, pb.xmod.act
+    base = mu_xmod.cod.elements()
     mu = mu_xmod.boundary.map
     dstar = pb.xmod.boundary.map
     proj = pb.phi_prime.map
-    n = x_rack.size
+    fmap = f.map
+    n = x_dom.size
     satisfying = []
     for h in product(range(carrier.size), repeat=n):
-        if h[x_rack.basepoint] != carrier.basepoint:
+        if h[x_bp] != c_bp:
             continue
         if any(dstar[h[x]] != mu[x] for x in range(n)):
             continue
-        if any(proj[h[x]] != f.map[x] for x in range(n)):
+        if any(proj[h[x]] != fmap[x] for x in range(n)):
             continue
         if any(
-            h[x_rack.table[x][y]] != carrier.table[h[x]][h[y]]
+            h[x_table[x][y]] != c_table[h[x]][h[y]]
             for x in range(n)
             for y in range(n)
         ):
             continue
         if any(
-            h[mu_xmod.act(x, s)] != pb.xmod.act(h[x], s)
+            h[x_act(x, s)] != pb_act(h[x], s)
             for x in range(n)
-            for s in mu_xmod.cod.elements()
+            for s in base
         ):
             continue
         satisfying.append(h)
     if len(satisfying) != 1:
         raise UniquenessFail(len(satisfying), tuple(satisfying))
-    assert satisfying[0] == med.f1.map
+    if satisfying[0] != med.f1.map:
+        raise ConstructionFail("the one factorization is not the mediating map", satisfying[0])
     return UniversalityCertificate(med, 1, carrier.size**n)
 
 
-def pullback_on_morphisms(m: RackXModMorphism, phi: RackHom) -> RackXModMorphism:
+# Group-side names of the shared pullback core, kept for existing callers.
+GroupPullbackXMod = PullbackXMod
+GroupUniversalityCertificate = UniversalityCertificate
+verify_group_universal_property = verify_universal_property
+
+
+def pullback_on_morphisms(m: XModMorphism, phi: Hom) -> XModMorphism:
     """Functorial action on a morphism over a fixed base: (p, s) -> (g(p), s)."""
     base = m.src.cod
     if m.dst.cod != base or m.f0.map != tuple(range(base.size)):
@@ -244,122 +308,8 @@ def pullback_on_morphisms(m: RackXModMorphism, phi: RackHom) -> RackXModMorphism
     pb_dst = pullback_xmod(m.dst, phi)
     pos = {pair: i for i, pair in enumerate(pb_dst.pairs)}
     mapped = [pos[(m.f1.map[p], s)] for p, s in pb_src.pairs]
-    f1 = validate_rack_hom(pb_src.carrier, pb_dst.carrier, mapped)
-    ident = validate_rack_hom(phi.dom, phi.dom, range(phi.dom.size))
-    return validate_xmod_morphism(f1, ident, pb_src.xmod, pb_dst.xmod)
-
-
-# ---------------------------------------------------------------- group pullbacks
-
-
-@dataclass(frozen=True)
-class GroupPullbackXMod:
-    xmod: GroupXMod
-    phi_prime: GroupHom
-    source: GroupXMod
-    phi: GroupHom
-    pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def carrier(self) -> FiniteGroup:
-        return self.xmod.dom
-
-
-def group_pullback_xmod(source: GroupXMod, phi: GroupHom) -> GroupPullbackXMod:
-    """Group-side pullback on {(m, s) : d(m) = phi(s)}.
-
-    Boundary (m, s) -> s and action (m, s).s' = (m.phi(s'), s'^-1 s s').
-    """
-    if phi.cod != source.cod:
-        raise ValueError("hom does not land in the base of the crossed module")
-    m_grp, s_grp = source.dom, phi.dom
-    d = source.boundary.map
-    pairs = tuple(
-        (m, s)
-        for m in m_grp.elements()
-        for s in s_grp.elements()
-        if d[m] == phi.map[s]
-    )
-    pos = {pair: i for i, pair in enumerate(pairs)}
-    ident_pair = (m_grp.identity, s_grp.identity)
-    mul = [
-        [pos[(m_grp.mul[m][mp], s_grp.mul[s][sp])] for mp, sp in pairs]
-        for m, s in pairs
-    ]
-    labels = [f"({m_grp.label(m)},{s_grp.label(s)})" for m, s in pairs]
-    carrier = validate_group(mul, pos[ident_pair], labels=labels)
-    boundary = validate_group_hom(carrier, s_grp, [s for _, s in pairs])
-    action = [
-        [pos[(source.act(m, phi.map[sp]), s_grp.conj(s, sp))] for sp in s_grp.elements()]
-        for m, s in pairs
-    ]
-    xmod = validate_group_xmod(boundary, action)
-    phi_prime = validate_group_hom(carrier, m_grp, [m for m, _ in pairs])
-    for i in range(carrier.size):
-        if phi.map[boundary.map[i]] != d[phi_prime.map[i]]:
-            raise RuntimeError("pullback square does not commute; construction is broken")
-    return GroupPullbackXMod(xmod, phi_prime, source, phi, pairs)
-
-
-@dataclass(frozen=True)
-class GroupUniversalityCertificate:
-    mediating: GroupXModMorphism
-    satisfying_count: int
-    search_space: int
-
-
-def verify_group_universal_property(
-    pb: GroupPullbackXMod, f: GroupHom, mu_xmod: GroupXMod
-) -> GroupUniversalityCertificate:
-    """Group analogue of verify_universal_property; same exhaustive scheme."""
-    x_grp = mu_xmod.dom
-    if mu_xmod.cod != pb.phi.dom:
-        raise ValueError("test crossed module is not over the base of the pullback")
-    if f.dom != x_grp or f.cod != pb.source.dom:
-        raise ValueError("f endpoints do not match the pullback data")
-    try:
-        validate_group_xmod_morphism(f, pb.phi, mu_xmod, pb.source)
-    except AxiomError as exc:
-        raise NotAMorphism(exc) from exc
-    pos = {pair: i for i, pair in enumerate(pb.pairs)}
-    mu = mu_xmod.boundary.map
-    star = []
-    for x in x_grp.elements():
-        pair = (f.map[x], mu[x])
-        assert pair in pos, "image escapes the carrier despite the morphism laws"
-        star.append(pos[pair])
-    carrier = pb.carrier
-    f_star = validate_group_hom(x_grp, carrier, star)
-    ident = validate_group_hom(mu_xmod.cod, mu_xmod.cod, range(mu_xmod.cod.size))
-    med = validate_group_xmod_morphism(f_star, ident, mu_xmod, pb.xmod)
-    dstar = pb.xmod.boundary.map
-    proj = pb.phi_prime.map
-    n = x_grp.size
-    satisfying = []
-    for h in product(range(carrier.size), repeat=n):
-        if h[x_grp.identity] != carrier.identity:
-            continue
-        if any(dstar[h[x]] != mu[x] for x in range(n)):
-            continue
-        if any(proj[h[x]] != f.map[x] for x in range(n)):
-            continue
-        if any(
-            h[x_grp.mul[x][y]] != carrier.mul[h[x]][h[y]]
-            for x in range(n)
-            for y in range(n)
-        ):
-            continue
-        if any(
-            h[mu_xmod.act(x, s)] != pb.xmod.act(h[x], s)
-            for x in range(n)
-            for s in mu_xmod.cod.elements()
-        ):
-            continue
-        satisfying.append(h)
-    if len(satisfying) != 1:
-        raise UniquenessFail(len(satisfying), tuple(satisfying))
-    assert satisfying[0] == med.f1.map
-    return GroupUniversalityCertificate(med, 1, carrier.size**n)
+    f1 = validate_hom(pb_src.carrier, pb_dst.carrier, mapped)
+    return validate_xmod_morphism(f1, identity_hom(phi.dom), pb_src.xmod, pb_dst.xmod)
 
 
 # ---------------------------------------------------------------- conjugation vs pullback
@@ -367,13 +317,13 @@ def verify_group_universal_property(
 
 @dataclass(frozen=True)
 class ConjPreservationReport:
-    morphism: RackXModMorphism
+    morphism: XModMorphism
     conj_of_pullback: RackXMod
     pullback_of_conj: RackXMod
     carrier_size: int
 
 
-def check_conj_preserves_pullback(source: GroupXMod, phi: GroupHom) -> ConjPreservationReport:
+def check_conj_preserves_pullback(source: GroupXMod, phi: Hom) -> ConjPreservationReport:
     """Compare conjugation-then-pullback against pullback-then-conjugation.
 
     Builds both crossed modules of racks and exhibits an explicit

@@ -14,47 +14,42 @@ from dataclasses import dataclass, field
 
 from .errors import (
     BasepointMissing,
-    HomBasepointFail,
-    HomLawFail,
     NonBijectiveColumn,
     NotPointed,
     SelfDistributivityFail,
 )
-from .groups import FiniteGroup, GroupHom
-from .tables import check_index, index_row, label_row, square_table
+from .groups import FiniteGroup
+from .tables import (
+    FiniteStructure,
+    Hom,
+    check_index,
+    compose_homs,
+    identity_hom,
+    label_row,
+    square_table,
+    validate_hom,
+)
+
+# Rack-side names of the shared hom core, kept for existing callers.
+RackHom = Hom
+validate_rack_hom = validate_hom
+identity_rack_hom = identity_hom
+compose_rack_homs = compose_homs
 
 
 @dataclass(frozen=True)
-class FiniteRack:
+class FiniteRack(FiniteStructure):
     size: int
     table: tuple[tuple[int, ...], ...]
     basepoint: int
     labels: tuple[str, ...] | None = field(default=None, compare=False)
 
-    def op(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def elements(self) -> range:
-        return range(self.size)
-
-    def label(self, a: int) -> str:
-        return self.labels[a] if self.labels else str(a)
-
 
 @dataclass(frozen=True)
-class UnpointedRack:
+class UnpointedRack(FiniteStructure):
     size: int
     table: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...] | None = field(default=None, compare=False)
-
-    def op(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def elements(self) -> range:
-        return range(self.size)
-
-    def label(self, a: int) -> str:
-        return self.labels[a] if self.labels else str(a)
 
 
 def _check_columns(table):
@@ -68,7 +63,8 @@ def _check_columns(table):
             seen[v] = a
 
 
-def _check_self_distributivity(table):
+def _self_distributivity_witness(table) -> tuple[int, int, int] | None:
+    """The first (a, b, c) with (a ◁ b) ◁ c != (a ◁ c) ◁ (b ◁ c), or None."""
     n = len(table)
     for a in range(n):
         row_a = table[a]
@@ -77,7 +73,16 @@ def _check_self_distributivity(table):
             row_b = table[b]
             for c in range(n):
                 if table[ab][c] != table[row_a[c]][row_b[c]]:
-                    raise SelfDistributivityFail(a, b, c)
+                    return a, b, c
+    return None
+
+
+def _check_unpointed_laws(table) -> None:
+    """Bijective columns, then self-distributivity."""
+    _check_columns(table)
+    witness = _self_distributivity_witness(table)
+    if witness is not None:
+        raise SelfDistributivityFail(*witness)
 
 
 def validate_rack(table, basepoint: int, labels=None) -> FiniteRack:
@@ -85,8 +90,7 @@ def validate_rack(table, basepoint: int, labels=None) -> FiniteRack:
     t = square_table(table, what="rack table")
     n = len(t)
     bp = check_index(basepoint, n, "basepoint")
-    _check_columns(t)
-    _check_self_distributivity(t)
+    _check_unpointed_laws(t)
     for a in range(n):
         if t[bp][a] != bp:
             raise NotPointed(a, t[bp][a], "absorb")
@@ -97,46 +101,13 @@ def validate_rack(table, basepoint: int, labels=None) -> FiniteRack:
 
 def validate_unpointed_rack(table, labels=None) -> UnpointedRack:
     t = square_table(table, what="rack table")
-    _check_columns(t)
-    _check_self_distributivity(t)
+    _check_unpointed_laws(t)
     return UnpointedRack(len(t), t, label_row(labels, len(t)))
 
 
-@dataclass(frozen=True)
-class RackHom:
-    dom: FiniteRack
-    cod: FiniteRack
-    map: tuple[int, ...]
-
-    def __call__(self, a: int) -> int:
-        return self.map[a]
-
-
-def validate_rack_hom(dom: FiniteRack, cod: FiniteRack, mapping) -> RackHom:
-    m = index_row(mapping, dom.size, cod.size, "hom map")
-    if m[dom.basepoint] != cod.basepoint:
-        raise HomBasepointFail(dom.basepoint, m[dom.basepoint])
-    for a in range(dom.size):
-        for b in range(dom.size):
-            if m[dom.table[a][b]] != cod.table[m[a]][m[b]]:
-                raise HomLawFail(a, b)
-    return RackHom(dom, cod, m)
-
-
-def identity_rack_hom(r: FiniteRack) -> RackHom:
-    return validate_rack_hom(r, r, range(r.size))
-
-
-def constant_rack_hom(dom: FiniteRack, cod: FiniteRack) -> RackHom:
+def constant_rack_hom(dom: FiniteRack, cod: FiniteRack) -> Hom:
     """Everything to the basepoint; always a hom."""
-    return validate_rack_hom(dom, cod, [cod.basepoint] * dom.size)
-
-
-def compose_rack_homs(f: RackHom, g: RackHom) -> RackHom:
-    """The composite "f then g"."""
-    if f.cod != g.dom:
-        raise ValueError("homs are not composable")
-    return validate_rack_hom(f.dom, g.cod, tuple(g.map[v] for v in f.map))
+    return validate_hom(dom, cod, [cod.basepoint] * dom.size)
 
 
 def trivial_rack(n: int, labels=None) -> FiniteRack:
@@ -153,9 +124,9 @@ def conj_rack(g: FiniteGroup) -> FiniteRack:
     return validate_rack(table, g.identity, labels=g.labels)
 
 
-def conj_hom(f: GroupHom) -> RackHom:
+def conj_hom(f: Hom) -> Hom:
     """A group hom is a pointed rack hom between the conjugation racks."""
-    return validate_rack_hom(conj_rack(f.dom), conj_rack(f.cod), f.map)
+    return validate_hom(conj_rack(f.dom), conj_rack(f.cod), f.map)
 
 
 def core_rack(g: FiniteGroup) -> UnpointedRack:
@@ -192,10 +163,10 @@ def product_rack(p: FiniteRack, r: FiniteRack) -> FiniteRack:
     return validate_rack(table, bp, labels=_pair_labels(p, r))
 
 
-def product_projections(p: FiniteRack, r: FiniteRack) -> tuple[RackHom, RackHom]:
+def product_projections(p: FiniteRack, r: FiniteRack) -> tuple[Hom, Hom]:
     prod = product_rack(p, r)
-    proj1 = validate_rack_hom(prod, p, [i // r.size for i in range(prod.size)])
-    proj2 = validate_rack_hom(prod, r, [i % r.size for i in range(prod.size)])
+    proj1 = validate_hom(prod, p, [i // r.size for i in range(prod.size)])
+    proj2 = validate_hom(prod, r, [i % r.size for i in range(prod.size)])
     return proj1, proj2
 
 
@@ -232,9 +203,9 @@ def restrict_rack(r: FiniteRack, elements) -> FiniteRack:
     return validate_rack(table, pos[r.basepoint], labels=labels)
 
 
-def inclusion_rack_hom(r: FiniteRack, elements) -> RackHom:
+def inclusion_rack_hom(r: FiniteRack, elements) -> Hom:
     emb = tuple(sorted({check_index(x, r.size, "subrack element") for x in elements}))
-    return validate_rack_hom(restrict_rack(r, emb), r, emb)
+    return validate_hom(restrict_rack(r, emb), r, emb)
 
 
 @dataclass(frozen=True)
@@ -268,7 +239,7 @@ class Kernel:
     normality: NormalityCheck
 
 
-def kernel(f: RackHom) -> Kernel:
+def kernel(f: Hom) -> Kernel:
     """Preimage of the codomain basepoint, with its normality certificate."""
     elems = tuple(a for a in f.dom.elements() if f.map[a] == f.cod.basepoint)
     cert = is_normal_subrack(elems, f.dom)

@@ -1,23 +1,25 @@
-"""Plumbing for dense 0-based operation tables and index maps."""
+"""Plumbing for dense 0-based operation tables and index maps, and the
+accessors and homs shared by racks and groups.
+
+Both are a carrier {0..n-1} with a ``table`` and a distinguished
+``basepoint`` (a group's identity), which is all a hom needs to know.
+"""
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
+
+from .errors import HomBasepointFail, HomLawFail
 
 
 def square_table(rows: Iterable[Sequence[int]], what: str = "table") -> tuple[tuple[int, ...], ...]:
     """Normalize to an n x n tuple matrix with entries in range(n)."""
-    table = tuple(tuple(int(x) for x in row) for row in rows)
-    n = len(table)
+    rows = tuple(rows)
+    n = len(rows)
     if n == 0:
         raise ValueError(f"{what} must be nonempty")
-    for i, row in enumerate(table):
-        if len(row) != n:
-            raise ValueError(f"{what} row {i} has length {len(row)}, expected {n}")
-        for j, x in enumerate(row):
-            if not 0 <= x < n:
-                raise ValueError(f"{what}[{i}][{j}] = {x} is out of range(0, {n})")
-    return table
+    return rect_table(rows, n, n, n, what)
 
 
 def rect_table(
@@ -27,34 +29,43 @@ def rect_table(
     bound: int,
     what: str = "table",
 ) -> tuple[tuple[int, ...], ...]:
-    """Normalize to a height x width tuple matrix with entries in range(bound)."""
-    table = tuple(tuple(int(x) for x in row) for row in rows)
+    """Normalize to a height x width tuple matrix with entries in range(bound).
+
+    Entries must be ints as they stand: floats, strings and booleans are
+    rejected rather than coerced.
+    """
+    table = tuple(tuple(row) for row in rows)
     if len(table) != height:
         raise ValueError(f"{what} has {len(table)} rows, expected {height}")
     for i, row in enumerate(table):
         if len(row) != width:
             raise ValueError(f"{what} row {i} has length {len(row)}, expected {width}")
         for j, x in enumerate(row):
-            if not 0 <= x < bound:
-                raise ValueError(f"{what}[{i}][{j}] = {x} is out of range(0, {bound})")
+            if type(x) is not int or not 0 <= x < bound:
+                raise ValueError(_entry_error(f"{what}[{i}][{j}] =", x, bound))
     return table
 
 
 def index_row(values: Iterable[int], length: int, bound: int, what: str = "map") -> tuple[int, ...]:
-    row = tuple(int(x) for x in values)
+    row = tuple(values)
     if len(row) != length:
         raise ValueError(f"{what} has length {len(row)}, expected {length}")
     for j, x in enumerate(row):
-        if not 0 <= x < bound:
-            raise ValueError(f"{what}[{j}] = {x} is out of range(0, {bound})")
+        if type(x) is not int or not 0 <= x < bound:
+            raise ValueError(_entry_error(f"{what}[{j}] =", x, bound))
     return row
 
 
 def check_index(i: int, n: int, what: str = "index") -> int:
-    i = int(i)
-    if not 0 <= i < n:
-        raise ValueError(f"{what} {i} is out of range(0, {n})")
+    if type(i) is not int or not 0 <= i < n:
+        raise ValueError(_entry_error(what, i, n))
     return i
+
+
+def _entry_error(where: str, x, bound: int) -> str:
+    if type(x) is not int:
+        return f"{where} {x!r} is not an integer"
+    return f"{where} {x} is out of range(0, {bound})"
 
 
 def label_row(labels: Iterable[str] | None, n: int) -> tuple[str, ...] | None:
@@ -64,3 +75,61 @@ def label_row(labels: Iterable[str] | None, n: int) -> tuple[str, ...] | None:
     if len(row) != n:
         raise ValueError(f"labels have length {len(row)}, expected {n}")
     return row
+
+
+# ---------------------------------------------------------------- shared core
+
+
+class FiniteStructure:
+    """Accessors over ``size``, ``table`` and ``labels``, which subclasses provide."""
+
+    __slots__ = ()
+
+    def op(self, a: int, b: int) -> int:
+        return self.table[a][b]
+
+    def elements(self) -> range:
+        return range(self.size)
+
+    def label(self, a: int) -> str:
+        return self.labels[a] if self.labels else str(a)
+
+
+@dataclass(frozen=True)
+class Hom:
+    """A validated map between two pointed racks or two groups; ``dom`` tells which."""
+
+    dom: FiniteStructure
+    cod: FiniteStructure
+    map: tuple[int, ...]
+
+    def __call__(self, a: int) -> int:
+        return self.map[a]
+
+
+def validate_hom(dom: FiniteStructure, cod: FiniteStructure, mapping) -> Hom:
+    """Check that the map keeps the distinguished element and the operation."""
+    if type(dom) is not type(cod):
+        raise ValueError(f"hom endpoints are a {type(dom).__name__} and a {type(cod).__name__}")
+    m = index_row(mapping, dom.size, cod.size, "hom map")
+    bp = dom.basepoint
+    if m[bp] != cod.basepoint:
+        raise HomBasepointFail(bp, m[bp])
+    dom_table, cod_table = dom.table, cod.table
+    for a in range(dom.size):
+        row, image_row = dom_table[a], cod_table[m[a]]
+        for b in range(dom.size):
+            if m[row[b]] != image_row[m[b]]:
+                raise HomLawFail(a, b)
+    return Hom(dom, cod, m)
+
+
+def identity_hom(x: FiniteStructure) -> Hom:
+    return validate_hom(x, x, range(x.size))
+
+
+def compose_homs(f: Hom, g: Hom) -> Hom:
+    """The composite "f then g"."""
+    if f.cod != g.dom:
+        raise ValueError("homs are not composable")
+    return validate_hom(f.dom, g.cod, tuple(g.map[v] for v in f.map))

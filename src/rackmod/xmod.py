@@ -31,21 +31,19 @@ from .errors import (
     X1Fail,
     X2Fail,
 )
-from .groups import FiniteGroup, GroupHom, identity_group_hom, subgroup, validate_group_hom
+from .groups import FiniteGroup, subgroup
 from .isomorphism import all_isomorphisms
 from .racks import (
     FiniteRack,
-    RackHom,
+    _pair_labels,
     conj_hom,
     conj_rack,
-    identity_rack_hom,
     inclusion_rack_hom,
     is_normal_subrack,
     restrict_rack,
     validate_rack,
-    validate_rack_hom,
 )
-from .tables import rect_table
+from .tables import Hom, compose_homs, identity_hom, rect_table, validate_hom
 
 
 # ---------------------------------------------------------------- rack actions
@@ -115,13 +113,8 @@ def hemi_semidirect(action: RackAction) -> FiniteRack:
         for r in r_rack.elements()
     ]
     bp = s_rack.basepoint * width + r_rack.basepoint
-    labels = [
-        f"({s_rack.label(s)},{r_rack.label(r)})"
-        for s in s_rack.elements()
-        for r in r_rack.elements()
-    ]
     try:
-        return validate_rack(table, bp, labels=labels)
+        return validate_rack(table, bp, labels=_pair_labels(s_rack, r_rack))
     except AxiomError as exc:
         raise ResultNotRack(exc) from exc
 
@@ -131,7 +124,7 @@ def hemi_semidirect(action: RackAction) -> FiniteRack:
 
 @dataclass(frozen=True)
 class RackXMod:
-    boundary: RackHom
+    boundary: Hom
     action: RackAction
 
     @property
@@ -146,7 +139,7 @@ class RackXMod:
         return self.action.table[r][s]
 
 
-def validate_rack_xmod(boundary: RackHom, action: RackAction) -> RackXMod:
+def validate_rack_xmod(boundary: Hom, action: RackAction) -> RackXMod:
     """Check both crossed-module laws over all pairs."""
     if action.actee != boundary.dom or action.actor != boundary.cod:
         raise ValueError("action endpoints do not match the boundary hom")
@@ -179,66 +172,7 @@ def inclusion_xmod(subset, r: FiniteRack) -> RackXMod:
 
 
 def identity_xmod(r: FiniteRack) -> RackXMod:
-    return validate_rack_xmod(identity_rack_hom(r), conjugation_action(r))
-
-
-# ---------------------------------------------------------------- rack xmod morphisms
-
-
-@dataclass(frozen=True)
-class RackXModMorphism:
-    src: RackXMod
-    dst: RackXMod
-    f1: RackHom
-    f0: RackHom
-
-
-def validate_xmod_morphism(
-    f1: RackHom, f0: RackHom, src: RackXMod, dst: RackXMod
-) -> RackXModMorphism:
-    if f1.dom != src.dom or f1.cod != dst.dom:
-        raise ValueError("f1 endpoints do not match the crossed modules")
-    if f0.dom != src.cod or f0.cod != dst.cod:
-        raise ValueError("f0 endpoints do not match the crossed modules")
-    for r in src.dom.elements():
-        if dst.boundary.map[f1.map[r]] != f0.map[src.boundary.map[r]]:
-            raise BoundarySquareFail(r)
-    for r in src.dom.elements():
-        for s in src.cod.elements():
-            if f1.map[src.act(r, s)] != dst.act(f1.map[r], f0.map[s]):
-                raise ActionSquareFail(r, s)
-    return RackXModMorphism(src, dst, f1, f0)
-
-
-def identity_xmod_morphism(x: RackXMod) -> RackXModMorphism:
-    return validate_xmod_morphism(identity_rack_hom(x.dom), identity_rack_hom(x.cod), x, x)
-
-
-def compose_xmod_morphisms(m1: RackXModMorphism, m2: RackXModMorphism) -> RackXModMorphism:
-    """The composite "m1 then m2"."""
-    if m1.dst != m2.src:
-        raise ValueError("morphisms are not composable")
-    f1 = validate_rack_hom(m1.f1.dom, m2.f1.cod, tuple(m2.f1.map[v] for v in m1.f1.map))
-    f0 = validate_rack_hom(m1.f0.dom, m2.f0.cod, tuple(m2.f0.map[v] for v in m1.f0.map))
-    return validate_xmod_morphism(f1, f0, m1.src, m2.dst)
-
-
-def find_xmod_isomorphism(a: RackXMod, b: RackXMod) -> RackXModMorphism | None:
-    """Search pairs of carrier and codomain isomorphisms for a morphism.
-
-    Iterates the (sorted) isomorphism lists and returns the first pair that
-    satisfies both squares; a bijective morphism is an isomorphism of
-    crossed modules.
-    """
-    top = all_isomorphisms(a.dom, b.dom)
-    bottom = all_isomorphisms(a.cod, b.cod)
-    for f1 in top:
-        for f0 in bottom:
-            try:
-                return validate_xmod_morphism(f1, f0, a, b)
-            except AxiomError:
-                continue
-    return None
+    return validate_rack_xmod(identity_hom(r), conjugation_action(r))
 
 
 # ---------------------------------------------------------------- group crossed modules
@@ -246,7 +180,7 @@ def find_xmod_isomorphism(a: RackXMod, b: RackXMod) -> RackXModMorphism | None:
 
 @dataclass(frozen=True)
 class GroupXMod:
-    boundary: GroupHom
+    boundary: Hom
     action: tuple[tuple[int, ...], ...]
 
     @property
@@ -261,7 +195,7 @@ class GroupXMod:
         return self.action[m][n]
 
 
-def validate_group_xmod(boundary: GroupHom, action) -> GroupXMod:
+def validate_group_xmod(boundary: Hom, action) -> GroupXMod:
     """Right action by automorphisms, equivariance, and the Peiffer law."""
     m_grp, n_grp = boundary.dom, boundary.cod
     t = rect_table(action, m_grp.size, n_grp.size, m_grp.size, "action table")
@@ -315,42 +249,75 @@ def inclusion_group_xmod(subset, g: FiniteGroup) -> GroupXMod:
 
 def identity_group_xmod(g: FiniteGroup) -> GroupXMod:
     table = [[g.conj(m, n) for n in g.elements()] for m in g.elements()]
-    return validate_group_xmod(identity_group_hom(g), table)
+    return validate_group_xmod(identity_hom(g), table)
+
+
+# ---------------------------------------------------------------- crossed-module morphisms
 
 
 @dataclass(frozen=True)
-class GroupXModMorphism:
-    src: GroupXMod
-    dst: GroupXMod
-    f1: GroupHom
-    f0: GroupHom
+class XModMorphism:
+    """Crossed-module morphism of racks or of groups: f1 on carriers, f0 on bases."""
+
+    src: RackXMod | GroupXMod
+    dst: RackXMod | GroupXMod
+    f1: Hom
+    f0: Hom
 
 
-def validate_group_xmod_morphism(
-    f1: GroupHom, f0: GroupHom, src: GroupXMod, dst: GroupXMod
-) -> GroupXModMorphism:
+def validate_xmod_morphism(
+    f1: Hom, f0: Hom, src: RackXMod | GroupXMod, dst: RackXMod | GroupXMod
+) -> XModMorphism:
+    """Check the boundary square and the action square over all elements."""
     if f1.dom != src.dom or f1.cod != dst.dom:
         raise ValueError("f1 endpoints do not match the crossed modules")
     if f0.dom != src.cod or f0.cod != dst.cod:
         raise ValueError("f0 endpoints do not match the crossed modules")
-    for m in src.dom.elements():
-        if dst.boundary.map[f1.map[m]] != f0.map[src.boundary.map[m]]:
-            raise BoundarySquareFail(m)
-    for m in src.dom.elements():
-        for n in src.cod.elements():
-            if f1.map[src.act(m, n)] != dst.act(f1.map[m], f0.map[n]):
-                raise ActionSquareFail(m, n)
-    return GroupXModMorphism(src, dst, f1, f0)
+    for r in src.dom.elements():
+        if dst.boundary.map[f1.map[r]] != f0.map[src.boundary.map[r]]:
+            raise BoundarySquareFail(r)
+    for r in src.dom.elements():
+        for s in src.cod.elements():
+            if f1.map[src.act(r, s)] != dst.act(f1.map[r], f0.map[s]):
+                raise ActionSquareFail(r, s)
+    return XModMorphism(src, dst, f1, f0)
 
 
-def compose_group_xmod_morphisms(
-    m1: GroupXModMorphism, m2: GroupXModMorphism
-) -> GroupXModMorphism:
+def identity_xmod_morphism(x: RackXMod | GroupXMod) -> XModMorphism:
+    return validate_xmod_morphism(identity_hom(x.dom), identity_hom(x.cod), x, x)
+
+
+def compose_xmod_morphisms(m1: XModMorphism, m2: XModMorphism) -> XModMorphism:
+    """The composite "m1 then m2"."""
     if m1.dst != m2.src:
         raise ValueError("morphisms are not composable")
-    f1 = validate_group_hom(m1.f1.dom, m2.f1.cod, tuple(m2.f1.map[v] for v in m1.f1.map))
-    f0 = validate_group_hom(m1.f0.dom, m2.f0.cod, tuple(m2.f0.map[v] for v in m1.f0.map))
-    return validate_group_xmod_morphism(f1, f0, m1.src, m2.dst)
+    return validate_xmod_morphism(
+        compose_homs(m1.f1, m2.f1), compose_homs(m1.f0, m2.f0), m1.src, m2.dst
+    )
+
+
+# Rack- and group-side names of the shared morphism core, kept for existing callers.
+RackXModMorphism = GroupXModMorphism = XModMorphism
+validate_group_xmod_morphism = validate_xmod_morphism
+compose_group_xmod_morphisms = compose_xmod_morphisms
+
+
+def find_xmod_isomorphism(a: RackXMod, b: RackXMod) -> XModMorphism | None:
+    """Search pairs of carrier and codomain isomorphisms for a morphism.
+
+    Iterates the (sorted) isomorphism lists and returns the first pair that
+    satisfies both squares; a bijective morphism is an isomorphism of
+    crossed modules.
+    """
+    top = all_isomorphisms(a.dom, b.dom)
+    bottom = all_isomorphisms(a.cod, b.cod)
+    for f1 in top:
+        for f0 in bottom:
+            try:
+                return validate_xmod_morphism(f1, f0, a, b)
+            except AxiomError:
+                continue
+    return None
 
 
 # ---------------------------------------------------------------- conjugation functor
@@ -360,12 +327,12 @@ def conj_xmod(g: GroupXMod) -> RackXMod:
     """Conjugation racks on both groups, with the action table reused."""
     dom = conj_rack(g.dom)
     cod = conj_rack(g.cod)
-    boundary = validate_rack_hom(dom, cod, g.boundary.map)
+    boundary = validate_hom(dom, cod, g.boundary.map)
     action = validate_action(g.action, dom, cod)
     return validate_rack_xmod(boundary, action)
 
 
-def conj_xmod_morphism(m: GroupXModMorphism) -> RackXModMorphism:
+def conj_xmod_morphism(m: XModMorphism) -> XModMorphism:
     return validate_xmod_morphism(
         conj_hom(m.f1), conj_hom(m.f0), conj_xmod(m.src), conj_xmod(m.dst)
     )

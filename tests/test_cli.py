@@ -2,11 +2,12 @@
 written documents, and certificate reports.
 """
 
+import dataclasses
 import json
 
 import pytest
 
-from rackmod import cli, conjugation_action, pullback_xmod
+from rackmod import cli, conjugation_action, pullback, pullback_xmod
 from rackmod.interchange import (
     action_document,
     certificate_document,
@@ -62,6 +63,39 @@ def test_check_bad_version_exits_2(tmp_path, capsys):
     assert "format-version" in capsys.readouterr().err
 
 
+def _rack_text(table, basepoint=0):
+    doc = {"format-version": 1, "kind": "rack", "table": table, "basepoint": basepoint}
+    return json.dumps(doc)
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "files",
+    [
+        # the first file is the one checked; entries must be ints as written
+        {"float.json": _rack_text([[0.9, 0.2], [1.7, 1]])},
+        {"bool.json": _rack_text([[False, False], [True, True]])},
+        {"string.json": _rack_text([["0", "0"], ["1", "1"]])},
+        {"bool-basepoint.json": _rack_text([[0, 0], [1, 1]], basepoint=False)},
+        {"self.json": _rack_text({"path": "self.json"})},
+        {"a.json": _rack_text({"path": "b.json"}), "b.json": json.dumps({"path": "a.json"})},
+        {"deep.json": _rack_text([[0]]).replace("[[0]]", _DEEP)},
+    ],
+    ids=["float-entries", "bool-entries", "string-entries", "bool-basepoint",
+         "path-self-cycle", "path-two-file-cycle", "deep-nesting"],
+)
+def test_check_malformed_inputs_exit_2(tmp_path, capsys, files):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    first = tmp_path / next(iter(files))
+    assert cli.main(["check", str(first)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_check_rejects_certificates(tmp_path, capsys):
     path = write(tmp_path, "cert.json", certificate_document("check rack", "pass"))
     assert cli.main(["check", path]) == 2
@@ -98,6 +132,14 @@ def test_construct_conj_rejects_rack_documents(tmp_path, racks, capsys):
     path = write(tmp_path, "r.json", rack_document(racks["t2"]))
     assert cli.main(["construct", "conj", path, "--out", str(tmp_path / "x.json")]) == 2
     assert "conj expects" in capsys.readouterr().err
+
+
+def test_construct_conj_rejects_rack_homs(tmp_path, rack_homs, capsys):
+    path = write(tmp_path, "h.json", hom_document(rack_homs["sgn_rack"]))
+    out = tmp_path / "x.json"
+    assert cli.main(["construct", "conj", path, "--out", str(out)]) == 2
+    assert "needs group endpoints" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_construct_core(tmp_path, groups, capsys):
@@ -158,6 +200,14 @@ def test_construct_fiber_mixed_kinds_exits_2(tmp_path, rack_homs, rack_xmods, ca
     hom = write(tmp_path, "h.json", hom_document(rack_homs["sgn_rack"]))
     xm = write(tmp_path, "x.json", rack_xmod_document(rack_xmods["a3r_cs3"]))
     assert cli.main(["construct", "fiber", hom, xm, "--out", str(tmp_path / "o.json")]) == 2
+
+
+def test_construct_fiber_rejects_group_homs(tmp_path, group_homs, capsys):
+    sgn = write(tmp_path, "sgn.json", hom_document(group_homs["sgn"]))
+    out = tmp_path / "o.json"
+    assert cli.main(["construct", "fiber", sgn, sgn, "--out", str(out)]) == 2
+    assert "needs rack endpoints" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_construct_pullback_with_hom_out(tmp_path, rack_xmods, rack_homs, capsys):
@@ -241,6 +291,35 @@ def test_certify_universal_group_side(tmp_path, group_xmods, group_homs, capsys)
     assert cli.main(["certify", "universal", req]) == 0
     out = capsys.readouterr().out
     assert out == "PASS certify universal carrier-size=3 factorizations=1 search-space=27\n"
+
+
+def test_certify_universal_reports_a_broken_construction(
+    tmp_path, monkeypatch, rack_xmods, rack_homs, capsys
+):
+    """A failed internal check is a typed failure naming its law, not a traceback."""
+    real = pullback.mediating_morphism
+
+    def wrong(*args):
+        med = real(*args)
+        m, size = med.f1.map, med.f1.cod.size
+        shifted = ((m[0] + 1) % size,) + m[1:]
+        return dataclasses.replace(med, f1=dataclasses.replace(med.f1, map=shifted))
+
+    monkeypatch.setattr(pullback, "mediating_morphism", wrong)
+    req = write(
+        tmp_path,
+        "req.json",
+        pullback_request(
+            rack_xmod_document(rack_xmods["identity_cz2"]),
+            hom_document(rack_homs["sgn_rack"]),
+        ),
+    )
+    report = tmp_path / "cert.json"
+    assert cli.main(["certify", "universal", req, "--report", str(report)]) == 1
+    assert capsys.readouterr().out.startswith("FAIL certify universal [ConstructionFail: ")
+    cert = json.loads(report.read_text(encoding="utf-8"))
+    assert cert["verdict"] == "fail"
+    assert cert["witnesses"][0]["law"] == "construction"
 
 
 def test_certify_adjunction(tmp_path, racks, groups, capsys):

@@ -118,3 +118,14 @@ def test_compose_group_homs(group_homs):
     assert comp.map == (0, 0, 0)
     with pytest.raises(ValueError):
         compose_group_homs(group_homs["sgn"], group_homs["sgn"])
+
+
+def test_groups_answer_to_the_shared_names(groups, racks):
+    """Racks and groups share one hom type, so a hom may not mix the two."""
+    s3 = groups["s3"]
+    assert s3.table is s3.mul and s3.basepoint == s3.identity
+    assert s3.op(1, 2) == s3.mul[1][2]
+    with pytest.raises(ValueError, match="a FiniteRack and a FiniteGroup"):
+        validate_group_hom(racks["cz2"], groups["z2"], [0, 1])
+    with pytest.raises(ValueError, match="a FiniteGroup and a FiniteRack"):
+        validate_group_hom(groups["z2"], racks["cz2"], [0, 1])

@@ -3,6 +3,8 @@ functor's interaction with pullbacks.  Expected carriers and counts were
 computed by hand from the S3 conventions and cross-checked by enumeration.
 """
 
+import dataclasses
+
 import pytest
 
 from rackmod import (
@@ -33,8 +35,8 @@ from rackmod import (
     verify_group_universal_property,
     verify_universal_property,
 )
-from rackmod import corpus
-from rackmod.errors import NotAMorphism, UniquenessFail
+from rackmod import corpus, pullback
+from rackmod.errors import AxiomError, NotAMorphism, UniquenessFail
 from rackmod.pullback import PullbackXMod
 
 
@@ -286,3 +288,36 @@ def test_conj_of_group_pullback_equals_rack_pullback_tables(group_xmods, group_h
     assert left.dom.table == right.dom.table
     assert left.boundary.map == right.boundary.map
     assert left.action.table == right.action.table
+
+
+@pytest.mark.parametrize(
+    "side,xname,hname",
+    [("rack", "identity_cz2", "sgn_rack"), ("group", "a3_s3", "z3_to_s3")],
+)
+def test_universal_property_rejects_a_wrong_mediating_map(
+    monkeypatch, rack_xmods, rack_homs, group_xmods, group_homs, side, xname, hname
+):
+    """The one surviving map must be the canonical mediating map.
+
+    The check is an explicit raise of a typed error, so it also holds under
+    ``python -O``, and both sides go through the same verifier.
+    """
+    if side == "rack":
+        pb = pullback_xmod(rack_xmods[xname], rack_homs[hname])
+    else:
+        pb = group_pullback_xmod(group_xmods[xname], group_homs[hname])
+    real = pullback.mediating_morphism
+
+    def wrong(*args):
+        med = real(*args)
+        m = med.f1.map
+        shifted = ((m[0] + 1) % pb.carrier.size,) + m[1:]
+        return dataclasses.replace(med, f1=dataclasses.replace(med.f1, map=shifted))
+
+    monkeypatch.setattr(pullback, "mediating_morphism", wrong)
+    with pytest.raises(AxiomError) as exc:
+        verify_universal_property(pb, pb.phi_prime, pb.xmod)
+    assert exc.value.law == "construction"
+    assert type(exc.value).__name__ == "ConstructionFail"
+    # the witness is the one map that survived the scan: the honest one
+    assert exc.value.witness == real(pb, pb.phi_prime, pb.xmod).f1.map
