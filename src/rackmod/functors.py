@@ -43,14 +43,39 @@ def as_presentation(x: FiniteRack) -> Presentation:
     return Presentation(gens, relators, (x.basepoint + 1,), tuple(range(x.size)))
 
 
+CompiledWord = tuple[tuple[int, bool], ...]
+"""A word as (generator index, inverted) pairs, one per letter."""
+
+
+def _compile_word(word: Word) -> CompiledWord:
+    return tuple((abs(letter) - 1, letter < 0) for letter in word)
+
+
+def _word_evaluator(g: FiniteGroup):
+    """The function (compiled words, assignment) -> a value in g.
+
+    It returns the value of the first word that does not evaluate to the
+    identity, or the identity when every word does.  The group's tables
+    are bound once, so every relator test of a search and of its
+    cross-checks, and ``evaluate_word``, run the same loop.
+    """
+    mul, inv, e = g.mul, g.inv, g.identity
+
+    def first_value(words, assignment) -> int:
+        for word in words:
+            acc = e
+            for i, inverted in word:
+                v = assignment[i]
+                acc = mul[acc][inv[v] if inverted else v]
+            if acc != e:
+                return acc
+        return e
+
+    return first_value
+
+
 def evaluate_word(word: Word, assignment, g: FiniteGroup) -> int:
-    acc = g.identity
-    for letter in word:
-        v = assignment[abs(letter) - 1]
-        if letter < 0:
-            v = g.inv[v]
-        acc = g.mul[acc][v]
-    return acc
+    return _word_evaluator(g)((_compile_word(word),), assignment)
 
 
 def presentation_to_text(p: Presentation) -> str:
@@ -73,14 +98,17 @@ class HomSet:
 def enumerate_presented_homs(p: Presentation, g: FiniteGroup) -> HomSet:
     """All generator assignments killing every relator, in lexicographic order.
 
-    Backtracks generator by generator; a relator is tested as soon as all
-    its letters are assigned.
+    Backtracks generator by generator, each ranging over g in index order;
+    a relator is compiled once and tested as soon as all its letters are
+    assigned, and a partial assignment it does not kill is abandoned with
+    all its completions.
     """
     n = len(p.generators)
-    words = p.relators + (p.pointed_relator,)
-    by_last: list[list[Word]] = [[] for _ in range(n)]
-    for w in words:
-        by_last[max(abs(l) - 1 for l in w)].append(w)
+    first_value = _word_evaluator(g)
+    e = g.identity
+    by_last: list[list[CompiledWord]] = [[] for _ in range(n)]
+    for w in p.relators + (p.pointed_relator,):
+        by_last[max(abs(l) - 1 for l in w)].append(_compile_word(w))
     assign = [0] * n
     out: list[tuple[int, ...]] = []
 
@@ -88,9 +116,10 @@ def enumerate_presented_homs(p: Presentation, g: FiniteGroup) -> HomSet:
         if k == n:
             out.append(tuple(assign))
             return
+        words = by_last[k]
         for v in range(g.size):
             assign[k] = v
-            if all(evaluate_word(w, assign, g) == g.identity for w in by_last[k]):
+            if first_value(words, assign) == e:
                 place(k + 1)
 
     place(0)
@@ -157,9 +186,10 @@ def check_adjunction_bijection(x: FiniteRack, g: FiniteGroup) -> AdjunctionRepor
     group_side = enumerate_presented_homs(pres, g)
     rack_set = set(rack_side.maps)
     group_set = set(group_side.maps)
-    words = pres.relators + (pres.pointed_relator,)
+    first_value = _word_evaluator(g)
+    words = [_compile_word(w) for w in pres.relators + (pres.pointed_relator,)]
     for m in rack_side.maps:
-        if any(evaluate_word(w, m, g) != g.identity for w in words):
+        if first_value(words, m) != g.identity:
             raise BijectionFail("rack", m)
         if m not in group_set:
             raise BijectionFail("rack", m)

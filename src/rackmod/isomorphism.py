@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import permutations, product
 
 from .errors import AxiomError, BoundExceeded
-from .racks import FiniteRack, _self_distributivity_witness, rack_orbits, validate_rack
+from .racks import FiniteRack, rack_orbits, validate_rack
 from .tables import Hom, validate_hom
 
 DEFAULT_ENUMERATION_BOUND = 4
@@ -114,29 +114,55 @@ def enumerate_pointed_racks(n: int, *, bound: int = DEFAULT_ENUMERATION_BOUND) -
     """All pointed racks of order n up to pointed isomorphism.
 
     Representatives carry basepoint 0 and are listed in lexicographic table
-    order.  Generation fixes the basepoint row and column and ranges over
-    column permutations of the remaining elements, so only the bijectivity
-    survivors are tested for self-distributivity.
+    order.  Generation fixes the basepoint row and column and searches depth
+    first over the other columns, one per level: column 1 first, each column
+    ranging over the permutations of 1..n-1 in ``permutations`` order.  Once
+    column k is placed, every self-distributivity triple (a, b, c) whose
+    reads have just become known, those with max(b, c, b ◁ c) = k, is
+    tested, and a failing partial table is abandoned with all its
+    completions.  Triples with b = c = 0 read only the fixed column 0 and
+    hold in every candidate; every other triple is tested at exactly one
+    level.  So the leaves reached are exactly the racks among the tables of
+    the full product of column permutations, in that product's order, and
+    each is validated and deduplicated against the representatives found
+    before it.
     """
     if n < 1:
         raise ValueError("rack order must be positive")
     if n > bound:
         raise BoundExceeded(f"order {n} exceeds the enumeration bound {bound}")
+    table = [[0] * n for _ in range(n)]
+    for a in range(1, n):
+        table[a][0] = a
+    column_values = list(permutations(range(1, n)))
     reps: list[FiniteRack] = []
-    for cols in product(permutations(range(1, n)), repeat=n - 1):
-        table = [[0] * n for _ in range(n)]
-        for a in range(1, n):
-            table[a][0] = a
-        for b in range(1, n):
-            col = cols[b - 1]
-            for i, a in enumerate(range(1, n)):
-                table[a][b] = col[i]
-        if _self_distributivity_witness(table) is not None:
-            continue
-        rack = validate_rack(table, 0)
-        if any(find_isomorphism(rack, rep) is not None for rep in reps):
-            continue
-        reps.append(rack)
+
+    def distributive_through(k: int) -> bool:
+        """Self-distributivity on the triples first readable at column k."""
+        for b in range(k + 1):
+            row_b = table[b]
+            for c in range(k + 1):
+                bc = row_b[c]
+                if max(b, c, bc) != k:
+                    continue
+                for row_a in table:
+                    if table[row_a[b]][c] != table[row_a[c]][bc]:
+                        return False
+        return True
+
+    def place(k: int) -> None:
+        if k == n:
+            rack = validate_rack(table, 0)
+            if not any(find_isomorphism(rack, rep) is not None for rep in reps):
+                reps.append(rack)
+            return
+        for col in column_values:
+            for a, v in enumerate(col, 1):
+                table[a][k] = v
+            if distributive_through(k):
+                place(k + 1)
+
+    place(1)
     reps.sort(key=lambda r: r.table)
     return reps
 

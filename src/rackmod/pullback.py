@@ -1,13 +1,14 @@
-"""Fiber products and pullbacks of crossed modules, with brute-force certification.
+"""Fiber products and pullbacks of crossed modules, with exhaustive certification.
 
 Given a crossed module d: P -> R and a pointed rack hom phi: S -> R, the
 pullback crossed module lives on the fiber product carrier
 {(p, s) : d(p) = phi(s)}, has boundary (p, s) -> s, and carries the action
 (p, s) . s' = (p . phi(s'), s ◁ s').  Its universal property is certified
-here by enumerating every set map into the carrier and counting the ones
-that make a morphism factor, which must leave exactly one.  Group pullbacks
-have their own construction but share the result type, the mediating
-morphism and the certification with the rack side.
+here by counting the set maps into the carrier that make a morphism factor,
+which must leave exactly one; maps that fail a one-coordinate condition are
+never generated.  Group pullbacks have their own construction but share the
+result type, the mediating morphism and the certification with the rack
+side.
 """
 
 from __future__ import annotations
@@ -246,11 +247,17 @@ class UniversalityCertificate:
 def verify_universal_property(
     pb: PullbackXMod, f: Hom, mu_xmod: RackXMod | GroupXMod
 ) -> UniversalityCertificate:
-    """Brute-force the universal property over every set map into the carrier.
+    """Decide the universal property over every set map into the carrier.
 
     Counts maps h (homomorphism or not) for which (h, id) is a morphism
     from mu_xmod to the pullback with phi_prime . h = f.  Exactly one must
-    survive, and it must be the canonical mediating morphism.
+    survive, and it must be the canonical mediating morphism.  The
+    basepoint, boundary and projection conditions each read one coordinate
+    h[x], so the search ranges over the product of the ascending lists of
+    values each coordinate allows: exactly the maps of the full product
+    that pass those three conditions, in the same order.  The hom and
+    action conditions are tested on each of them.  ``search_space`` is the
+    number of all set maps, carrier size to the power of the test carrier's.
     """
     med = mediating_morphism(pb, f, mu_xmod)
     x_dom, carrier = mu_xmod.dom, pb.carrier
@@ -263,14 +270,16 @@ def verify_universal_property(
     proj = pb.phi_prime.map
     fmap = f.map
     n = x_dom.size
+    allowed = [
+        [
+            v
+            for v in carrier.elements()
+            if (x != x_bp or v == c_bp) and dstar[v] == mu[x] and proj[v] == fmap[x]
+        ]
+        for x in range(n)
+    ]
     satisfying = []
-    for h in product(range(carrier.size), repeat=n):
-        if h[x_bp] != c_bp:
-            continue
-        if any(dstar[h[x]] != mu[x] for x in range(n)):
-            continue
-        if any(proj[h[x]] != fmap[x] for x in range(n)):
-            continue
+    for h in product(*allowed):
         if any(
             h[x_table[x][y]] != c_table[h[x]][h[y]]
             for x in range(n)

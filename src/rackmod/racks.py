@@ -214,12 +214,8 @@ class NormalityCheck:
     witness: tuple[int, int, int] | None
 
 
-def is_normal_subrack(subset, r: FiniteRack) -> NormalityCheck:
-    """Closure of the subset under conjugation by the whole rack.
-
-    A closed subset containing the basepoint is automatically a pointed rack
-    under the restricted table; that is re-verified here all the same.
-    """
+def _normality(subset, r: FiniteRack) -> tuple[tuple[int, ...], NormalityCheck]:
+    """The sorted subset and its closure under conjugation by the whole rack."""
     emb = tuple(sorted({check_index(x, r.size, "subset element") for x in subset}))
     if not emb or r.basepoint not in emb:
         raise BasepointMissing()
@@ -228,9 +224,20 @@ def is_normal_subrack(subset, r: FiniteRack) -> NormalityCheck:
         for b in range(r.size):
             v = r.table[n][b]
             if v not in members:
-                return NormalityCheck(False, (n, b, v))
-    restrict_rack(r, emb)
-    return NormalityCheck(True, None)
+                return emb, NormalityCheck(False, (n, b, v))
+    return emb, NormalityCheck(True, None)
+
+
+def is_normal_subrack(subset, r: FiniteRack) -> NormalityCheck:
+    """Closure of the subset under conjugation by the whole rack.
+
+    A closed subset containing the basepoint is automatically a pointed rack
+    under the restricted table; that is re-verified here all the same.
+    """
+    emb, check = _normality(subset, r)
+    if check.ok:
+        restrict_rack(r, emb)
+    return check
 
 
 @dataclass(frozen=True)

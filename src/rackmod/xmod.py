@@ -35,11 +35,10 @@ from .groups import FiniteGroup, subgroup
 from .isomorphism import all_isomorphisms
 from .racks import (
     FiniteRack,
+    _normality,
     _pair_labels,
     conj_hom,
     conj_rack,
-    inclusion_rack_hom,
-    is_normal_subrack,
     restrict_rack,
     validate_rack,
 )
@@ -158,14 +157,17 @@ def validate_rack_xmod(boundary: Hom, action: RackAction) -> RackXMod:
 
 
 def inclusion_xmod(subset, r: FiniteRack) -> RackXMod:
-    """Normal subrack N of R, included into R, with R acting by conjugation."""
-    check = is_normal_subrack(subset, r)
+    """Normal subrack N of R, included into R, with R acting by conjugation.
+
+    The subrack is validated once, and the inclusion is validated as a hom
+    from it.
+    """
+    emb, check = _normality(subset, r)
     if not check.ok:
         raise NotNormal(*check.witness)
-    emb = tuple(sorted(set(subset)))
     sub = restrict_rack(r, emb)
     pos = {x: i for i, x in enumerate(emb)}
-    boundary = inclusion_rack_hom(r, emb)
+    boundary = validate_hom(sub, r, emb)
     table = [[pos[r.table[x][b]] for b in r.elements()] for x in emb]
     action = validate_action(table, sub, r)
     return validate_rack_xmod(boundary, action)
@@ -307,8 +309,21 @@ def find_xmod_isomorphism(a: RackXMod, b: RackXMod) -> XModMorphism | None:
 
     Iterates the (sorted) isomorphism lists and returns the first pair that
     satisfies both squares; a bijective morphism is an isomorphism of
-    crossed modules.
+    crossed modules.  The pair of identity maps is tried first: the
+    identity is the least map tuple, so when it is an isomorphism it heads
+    both sorted lists, and when the pair is a morphism it is the pair the
+    full search would return.  Only when it is not are the lists built.
     """
+    if a.dom.size == b.dom.size and a.cod.size == b.cod.size:
+        try:
+            return validate_xmod_morphism(
+                validate_hom(a.dom, b.dom, range(a.dom.size)),
+                validate_hom(a.cod, b.cod, range(a.cod.size)),
+                a,
+                b,
+            )
+        except AxiomError:
+            pass
     top = all_isomorphisms(a.dom, b.dom)
     bottom = all_isomorphisms(a.cod, b.cod)
     for f1 in top:

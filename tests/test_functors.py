@@ -19,8 +19,9 @@ from rackmod import (
     presentation_to_text,
     product_rack,
 )
-from rackmod import corpus
-from rackmod.functors import enumerate_rack_homs_bruteforce
+from rackmod import corpus, functors
+from rackmod.errors import BijectionFail
+from rackmod.functors import HomSet, enumerate_rack_homs_bruteforce
 
 
 def test_presentation_of_the_trivial_rack(racks):
@@ -143,3 +144,29 @@ def test_hom_counts_multiply_over_products(racks):
             into_product
             == enumerate_rack_homs(x, a).count * enumerate_rack_homs(x, b).count
         )
+
+
+def test_presented_homs_match_unpruned_rack_homs_on_all_small_racks():
+    for name, x, g in corpus.adjunction_pairs():
+        presented = enumerate_presented_homs(as_presentation(x), g)
+        assert presented.maps == enumerate_rack_homs_bruteforce(x, conj_rack(g)).maps, name
+
+
+def test_adjunction_rejects_a_tampered_rack_side(monkeypatch, racks, groups):
+    """An extra assignment on the rack side must fail the relator re-check."""
+    real = functors.enumerate_rack_homs
+    x, g = racks["cs3"], groups["z2"]
+    # (23) to the generator, everything else to the identity: not constant
+    # on the orbits of cs3, so no hom into the trivial rack Conj(Z2)
+    extra = (0, 1, 0, 0, 0, 0)
+    assert extra not in real(x, conj_rack(g)).maps
+
+    def tampered(dom, cod):
+        hs = real(dom, cod)
+        return HomSet(hs.source, hs.target, hs.maps + (extra,))
+
+    monkeypatch.setattr(functors, "enumerate_rack_homs", tampered)
+    with pytest.raises(BijectionFail) as exc:
+        check_adjunction_bijection(x, g)
+    assert exc.value.side == "rack"
+    assert exc.value.witness == extra

@@ -1,5 +1,8 @@
 """Isomorphism search and the small-order enumeration, cross-checked."""
 
+import hashlib
+from itertools import permutations, product
+
 import pytest
 
 from rackmod import (
@@ -12,6 +15,7 @@ from rackmod import (
 )
 from rackmod.errors import BoundExceeded
 from rackmod.isomorphism import enumerate_pointed_racks_bruteforce
+from rackmod.racks import _self_distributivity_witness
 
 
 def test_counts_up_to_isomorphism():
@@ -88,3 +92,50 @@ def test_all_isomorphisms_sorted(racks):
     maps = [h.map for h in all_isomorphisms(racks["v3"], racks["v3"])]
     assert maps == sorted(maps)
     assert maps == [(0, 1, 2), (0, 2, 1)]
+
+
+def _enumerate_by_column_permutations(n):
+    """Unpruned oracle: every table of the full product of column permutations.
+
+    Fixes the basepoint row and column, fills the other columns with every
+    combination of permutations, and keeps each self-distributive table that
+    is not isomorphic to an earlier representative.
+    """
+    reps = []
+    for cols in product(permutations(range(1, n)), repeat=n - 1):
+        table = [[0] * n for _ in range(n)]
+        for a in range(1, n):
+            table[a][0] = a
+        for b in range(1, n):
+            for a, v in enumerate(cols[b - 1], 1):
+                table[a][b] = v
+        if _self_distributivity_witness(table) is not None:
+            continue
+        rack = validate_rack(table, 0)
+        if any(find_isomorphism(rack, rep) is not None for rep in reps):
+            continue
+        reps.append(rack)
+    reps.sort(key=lambda r: r.table)
+    return reps
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumeration_matches_the_column_permutation_oracle(n):
+    fast = enumerate_pointed_racks(n)
+    slow = _enumerate_by_column_permutations(n)
+    assert [r.table for r in fast] == [r.table for r in slow]
+    assert [r.basepoint for r in fast] == [0] * len(slow)
+
+
+# sha256 of repr(tuple of the tables) of the 19 order-5 representatives, as
+# the column-permutation generate-and-test picked them (3 s to recompute with
+# _enumerate_by_column_permutations(5))
+ORDER_FIVE_SHA256 = "1c6473120c51ca228c83dc9f5c2d0fb093f12c42775fa5cd79a8174af2a54996"
+
+
+def test_order_five_representatives_are_pinned():
+    reps = enumerate_pointed_racks(5, bound=5)
+    assert len(reps) == 19
+    assert all(r.basepoint == 0 for r in reps)
+    tables = repr(tuple(r.table for r in reps)).encode()
+    assert hashlib.sha256(tables).hexdigest() == ORDER_FIVE_SHA256

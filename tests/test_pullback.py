@@ -4,10 +4,12 @@ computed by hand from the S3 conventions and cross-checked by enumeration.
 """
 
 import dataclasses
+from itertools import product
 
 import pytest
 
 from rackmod import (
+    all_isomorphisms,
     check_conj_preserves_pullback,
     compose_xmod_morphisms,
     conj_hom,
@@ -29,6 +31,8 @@ from rackmod import (
     restrict_rack,
     trivial_action,
     trivial_rack,
+    validate_action,
+    validate_rack,
     validate_rack_hom,
     validate_rack_xmod,
     validate_xmod_morphism,
@@ -36,7 +40,7 @@ from rackmod import (
     verify_universal_property,
 )
 from rackmod import corpus, pullback
-from rackmod.errors import AxiomError, NotAMorphism, UniquenessFail
+from rackmod.errors import AxiomError, BoundExceeded, NotAMorphism, UniquenessFail
 from rackmod.pullback import PullbackXMod
 
 
@@ -164,8 +168,9 @@ def test_universal_property_over_the_corpus():
         assert cert.search_space == pb.carrier.size**pb.carrier.size
 
 
-def test_universal_property_fails_for_a_doctored_pullback(rack_xmods, rack_homs):
-    """An inflated carrier admits two factorizations of the honest cone."""
+def _doctored_pullback(rack_xmods, rack_homs):
+    """An honest pullback and a fake one whose inflated carrier admits two
+    factorizations of the honest cone."""
     xm, phi = rack_xmods["point_cz2"], rack_homs["const_t2_cz2"]
     pb = pullback_xmod(xm, phi)
     assert pb.pairs == ((0, 0), (0, 1))
@@ -183,6 +188,12 @@ def test_universal_property_fails_for_a_doctored_pullback(rack_xmods, rack_homs)
         phi,
         ((0, 0), (0, 1), (0, 1)),
     )
+    return pb, fake
+
+
+def test_universal_property_fails_for_a_doctored_pullback(rack_xmods, rack_homs):
+    """An inflated carrier admits two factorizations of the honest cone."""
+    pb, fake = _doctored_pullback(rack_xmods, rack_homs)
     with pytest.raises(UniquenessFail) as exc:
         verify_universal_property(fake, pb.phi_prime, pb.xmod)
     assert exc.value.count == 2
@@ -321,3 +332,151 @@ def test_universal_property_rejects_a_wrong_mediating_map(
     assert type(exc.value).__name__ == "ConstructionFail"
     # the witness is the one map that survived the scan: the honest one
     assert exc.value.witness == real(pb, pb.phi_prime, pb.xmod).f1.map
+
+
+# ---------------------------------------------------------------- unpruned oracles
+
+UNPRUNED_SEARCH_LIMIT = 10**6
+
+
+def _unpruned_satisfying(pb, f, mu_xmod, limit=UNPRUNED_SEARCH_LIMIT):
+    """Unpruned oracle: filter every set map into the carrier by all five laws."""
+    x_dom, carrier = mu_xmod.dom, pb.carrier
+    n = x_dom.size
+    if carrier.size**n > limit:
+        raise BoundExceeded(f"{carrier.size}^{n} set maps exceed the limit {limit}")
+    mu, dstar, proj = mu_xmod.boundary.map, pb.xmod.boundary.map, pb.phi_prime.map
+    satisfying = []
+    for h in product(range(carrier.size), repeat=n):
+        if h[x_dom.basepoint] != carrier.basepoint:
+            continue
+        if any(dstar[h[x]] != mu[x] for x in range(n)):
+            continue
+        if any(proj[h[x]] != f.map[x] for x in range(n)):
+            continue
+        if any(
+            h[x_dom.table[x][y]] != carrier.table[h[x]][h[y]]
+            for x in range(n)
+            for y in range(n)
+        ):
+            continue
+        if any(
+            h[mu_xmod.act(x, s)] != pb.xmod.act(h[x], s)
+            for x in range(n)
+            for s in mu_xmod.cod.elements()
+        ):
+            continue
+        satisfying.append(h)
+    return tuple(satisfying)
+
+
+def _satisfying(pb, f, mu_xmod):
+    """The maps verify_universal_property found: the one it certified, or
+    the witnesses of its UniquenessFail."""
+    try:
+        cert = verify_universal_property(pb, f, mu_xmod)
+    except UniquenessFail as exc:
+        return exc.witnesses
+    return (cert.mediating.f1.map,)
+
+
+def test_universal_property_matches_the_unpruned_oracle_on_the_corpus():
+    for name, xm, phi in corpus.pullback_instances():
+        pb = pullback_xmod(xm, phi)
+        expected = _unpruned_satisfying(pb, pb.phi_prime, pb.xmod)
+        assert _satisfying(pb, pb.phi_prime, pb.xmod) == expected, name
+        assert len(expected) == 1, name
+
+
+def test_universal_property_matches_the_unpruned_oracle_when_it_fails(rack_xmods, rack_homs):
+    pb, fake = _doctored_pullback(rack_xmods, rack_homs)
+    expected = _unpruned_satisfying(fake, pb.phi_prime, pb.xmod)
+    assert expected == ((0, 1), (0, 2))
+    assert _satisfying(fake, pb.phi_prime, pb.xmod) == expected
+
+
+def test_unpruned_oracle_is_bounded(rack_xmods):
+    xm = rack_xmods["identity_cs3"]
+    pb = pullback_xmod(xm, identity_rack_hom(xm.cod))
+    assert len(_unpruned_satisfying(pb, pb.phi_prime, pb.xmod, limit=6**6)) == 1
+    with pytest.raises(BoundExceeded):
+        _unpruned_satisfying(pb, pb.phi_prime, pb.xmod, limit=6**6 - 1)
+
+
+def _isomorphism_by_full_search(a, b):
+    """Unpruned oracle: the first pair of all_isomorphisms x all_isomorphisms
+    that satisfies both morphism squares."""
+    for f1 in all_isomorphisms(a.dom, b.dom):
+        for f0 in all_isomorphisms(a.cod, b.cod):
+            try:
+                return validate_xmod_morphism(f1, f0, a, b)
+            except AxiomError:
+                continue
+    return None
+
+
+def _relabeled_xmod(xm, top, bottom):
+    """The crossed module xm carried along the permutations top and bottom."""
+
+    def carry(rack, perm):
+        inv = [perm.index(i) for i in range(rack.size)]
+        table = [
+            [perm[rack.table[inv[a]][inv[b]]] for b in range(rack.size)]
+            for a in range(rack.size)
+        ]
+        return validate_rack(table, perm[rack.basepoint])
+
+    dom, cod = carry(xm.dom, top), carry(xm.cod, bottom)
+    boundary = [0] * dom.size
+    action = [[0] * cod.size for _ in range(dom.size)]
+    for r in range(xm.dom.size):
+        boundary[top[r]] = bottom[xm.boundary.map[r]]
+        for s in range(xm.cod.size):
+            action[top[r]][bottom[s]] = top[xm.act(r, s)]
+    return validate_rack_xmod(
+        validate_rack_hom(dom, cod, boundary), validate_action(action, dom, cod)
+    )
+
+
+def test_xmod_isomorphism_matches_the_full_search_on_conj_preservation():
+    for name, source, phi in corpus.conj_preservation_instances():
+        conj_side = conj_xmod(group_pullback_xmod(source, phi).xmod)
+        rack_side = pullback_xmod(conj_xmod(source), conj_hom(phi)).xmod
+        expected = _isomorphism_by_full_search(conj_side, rack_side)
+        assert expected is not None, name
+        assert find_xmod_isomorphism(conj_side, rack_side) == expected, name
+
+
+def test_xmod_isomorphism_matches_the_full_search_along_identities(rack_xmods):
+    for name in ("a3r_cs3", "identity_cz2", "point_cs3"):
+        xm = rack_xmods[name]
+        pb = pullback_xmod(xm, identity_rack_hom(xm.cod))
+        expected = _isomorphism_by_full_search(pb.xmod, xm)
+        assert expected is not None, name
+        assert find_xmod_isomorphism(pb.xmod, xm) == expected, name
+
+
+def test_xmod_isomorphism_matches_the_full_search_off_the_identity(rack_xmods):
+    """A relabeling the identity pair does not respect: the full search runs."""
+    xm = rack_xmods["identity_cs3"]
+    # swap the transposition (12) with the 3-cycle (123): no automorphism
+    perm = [0, 1, 3, 2, 4, 5]
+    other = _relabeled_xmod(xm, perm, perm)
+    with pytest.raises(AxiomError):
+        validate_rack_hom(xm.dom, other.dom, range(6))
+    expected = _isomorphism_by_full_search(xm, other)
+    assert expected is not None
+    assert expected.f1.map != tuple(range(6))
+    assert find_xmod_isomorphism(xm, other) == expected
+
+
+def test_xmod_isomorphism_matches_the_full_search_when_there_is_none(rack_xmods):
+    """Same carriers and bases, boundaries that no pair of bijections matches."""
+    incl = rack_xmods["a3r_cs3"]
+    flat = trivial_rack(3)
+    constant = validate_rack_xmod(
+        constant_rack_hom(flat, incl.cod), trivial_action(flat, incl.cod)
+    )
+    assert incl.dom.table == constant.dom.table
+    assert _isomorphism_by_full_search(incl, constant) is None
+    assert find_xmod_isomorphism(incl, constant) is None

@@ -25,11 +25,14 @@ from rackmod import (
     validate_rack_xmod,
     validate_xmod_morphism,
 )
+from rackmod import racks as racks_module
+from rackmod import xmod as xmod_module
 from rackmod.errors import (
     ActionAxiom1Fail,
     ActionAxiom2Fail,
     ActionSquareFail,
     AutomorphismFail,
+    BasepointMissing,
     BoundarySquareFail,
     EquivarianceFail,
     GroupActionFail,
@@ -134,6 +137,32 @@ def test_inclusion_xmod(racks):
     with pytest.raises(NotNormal) as exc:
         inclusion_xmod([0, 2], racks["cs3"])
     assert exc.value.witness == (2, 1, 5)
+
+
+def test_inclusion_xmod_validates_the_subrack_once(monkeypatch, racks):
+    calls = []
+    real = racks_module.validate_rack
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(racks_module, "validate_rack", counting)
+    monkeypatch.setattr(xmod_module, "validate_rack", counting)
+    xm = inclusion_xmod([0, 3, 4], racks["cs3"])
+    assert len(calls) == 1
+    assert xm.boundary.map == (0, 3, 4)
+
+
+def test_inclusion_xmod_errors(racks):
+    cs3 = racks["cs3"]
+    # {(12)} is not normal either; the missing basepoint is reported first
+    with pytest.raises(BasepointMissing):
+        inclusion_xmod([2], cs3)
+    with pytest.raises(NotNormal):
+        inclusion_xmod([0, 2], cs3)
+    with pytest.raises(ValueError):
+        inclusion_xmod([0, 6], cs3)
 
 
 def test_identity_xmod(racks):
