@@ -17,6 +17,7 @@ from itertools import product
 from .errors import BijectionFail
 from .groups import FiniteGroup
 from .racks import FiniteRack, conj_rack
+from .search import assignments, hom_laws, laws_hold
 from .tables import validate_hom
 from .xmod import GroupXMod, RackXMod, conj_xmod
 
@@ -98,10 +99,9 @@ class HomSet:
 def enumerate_presented_homs(p: Presentation, g: FiniteGroup) -> HomSet:
     """All generator assignments killing every relator, in lexicographic order.
 
-    Backtracks generator by generator, each ranging over g in index order;
-    a relator is compiled once and tested as soon as all its letters are
-    assigned, and a partial assignment it does not kill is abandoned with
-    all its completions.
+    One ``assignments`` search, generator by generator, each ranging over g
+    in index order; a relator is compiled once and filed under its last
+    generator, so it is tested as soon as all its letters are assigned.
     """
     n = len(p.generators)
     first_value = _word_evaluator(g)
@@ -109,47 +109,25 @@ def enumerate_presented_homs(p: Presentation, g: FiniteGroup) -> HomSet:
     by_last: list[list[CompiledWord]] = [[] for _ in range(n)]
     for w in p.relators + (p.pointed_relator,):
         by_last[max(abs(l) - 1 for l in w)].append(_compile_word(w))
-    assign = [0] * n
-    out: list[tuple[int, ...]] = []
-
-    def place(k: int) -> None:
-        if k == n:
-            out.append(tuple(assign))
-            return
-        words = by_last[k]
-        for v in range(g.size):
-            assign[k] = v
-            if first_value(words, assign) == e:
-                place(k + 1)
-
-    place(0)
-    return HomSet(f"<{','.join(p.generators)}>", f"group[{g.size}]", tuple(out))
+    maps = assignments(
+        [range(g.size)] * n, lambda k, assign: first_value(by_last[k], assign) == e
+    )
+    return HomSet(f"<{','.join(p.generators)}>", f"group[{g.size}]", tuple(maps))
 
 
 def enumerate_rack_homs(x: FiniteRack, y: FiniteRack) -> HomSet:
-    """All pointed rack homs x -> y, backtracking with early pair checks."""
+    """All pointed rack homs x -> y, in lexicographic order.
+
+    One ``assignments`` search over the elements of x in index order: the
+    basepoint's domain is y's basepoint, every other element ranges over y,
+    and each pair law f(a ◁ b) = f(a) ◁ f(b) is tested as soon as the last of
+    a, b and a ◁ b is assigned.
+    """
     n = x.size
-    pairs_by_last: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            pairs_by_last[max(a, b, x.table[a][b])].append((a, b))
-    f = [0] * n
-    out: list[tuple[int, ...]] = []
-
-    def place(k: int) -> None:
-        if k == n:
-            out.append(tuple(f))
-            return
-        values = (y.basepoint,) if k == x.basepoint else range(y.size)
-        for v in values:
-            f[k] = v
-            if all(
-                f[x.table[a][b]] == y.table[f[a]][f[b]] for a, b in pairs_by_last[k]
-            ):
-                place(k + 1)
-
-    place(0)
-    return HomSet(f"rack[{x.size}]", f"rack[{y.size}]", tuple(out))
+    laws = hom_laws(x.table, range(n), n)
+    domains = [(y.basepoint,) if a == x.basepoint else range(y.size) for a in range(n)]
+    maps = assignments(domains, lambda k, f: laws_hold(laws[k], f, y.table))
+    return HomSet(f"rack[{x.size}]", f"rack[{y.size}]", tuple(maps))
 
 
 def enumerate_rack_homs_bruteforce(x: FiniteRack, y: FiniteRack) -> HomSet:

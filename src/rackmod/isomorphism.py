@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import permutations, product
 
 from .errors import AxiomError, BoundExceeded
 from .racks import FiniteRack, rack_orbits, validate_rack
+from .search import assignments, hom_laws, laws_hold
 from .tables import Hom, validate_hom
 
 DEFAULT_ENUMERATION_BOUND = 4
@@ -45,65 +47,52 @@ def element_invariants(r: FiniteRack) -> tuple[tuple, ...]:
     return tuple(out)
 
 
-def _iso_maps(a: FiniteRack, b: FiniteRack, first_only: bool) -> list[tuple[int, ...]]:
+def _candidates(a: FiniteRack, b: FiniteRack) -> list[list[int]] | None:
+    """For each element of a, the elements of b with its invariants, ascending.
+
+    None when no bijection can match the invariants: the sizes or the
+    multisets of invariants differ.
+    """
     if a.size != b.size:
-        return []
+        return None
     inv_a = element_invariants(a)
     inv_b = element_invariants(b)
     if sorted(inv_a) != sorted(inv_b):
-        return []
-    cands = [
-        tuple(y for y in range(b.size) if inv_b[y] == inv_a[x])
-        for x in range(a.size)
-    ]
-    # most constrained element first, ties by lowest index
+        return None
+    return [[y for y in range(b.size) if inv_b[y] == inv_a[x]] for x in range(a.size)]
+
+
+def _iso_maps(a: FiniteRack, b: FiniteRack) -> Iterator[tuple[int, ...]]:
+    """Every pointed isomorphism a -> b as a map tuple, in search order.
+
+    One ``assignments`` search over the elements of a, most constrained
+    first (fewest candidates, ties by lowest index), each ranging over its
+    invariant-matched candidates; each hom law is tested once the last of
+    its three elements is assigned, and each image must be new.
+    """
+    cands = _candidates(a, b)
+    if cands is None:
+        return
     order = sorted(range(a.size), key=lambda x: (len(cands[x]), x))
-    img = [-1] * a.size
-    used = [False] * b.size
-    found: list[tuple[int, ...]] = []
+    var = [order.index(x) for x in range(a.size)]
+    laws = hom_laws(a.table, var, a.size)
 
-    def consistent(x: int) -> bool:
-        for y in range(a.size):
-            if img[y] < 0:
-                continue
-            for p, q in ((x, y), (y, x)):
-                t = a.table[p][q]
-                if img[t] >= 0 and img[t] != b.table[img[p]][img[q]]:
-                    return False
-        return True
+    def holds(k: int, img: list) -> bool:
+        return img.index(img[k]) == k and laws_hold(laws[k], img, b.table)
 
-    def extend(k: int) -> bool:
-        if k == a.size:
-            found.append(tuple(img))
-            return first_only
-        x = order[k]
-        for y in cands[x]:
-            if used[y]:
-                continue
-            img[x] = y
-            used[y] = True
-            if consistent(x) and extend(k + 1):
-                return True
-            img[x] = -1
-            used[y] = False
-        return False
-
-    extend(0)
-    return found
+    for img in assignments([cands[x] for x in order], holds):
+        yield tuple(img[v] for v in var)
 
 
 def find_isomorphism(a: FiniteRack, b: FiniteRack) -> Hom | None:
-    """First pointed isomorphism in the deterministic search order, if any."""
-    maps = _iso_maps(a, b, first_only=True)
-    if not maps:
-        return None
-    return validate_hom(a, b, maps[0])
+    """The first pointed isomorphism in most-constrained search order, if any."""
+    m = next(_iso_maps(a, b), None)
+    return None if m is None else validate_hom(a, b, m)
 
 
 def all_isomorphisms(a: FiniteRack, b: FiniteRack) -> list[Hom]:
     """Every pointed isomorphism, sorted by map tuple."""
-    maps = sorted(_iso_maps(a, b, first_only=False))
-    return [validate_hom(a, b, m) for m in maps]
+    return [validate_hom(a, b, m) for m in sorted(_iso_maps(a, b))]
 
 
 def rack_automorphisms(r: FiniteRack) -> list[Hom]:
@@ -114,13 +103,13 @@ def enumerate_pointed_racks(n: int, *, bound: int = DEFAULT_ENUMERATION_BOUND) -
     """All pointed racks of order n up to pointed isomorphism.
 
     Representatives carry basepoint 0 and are listed in lexicographic table
-    order.  Generation fixes the basepoint row and column and searches depth
-    first over the other columns, one per level: column 1 first, each column
-    ranging over the permutations of 1..n-1 in ``permutations`` order.  Once
-    column k is placed, every self-distributivity triple (a, b, c) whose
-    reads have just become known, those with max(b, c, b ◁ c) = k, is
-    tested, and a failing partial table is abandoned with all its
-    completions.  Triples with b = c = 0 read only the fixed column 0 and
+    order.  Generation fixes the basepoint row and column and runs one
+    ``assignments`` search with a variable per other column: column 1
+    first, each column ranging over the permutations of 1..n-1 in
+    ``permutations`` order.  Once column k is placed, every
+    self-distributivity triple (a, b, c) whose reads have just become
+    known, those with max(b, c, b ◁ c) = k, is tested, and a failing
+    partial table is abandoned with all its completions.  Triples with b = c = 0 read only the fixed column 0 and
     hold in every candidate; every other triple is tested at exactly one
     level.  So the leaves reached are exactly the racks among the tables of
     the full product of column permutations, in that product's order, and
@@ -134,11 +123,13 @@ def enumerate_pointed_racks(n: int, *, bound: int = DEFAULT_ENUMERATION_BOUND) -
     table = [[0] * n for _ in range(n)]
     for a in range(1, n):
         table[a][0] = a
-    column_values = list(permutations(range(1, n)))
     reps: list[FiniteRack] = []
 
-    def distributive_through(k: int) -> bool:
-        """Self-distributivity on the triples first readable at column k."""
+    def holds(i: int, cols: list) -> bool:
+        """Place column k = i + 1, then test the triples first readable there."""
+        k = i + 1
+        for a, v in enumerate(cols[i], 1):
+            table[a][k] = v
         for b in range(k + 1):
             row_b = table[b]
             for c in range(k + 1):
@@ -150,19 +141,10 @@ def enumerate_pointed_racks(n: int, *, bound: int = DEFAULT_ENUMERATION_BOUND) -
                         return False
         return True
 
-    def place(k: int) -> None:
-        if k == n:
-            rack = validate_rack(table, 0)
-            if not any(find_isomorphism(rack, rep) is not None for rep in reps):
-                reps.append(rack)
-            return
-        for col in column_values:
-            for a, v in enumerate(col, 1):
-                table[a][k] = v
-            if distributive_through(k):
-                place(k + 1)
-
-    place(1)
+    for _ in assignments([list(permutations(range(1, n)))] * (n - 1), holds):
+        rack = validate_rack(table, 0)
+        if not any(find_isomorphism(rack, rep) is not None for rep in reps):
+            reps.append(rack)
     reps.sort(key=lambda r: r.table)
     return reps
 

@@ -14,7 +14,6 @@ side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import (
     AxiomError,
@@ -25,6 +24,7 @@ from .errors import (
 )
 from .groups import validate_group
 from .racks import FiniteRack, conj_hom, validate_rack
+from .search import assignments, hom_laws, laws_hold
 from .tables import FiniteStructure, Hom, identity_hom, validate_hom
 from .xmod import (
     GroupXMod,
@@ -253,18 +253,17 @@ def verify_universal_property(
     from mu_xmod to the pullback with phi_prime . h = f.  Exactly one must
     survive, and it must be the canonical mediating morphism.  The
     basepoint, boundary and projection conditions each read one coordinate
-    h[x], so the search ranges over the product of the ascending lists of
-    values each coordinate allows: exactly the maps of the full product
-    that pass those three conditions, in the same order.  The hom and
-    action conditions are tested on each of them.  ``search_space`` is the
-    number of all set maps, carrier size to the power of the test carrier's.
+    h[x], so one ``assignments`` search ranges over the ascending lists of
+    values each coordinate allows, and tests each hom and action law once
+    its last coordinate is set: it yields exactly the maps of the full
+    product that pass all five conditions, in the same order.
+    ``search_space`` is the number of all set maps, carrier size to the
+    power of the test carrier's.
     """
     med = mediating_morphism(pb, f, mu_xmod)
     x_dom, carrier = mu_xmod.dom, pb.carrier
-    x_table, c_table = x_dom.table, carrier.table
     x_bp, c_bp = x_dom.basepoint, carrier.basepoint
-    x_act, pb_act = mu_xmod.act, pb.xmod.act
-    base = mu_xmod.cod.elements()
+    c_table, pb_act = carrier.table, pb.xmod.act
     mu = mu_xmod.boundary.map
     dstar = pb.xmod.boundary.map
     proj = pb.phi_prime.map
@@ -278,21 +277,19 @@ def verify_universal_property(
         ]
         for x in range(n)
     ]
-    satisfying = []
-    for h in product(*allowed):
-        if any(
-            h[x_table[x][y]] != c_table[h[x]][h[y]]
-            for x in range(n)
-            for y in range(n)
-        ):
-            continue
-        if any(
-            h[x_act(x, s)] != pb_act(h[x], s)
-            for x in range(n)
-            for s in base
-        ):
-            continue
-        satisfying.append(h)
+    hom = hom_laws(x_dom.table, range(n), n)
+    actions: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for x in range(n):
+        for s in mu_xmod.cod.elements():
+            t = mu_xmod.act(x, s)
+            actions[max(x, t)].append((x, s, t))
+
+    def holds(k: int, h: list) -> bool:
+        return laws_hold(hom[k], h, c_table) and all(
+            h[t] == pb_act(h[x], s) for x, s, t in actions[k]
+        )
+
+    satisfying = list(assignments(allowed, holds))
     if len(satisfying) != 1:
         raise UniquenessFail(len(satisfying), tuple(satisfying))
     if satisfying[0] != med.f1.map:

@@ -1,0 +1,62 @@
+"""The one backtracking search behind every exhaustive search in rackmod.
+
+A search assigns variables 0, 1, ... in index order, each ranging over its
+domain in the order given, and tests every constraint once, as soon as its
+last variable is assigned; a partial assignment that fails is abandoned with
+all its completions (Golomb and Baumert, "Backtrack Programming", 1965).
+Constraints are filed by last variable, so each is tested at exactly one
+level, and the assignments that come out are exactly the members of the full
+product of the domains that pass every constraint, in that product's order.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable, Iterator, Sequence
+
+
+def assignments(
+    domains: Sequence[Sequence], holds: Callable[[int, list], bool]
+) -> Iterator[tuple]:
+    """Every assignment of the product of ``domains`` that passes ``holds``.
+
+    ``holds(k, assign)`` is called once variable k is set to ``assign[k]``
+    and tests exactly the constraints whose last variable is k; it may read
+    ``assign[0..k]`` only, the later entries being left over from abandoned
+    branches.  With no variables the one empty assignment ``()`` is yielded.
+    """
+    n = len(domains)
+    assign: list = [None] * n
+
+    def extend(k: int) -> Iterator[tuple]:
+        if k == n:
+            yield tuple(assign)
+            return
+        for v in domains[k]:
+            assign[k] = v
+            if holds(k, assign):
+                yield from extend(k + 1)
+
+    return extend(0)
+
+
+def hom_laws(table, var: Sequence[int], nvars: int) -> list[list[tuple[int, int, int]]]:
+    """The laws h(p ◁ q) = h(p) ◁ h(q) of a source table, filed by last variable.
+
+    ``var[x]`` is the variable that holds h(x).  Entry k lists, as triples
+    (var[p], var[q], var[p ◁ q]), the laws whose largest variable is k;
+    ``laws_hold`` tests them against a target table.
+    """
+    filed: list[list[tuple[int, int, int]]] = [[] for _ in range(nvars)]
+    for p, row in enumerate(table):
+        for q, t in enumerate(row):
+            law = (var[p], var[q], var[t])
+            filed[max(law)].append(law)
+    return filed
+
+
+def laws_hold(laws, assign, table) -> bool:
+    """Whether assign[l] == table[assign[i]][assign[j]] for each triple (i, j, l)."""
+    for i, j, l in laws:
+        if assign[l] != table[assign[i]][assign[j]]:
+            return False
+    return True

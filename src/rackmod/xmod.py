@@ -32,7 +32,7 @@ from .errors import (
     X2Fail,
 )
 from .groups import FiniteGroup, subgroup
-from .isomorphism import all_isomorphisms
+from .isomorphism import _candidates
 from .racks import (
     FiniteRack,
     _normality,
@@ -42,6 +42,7 @@ from .racks import (
     restrict_rack,
     validate_rack,
 )
+from .search import assignments, hom_laws, laws_hold
 from .tables import Hom, compose_homs, identity_hom, rect_table, validate_hom
 
 
@@ -305,33 +306,46 @@ compose_group_xmod_morphisms = compose_xmod_morphisms
 
 
 def find_xmod_isomorphism(a: RackXMod, b: RackXMod) -> XModMorphism | None:
-    """Search pairs of carrier and codomain isomorphisms for a morphism.
+    """The least crossed-module isomorphism a -> b by map tuples (f1, f0), if any.
 
-    Iterates the (sorted) isomorphism lists and returns the first pair that
-    satisfies both squares; a bijective morphism is an isomorphism of
-    crossed modules.  The pair of identity maps is tried first: the
-    identity is the least map tuple, so when it is an isomorphism it heads
-    both sorted lists, and when the pair is a morphism it is the pair the
-    full search would return.  Only when it is not are the lists built.
+    One ``assignments`` search sets f1 on a's carrier and then f0 on its
+    base, each coordinate ranging in ascending order over the elements of b
+    with its invariants.  Both maps must be injective pointed rack homs, and
+    the boundary squares d_b f1(r) = f0 d_a(r) and the action squares
+    f1(r.s) = f1(r).f0(s) must commute; each law is tested once its last
+    coordinate is set.  A bijective morphism is an isomorphism of crossed
+    modules, and the first hit is the least valid pair.
     """
-    if a.dom.size == b.dom.size and a.cod.size == b.cod.size:
-        try:
-            return validate_xmod_morphism(
-                validate_hom(a.dom, b.dom, range(a.dom.size)),
-                validate_hom(a.cod, b.cod, range(a.cod.size)),
-                a,
-                b,
-            )
-        except AxiomError:
-            pass
-    top = all_isomorphisms(a.dom, b.dom)
-    bottom = all_isomorphisms(a.cod, b.cod)
-    for f1 in top:
-        for f0 in bottom:
-            try:
-                return validate_xmod_morphism(f1, f0, a, b)
-            except AxiomError:
-                continue
+    top, bottom = _candidates(a.dom, b.dom), _candidates(a.cod, b.cod)
+    if top is None or bottom is None:
+        return None
+    m, n = len(top), len(bottom)
+    top_laws = hom_laws(a.dom.table, range(m), m + n)
+    bottom_laws = hom_laws(a.cod.table, range(m, m + n), m + n)
+    # f0 coordinate m + s: the carrier elements over s, and the action
+    # squares (f1 coordinates r and r.s) that read it
+    fibres: list[list[int]] = [[] for _ in range(m + n)]
+    squares: list[list[tuple[int, int, int]]] = [[] for _ in range(m + n)]
+    for r, d in enumerate(a.boundary.map):
+        fibres[m + d].append(r)
+        for s in range(n):
+            squares[m + s].append((r, m + s, a.act(r, s)))
+    d_b = b.boundary.map
+
+    def holds(k: int, f: list) -> bool:
+        if k < m:
+            return f.index(f[k]) == k and laws_hold(top_laws[k], f, b.dom.table)
+        return (
+            f.index(f[k], m) == k
+            and laws_hold(bottom_laws[k], f, b.cod.table)
+            and all(d_b[f[r]] == f[k] for r in fibres[k])
+            and laws_hold(squares[k], f, b.action.table)
+        )
+
+    for f in assignments(top + bottom, holds):
+        return validate_xmod_morphism(
+            validate_hom(a.dom, b.dom, f[:m]), validate_hom(a.cod, b.cod, f[m:]), a, b
+        )
     return None
 
 

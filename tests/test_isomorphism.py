@@ -139,3 +139,60 @@ def test_order_five_representatives_are_pinned():
     assert all(r.basepoint == 0 for r in reps)
     tables = repr(tuple(r.table for r in reps)).encode()
     assert hashlib.sha256(tables).hexdigest() == ORDER_FIVE_SHA256
+
+
+# A rack with a law whose result is placed last: the most-constrained order
+# places 0 and 5 (one candidate each) before 1, 2, 3, 4 (four each), so the
+# law 5 ◁ 1 = 2 can be tested only once 2 is placed, after both 5 and 1.
+SHIFT_RACK_TABLE = [
+    [0] * 6,
+    [1, 1, 1, 1, 1, 2],
+    [2, 2, 2, 2, 2, 3],
+    [3, 3, 3, 3, 3, 4],
+    [4, 4, 4, 4, 4, 1],
+    [5] * 6,
+]
+
+
+def test_automorphism_search_tests_every_law():
+    r = validate_rack(SHIFT_RACK_TABLE, 0)
+    assert [h.map for h in rack_automorphisms(r)] == [
+        (0, 1, 2, 3, 4, 5),
+        (0, 2, 3, 4, 1, 5),
+        (0, 3, 4, 1, 2, 5),
+        (0, 4, 1, 2, 3, 5),
+    ]
+
+
+def _relabel(r, perm):
+    """The rack r carried along the permutation perm."""
+    inv = [perm.index(i) for i in range(r.size)]
+    table = [[perm[r.table[inv[a]][inv[b]]] for b in range(r.size)] for a in range(r.size)]
+    return validate_rack(table, perm[r.basepoint])
+
+
+def _isomorphisms_by_permutations(a, b):
+    """Unpruned oracle: the basepoint-fixing bijections that commute with
+    the operations, in lexicographic order."""
+    return [
+        perm
+        for perm in permutations(range(b.size))
+        if perm[a.basepoint] == b.basepoint
+        and all(
+            perm[a.table[x][y]] == b.table[perm[x]][perm[y]]
+            for x in range(a.size)
+            for y in range(a.size)
+        )
+    ]
+
+
+def test_isomorphisms_match_the_permutation_oracle_under_every_relabeling():
+    racks = [r for n in (1, 2, 3, 4) for r in enumerate_pointed_racks(n)]
+    racks.append(validate_rack(SHIFT_RACK_TABLE, 0))
+    for r in racks:
+        for rest in permutations(range(1, r.size)):
+            other = _relabel(r, (0,) + rest)
+            found = [h.map for h in all_isomorphisms(r, other)]
+            assert found == _isomorphisms_by_permutations(r, other), (r.table, rest)
+            first = find_isomorphism(r, other)
+            assert first is not None and first.map in found

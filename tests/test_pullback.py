@@ -4,12 +4,11 @@ computed by hand from the S3 conventions and cross-checked by enumeration.
 """
 
 import dataclasses
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
 from rackmod import (
-    all_isomorphisms,
     check_conj_preserves_pullback,
     compose_xmod_morphisms,
     conj_hom,
@@ -403,11 +402,28 @@ def test_unpruned_oracle_is_bounded(rack_xmods):
         _unpruned_satisfying(pb, pb.phi_prime, pb.xmod, limit=6**6 - 1)
 
 
+def _isomorphisms_by_permutations(a, b):
+    """Every pointed isomorphism a -> b, in lexicographic order, found by
+    validating each bijection that fixes the basepoint."""
+    if a.size != b.size:
+        return []
+    isos = []
+    for perm in permutations(range(b.size)):
+        if perm[a.basepoint] != b.basepoint:
+            continue
+        try:
+            isos.append(validate_rack_hom(a, b, perm))
+        except AxiomError:
+            continue
+    return isos
+
+
 def _isomorphism_by_full_search(a, b):
-    """Unpruned oracle: the first pair of all_isomorphisms x all_isomorphisms
-    that satisfies both morphism squares."""
-    for f1 in all_isomorphisms(a.dom, b.dom):
-        for f0 in all_isomorphisms(a.cod, b.cod):
+    """Unpruned oracle: the first pair of pointed isomorphisms, both found
+    by validating permutations, that satisfies both morphism squares."""
+    bottom = _isomorphisms_by_permutations(a.cod, b.cod)
+    for f1 in _isomorphisms_by_permutations(a.dom, b.dom):
+        for f0 in bottom:
             try:
                 return validate_xmod_morphism(f1, f0, a, b)
             except AxiomError:
@@ -480,3 +496,24 @@ def test_xmod_isomorphism_matches_the_full_search_when_there_is_none(rack_xmods)
     assert incl.dom.table == constant.dom.table
     assert _isomorphism_by_full_search(incl, constant) is None
     assert find_xmod_isomorphism(incl, constant) is None
+
+
+def test_xmod_isomorphism_matches_the_full_search_when_one_square_fails(racks):
+    """Carriers and bases match, and one of the two squares commutes for every pair."""
+    flat, cs3 = trivial_rack(3), racks["cs3"]
+    # constant boundaries, so every boundary square commutes; the odd
+    # permutations swap 1 and 2 in one action and fix them in the other
+    by_sign = [[(0, 2, 1)[t] if odd else t for odd in (0, 1, 1, 0, 0, 1)] for t in range(3)]
+    swapping = validate_rack_xmod(
+        constant_rack_hom(flat, cs3), validate_action(by_sign, flat, cs3)
+    )
+    fixing = validate_rack_xmod(constant_rack_hom(flat, cs3), trivial_action(flat, cs3))
+    # trivial actions, so every action square commutes; one boundary is constant
+    t2, t3 = trivial_rack(2), trivial_rack(3)
+    to_base = validate_rack_xmod(constant_rack_hom(t2, t3), trivial_action(t2, t3))
+    onto_one = validate_rack_xmod(
+        validate_rack_hom(t2, t3, [0, 1]), trivial_action(t2, t3)
+    )
+    for a, b in ((swapping, fixing), (to_base, onto_one)):
+        assert _isomorphism_by_full_search(a, b) is None
+        assert find_xmod_isomorphism(a, b) is None
