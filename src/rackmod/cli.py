@@ -336,6 +336,11 @@ _CATALOGS = (
 )
 
 
+# The largest order whose enumeration finishes in seconds (order 6: about 10 s;
+# order 7 does not finish in practical time).
+CORPUS_CEILING = 6
+
+
 def cmd_corpus(args: argparse.Namespace) -> int:
     if args.bound is not None:
         bound = args.bound
@@ -343,6 +348,8 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         bound = int(os.environ.get("RACKMOD_CORPUS_BOUND", "3"))
     if bound < 1:
         raise ParseError(f"bound must be at least 1, got {bound}")
+    if bound > CORPUS_CEILING:
+        raise BoundExceeded(f"corpus bound {bound} is above the ceiling {CORPUS_CEILING}")
     per_size = {n: enumerate_pointed_racks(n, bound=bound) for n in range(1, bound + 1)}
     for n, found in per_size.items():
         print(f"pointed racks of size {n}, up to isomorphism: {len(found)}")
@@ -459,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
     corpus.add_argument(
         "--bound",
         type=int,
-        help="largest rack size to enumerate (default: RACKMOD_CORPUS_BOUND or 3)",
+        help=f"largest rack size, at most {CORPUS_CEILING} (default: RACKMOD_CORPUS_BOUND or 3)",
     )
     corpus.set_defaults(func=cmd_corpus)
 

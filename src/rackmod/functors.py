@@ -11,13 +11,14 @@ literally, as an equality of assignment sets.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
 
 from .errors import BijectionFail
 from .groups import FiniteGroup
 from .racks import FiniteRack, conj_rack
-from .search import assignments, hom_laws, laws_hold
+from .search import assignments, hom_laws, laws_hold, squares_hold, xmod_squares
 from .tables import validate_hom
 from .xmod import GroupXMod, RackXMod, conj_xmod
 
@@ -49,6 +50,8 @@ CompiledWord = tuple[tuple[int, bool], ...]
 
 
 def _compile_word(word: Word) -> CompiledWord:
+    if 0 in word:
+        raise ValueError(f"word {word!r} has the letter 0; letters must be nonzero")
     return tuple((abs(letter) - 1, letter < 0) for letter in word)
 
 
@@ -96,37 +99,51 @@ class HomSet:
         return len(self.maps)
 
 
+def _presented_hom_search(p: Presentation, g: FiniteGroup, var: Sequence[int], nvars: int):
+    """The domains and per-level test of an ``assignments`` search for p in g.
+
+    Generator i is held by variable ``var[i]`` and ranges over g in index
+    order; a relator is compiled once and filed under its last variable, so
+    it is tested as soon as all its letters are assigned.
+    """
+    first_value = _word_evaluator(g)
+    e = g.identity
+    by_last: list[list[CompiledWord]] = [[] for _ in range(nvars)]
+    for w in p.relators + (p.pointed_relator,):
+        word = tuple((var[i], inverted) for i, inverted in _compile_word(w))
+        by_last[max(i for i, _ in word)].append(word)
+    domains = [range(g.size)] * len(p.generators)
+    return domains, lambda k, assign: first_value(by_last[k], assign) == e
+
+
 def enumerate_presented_homs(p: Presentation, g: FiniteGroup) -> HomSet:
     """All generator assignments killing every relator, in lexicographic order.
 
-    One ``assignments`` search, generator by generator, each ranging over g
-    in index order; a relator is compiled once and filed under its last
-    generator, so it is tested as soon as all its letters are assigned.
+    One ``assignments`` search, generator by generator.
     """
     n = len(p.generators)
-    first_value = _word_evaluator(g)
-    e = g.identity
-    by_last: list[list[CompiledWord]] = [[] for _ in range(n)]
-    for w in p.relators + (p.pointed_relator,):
-        by_last[max(abs(l) - 1 for l in w)].append(_compile_word(w))
-    maps = assignments(
-        [range(g.size)] * n, lambda k, assign: first_value(by_last[k], assign) == e
-    )
+    maps = assignments(*_presented_hom_search(p, g, range(n), n))
     return HomSet(f"<{','.join(p.generators)}>", f"group[{g.size}]", tuple(maps))
+
+
+def _rack_hom_search(x: FiniteRack, y: FiniteRack, var: Sequence[int], nvars: int):
+    """The domains and per-level test of an ``assignments`` search for x -> y.
+
+    Element a is held by variable ``var[a]``: the basepoint's domain is y's
+    basepoint, every other element ranges over y, and each pair law
+    f(a ◁ b) = f(a) ◁ f(b) is tested as soon as its last variable is set.
+    """
+    laws = hom_laws(x.table, var, nvars)
+    domains = [(y.basepoint,) if a == x.basepoint else range(y.size) for a in range(x.size)]
+    return domains, lambda k, f: laws_hold(laws[k], f, y.table)
 
 
 def enumerate_rack_homs(x: FiniteRack, y: FiniteRack) -> HomSet:
     """All pointed rack homs x -> y, in lexicographic order.
 
-    One ``assignments`` search over the elements of x in index order: the
-    basepoint's domain is y's basepoint, every other element ranges over y,
-    and each pair law f(a ◁ b) = f(a) ◁ f(b) is tested as soon as the last of
-    a, b and a ◁ b is assigned.
+    One ``assignments`` search over the elements of x in index order.
     """
-    n = x.size
-    laws = hom_laws(x.table, range(n), n)
-    domains = [(y.basepoint,) if a == x.basepoint else range(y.size) for a in range(n)]
-    maps = assignments(domains, lambda k, f: laws_hold(laws[k], f, y.table))
+    maps = assignments(*_rack_hom_search(x, y, range(x.size), x.size))
     return HomSet(f"rack[{x.size}]", f"rack[{y.size}]", tuple(maps))
 
 
@@ -188,38 +205,31 @@ class XModAdjunctionReport:
 def check_xmod_adjunction(x: RackXMod, g: GroupXMod) -> XModAdjunctionReport:
     """Crossed-module morphisms into Conj(g) against presented assignment pairs.
 
-    The rack side filters pairs of pointed rack homs by the two morphism
-    squares.  The group side filters pairs of relator-killing assignments by
-    the boundary square and the action compatibility equations evaluated on
-    generators.  The two sides must be literally equal.
+    Each side is one ``assignments`` search that sets f0 on x's base and
+    then f1 on its carrier.  The rack side tests the pointed rack hom laws
+    into Conj(g), the group side kills the relators of both presentations
+    in g, and both test the boundary and action squares of ``xmod_squares``
+    against their own target once the last coordinate of each is set.  So
+    each side yields exactly the pairs of its two hom sets whose squares
+    commute.  The two sides must be literally equal.
     """
-    nr = x.dom.size
-    ns = x.cod.size
-    xd = x.boundary.map
+    ns, n = x.cod.size, x.cod.size + x.dom.size
+    base, top = range(ns), range(ns, n)
+    squares = xmod_squares(x, top, base, n)
 
-    def square_pairs(tops, bottoms, d, act):
-        """Pairs (m1, m0) whose squares commute against the target's d and act."""
-        pairs = []
-        for m1 in tops:
-            for m0 in bottoms:
-                if any(d[m1[r]] != m0[xd[r]] for r in range(nr)):
-                    continue
-                if any(
-                    m1[x.act(r, s)] != act(m1[r], m0[s])
-                    for r in range(nr)
-                    for s in range(ns)
-                ):
-                    continue
-                pairs.append((m1, m0))
-        return pairs
+    def joint_pairs(search, target):
+        """Every (f1, f0) of search's homs into target whose squares commute, ascending."""
+        bottom, test0 = search(x.cod, target.cod, base, n)
+        tops, test1 = search(x.dom, target.dom, top, n)
+        d, act = target.boundary.map, target.act
 
-    cg = conj_xmod(g)
-    top = enumerate_rack_homs(x.dom, cg.dom).maps
-    bottom = enumerate_rack_homs(x.cod, cg.cod).maps
-    rack_pairs = square_pairs(top, bottom, cg.boundary.map, cg.act)
-    a1s = enumerate_presented_homs(as_presentation(x.dom), g.dom).maps
-    a0s = enumerate_presented_homs(as_presentation(x.cod), g.cod).maps
-    group_pairs = square_pairs(a1s, a0s, g.boundary.map, g.act)
+        def holds(k: int, f: list) -> bool:
+            return test0(k, f) and test1(k, f) and squares_hold(squares[k], f, d, act)
+
+        return sorted((f[ns:], f[:ns]) for f in assignments(bottom + tops, holds))
+
+    rack_pairs = joint_pairs(_rack_hom_search, conj_xmod(g))
+    group_pairs = joint_pairs(lambda r, h, *v: _presented_hom_search(as_presentation(r), h, *v), g)
     rack_set = set(rack_pairs)
     group_set = set(group_pairs)
     for pair in rack_pairs:
@@ -228,4 +238,4 @@ def check_xmod_adjunction(x: RackXMod, g: GroupXMod) -> XModAdjunctionReport:
     for pair in group_pairs:
         if pair not in rack_set:
             raise BijectionFail("presented", pair)
-    return XModAdjunctionReport(len(rack_pairs), len(group_pairs), tuple(sorted(rack_pairs)))
+    return XModAdjunctionReport(len(rack_pairs), len(group_pairs), tuple(rack_pairs))

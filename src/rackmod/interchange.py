@@ -106,7 +106,7 @@ def _payload(doc: Any, expected_kind: str | None = None) -> dict[str, Any]:
     if not isinstance(doc, dict):
         raise ParseError(f"expected an object, got {type(doc).__name__}")
     version = doc.get("format-version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError(f"unsupported format-version {version!r}")
     kind = doc.get("kind")
     if not isinstance(kind, str):
@@ -133,8 +133,8 @@ def _labels(doc: dict[str, Any]) -> list[str] | None:
 
 def _check_size(doc: dict[str, Any], actual: int) -> None:
     declared = doc.get("size")
-    if declared is not None and declared != actual:
-        raise ParseError(f"declared size {declared} but table has {actual} rows")
+    if declared is not None and (type(declared) is not int or declared != actual):
+        raise ParseError(f"declared size {declared!r} but table has {actual} rows")
 
 
 # -- parsing ---------------------------------------------------------------

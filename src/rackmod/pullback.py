@@ -24,7 +24,7 @@ from .errors import (
 )
 from .groups import validate_group
 from .racks import FiniteRack, conj_hom, validate_rack
-from .search import assignments, hom_laws, laws_hold
+from .search import assignments, hom_laws, laws_hold, squares_hold, xmod_squares
 from .tables import FiniteStructure, Hom, identity_hom, validate_hom
 from .xmod import (
     GroupXMod,
@@ -252,44 +252,34 @@ def verify_universal_property(
     Counts maps h (homomorphism or not) for which (h, id) is a morphism
     from mu_xmod to the pullback with phi_prime . h = f.  Exactly one must
     survive, and it must be the canonical mediating morphism.  The
-    basepoint, boundary and projection conditions each read one coordinate
-    h[x], so one ``assignments`` search ranges over the ascending lists of
-    values each coordinate allows, and tests each hom and action law once
-    its last coordinate is set: it yields exactly the maps of the full
-    product that pass all five conditions, in the same order.
+    basepoint and projection conditions each read one coordinate h[x], so
+    one ``assignments`` search ranges over the ascending lists of values
+    each coordinate allows, after the base map id as one-value domains, and
+    tests each hom law and each boundary and action square of
+    ``xmod_squares`` once its last coordinate is set: it yields exactly the
+    maps of the full product that pass all five conditions, in the same
+    order.
     ``search_space`` is the number of all set maps, carrier size to the
     power of the test carrier's.
     """
     med = mediating_morphism(pb, f, mu_xmod)
-    x_dom, carrier = mu_xmod.dom, pb.carrier
+    x_dom, carrier, n, ns = mu_xmod.dom, pb.carrier, mu_xmod.dom.size, mu_xmod.cod.size
     x_bp, c_bp = x_dom.basepoint, carrier.basepoint
     c_table, pb_act = carrier.table, pb.xmod.act
-    mu = mu_xmod.boundary.map
-    dstar = pb.xmod.boundary.map
-    proj = pb.phi_prime.map
-    fmap = f.map
-    n = x_dom.size
+    dstar, proj, fmap = pb.xmod.boundary.map, pb.phi_prime.map, f.map
     allowed = [
-        [
-            v
-            for v in carrier.elements()
-            if (x != x_bp or v == c_bp) and dstar[v] == mu[x] and proj[v] == fmap[x]
-        ]
+        [v for v in carrier.elements() if (x != x_bp or v == c_bp) and proj[v] == fmap[x]]
         for x in range(n)
     ]
-    hom = hom_laws(x_dom.table, range(n), n)
-    actions: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for x in range(n):
-        for s in mu_xmod.cod.elements():
-            t = mu_xmod.act(x, s)
-            actions[max(x, t)].append((x, s, t))
+    # variables 0..ns-1 hold the base map id, ns..ns+n-1 hold h
+    base, top = range(ns), range(ns, ns + n)
+    hom = hom_laws(x_dom.table, top, ns + n)
+    squares = xmod_squares(mu_xmod, top, base, ns + n)
 
     def holds(k: int, h: list) -> bool:
-        return laws_hold(hom[k], h, c_table) and all(
-            h[t] == pb_act(h[x], s) for x, s, t in actions[k]
-        )
+        return laws_hold(hom[k], h, c_table) and squares_hold(squares[k], h, dstar, pb_act)
 
-    satisfying = list(assignments(allowed, holds))
+    satisfying = [h[ns:] for h in assignments([(s,) for s in base] + allowed, holds)]
     if len(satisfying) != 1:
         raise UniquenessFail(len(satisfying), tuple(satisfying))
     if satisfying[0] != med.f1.map:

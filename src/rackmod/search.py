@@ -60,3 +60,37 @@ def laws_hold(laws, assign, table) -> bool:
         if assign[l] != table[assign[i]][assign[j]]:
             return False
     return True
+
+
+def xmod_squares(x, var1: Sequence[int], var0: Sequence[int], nvars: int) -> list:
+    """The squares of a morphism (f1, f0) out of crossed module x, filed by last variable.
+
+    ``var1[r]`` holds f1(r) and ``var0[s]`` holds f0(s).  Entry k pairs the
+    boundary squares d′(f1(r)) = f0(d(r)), as pairs (var1[r], var0[d(r)]),
+    with the action squares f1(r.s) = f1(r).f0(s), as triples
+    (var1[r], var0[s], var1[r.s]), whose largest variable is k;
+    ``squares_hold`` tests them against a target crossed module.
+    """
+    filed: list[tuple[list, list]] = [([], []) for _ in range(nvars)]
+    for r, d in enumerate(x.boundary.map):
+        filed[max(var1[r], var0[d])][0].append((var1[r], var0[d]))
+        for s in range(x.cod.size):
+            square = (var1[r], var0[s], var1[x.act(r, s)])
+            filed[max(square)][1].append(square)
+    return filed
+
+
+def squares_hold(squares, assign, d, act) -> bool:
+    """Whether filed squares hold in a target with boundary map d and action act.
+
+    That is, d[assign[i]] == assign[j] for each boundary pair (i, j) and
+    assign[l] == act(assign[i], assign[j]) for each action triple (i, j, l).
+    """
+    boundary, action = squares
+    for i, j in boundary:
+        if d[assign[i]] != assign[j]:
+            return False
+    for i, j, l in action:
+        if assign[l] != act(assign[i], assign[j]):
+            return False
+    return True

@@ -42,7 +42,7 @@ from .racks import (
     restrict_rack,
     validate_rack,
 )
-from .search import assignments, hom_laws, laws_hold
+from .search import assignments, hom_laws, laws_hold, squares_hold, xmod_squares
 from .tables import Hom, compose_homs, identity_hom, rect_table, validate_hom
 
 
@@ -312,9 +312,10 @@ def find_xmod_isomorphism(a: RackXMod, b: RackXMod) -> XModMorphism | None:
     base, each coordinate ranging in ascending order over the elements of b
     with its invariants.  Both maps must be injective pointed rack homs, and
     the boundary squares d_b f1(r) = f0 d_a(r) and the action squares
-    f1(r.s) = f1(r).f0(s) must commute; each law is tested once its last
-    coordinate is set.  A bijective morphism is an isomorphism of crossed
-    modules, and the first hit is the least valid pair.
+    f1(r.s) = f1(r).f0(s), filed by ``xmod_squares``, must commute; each
+    law is tested once its last coordinate is set.  A bijective morphism is
+    an isomorphism of crossed modules, and the first hit is the least valid
+    pair.
     """
     top, bottom = _candidates(a.dom, b.dom), _candidates(a.cod, b.cod)
     if top is None or bottom is None:
@@ -322,15 +323,7 @@ def find_xmod_isomorphism(a: RackXMod, b: RackXMod) -> XModMorphism | None:
     m, n = len(top), len(bottom)
     top_laws = hom_laws(a.dom.table, range(m), m + n)
     bottom_laws = hom_laws(a.cod.table, range(m, m + n), m + n)
-    # f0 coordinate m + s: the carrier elements over s, and the action
-    # squares (f1 coordinates r and r.s) that read it
-    fibres: list[list[int]] = [[] for _ in range(m + n)]
-    squares: list[list[tuple[int, int, int]]] = [[] for _ in range(m + n)]
-    for r, d in enumerate(a.boundary.map):
-        fibres[m + d].append(r)
-        for s in range(n):
-            squares[m + s].append((r, m + s, a.act(r, s)))
-    d_b = b.boundary.map
+    squares = xmod_squares(a, range(m), range(m, m + n), m + n)
 
     def holds(k: int, f: list) -> bool:
         if k < m:
@@ -338,8 +331,7 @@ def find_xmod_isomorphism(a: RackXMod, b: RackXMod) -> XModMorphism | None:
         return (
             f.index(f[k], m) == k
             and laws_hold(bottom_laws[k], f, b.cod.table)
-            and all(d_b[f[r]] == f[k] for r in fibres[k])
-            and laws_hold(squares[k], f, b.action.table)
+            and squares_hold(squares[k], f, b.boundary.map, b.act)
         )
 
     for f in assignments(top + bottom, holds):

@@ -82,9 +82,15 @@ _DEEP = "[" * 100_000 + "]" * 100_000
         {"self.json": _rack_text({"path": "self.json"})},
         {"a.json": _rack_text({"path": "b.json"}), "b.json": json.dumps({"path": "a.json"})},
         {"deep.json": _rack_text([[0]]).replace("[[0]]", _DEEP)},
+        # version and size must be ints as written too
+        {"bool-version.json": _rack_text([[0]]).replace('"format-version": 1', '"format-version": true')},
+        {"float-version.json": _rack_text([[0]]).replace('"format-version": 1', '"format-version": 1.0')},
+        {"float-size.json": _rack_text([[0, 0], [1, 1]]).replace("{", '{"size": 2.0, ', 1)},
+        {"bool-size.json": _rack_text([[0]]).replace("{", '{"size": true, ', 1)},
     ],
     ids=["float-entries", "bool-entries", "string-entries", "bool-basepoint",
-         "path-self-cycle", "path-two-file-cycle", "deep-nesting"],
+         "path-self-cycle", "path-two-file-cycle", "deep-nesting",
+         "bool-version", "float-version", "float-size", "bool-size"],
 )
 def test_check_malformed_inputs_exit_2(tmp_path, capsys, files):
     for name, text in files.items():
@@ -382,6 +388,22 @@ def test_corpus_flag_overrides_env(monkeypatch, capsys):
 
 def test_corpus_rejects_bad_bound(capsys):
     assert cli.main(["corpus", "--bound", "0"]) == 2
+
+
+@pytest.mark.parametrize("argv,env", [(["corpus", "--bound", "7"], None), (["corpus"], "7")],
+                         ids=["flag", "env"])
+def test_corpus_above_the_ceiling_exits_2_before_enumerating(monkeypatch, capsys, argv, env):
+    if env is not None:
+        monkeypatch.setenv("RACKMOD_CORPUS_BOUND", env)
+
+    def no_enumeration(n, **kwargs):
+        raise AssertionError(f"enumerated order {n}")
+
+    monkeypatch.setattr(cli, "enumerate_pointed_racks", no_enumeration)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "ceiling 6" in captured.err
 
 
 def test_corpus_dumps_documents(tmp_path, capsys):

@@ -12,6 +12,7 @@ from rackmod import (
     check_adjunction_bijection,
     check_xmod_adjunction,
     conj_rack,
+    conj_xmod,
     cyclic_group,
     enumerate_presented_homs,
     enumerate_rack_homs,
@@ -21,7 +22,7 @@ from rackmod import (
 )
 from rackmod import corpus, functors
 from rackmod.errors import BijectionFail
-from rackmod.functors import HomSet, enumerate_rack_homs_bruteforce
+from rackmod.functors import HomSet, Presentation, enumerate_rack_homs_bruteforce
 
 
 def test_presentation_of_the_trivial_rack(racks):
@@ -48,6 +49,14 @@ def test_evaluate_word():
     assert evaluate_word((-1,), (1,), z4) == 3
     assert evaluate_word((2, -1), (3, 1), z4) == 2
     assert evaluate_word((), (0,), z4) == 0
+
+
+def test_a_zero_letter_is_rejected():
+    # letter 0 names no generator; it must not be read as the last one
+    with pytest.raises(ValueError, match="letter 0"):
+        evaluate_word((0,), (0, 0, 5), cyclic_group(6))
+    with pytest.raises(ValueError, match="letter 0"):
+        enumerate_presented_homs(Presentation(("a",), ((1, 0),), (1,), (0,)), cyclic_group(2))
 
 
 def test_presentation_text_layout(racks):
@@ -133,6 +142,59 @@ def test_xmod_adjunction_across_corpus():
         assert report.pairs == tuple(sorted(report.pairs)), name
         seen += 1
     assert seen >= 5
+
+
+def _square_pairs(x, tops, bottoms, d, act):
+    """Unpruned cross-check: the pairs (m1, m0) of two hom lists whose squares commute."""
+    return sorted(
+        (m1, m0)
+        for m1 in tops
+        for m0 in bottoms
+        if all(d[m1[r]] == m0[x.boundary.map[r]] for r in x.dom.elements())
+        and all(
+            m1[x.act(r, s)] == act(m1[r], m0[s])
+            for r in x.dom.elements()
+            for s in x.cod.elements()
+        )
+    )
+
+
+def test_xmod_adjunction_matches_the_product_filter_on_both_sides():
+    for name, x, g in corpus.xmod_adjunction_pairs():
+        cg = conj_xmod(g)
+        rack_side = _square_pairs(
+            x,
+            enumerate_rack_homs(x.dom, cg.dom).maps,
+            enumerate_rack_homs(x.cod, cg.cod).maps,
+            cg.boundary.map,
+            cg.act,
+        )
+        presented_side = _square_pairs(
+            x,
+            enumerate_presented_homs(as_presentation(x.dom), g.dom).maps,
+            enumerate_presented_homs(as_presentation(x.cod), g.cod).maps,
+            g.boundary.map,
+            g.act,
+        )
+        report = check_xmod_adjunction(x, g)
+        assert report.pairs == tuple(rack_side), name
+        assert report.pairs == tuple(presented_side), name
+
+
+def test_xmod_adjunction_rejects_a_tampered_presented_side(monkeypatch, rack_xmods, group_xmods):
+    """Without the relator that kills the basepoint generator, the presented
+    side gains pairs that are not crossed-module morphisms."""
+    real = functors.as_presentation
+
+    def tampered(x):
+        p = real(x)
+        return Presentation(p.generators, p.relators, (1, -1), p.unit)
+
+    monkeypatch.setattr(functors, "as_presentation", tampered)
+    with pytest.raises(BijectionFail) as exc:
+        check_xmod_adjunction(rack_xmods["identity_cs3"], group_xmods["identity_s3"])
+    assert exc.value.side == "presented"
+    assert exc.value.witness == ((1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0))
 
 
 def test_hom_counts_multiply_over_products(racks):

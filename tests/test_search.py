@@ -5,7 +5,8 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rackmod.search import assignments
+from rackmod import corpus
+from rackmod.search import assignments, squares_hold, xmod_squares
 
 
 @st.composite
@@ -56,3 +57,44 @@ def test_a_failing_prefix_is_abandoned():
 
     assert list(assignments([[0, 1], [0, 1]], holds)) == [(1, 0), (1, 1)]
     assert calls == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def _squares_commute(x, target, f1, f0):
+    """Both squares of (f1, f0): x -> target, checked element by element."""
+    return all(
+        target.boundary.map[f1[r]] == f0[x.boundary.map[r]] for r in x.dom.elements()
+    ) and all(
+        f1[x.act(r, s)] == target.act(f1[r], f0[s])
+        for r in x.dom.elements()
+        for s in x.cod.elements()
+    )
+
+
+def test_xmod_squares_are_the_morphism_squares_filed_by_last_variable():
+    sources = corpus.rack_xmods().values()
+    targets = list(corpus.rack_xmods().values()) + list(corpus.group_xmods().values())
+    checked = 0
+    for x in sources:
+        m, n = x.dom.size, x.cod.size
+        # f1 first then f0, and f0 first then f1
+        for var1, var0 in ((range(m), range(m, m + n)), (range(n, n + m), range(n))):
+            filed = xmod_squares(x, var1, var0, m + n)
+            assert sum(len(b) for b, _ in filed) == m
+            assert sum(len(a) for _, a in filed) == m * n
+            for k, (boundary, action) in enumerate(filed):
+                assert all(max(square) == k for square in boundary + action)
+            for target in targets:
+                if target.dom.size ** m * target.cod.size ** n > 2000:
+                    continue
+                for f1 in product(target.dom.elements(), repeat=m):
+                    for f0 in product(target.cod.elements(), repeat=n):
+                        assign = [None] * (m + n)
+                        for variable, value in zip(var1, f1):
+                            assign[variable] = value
+                        for variable, value in zip(var0, f0):
+                            assign[variable] = value
+                        d, act = target.boundary.map, target.act
+                        got = all(squares_hold(sq, assign, d, act) for sq in filed)
+                        assert got == _squares_commute(x, target, f1, f0)
+                        checked += 1
+    assert checked > 10_000
