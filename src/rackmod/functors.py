@@ -104,15 +104,30 @@ def _presented_hom_search(p: Presentation, g: FiniteGroup, var: Sequence[int], n
 
     Generator i is held by variable ``var[i]`` and ranges over g in index
     order; a relator is compiled once and filed under its last variable, so
-    it is tested as soon as all its letters are assigned.
+    it is tested as soon as all its letters are assigned.  The empty word is
+    the identity and constrains nothing, so it is not filed.  When a relator
+    filed at k reads k's generator x exactly once, w = u·x^±1·v, x is
+    solved for: x^±1 = (v·u)^-1, which is the one value that kills w.
     """
     first_value = _word_evaluator(g)
     e = g.identity
     by_last: list[list[CompiledWord]] = [[] for _ in range(nvars)]
     for w in p.relators + (p.pointed_relator,):
         word = tuple((var[i], inverted) for i, inverted in _compile_word(w))
-        by_last[max(i for i, _ in word)].append(word)
-    domains = [range(g.size)] * len(p.generators)
+        if word:
+            by_last[max(i for i, _ in word)].append(word)
+
+    def domain(k: int):
+        for word in by_last[k]:
+            at = [n for n, (i, _) in enumerate(word) if i == k]
+            if len(at) == 1:
+                n = at[0]
+                vu = word[n + 1 :] + word[:n]
+                solved = vu if word[n][1] else tuple((i, not inverted) for i, inverted in reversed(vu))
+                return lambda assign: (first_value((solved,), assign),)
+        return range(g.size)
+
+    domains = [domain(var[i]) for i in range(len(p.generators))]
     return domains, lambda k, assign: first_value(by_last[k], assign) == e
 
 
@@ -131,11 +146,34 @@ def _rack_hom_search(x: FiniteRack, y: FiniteRack, var: Sequence[int], nvars: in
 
     Element a is held by variable ``var[a]``: the basepoint's domain is y's
     basepoint, every other element ranges over y, and each pair law
-    f(a ◁ b) = f(a) ◁ f(b) is tested as soon as its last variable is set.
+    f(p ◁ q) = f(p) ◁ f(q) is tested as soon as its last variable is set.
+    A law filed at var[a] can force f(a): if a = p ◁ q with p and q set
+    earlier, f(a) = f(p) ◁ f(q); if a = p with q and p ◁ q set earlier,
+    f(a) is the one element whose image under y's column f(q), a
+    bijection, is f(p ◁ q).
     """
     laws = hom_laws(x.table, var, nvars)
-    domains = [(y.basepoint,) if a == x.basepoint else range(y.size) for a in range(x.size)]
-    return domains, lambda k, f: laws_hold(laws[k], f, y.table)
+    yt = y.table
+    # left_of[c][z] is the b with b ◁ c = z
+    left_of = [[0] * y.size for _ in range(y.size)]
+    for b, row in enumerate(yt):
+        for c, z in enumerate(row):
+            left_of[c][z] = b
+
+    def domain(a: int):
+        if a == x.basepoint:
+            return (y.basepoint,)
+        k = var[a]
+        for i, j, l in laws[k]:
+            if l == k and i < k and j < k:
+                return lambda f: (yt[f[i]][f[j]],)
+        for i, j, l in laws[k]:
+            if i == k and j < k and l < k:
+                return lambda f: (left_of[f[j]][f[l]],)
+        return range(y.size)
+
+    domains = [domain(a) for a in range(x.size)]
+    return domains, lambda k, f: laws_hold(laws[k], f, yt)
 
 
 def enumerate_rack_homs(x: FiniteRack, y: FiniteRack) -> HomSet:

@@ -111,10 +111,13 @@ def enumerate_pointed_racks(n: int, *, bound: int = DEFAULT_ENUMERATION_BOUND) -
     known, those with max(b, c, b ◁ c) = k, is tested, and a failing
     partial table is abandoned with all its completions.  Triples with b = c = 0 read only the fixed column 0 and
     hold in every candidate; every other triple is tested at exactly one
-    level.  So the leaves reached are exactly the racks among the tables of
-    the full product of column permutations, in that product's order, and
-    each is validated and deduplicated against the representatives found
-    before it.
+    level.  If b ◁ c = k for placed columns b and c, those triples say
+    σ_c σ_b = σ_k σ_c for the columns σ, so column k can only be
+    σ_c σ_b σ_c⁻¹, and that column is its whole domain.  So the leaves
+    reached are exactly the racks among the tables of the full product of
+    column permutations, in that product's order.  Each is validated and
+    deduplicated against the representatives found before it with the same
+    sorted element invariants, the only ones it can be isomorphic to.
     """
     if n < 1:
         raise ValueError("rack order must be positive")
@@ -123,7 +126,24 @@ def enumerate_pointed_racks(n: int, *, bound: int = DEFAULT_ENUMERATION_BOUND) -
     table = [[0] * n for _ in range(n)]
     for a in range(1, n):
         table[a][0] = a
-    reps: list[FiniteRack] = []
+    perms = list(permutations(range(1, n)))
+
+    def column(k: int):
+        """The domain of column k: σ_c σ_b σ_c⁻¹ if b ◁ c = k for some b, c < k,
+        else every permutation.  It reads columns 0..k-1 of ``table``, which
+        ``holds`` has filled from the assigned prefix."""
+
+        def domain(cols: list):
+            for c in range(1, k):
+                for b in range(1, k):
+                    if table[b][c] == k:
+                        back = [0] * n
+                        for a, row in enumerate(table):
+                            back[row[c]] = a
+                        return (tuple(table[table[back[a]][b]][c] for a in range(1, n)),)
+            return perms
+
+        return domain
 
     def holds(i: int, cols: list) -> bool:
         """Place column k = i + 1, then test the triples first readable there."""
@@ -141,12 +161,13 @@ def enumerate_pointed_racks(n: int, *, bound: int = DEFAULT_ENUMERATION_BOUND) -
                         return False
         return True
 
-    for _ in assignments([list(permutations(range(1, n)))] * (n - 1), holds):
+    classes: dict[tuple, list[FiniteRack]] = {}
+    for _ in assignments([column(k) for k in range(1, n)], holds):
         rack = validate_rack(table, 0)
-        if not any(find_isomorphism(rack, rep) is not None for rep in reps):
-            reps.append(rack)
-    reps.sort(key=lambda r: r.table)
-    return reps
+        twins = classes.setdefault(tuple(sorted(element_invariants(rack))), [])
+        if not any(find_isomorphism(rack, rep) is not None for rep in twins):
+            twins.append(rack)
+    return sorted((rack for twins in classes.values() for rack in twins), key=lambda r: r.table)
 
 
 def enumerate_pointed_racks_bruteforce(n: int) -> list[FiniteRack]:

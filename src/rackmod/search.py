@@ -7,6 +7,15 @@ all its completions (Golomb and Baumert, "Backtrack Programming", 1965).
 Constraints are filed by last variable, so each is tested at exactly one
 level, and the assignments that come out are exactly the members of the full
 product of the domains that pass every constraint, in that product's order.
+
+A domain may also be a function of the assigned prefix that returns the
+values of the full domain, in order, that could pass the constraints of its
+level: a value it leaves out would have been rejected there anyway.  Where
+one constraint determines a variable from earlier ones, its domain is the
+one value that constraint allows, and the search tries that value alone
+instead of scanning the whole domain (forward checking: Haralick and
+Elliott, "Increasing tree search efficiency for constraint satisfaction
+problems", Artificial Intelligence 14, 1980).
 """
 
 from __future__ import annotations
@@ -15,14 +24,19 @@ from collections.abc import Callable, Iterator, Sequence
 
 
 def assignments(
-    domains: Sequence[Sequence], holds: Callable[[int, list], bool]
+    domains: Sequence[Sequence | Callable[[list], Sequence]],
+    holds: Callable[[int, list], bool],
 ) -> Iterator[tuple]:
     """Every assignment of the product of ``domains`` that passes ``holds``.
 
     ``holds(k, assign)`` is called once variable k is set to ``assign[k]``
     and tests exactly the constraints whose last variable is k; it may read
     ``assign[0..k]`` only, the later entries being left over from abandoned
-    branches.  With no variables the one empty assignment ``()`` is yielded.
+    branches.  A callable entry ``domains[k]`` is called with ``assign`` once
+    variables 0..k-1 are set, may read ``assign[0..k-1]`` only, and must
+    return, in domain order, every value that could pass ``holds`` at k;
+    ``holds`` still tests each value it returns.  With no variables the one
+    empty assignment ``()`` is yielded.
     """
     n = len(domains)
     assign: list = [None] * n
@@ -31,7 +45,8 @@ def assignments(
         if k == n:
             yield tuple(assign)
             return
-        for v in domains[k]:
+        domain = domains[k]
+        for v in domain(assign) if callable(domain) else domain:
             assign[k] = v
             if holds(k, assign):
                 yield from extend(k + 1)

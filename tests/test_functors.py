@@ -4,6 +4,8 @@ Hom counts pinned here were computed by the unpruned enumerator and agree
 with the backtracking one; they are frozen as regression oracles.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from rackmod import (
@@ -57,6 +59,16 @@ def test_a_zero_letter_is_rejected():
         evaluate_word((0,), (0, 0, 5), cyclic_group(6))
     with pytest.raises(ValueError, match="letter 0"):
         enumerate_presented_homs(Presentation(("a",), ((1, 0),), (1,), (0,)), cyclic_group(2))
+
+
+def test_an_empty_relator_constrains_nothing(racks):
+    # the empty word is the identity, as x0·x0⁻¹ is
+    p = as_presentation(racks["cs3"])
+    z2 = cyclic_group(2)
+    empty = enumerate_presented_homs(replace(p, pointed_relator=()), z2)
+    cancelled = enumerate_presented_homs(replace(p, pointed_relator=(1, -1)), z2)
+    assert empty.maps == cancelled.maps
+    assert empty.count == 2 * enumerate_presented_homs(p, z2).count
 
 
 def test_presentation_text_layout(racks):
@@ -162,6 +174,11 @@ def _square_pairs(x, tops, bottoms, d, act):
 def test_xmod_adjunction_matches_the_product_filter_on_both_sides():
     for name, x, g in corpus.xmod_adjunction_pairs():
         cg = conj_xmod(g)
+        # each hom search of both sides against the maps of the full product
+        for r, h, ch in ((x.dom, g.dom, cg.dom), (x.cod, g.cod, cg.cod)):
+            unpruned = enumerate_rack_homs_bruteforce(r, ch).maps
+            assert enumerate_rack_homs(r, ch).maps == unpruned, name
+            assert enumerate_presented_homs(as_presentation(r), h).maps == unpruned, name
         rack_side = _square_pairs(
             x,
             enumerate_rack_homs(x.dom, cg.dom).maps,
@@ -210,8 +227,10 @@ def test_hom_counts_multiply_over_products(racks):
 
 def test_presented_homs_match_unpruned_rack_homs_on_all_small_racks():
     for name, x, g in corpus.adjunction_pairs():
+        unpruned = enumerate_rack_homs_bruteforce(x, conj_rack(g)).maps
+        assert enumerate_rack_homs(x, conj_rack(g)).maps == unpruned, name
         presented = enumerate_presented_homs(as_presentation(x), g)
-        assert presented.maps == enumerate_rack_homs_bruteforce(x, conj_rack(g)).maps, name
+        assert presented.maps == unpruned, name
 
 
 def test_adjunction_rejects_a_tampered_rack_side(monkeypatch, racks, groups):

@@ -14,6 +14,7 @@ from rackmod import (
     validate_rack,
 )
 from rackmod.errors import BoundExceeded
+from rackmod.functors import enumerate_rack_homs, enumerate_rack_homs_bruteforce
 from rackmod.isomorphism import enumerate_pointed_racks_bruteforce
 from rackmod.racks import _self_distributivity_witness
 
@@ -141,6 +142,19 @@ def test_order_five_representatives_are_pinned():
     assert hashlib.sha256(tables).hexdigest() == ORDER_FIVE_SHA256
 
 
+# The same digest of the 74 order-6 representatives, pinned from the column
+# search as it was before it solved for forced columns (it took 11 s then)
+ORDER_SIX_SHA256 = "a2731b988ede639e39b2c7de602dfa72c8a7cd407b2475ff669801a221bb69c8"
+
+
+def test_order_six_representatives_are_pinned():
+    reps = enumerate_pointed_racks(6, bound=6)
+    assert len(reps) == 74
+    assert all(r.basepoint == 0 for r in reps)
+    tables = repr(tuple(r.table for r in reps)).encode()
+    assert hashlib.sha256(tables).hexdigest() == ORDER_SIX_SHA256
+
+
 # A rack with a law whose result is placed last: the most-constrained order
 # places 0 and 5 (one candidate each) before 1, 2, 3, 4 (four each), so the
 # law 5 ◁ 1 = 2 can be tested only once 2 is placed, after both 5 and 1.
@@ -196,3 +210,15 @@ def test_isomorphisms_match_the_permutation_oracle_under_every_relabeling():
             assert found == _isomorphisms_by_permutations(r, other), (r.table, rest)
             first = find_isomorphism(r, other)
             assert first is not None and first.map in found
+
+
+def test_rack_homs_out_of_every_relabeling_match_the_unpruned_oracle(racks):
+    """Relabelings move each element before or after the laws that force its
+    image, so the hom search reaches both of its forced cases: an image read
+    off the target's table, and one read off the inverse of a column."""
+    for r in (r for n in (3, 4) for r in enumerate_pointed_racks(n)):
+        for perm in permutations(range(r.size)):
+            x = _relabel(r, perm)
+            for y in (racks["r3plus"], racks["cs3"]):
+                fast = enumerate_rack_homs(x, y).maps
+                assert fast == enumerate_rack_homs_bruteforce(x, y).maps, (r.table, perm)

@@ -19,9 +19,8 @@ def problems(draw):
     return domains, constraints
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(problems())
-def test_assignments_are_the_filtered_product_in_order(problem):
+def _filed(problem):
+    """The per-level test of a problem's constraints and its filtered full product."""
     domains, constraints = problem
     by_last = [[] for _ in domains]
     for i, j, forbidden in constraints:
@@ -35,7 +34,36 @@ def test_assignments_are_the_filtered_product_in_order(problem):
         for p in product(*domains)
         if all((p[i], p[j]) not in forbidden for i, j, forbidden in constraints)
     ]
-    assert list(assignments(domains, holds)) == expected
+    return holds, expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(problems())
+def test_assignments_are_the_filtered_product_in_order(problem):
+    holds, expected = _filed(problem)
+    assert list(assignments(problem[0], holds)) == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(problems(), st.data())
+def test_prefix_domains_that_keep_every_survivor_give_the_filtered_product(problem, data):
+    """A domain computed from the prefix may drop any value that fails at its
+    level and keep any that does not; the result stays the filtered product."""
+    domains, _ = problem
+    holds, expected = _filed(problem)
+
+    def survivors(k, kept):
+        def domain(assign):
+            prefix = assign[:k]
+            return [v for v in domains[k] if v in kept or holds(k, prefix + [v])]
+
+        return domain
+
+    mixed = [
+        survivors(k, data.draw(st.frozensets(st.integers(0, 3)))) if data.draw(st.booleans()) else d
+        for k, d in enumerate(domains)
+    ]
+    assert list(assignments(mixed, holds)) == expected
 
 
 def test_no_variables_give_the_empty_assignment():
