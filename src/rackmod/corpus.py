@@ -104,14 +104,6 @@ def racks() -> dict[str, FiniteRack]:
 
 
 @cache
-def a3_subrack() -> FiniteRack:
-    """The even permutations as a subrack of the conjugation rack of S3."""
-    from .racks import restrict_rack
-
-    return restrict_rack(racks()["cs3"], A3_IN_S3)
-
-
-@cache
 def rack_homs() -> dict[str, Hom]:
     r = racks()
     cs3, cz2, cz3, cz4, t2 = r["cs3"], r["cz2"], r["cz3"], r["cz4"], r["t2"]

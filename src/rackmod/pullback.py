@@ -1,14 +1,14 @@
 """Fiber products and pullbacks of crossed modules, with exhaustive certification.
 
-Given a crossed module d: P -> R and a pointed rack hom phi: S -> R, the
-pullback crossed module lives on the fiber product carrier
+Given a crossed module d: P -> R and a hom phi: S -> R, of racks or of
+groups, the pullback crossed module lives on the fiber product carrier
 {(p, s) : d(p) = phi(s)}, has boundary (p, s) -> s, and carries the action
-(p, s) . s' = (p . phi(s'), s ◁ s').  Its universal property is certified
-here by counting the set maps into the carrier that make a morphism factor,
-which must leave exactly one; maps that fail a one-coordinate condition are
-never generated.  Group pullbacks have their own construction but share the
-result type, the mediating morphism and the certification with the rack
-side.
+(p, s) . s' = (p . phi(s'), s ◁ s'), where s ◁ s' is s'^-1 s s' for
+groups.  One fiber product and one pullback body serve both sides; only
+the law validators differ.  The universal property is certified here by
+counting the set maps into the carrier that make a morphism factor, which
+must leave exactly one; maps that fail a one-coordinate condition are
+never generated.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from .errors import (
     NotAMorphism,
     UniquenessFail,
 )
-from .groups import validate_group
-from .racks import FiniteRack, conj_hom, validate_rack
+from .groups import FiniteGroup, validate_group
+from .racks import conj_hom, validate_rack
 from .search import assignments, hom_laws, laws_hold, squares_hold, xmod_squares
 from .tables import FiniteStructure, Hom, identity_hom, validate_hom
 from .xmod import (
@@ -31,7 +31,6 @@ from .xmod import (
     RackXMod,
     XModMorphism,
     conj_xmod,
-    find_xmod_isomorphism,
     validate_action,
     validate_group_xmod,
     validate_rack_xmod,
@@ -44,52 +43,53 @@ from .xmod import (
 
 @dataclass(frozen=True)
 class FiberProduct:
-    carrier: FiniteRack
+    carrier: FiniteStructure
     pairs: tuple[tuple[int, int], ...]
     proj1: Hom
     proj2: Hom
 
 
-def _fiber_pairs(alpha: Hom, beta: Hom) -> tuple[tuple[int, int], ...]:
-    """{(p, s) : alpha(p) = beta(s)} in lexicographic order."""
-    a, b = alpha.map, beta.map
-    return tuple(
-        (p, s)
-        for p in alpha.dom.elements()
-        for s in beta.dom.elements()
-        if a[p] == b[s]
-    )
+def _pair_table(what: str, pairs, rows, cols, targets) -> list[list[int]]:
+    """``targets`` with each pair replaced by its index in ``pairs``.
+
+    targets[i][j] is the image of the tuples rows[i] and cols[j]; the first
+    image, in row-major order, that is not one of the pairs raises
+    ConstructionFail(what, rows[i] + cols[j]).
+    """
+    pos = {pair: i for i, pair in enumerate(pairs)}
+    for r, row in zip(rows, targets):
+        for c, target in zip(cols, row):
+            if target not in pos:
+                raise ConstructionFail(what, (*r, *c))
+    return [[pos[target] for target in row] for row in targets]
 
 
 def fiber_product(alpha: Hom, beta: Hom) -> FiberProduct:
-    """Subrack of the product on {(p, s) : alpha(p) = beta(s)}.
+    """Subrack, or subgroup, of the product on {(p, s) : alpha(p) = beta(s)}.
 
-    Pairs are listed in lexicographic order; the equalizer property
-    alpha . proj1 = beta . proj2 holds by construction and is re-checked.
+    alpha and beta are both rack homs or both group homs; the carrier is
+    validated as a rack or as a group accordingly.  Pairs are listed in
+    lexicographic order; the equalizer property alpha . proj1 = beta . proj2
+    holds by construction and is re-checked.
     """
     if alpha.cod != beta.cod:
         raise ValueError("homs do not share a codomain")
-    p_rack, s_rack = alpha.dom, beta.dom
-    pairs = _fiber_pairs(alpha, beta)
-    pos = {pair: i for i, pair in enumerate(pairs)}
-    bp_pair = (p_rack.basepoint, s_rack.basepoint)
-    if bp_pair not in pos:
+    p_x, s_x, a, b = alpha.dom, beta.dom, alpha.map, beta.map
+    pairs = tuple((p, s) for p in p_x.elements() for s in s_x.elements() if a[p] == b[s])
+    bp_pair = (p_x.basepoint, s_x.basepoint)
+    if bp_pair not in pairs:
         raise ValueError("fiber product does not contain the pair of basepoints")
-    table = []
-    for p, s in pairs:
-        row = []
-        for pp, sp in pairs:
-            target = (p_rack.table[p][pp], s_rack.table[s][sp])
-            if target not in pos:
-                raise ConstructionFail("fiber product is not closed", (p, s, pp, sp))
-            row.append(pos[target])
-        table.append(row)
-    labels = [f"({p_rack.label(p)},{s_rack.label(s)})" for p, s in pairs]
-    carrier = validate_rack(table, pos[bp_pair], labels=labels)
-    proj1 = validate_hom(carrier, p_rack, [p for p, _ in pairs])
-    proj2 = validate_hom(carrier, s_rack, [s for _, s in pairs])
+    table = _pair_table(
+        "fiber product is not closed", pairs, pairs, pairs,
+        [[(p_x.table[p][pp], s_x.table[s][sp]) for pp, sp in pairs] for p, s in pairs],
+    )
+    labels = [f"({p_x.label(p)},{s_x.label(s)})" for p, s in pairs]
+    validate = validate_group if isinstance(p_x, FiniteGroup) else validate_rack
+    carrier = validate(table, pairs.index(bp_pair), labels=labels)
+    proj1 = validate_hom(carrier, p_x, [p for p, _ in pairs])
+    proj2 = validate_hom(carrier, s_x, [s for _, s in pairs])
     for i in range(carrier.size):
-        if alpha.map[proj1.map[i]] != beta.map[proj2.map[i]]:
+        if a[proj1.map[i]] != b[proj2.map[i]]:
             raise ConstructionFail("equalizer property failed", (i,))
     return FiberProduct(carrier, pairs, proj1, proj2)
 
@@ -102,21 +102,13 @@ def fiber_product_xmod(a: RackXMod, b: RackXMod) -> RackXMod:
     if a.cod != b.cod:
         raise ValueError("crossed modules are not over the same rack")
     fp = fiber_product(a.boundary, b.boundary)
-    r_rack = a.cod
-    boundary = validate_hom(
-        fp.carrier, r_rack, [a.boundary.map[p] for p, _ in fp.pairs]
+    boundary = validate_hom(fp.carrier, a.cod, [a.boundary.map[p] for p, _ in fp.pairs])
+    cols = [(r,) for r in a.cod.elements()]
+    table = _pair_table(
+        "diagonal action escapes the carrier", fp.pairs, fp.pairs, cols,
+        [[(a.act(p, r), b.act(s, r)) for (r,) in cols] for p, s in fp.pairs],
     )
-    pos = {pair: i for i, pair in enumerate(fp.pairs)}
-    table = []
-    for p, s in fp.pairs:
-        row = []
-        for r in r_rack.elements():
-            target = (a.act(p, r), b.act(s, r))
-            if target not in pos:
-                raise ConstructionFail("diagonal action escapes the carrier", (p, s, r))
-            row.append(pos[target])
-        table.append(row)
-    action = validate_action(table, fp.carrier, r_rack)
+    action = validate_action(table, fp.carrier, a.cod)
     return validate_rack_xmod(boundary, action)
 
 
@@ -138,42 +130,41 @@ class PullbackXMod:
         return self.xmod.dom
 
 
-def _square_checked(pb: PullbackXMod) -> PullbackXMod:
-    """Re-check the commuting square phi . boundary = d . phi_prime."""
-    phi, d = pb.phi.map, pb.source.boundary.map
-    boundary, proj = pb.xmod.boundary.map, pb.phi_prime.map
-    for i in range(len(pb.pairs)):
-        if phi[boundary[i]] != d[proj[i]]:
-            raise ConstructionFail("pullback square does not commute", (i,))
-    return pb
-
-
-def pullback_xmod(source: RackXMod, phi: Hom) -> PullbackXMod:
-    """Pull a crossed module d: P -> R back along phi: S -> R.
+def _pullback(source: RackXMod | GroupXMod, phi: Hom, to_xmod) -> PullbackXMod:
+    """The pullback of either kind; ``to_xmod(boundary, action_table)`` validates it.
 
     The carrier is exactly the fiber product of d and phi; the boundary is
     the second projection and the first projection is the comparison hom
-    back to P.  Both crossed-module laws, the action laws, and the
-    commuting square phi . boundary = d . phi_prime are verified
-    exhaustively on the result.
+    back to P.  The commuting square phi . boundary = d . phi_prime is
+    re-checked on the result.
     """
     if phi.cod != source.cod:
         raise ValueError("hom does not land in the base of the crossed module")
     fp = fiber_product(source.boundary, phi)
-    s_rack = phi.dom
-    pos = {pair: i for i, pair in enumerate(fp.pairs)}
-    table = []
-    for p, s in fp.pairs:
-        row = []
-        for sp in s_rack.elements():
-            target = (source.act(p, phi.map[sp]), s_rack.table[s][sp])
-            if target not in pos:
-                raise ConstructionFail("pullback action escapes the carrier", (p, s, sp))
-            row.append(pos[target])
-        table.append(row)
-    action = validate_action(table, fp.carrier, s_rack)
-    xmod = validate_rack_xmod(fp.proj2, action)
-    return _square_checked(PullbackXMod(xmod, fp.proj1, source, phi, fp.pairs))
+    s_x = phi.dom
+    s_op = s_x.conj if isinstance(s_x, FiniteGroup) else s_x.op
+    cols = [(sp,) for sp in s_x.elements()]
+    table = _pair_table(
+        "pullback action escapes the carrier", fp.pairs, fp.pairs, cols,
+        [[(source.act(p, phi.map[sp]), s_op(s, sp)) for (sp,) in cols] for p, s in fp.pairs],
+    )
+    xmod = to_xmod(fp.proj2, table)
+    d, boundary, proj = source.boundary.map, xmod.boundary.map, fp.proj1.map
+    for i in range(len(fp.pairs)):
+        if phi.map[boundary[i]] != d[proj[i]]:
+            raise ConstructionFail("pullback square does not commute", (i,))
+    return PullbackXMod(xmod, fp.proj1, source, phi, fp.pairs)
+
+
+def pullback_xmod(source: RackXMod, phi: Hom) -> PullbackXMod:
+    """Pull a crossed module of racks d: P -> R back along phi: S -> R.
+
+    Both crossed-module laws and the action laws are verified exhaustively
+    on the result, as is the commuting square.
+    """
+    return _pullback(
+        source, phi, lambda d, t: validate_rack_xmod(d, validate_action(t, d.dom, d.cod))
+    )
 
 
 def group_pullback_xmod(source: GroupXMod, phi: Hom) -> PullbackXMod:
@@ -181,26 +172,7 @@ def group_pullback_xmod(source: GroupXMod, phi: Hom) -> PullbackXMod:
 
     Boundary (m, s) -> s and action (m, s).s' = (m.phi(s'), s'^-1 s s').
     """
-    if phi.cod != source.cod:
-        raise ValueError("hom does not land in the base of the crossed module")
-    m_grp, s_grp = source.dom, phi.dom
-    pairs = _fiber_pairs(source.boundary, phi)
-    pos = {pair: i for i, pair in enumerate(pairs)}
-    ident_pair = (m_grp.identity, s_grp.identity)
-    mul = [
-        [pos[(m_grp.mul[m][mp], s_grp.mul[s][sp])] for mp, sp in pairs]
-        for m, s in pairs
-    ]
-    labels = [f"({m_grp.label(m)},{s_grp.label(s)})" for m, s in pairs]
-    carrier = validate_group(mul, pos[ident_pair], labels=labels)
-    boundary = validate_hom(carrier, s_grp, [s for _, s in pairs])
-    action = [
-        [pos[(source.act(m, phi.map[sp]), s_grp.conj(s, sp))] for sp in s_grp.elements()]
-        for m, s in pairs
-    ]
-    xmod = validate_group_xmod(boundary, action)
-    phi_prime = validate_hom(carrier, m_grp, [m for m, _ in pairs])
-    return _square_checked(PullbackXMod(xmod, phi_prime, source, phi, pairs))
+    return _pullback(source, phi, validate_group_xmod)
 
 
 # ---------------------------------------------------------------- universal property
@@ -221,14 +193,11 @@ def mediating_morphism(pb: PullbackXMod, f: Hom, mu_xmod: RackXMod | GroupXMod) 
         validate_xmod_morphism(f, pb.phi, mu_xmod, pb.source)
     except AxiomError as exc:
         raise NotAMorphism(exc) from exc
-    pos = {pair: i for i, pair in enumerate(pb.pairs)}
-    mu = mu_xmod.boundary.map
-    star = []
-    for x in x_dom.elements():
-        pair = (f.map[x], mu[x])
-        if pair not in pos:
-            raise ConstructionFail("image escapes the carrier despite the morphism laws", (x,))
-        star.append(pos[pair])
+    mu, cols = mu_xmod.boundary.map, [(x,) for x in x_dom.elements()]
+    (star,) = _pair_table(
+        "image escapes the carrier despite the morphism laws", pb.pairs, [()], cols,
+        [[(f.map[x], mu[x]) for (x,) in cols]],
+    )
     f_star = validate_hom(x_dom, pb.carrier, star)
     med = validate_xmod_morphism(f_star, identity_hom(mu_xmod.cod), mu_xmod, pb.xmod)
     for x in x_dom.elements():
@@ -302,8 +271,10 @@ def pullback_on_morphisms(m: XModMorphism, phi: Hom) -> XModMorphism:
         raise ValueError("hom does not land in the base rack")
     pb_src = pullback_xmod(m.src, phi)
     pb_dst = pullback_xmod(m.dst, phi)
-    pos = {pair: i for i, pair in enumerate(pb_dst.pairs)}
-    mapped = [pos[(m.f1.map[p], s)] for p, s in pb_src.pairs]
+    (mapped,) = _pair_table(
+        "image escapes the carrier despite the morphism laws", pb_dst.pairs, [()], pb_src.pairs,
+        [[(m.f1.map[p], s) for p, s in pb_src.pairs]],
+    )
     f1 = validate_hom(pb_src.carrier, pb_dst.carrier, mapped)
     return validate_xmod_morphism(f1, identity_hom(phi.dom), pb_src.xmod, pb_dst.xmod)
 
@@ -322,17 +293,30 @@ class ConjPreservationReport:
 def check_conj_preserves_pullback(source: GroupXMod, phi: Hom) -> ConjPreservationReport:
     """Compare conjugation-then-pullback against pullback-then-conjugation.
 
-    Builds both crossed modules of racks and exhibits an explicit
-    isomorphism between them, found by carrier isomorphism search and
-    morphism-law filtering.
+    Conjugation keeps elements, so both crossed modules of racks live on
+    fiber pairs (p, s) over the same base Conj S.  The canonical comparison
+    sends each pair to itself, read off the two pair lists by pair, and is
+    the identity on Conj S.  Each pair list must hold every pair of the
+    other, so the comparison is bijective; validated as a pair of rack homs
+    and as a crossed-module morphism, it is then an isomorphism, and
+    conjugation preserves this pullback.
     """
     gp = group_pullback_xmod(source, phi)
     conj_side = conj_xmod(gp.xmod)
-    rack_side = pullback_xmod(conj_xmod(source), conj_hom(phi)).xmod
-    iso = find_xmod_isomorphism(conj_side, rack_side)
-    if iso is None:
-        raise NoIsomorphismFound(
-            "no crossed-module isomorphism between the conjugation of the group "
-            "pullback and the rack pullback of the conjugation"
+    rp = pullback_xmod(conj_xmod(source), conj_hom(phi))
+    rack_side = rp.xmod
+    try:
+        (f1,) = _pair_table("the rack pullback lacks a pair", rp.pairs, [()], gp.pairs, [gp.pairs])
+        _pair_table("the group pullback lacks a pair", gp.pairs, [()], rp.pairs, [rp.pairs])
+        iso = validate_xmod_morphism(
+            validate_hom(conj_side.dom, rack_side.dom, f1),
+            validate_hom(conj_side.cod, rack_side.cod, conj_side.cod.elements()),
+            conj_side,
+            rack_side,
         )
+    except (AxiomError, ValueError) as exc:
+        raise NoIsomorphismFound(
+            "the canonical comparison (p, s) -> (p, s) from the conjugation of the group "
+            f"pullback to the rack pullback of the conjugation is not an isomorphism: {exc}"
+        ) from exc
     return ConjPreservationReport(iso, conj_side, rack_side, conj_side.dom.size)

@@ -9,6 +9,7 @@ from itertools import permutations, product
 import pytest
 
 from rackmod import (
+    FiniteGroup,
     check_conj_preserves_pullback,
     compose_xmod_morphisms,
     conj_hom,
@@ -39,7 +40,13 @@ from rackmod import (
     verify_universal_property,
 )
 from rackmod import corpus, pullback
-from rackmod.errors import AxiomError, BoundExceeded, NotAMorphism, UniquenessFail
+from rackmod.errors import (
+    AxiomError,
+    BoundExceeded,
+    NoIsomorphismFound,
+    NotAMorphism,
+    UniquenessFail,
+)
 from rackmod.pullback import PullbackXMod
 
 
@@ -290,14 +297,64 @@ def test_conj_preserves_pullback_across_the_corpus():
     assert seen >= 5
 
 
-def test_conj_of_group_pullback_equals_rack_pullback_tables(group_xmods, group_homs):
+_CONJ_PRESERVATION = {
+    name: (source, phi) for name, source, phi in corpus.conj_preservation_instances()
+}
+
+
+@pytest.mark.parametrize("name", _CONJ_PRESERVATION)
+def test_conj_of_group_pullback_equals_rack_pullback_tables(name):
     """On these instances the two sides agree on the nose, not just up to iso."""
-    source, phi = group_xmods["a3_s3"], group_homs["z3_to_s3"]
+    source, phi = _CONJ_PRESERVATION[name]
     left = conj_xmod(group_pullback_xmod(source, phi).xmod)
     right = pullback_xmod(conj_xmod(source), conj_hom(phi)).xmod
     assert left.dom.table == right.dom.table
     assert left.boundary.map == right.boundary.map
     assert left.action.table == right.action.table
+
+
+@pytest.mark.parametrize("name", _CONJ_PRESERVATION)
+def test_group_pullback_carrier_is_the_fiber_product_of_group_homs(name):
+    source, phi = _CONJ_PRESERVATION[name]
+    pb = group_pullback_xmod(source, phi)
+    fp = fiber_product(source.boundary, phi)
+    assert isinstance(fp.carrier, FiniteGroup)
+    assert fp.carrier == pb.carrier
+    assert fp.pairs == pb.pairs
+    assert fp.proj1 == pb.phi_prime
+    assert fp.proj2 == pb.xmod.boundary
+
+
+def test_conj_preserves_rejects_a_mislabelled_pullback(monkeypatch, group_xmods, group_homs):
+    """Swapping two pair labels of the group pullback breaks the comparison.
+
+    The comparison is read off the pairs, so this fails although the tables
+    stay as they are.
+    """
+    real = pullback.group_pullback_xmod
+
+    def mislabelled(source, phi):
+        pb = real(source, phi)
+        pairs = list(pb.pairs)
+        pairs[1], pairs[3] = pairs[3], pairs[1]
+        return dataclasses.replace(pb, pairs=tuple(pairs))
+
+    monkeypatch.setattr(pullback, "group_pullback_xmod", mislabelled)
+    with pytest.raises(NoIsomorphismFound, match="canonical comparison"):
+        check_conj_preserves_pullback(group_xmods["identity_s3"], group_homs["id_s3"])
+
+
+def test_conj_preserves_rejects_a_comparison_that_is_not_onto(monkeypatch, group_xmods, group_homs):
+    """A rack pullback listing a pair the group pullback lacks is not reached."""
+    real = pullback.pullback_xmod
+
+    def padded(source, phi):
+        pb = real(source, phi)
+        return dataclasses.replace(pb, pairs=pb.pairs + ((source.dom.size, phi.dom.size),))
+
+    monkeypatch.setattr(pullback, "pullback_xmod", padded)
+    with pytest.raises(NoIsomorphismFound, match="the group pullback lacks a pair"):
+        check_conj_preserves_pullback(group_xmods["a3_s3"], group_homs["z3_to_s3"])
 
 
 @pytest.mark.parametrize(
