@@ -6,9 +6,11 @@ elements, and the certification entry points (universal properties, hom-set
 bijections, conjugation versus pullback) work by full enumeration with
 typed, witness-carrying failures.
 
-Racks and groups share one hom type (``Hom``), one crossed-module morphism
-type (``XModMorphism``), one pullback result and one universal-property
-certificate; the rack- and group-specific names are aliases of these.
+Racks and groups share one hom type (``Hom``), one crossed-module type
+(``XMod``), one crossed-module morphism type (``XModMorphism``), one
+pullback (``pullback_xmod``) and one universal-property certificate; each
+object knows its kind from its domain, and only the law validators are
+kept apart.
 """
 
 from .errors import (
@@ -38,15 +40,11 @@ from .functors import (
 )
 from .groups import (
     FiniteGroup,
-    GroupHom,
-    compose_group_homs,
     conjugacy_classes,
     cyclic_group,
-    identity_group_hom,
     subgroup,
     symmetric_group_3,
     validate_group,
-    validate_group_hom,
 )
 from .isomorphism import (
     all_isomorphisms,
@@ -57,33 +55,26 @@ from .isomorphism import (
 from .pullback import (
     ConjPreservationReport,
     FiberProduct,
-    GroupPullbackXMod,
-    GroupUniversalityCertificate,
     PullbackXMod,
     UniversalityCertificate,
     check_conj_preserves_pullback,
     fiber_product,
     fiber_product_xmod,
-    group_pullback_xmod,
     mediating_morphism,
     pullback_on_morphisms,
     pullback_xmod,
-    verify_group_universal_property,
     verify_universal_property,
 )
 from .racks import (
     FiniteRack,
     Kernel,
     NormalityCheck,
-    RackHom,
     UnpointedRack,
     adjoin_basepoint,
-    compose_rack_homs,
     conj_hom,
     conj_rack,
     constant_rack_hom,
     core_rack,
-    identity_rack_hom,
     inclusion_rack_hom,
     is_normal_subrack,
     kernel,
@@ -93,18 +84,13 @@ from .racks import (
     restrict_rack,
     trivial_rack,
     validate_rack,
-    validate_rack_hom,
     validate_unpointed_rack,
 )
 from .tables import FiniteStructure, Hom, compose_homs, identity_hom, validate_hom
 from .xmod import (
-    GroupXMod,
-    GroupXModMorphism,
     RackAction,
-    RackXMod,
-    RackXModMorphism,
+    XMod,
     XModMorphism,
-    compose_group_xmod_morphisms,
     compose_xmod_morphisms,
     conj_xmod,
     conj_xmod_morphism,
@@ -119,7 +105,6 @@ from .xmod import (
     trivial_action,
     validate_action,
     validate_group_xmod,
-    validate_group_xmod_morphism,
     validate_rack_xmod,
     validate_xmod_morphism,
 )

@@ -19,7 +19,6 @@ Stdout is deterministic; wall-clock timing appears only in the
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -60,17 +59,15 @@ from .interchange import (
 )
 from .isomorphism import enumerate_pointed_racks
 from .pullback import (
-    PullbackXMod,
     check_conj_preserves_pullback,
     fiber_product,
     fiber_product_xmod,
-    group_pullback_xmod,
     pullback_xmod,
     verify_universal_property,
 )
 from .racks import FiniteRack, conj_hom, conj_rack, core_rack, product_rack
 from .tables import FiniteStructure, Hom
-from .xmod import GroupXMod, RackAction, RackXMod, XModMorphism, hemi_semidirect
+from .xmod import RackAction, XMod, XModMorphism, hemi_semidirect
 
 
 def _jsonable(value: Any) -> Any:
@@ -91,7 +88,7 @@ def _failure(exc: AxiomError) -> dict[str, Any]:
 def _counts_for(obj: Any) -> dict[str, int]:
     if isinstance(obj, FiniteStructure):
         return {"size": obj.size}
-    if isinstance(obj, (Hom, RackXMod, GroupXMod)):
+    if isinstance(obj, (Hom, XMod)):
         return {"dom-size": obj.dom.size, "cod-size": obj.cod.size}
     if isinstance(obj, RackAction):
         return {"actee-size": obj.actee.size, "actor-size": obj.actor.size}
@@ -231,25 +228,17 @@ def cmd_construct_fiber(args: argparse.Namespace) -> int:
     raise ParseError(f"fiber expects two rack-xmods or two rack homs, got {kinds}")
 
 
-def _write_pullback(args: argparse.Namespace, pb: PullbackXMod) -> int:
+def cmd_construct_pullback(args: argparse.Namespace) -> int:
+    """``construct pullback`` and ``construct group-pullback``; ``args.kind`` is
+    the structure the subcommand pulls back, ``args.wrong_kind`` its refusal."""
+    source, phi = parse_pullback_request(load_document(args.file))
+    if not isinstance(source.dom, args.kind):
+        raise ParseError(args.wrong_kind)
+    pb = pullback_xmod(source, phi)
     if args.hom_out:
         write_document(hom_document(pb.phi_prime), args.hom_out)
         print(f"wrote hom to {args.hom_out} (comparison back to the source)")
     return _write(document_for(pb.xmod), args.out, f"carrier size {pb.carrier.size}")
-
-
-def cmd_construct_pullback(args: argparse.Namespace) -> int:
-    source, phi = parse_pullback_request(load_document(args.file))
-    if not isinstance(source, RackXMod):
-        raise ParseError("pullback expects a rack-xmod request; use group-pullback for groups")
-    return _write_pullback(args, pullback_xmod(source, phi))
-
-
-def cmd_construct_group_pullback(args: argparse.Namespace) -> int:
-    source, phi = parse_pullback_request(load_document(args.file))
-    if not isinstance(source, GroupXMod):
-        raise ParseError("group-pullback expects a group-xmod request")
-    return _write_pullback(args, group_pullback_xmod(source, phi))
 
 
 # ------------------------------------------------------------------ certify
@@ -260,10 +249,7 @@ def cmd_certify_universal(args: argparse.Namespace) -> int:
     source, phi = parse_pullback_request(load_document(args.file))
 
     def fn():
-        if isinstance(source, RackXMod):
-            pb = pullback_xmod(source, phi)
-        else:
-            pb = group_pullback_xmod(source, phi)
+        pb = pullback_xmod(source, phi)
         cert = verify_universal_property(pb, pb.phi_prime, pb.xmod)
         counts = {
             "carrier-size": pb.carrier.size,
@@ -307,7 +293,7 @@ def cmd_certify_xmod_adjunction(args: argparse.Namespace) -> int:
 def cmd_certify_conj_preserves(args: argparse.Namespace) -> int:
     inputs = [("request", args.file)]
     source, phi = parse_pullback_request(load_document(args.file))
-    if not isinstance(source, GroupXMod):
+    if not isinstance(source.dom, FiniteGroup):
         raise ParseError("conj-preserves expects a group-xmod request")
 
     def fn():
@@ -340,10 +326,7 @@ CORPUS_CEILING = 6
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
-    if args.bound is not None:
-        bound = args.bound
-    else:
-        bound = int(os.environ.get("RACKMOD_CORPUS_BOUND", "3"))
+    bound = args.bound
     if bound < 1:
         raise ParseError(f"bound must be at least 1, got {bound}")
     if bound > CORPUS_CEILING:
@@ -414,19 +397,16 @@ def _build_parser() -> argparse.ArgumentParser:
     fiber.add_argument("--out", required=True)
     fiber.set_defaults(func=cmd_construct_fiber)
 
-    pull = csub.add_parser("pullback", help="pull a crossed module of racks back along a hom")
-    pull.add_argument("file", help="a pullback-request document")
-    pull.add_argument("--out", required=True)
-    pull.add_argument("--hom-out", help="also write the comparison hom")
-    pull.set_defaults(func=cmd_construct_pullback)
-
-    gpull = csub.add_parser(
-        "group-pullback", help="pull a crossed module of groups back along a hom"
-    )
-    gpull.add_argument("file", help="a pullback-request document")
-    gpull.add_argument("--out", required=True)
-    gpull.add_argument("--hom-out", help="also write the comparison hom")
-    gpull.set_defaults(func=cmd_construct_group_pullback)
+    for name, kind, what, wrong_kind in (
+        ("pullback", FiniteRack, "racks",
+         "pullback expects a rack-xmod request; use group-pullback for groups"),
+        ("group-pullback", FiniteGroup, "groups", "group-pullback expects a group-xmod request"),
+    ):
+        pull = csub.add_parser(name, help=f"pull a crossed module of {what} back along a hom")
+        pull.add_argument("file", help="a pullback-request document")
+        pull.add_argument("--out", required=True)
+        pull.add_argument("--hom-out", help="also write the comparison hom")
+        pull.set_defaults(func=cmd_construct_pullback, kind=kind, wrong_kind=wrong_kind)
 
     certify = sub.add_parser("certify", help="run an exhaustive verification")
     ssub = certify.add_subparsers(dest="what", required=True)
@@ -464,7 +444,8 @@ def _build_parser() -> argparse.ArgumentParser:
     corpus.add_argument(
         "--bound",
         type=int,
-        help=f"largest rack size, at most {CORPUS_CEILING} (default: RACKMOD_CORPUS_BOUND or 3)",
+        default=3,
+        help=f"largest rack size, at most {CORPUS_CEILING} (default: 3)",
     )
     corpus.set_defaults(func=cmd_corpus)
 

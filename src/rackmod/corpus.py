@@ -25,8 +25,7 @@ from .racks import (
 )
 from .tables import Hom, identity_hom, validate_hom
 from .xmod import (
-    GroupXMod,
-    RackXMod,
+    XMod,
     XModMorphism,
     identity_group_xmod,
     identity_xmod,
@@ -125,9 +124,9 @@ def rack_homs() -> dict[str, Hom]:
 
 
 @cache
-def rack_xmods() -> dict[str, RackXMod]:
+def rack_xmods() -> dict[str, XMod]:
     r = racks()
-    out: dict[str, RackXMod] = {}
+    out: dict[str, XMod] = {}
     for name in ("t2", "cz2", "cz3", "cs3", "v3", "r3plus"):
         rack = r[name]
         out[f"point_{name}"] = inclusion_xmod([rack.basepoint], rack)
@@ -137,7 +136,7 @@ def rack_xmods() -> dict[str, RackXMod]:
 
 
 @cache
-def group_xmods() -> dict[str, GroupXMod]:
+def group_xmods() -> dict[str, XMod]:
     g = groups()
     return {
         "triv_z2": inclusion_group_xmod([0], g["z2"]),
@@ -156,7 +155,7 @@ def group_xmods() -> dict[str, GroupXMod]:
 
 
 @cache
-def fiber_instances() -> tuple[tuple[str, RackXMod, RackXMod], ...]:
+def fiber_instances() -> tuple[tuple[str, XMod, XMod], ...]:
     """Ordered pairs of crossed modules over a common base rack."""
     x = rack_xmods()
     by_base = {
@@ -174,7 +173,7 @@ def fiber_instances() -> tuple[tuple[str, RackXMod, RackXMod], ...]:
 
 
 @cache
-def pullback_instances() -> tuple[tuple[str, RackXMod, Hom], ...]:
+def pullback_instances() -> tuple[tuple[str, XMod, Hom], ...]:
     """Pairs (crossed module over R, hom into R) for the pullback sweeps."""
     x = rack_xmods()
     h = rack_homs()
@@ -213,7 +212,7 @@ def preimage_instances() -> tuple[tuple[str, tuple[int, ...], FiniteRack, Hom], 
 
 
 @cache
-def conj_preservation_instances() -> tuple[tuple[str, GroupXMod, Hom], ...]:
+def conj_preservation_instances() -> tuple[tuple[str, XMod, Hom], ...]:
     gx = group_xmods()
     gh = group_homs()
     return (
@@ -228,7 +227,7 @@ def conj_preservation_instances() -> tuple[tuple[str, GroupXMod, Hom], ...]:
 
 
 @cache
-def xmod_adjunction_pairs() -> tuple[tuple[str, RackXMod, GroupXMod], ...]:
+def xmod_adjunction_pairs() -> tuple[tuple[str, XMod, XMod], ...]:
     x = rack_xmods()
     gx = group_xmods()
     return (

@@ -20,7 +20,7 @@ from .groups import FiniteGroup
 from .racks import FiniteRack, conj_rack
 from .search import assignments, hom_laws, laws_hold, squares_hold, xmod_squares
 from .tables import validate_hom
-from .xmod import GroupXMod, RackXMod, conj_xmod
+from .xmod import XMod, conj_xmod
 
 Word = tuple[int, ...]
 """Letters are nonzero ints: +(i+1) is generator i, -(i+1) its inverse."""
@@ -240,7 +240,7 @@ class XModAdjunctionReport:
     pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
-def check_xmod_adjunction(x: RackXMod, g: GroupXMod) -> XModAdjunctionReport:
+def check_xmod_adjunction(x: XMod, g: XMod) -> XModAdjunctionReport:
     """Crossed-module morphisms into Conj(g) against presented assignment pairs.
 
     Each side is one ``assignments`` search that sets f0 on x's base and

@@ -11,22 +11,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 from .errors import AssociativityFail, IdentityFail, InverseFail
-from .tables import (
-    FiniteStructure,
-    Hom,
-    check_index,
-    compose_homs,
-    identity_hom,
-    label_row,
-    square_table,
-    validate_hom,
-)
-
-# Group-side names of the shared hom core, kept for existing callers.
-GroupHom = Hom
-validate_group_hom = validate_hom
-identity_group_hom = identity_hom
-compose_group_homs = compose_homs
+from .tables import FiniteStructure, Hom, check_index, label_row, square_table, validate_hom
 
 
 @dataclass(frozen=True)

@@ -36,9 +36,8 @@ from .groups import FiniteGroup, validate_group
 from .racks import FiniteRack, UnpointedRack, validate_rack, validate_unpointed_rack
 from .tables import FiniteStructure, Hom, validate_hom
 from .xmod import (
-    GroupXMod,
     RackAction,
-    RackXMod,
+    XMod,
     XModMorphism,
     validate_action,
     validate_group_xmod,
@@ -193,7 +192,7 @@ def parse_action(doc: dict[str, Any]) -> RackAction:
         raise ParseError(f"action: {exc}") from exc
 
 
-def parse_rack_xmod(doc: dict[str, Any]) -> RackXMod:
+def parse_rack_xmod(doc: dict[str, Any]) -> XMod:
     doc = _payload(doc, "rack-xmod")
     dom = parse_rack(_field(doc, "dom"))
     cod = parse_rack(_field(doc, "cod"))
@@ -205,7 +204,7 @@ def parse_rack_xmod(doc: dict[str, Any]) -> RackXMod:
         raise ParseError(f"rack-xmod: {exc}") from exc
 
 
-def parse_group_xmod(doc: dict[str, Any]) -> GroupXMod:
+def parse_group_xmod(doc: dict[str, Any]) -> XMod:
     doc = _payload(doc, "group-xmod")
     dom = parse_group(_field(doc, "dom"))
     cod = parse_group(_field(doc, "cod"))
@@ -236,7 +235,7 @@ def parse_xmod_morphism(doc: dict[str, Any]) -> XModMorphism:
         raise ParseError(f"xmod-morphism: {exc}") from exc
 
 
-def parse_pullback_request(doc: dict[str, Any]) -> tuple[RackXMod | GroupXMod, Hom]:
+def parse_pullback_request(doc: dict[str, Any]) -> tuple[XMod, Hom]:
     """A crossed module paired with a hom into its base, ready to pull back."""
     doc = _payload(doc, "pullback-request")
     xmod_doc = _field(doc, "xmod")
@@ -326,23 +325,25 @@ def action_document(action: RackAction) -> dict[str, Any]:
     }
 
 
-def _xmod_document(kind: str, xmod: RackXMod | GroupXMod, action_rows) -> dict[str, Any]:
+def _xmod_document(xmod: XMod) -> dict[str, Any]:
+    """A ``group-xmod`` or a ``rack-xmod`` document, by the kind of ``xmod.dom``."""
     return {
         "format-version": FORMAT_VERSION,
-        "kind": kind,
+        "kind": "group-xmod" if isinstance(xmod.dom, FiniteGroup) else "rack-xmod",
         "dom": document_for(xmod.dom),
         "cod": document_for(xmod.cod),
         "boundary": list(xmod.boundary.map),
-        "action": [list(row) for row in action_rows],
+        "action": [list(row) for row in xmod.action],
     }
 
 
-def rack_xmod_document(xmod: RackXMod) -> dict[str, Any]:
-    return _xmod_document("rack-xmod", xmod, xmod.action.table)
+# One builder serves both kinds; the two names stay for callers that name the kind.
+def rack_xmod_document(xmod: XMod) -> dict[str, Any]:
+    return _xmod_document(xmod)
 
 
-def group_xmod_document(xmod: GroupXMod) -> dict[str, Any]:
-    return _xmod_document("group-xmod", xmod, xmod.action)
+def group_xmod_document(xmod: XMod) -> dict[str, Any]:
+    return _xmod_document(xmod)
 
 
 def xmod_morphism_document(m: XModMorphism) -> dict[str, Any]:
@@ -397,10 +398,8 @@ def document_for(obj: Any) -> dict[str, Any]:
         return hom_document(obj)
     if isinstance(obj, RackAction):
         return action_document(obj)
-    if isinstance(obj, RackXMod):
-        return rack_xmod_document(obj)
-    if isinstance(obj, GroupXMod):
-        return group_xmod_document(obj)
+    if isinstance(obj, XMod):
+        return _xmod_document(obj)
     if isinstance(obj, XModMorphism):
         return xmod_morphism_document(obj)
     raise TypeError(f"no document form for {type(obj).__name__}")

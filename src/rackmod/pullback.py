@@ -23,12 +23,11 @@ from .errors import (
     UniquenessFail,
 )
 from .groups import FiniteGroup, validate_group
-from .racks import conj_hom, validate_rack
+from .racks import validate_rack
 from .search import assignments, hom_laws, laws_hold, squares_hold, xmod_squares
 from .tables import FiniteStructure, Hom, identity_hom, validate_hom
 from .xmod import (
-    GroupXMod,
-    RackXMod,
+    XMod,
     XModMorphism,
     conj_xmod,
     validate_action,
@@ -94,11 +93,13 @@ def fiber_product(alpha: Hom, beta: Hom) -> FiberProduct:
     return FiberProduct(carrier, pairs, proj1, proj2)
 
 
-def fiber_product_xmod(a: RackXMod, b: RackXMod) -> RackXMod:
-    """Fiber product of two crossed modules over the same base rack.
+def fiber_product_xmod(a: XMod, b: XMod) -> XMod:
+    """Fiber product of two crossed modules of racks over the same base rack.
 
     Boundary (p, s) -> d_a(p) and the diagonal action (p, s).r = (p.r, s.r).
     """
+    if isinstance(a.cod, FiniteGroup):
+        raise ValueError("fiber products of crossed modules need crossed modules of racks")
     if a.cod != b.cod:
         raise ValueError("crossed modules are not over the same rack")
     fp = fiber_product(a.boundary, b.boundary)
@@ -119,9 +120,9 @@ def fiber_product_xmod(a: RackXMod, b: RackXMod) -> RackXMod:
 class PullbackXMod:
     """The pullback of a crossed module of racks or of groups along phi."""
 
-    xmod: RackXMod | GroupXMod
+    xmod: XMod
     phi_prime: Hom
-    source: RackXMod | GroupXMod
+    source: XMod
     phi: Hom
     pairs: tuple[tuple[int, int], ...]
 
@@ -130,25 +131,30 @@ class PullbackXMod:
         return self.xmod.dom
 
 
-def _pullback(source: RackXMod | GroupXMod, phi: Hom, to_xmod) -> PullbackXMod:
-    """The pullback of either kind; ``to_xmod(boundary, action_table)`` validates it.
+def pullback_xmod(source: XMod, phi: Hom) -> PullbackXMod:
+    """Pull a crossed module d: P -> R of racks or of groups back along phi: S -> R.
 
-    The carrier is exactly the fiber product of d and phi; the boundary is
-    the second projection and the first projection is the comparison hom
-    back to P.  The commuting square phi . boundary = d . phi_prime is
-    re-checked on the result.
+    The carrier is exactly the fiber product of d and phi, with boundary
+    (p, s) -> s and the first projection as the comparison hom back to P.
+    Both crossed-module laws, with the action laws for racks, are verified
+    exhaustively on the result by the validator of phi's kind, and the
+    commuting square phi . boundary = d . phi_prime is re-checked.
     """
     if phi.cod != source.cod:
         raise ValueError("hom does not land in the base of the crossed module")
     fp = fiber_product(source.boundary, phi)
     s_x = phi.dom
-    s_op = s_x.conj if isinstance(s_x, FiniteGroup) else s_x.op
+    group = isinstance(s_x, FiniteGroup)
+    s_op = s_x.conj if group else s_x.op
     cols = [(sp,) for sp in s_x.elements()]
     table = _pair_table(
         "pullback action escapes the carrier", fp.pairs, fp.pairs, cols,
         [[(source.act(p, phi.map[sp]), s_op(s, sp)) for (sp,) in cols] for p, s in fp.pairs],
     )
-    xmod = to_xmod(fp.proj2, table)
+    if group:
+        xmod = validate_group_xmod(fp.proj2, table)
+    else:
+        xmod = validate_rack_xmod(fp.proj2, validate_action(table, fp.carrier, s_x))
     d, boundary, proj = source.boundary.map, xmod.boundary.map, fp.proj1.map
     for i in range(len(fp.pairs)):
         if phi.map[boundary[i]] != d[proj[i]]:
@@ -156,29 +162,10 @@ def _pullback(source: RackXMod | GroupXMod, phi: Hom, to_xmod) -> PullbackXMod:
     return PullbackXMod(xmod, fp.proj1, source, phi, fp.pairs)
 
 
-def pullback_xmod(source: RackXMod, phi: Hom) -> PullbackXMod:
-    """Pull a crossed module of racks d: P -> R back along phi: S -> R.
-
-    Both crossed-module laws and the action laws are verified exhaustively
-    on the result, as is the commuting square.
-    """
-    return _pullback(
-        source, phi, lambda d, t: validate_rack_xmod(d, validate_action(t, d.dom, d.cod))
-    )
-
-
-def group_pullback_xmod(source: GroupXMod, phi: Hom) -> PullbackXMod:
-    """Group-side pullback on {(m, s) : d(m) = phi(s)}.
-
-    Boundary (m, s) -> s and action (m, s).s' = (m.phi(s'), s'^-1 s s').
-    """
-    return _pullback(source, phi, validate_group_xmod)
-
-
 # ---------------------------------------------------------------- universal property
 
 
-def mediating_morphism(pb: PullbackXMod, f: Hom, mu_xmod: RackXMod | GroupXMod) -> XModMorphism:
+def mediating_morphism(pb: PullbackXMod, f: Hom, mu_xmod: XMod) -> XModMorphism:
     """The canonical factorization x -> (f(x), mu(x)) through the pullback.
 
     (f, pb.phi) must be a morphism from mu_xmod to the pulled-back crossed
@@ -214,7 +201,7 @@ class UniversalityCertificate:
 
 
 def verify_universal_property(
-    pb: PullbackXMod, f: Hom, mu_xmod: RackXMod | GroupXMod
+    pb: PullbackXMod, f: Hom, mu_xmod: XMod
 ) -> UniversalityCertificate:
     """Decide the universal property over every set map into the carrier.
 
@@ -256,12 +243,6 @@ def verify_universal_property(
     return UniversalityCertificate(med, 1, carrier.size**n)
 
 
-# Group-side names of the shared pullback core, kept for existing callers.
-GroupPullbackXMod = PullbackXMod
-GroupUniversalityCertificate = UniversalityCertificate
-verify_group_universal_property = verify_universal_property
-
-
 def pullback_on_morphisms(m: XModMorphism, phi: Hom) -> XModMorphism:
     """Functorial action on a morphism over a fixed base: (p, s) -> (g(p), s)."""
     base = m.src.cod
@@ -285,12 +266,12 @@ def pullback_on_morphisms(m: XModMorphism, phi: Hom) -> XModMorphism:
 @dataclass(frozen=True)
 class ConjPreservationReport:
     morphism: XModMorphism
-    conj_of_pullback: RackXMod
-    pullback_of_conj: RackXMod
+    conj_of_pullback: XMod
+    pullback_of_conj: XMod
     carrier_size: int
 
 
-def check_conj_preserves_pullback(source: GroupXMod, phi: Hom) -> ConjPreservationReport:
+def check_conj_preserves_pullback(source: XMod, phi: Hom) -> ConjPreservationReport:
     """Compare conjugation-then-pullback against pullback-then-conjugation.
 
     Conjugation keeps elements, so both crossed modules of racks live on
@@ -299,11 +280,14 @@ def check_conj_preserves_pullback(source: GroupXMod, phi: Hom) -> ConjPreservati
     the identity on Conj S.  Each pair list must hold every pair of the
     other, so the comparison is bijective; validated as a pair of rack homs
     and as a crossed-module morphism, it is then an isomorphism, and
-    conjugation preserves this pullback.
+    conjugation preserves this pullback.  Each conjugation rack is built
+    once: Conj phi is validated between the bases of the two conjugated
+    crossed modules.
     """
-    gp = group_pullback_xmod(source, phi)
+    gp = pullback_xmod(source, phi)
     conj_side = conj_xmod(gp.xmod)
-    rp = pullback_xmod(conj_xmod(source), conj_hom(phi))
+    conj_source = conj_xmod(source)
+    rp = pullback_xmod(conj_source, validate_hom(conj_side.cod, conj_source.cod, phi.map))
     rack_side = rp.xmod
     try:
         (f1,) = _pair_table("the rack pullback lacks a pair", rp.pairs, [()], gp.pairs, [gp.pairs])

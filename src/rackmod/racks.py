@@ -19,22 +19,7 @@ from .errors import (
     SelfDistributivityFail,
 )
 from .groups import FiniteGroup
-from .tables import (
-    FiniteStructure,
-    Hom,
-    check_index,
-    compose_homs,
-    identity_hom,
-    label_row,
-    square_table,
-    validate_hom,
-)
-
-# Rack-side names of the shared hom core, kept for existing callers.
-RackHom = Hom
-validate_rack_hom = validate_hom
-identity_rack_hom = identity_hom
-compose_rack_homs = compose_homs
+from .tables import FiniteStructure, Hom, check_index, label_row, square_table, validate_hom
 
 
 @dataclass(frozen=True)
@@ -120,6 +105,8 @@ def trivial_rack(n: int, labels=None) -> FiniteRack:
 
 def conj_rack(g: FiniteGroup) -> FiniteRack:
     """Conjugation rack: a ◁ b = b^-1 a b, pointed at the identity."""
+    if not isinstance(g, FiniteGroup):
+        raise ValueError(f"conjugation needs a group, got a {type(g).__name__}")
     table = [[g.conj(a, b) for b in range(g.size)] for a in range(g.size)]
     return validate_rack(table, g.identity, labels=g.labels)
 

@@ -8,7 +8,9 @@ force the translations ``s -> s.r`` to be bijections, so constructions that
 need bijectivity re-validate their output instead of assuming it.
 
 A crossed module of racks is a pointed rack hom d: R -> S together with an
-action of S on R such that d(r.s) = d(r) ◁ s and r.d(r') = r ◁ r'.
+action of S on R such that d(r.s) = d(r) ◁ s and r.d(r') = r ◁ r'.  Crossed
+modules of racks and of groups are one type, ``XMod``; only their law
+validators differ.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .racks import (
     validate_rack,
 )
 from .search import assignments, hom_laws, laws_hold, squares_hold, xmod_squares
-from .tables import Hom, compose_homs, identity_hom, rect_table, validate_hom
+from .tables import FiniteStructure, Hom, compose_homs, identity_hom, rect_table, validate_hom
 
 
 # ---------------------------------------------------------------- rack actions
@@ -119,27 +121,30 @@ def hemi_semidirect(action: RackAction) -> FiniteRack:
         raise ResultNotRack(exc) from exc
 
 
-# ---------------------------------------------------------------- rack crossed modules
+# ---------------------------------------------------------------- crossed modules
 
 
 @dataclass(frozen=True)
-class RackXMod:
+class XMod:
+    """Crossed module of racks or of groups: a boundary hom d: dom -> cod and
+    the table ``action[r][s]`` of r acted on by s; ``dom`` tells which kind."""
+
     boundary: Hom
-    action: RackAction
+    action: tuple[tuple[int, ...], ...]
 
     @property
-    def dom(self) -> FiniteRack:
+    def dom(self) -> FiniteStructure:
         return self.boundary.dom
 
     @property
-    def cod(self) -> FiniteRack:
+    def cod(self) -> FiniteStructure:
         return self.boundary.cod
 
     def act(self, r: int, s: int) -> int:
-        return self.action.table[r][s]
+        return self.action[r][s]
 
 
-def validate_rack_xmod(boundary: Hom, action: RackAction) -> RackXMod:
+def validate_rack_xmod(boundary: Hom, action: RackAction) -> XMod:
     """Check both crossed-module laws over all pairs."""
     if action.actee != boundary.dom or action.actor != boundary.cod:
         raise ValueError("action endpoints do not match the boundary hom")
@@ -154,10 +159,10 @@ def validate_rack_xmod(boundary: Hom, action: RackAction) -> RackXMod:
         for s in s_rack.elements():
             if d[t[r][s]] != s_rack.table[d[r]][s]:
                 raise X1Fail(r, s)
-    return RackXMod(boundary, action)
+    return XMod(boundary, t)
 
 
-def inclusion_xmod(subset, r: FiniteRack) -> RackXMod:
+def inclusion_xmod(subset, r: FiniteRack) -> XMod:
     """Normal subrack N of R, included into R, with R acting by conjugation.
 
     The subrack is validated once, and the inclusion is validated as a hom
@@ -174,31 +179,14 @@ def inclusion_xmod(subset, r: FiniteRack) -> RackXMod:
     return validate_rack_xmod(boundary, action)
 
 
-def identity_xmod(r: FiniteRack) -> RackXMod:
+def identity_xmod(r: FiniteRack) -> XMod:
     return validate_rack_xmod(identity_hom(r), conjugation_action(r))
 
 
 # ---------------------------------------------------------------- group crossed modules
 
 
-@dataclass(frozen=True)
-class GroupXMod:
-    boundary: Hom
-    action: tuple[tuple[int, ...], ...]
-
-    @property
-    def dom(self) -> FiniteGroup:
-        return self.boundary.dom
-
-    @property
-    def cod(self) -> FiniteGroup:
-        return self.boundary.cod
-
-    def act(self, m: int, n: int) -> int:
-        return self.action[m][n]
-
-
-def validate_group_xmod(boundary: Hom, action) -> GroupXMod:
+def validate_group_xmod(boundary: Hom, action) -> XMod:
     """Right action by automorphisms, equivariance, and the Peiffer law."""
     m_grp, n_grp = boundary.dom, boundary.cod
     t = rect_table(action, m_grp.size, n_grp.size, m_grp.size, "action table")
@@ -230,10 +218,10 @@ def validate_group_xmod(boundary: Hom, action) -> GroupXMod:
         for mp in m_grp.elements():
             if t[m][d[mp]] != m_grp.conj(m, mp):
                 raise PeifferFail(m, mp)
-    return GroupXMod(boundary, t)
+    return XMod(boundary, t)
 
 
-def inclusion_group_xmod(subset, g: FiniteGroup) -> GroupXMod:
+def inclusion_group_xmod(subset, g: FiniteGroup) -> XMod:
     """Normal subgroup included into g, with g acting by conjugation."""
     sub, emb_hom = subgroup(g, subset)
     emb = emb_hom.map
@@ -250,7 +238,7 @@ def inclusion_group_xmod(subset, g: FiniteGroup) -> GroupXMod:
     return validate_group_xmod(emb_hom, table)
 
 
-def identity_group_xmod(g: FiniteGroup) -> GroupXMod:
+def identity_group_xmod(g: FiniteGroup) -> XMod:
     table = [[g.conj(m, n) for n in g.elements()] for m in g.elements()]
     return validate_group_xmod(identity_hom(g), table)
 
@@ -262,14 +250,14 @@ def identity_group_xmod(g: FiniteGroup) -> GroupXMod:
 class XModMorphism:
     """Crossed-module morphism of racks or of groups: f1 on carriers, f0 on bases."""
 
-    src: RackXMod | GroupXMod
-    dst: RackXMod | GroupXMod
+    src: XMod
+    dst: XMod
     f1: Hom
     f0: Hom
 
 
 def validate_xmod_morphism(
-    f1: Hom, f0: Hom, src: RackXMod | GroupXMod, dst: RackXMod | GroupXMod
+    f1: Hom, f0: Hom, src: XMod, dst: XMod
 ) -> XModMorphism:
     """Check the boundary square and the action square over all elements."""
     if f1.dom != src.dom or f1.cod != dst.dom:
@@ -286,7 +274,7 @@ def validate_xmod_morphism(
     return XModMorphism(src, dst, f1, f0)
 
 
-def identity_xmod_morphism(x: RackXMod | GroupXMod) -> XModMorphism:
+def identity_xmod_morphism(x: XMod) -> XModMorphism:
     return validate_xmod_morphism(identity_hom(x.dom), identity_hom(x.cod), x, x)
 
 
@@ -299,13 +287,7 @@ def compose_xmod_morphisms(m1: XModMorphism, m2: XModMorphism) -> XModMorphism:
     )
 
 
-# Rack- and group-side names of the shared morphism core, kept for existing callers.
-RackXModMorphism = GroupXModMorphism = XModMorphism
-validate_group_xmod_morphism = validate_xmod_morphism
-compose_group_xmod_morphisms = compose_xmod_morphisms
-
-
-def find_xmod_isomorphism(a: RackXMod, b: RackXMod) -> XModMorphism | None:
+def find_xmod_isomorphism(a: XMod, b: XMod) -> XModMorphism | None:
     """The least crossed-module isomorphism a -> b by map tuples (f1, f0), if any.
 
     One ``assignments`` search sets f1 on a's carrier and then f0 on its
@@ -344,7 +326,7 @@ def find_xmod_isomorphism(a: RackXMod, b: RackXMod) -> XModMorphism | None:
 # ---------------------------------------------------------------- conjugation functor
 
 
-def conj_xmod(g: GroupXMod) -> RackXMod:
+def conj_xmod(g: XMod) -> XMod:
     """Conjugation racks on both groups, with the action table reused."""
     dom = conj_rack(g.dom)
     cod = conj_rack(g.cod)

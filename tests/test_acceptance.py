@@ -34,10 +34,9 @@ from rackmod import (
     restrict_rack,
     validate_action,
     validate_group,
-    validate_group_hom,
     validate_group_xmod,
+    validate_hom,
     validate_rack,
-    validate_rack_hom,
     validate_rack_xmod,
     validate_unpointed_rack,
     validate_xmod_morphism,
@@ -62,8 +61,8 @@ def revalidate_rack_xmod(xm):
     """Rebuild a crossed module of racks from its raw tables."""
     dom = validate_rack(xm.dom.table, xm.dom.basepoint, labels=xm.dom.labels)
     cod = validate_rack(xm.cod.table, xm.cod.basepoint, labels=xm.cod.labels)
-    boundary = validate_rack_hom(dom, cod, xm.boundary.map)
-    action = validate_action(xm.action.table, dom, cod)
+    boundary = validate_hom(dom, cod, xm.boundary.map)
+    action = validate_action(xm.action, dom, cod)
     return validate_rack_xmod(boundary, action)
 
 
@@ -84,10 +83,10 @@ def test_criterion_01_axiom_soundness():
             validate_group(g.mul, g.identity, labels=g.labels)
             checked += 1
         for h in corpus.rack_homs().values():
-            validate_rack_hom(h.dom, h.cod, h.map)
+            validate_hom(h.dom, h.cod, h.map)
             checked += 1
         for h in corpus.group_homs().values():
-            validate_group_hom(h.dom, h.cod, h.map)
+            validate_hom(h.dom, h.cod, h.map)
             checked += 1
         for xm in corpus.rack_xmods().values():
             revalidate_rack_xmod(xm)
@@ -216,8 +215,8 @@ def test_criterion_09_conjugation_preserves_pullbacks():
             report = check_conj_preserves_pullback(source, phi)
             m = report.morphism
             # re-validate the exhibited isomorphism and its inverse from raw maps
-            f1 = validate_rack_hom(m.f1.dom, m.f1.cod, m.f1.map)
-            f0 = validate_rack_hom(m.f0.dom, m.f0.cod, m.f0.map)
+            f1 = validate_hom(m.f1.dom, m.f1.cod, m.f1.map)
+            f0 = validate_hom(m.f0.dom, m.f0.cod, m.f0.map)
             validate_xmod_morphism(
                 f1, f0, report.conj_of_pullback, report.pullback_of_conj
             )
@@ -230,8 +229,8 @@ def test_criterion_09_conjugation_preserves_pullbacks():
             for i, v in enumerate(m.f0.map):
                 inv0[v] = i
             validate_xmod_morphism(
-                validate_rack_hom(m.f1.cod, m.f1.dom, inv1),
-                validate_rack_hom(m.f0.cod, m.f0.dom, inv0),
+                validate_hom(m.f1.cod, m.f1.dom, inv1),
+                validate_hom(m.f0.cod, m.f0.dom, inv0),
                 report.pullback_of_conj,
                 report.conj_of_pullback,
             )

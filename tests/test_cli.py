@@ -266,6 +266,46 @@ def test_construct_group_pullback(tmp_path, group_xmods, group_homs, capsys):
     assert parse_document(load_document(out)).dom.size == 3
 
 
+def test_construct_group_pullback_writes_the_library_pullback(
+    tmp_path, group_xmods, group_homs, capsys
+):
+    """pullback_xmod on a group request is what ``construct group-pullback``
+    writes: a group carrier labelled by its pairs, and the same tables."""
+    req = write(
+        tmp_path,
+        "req.json",
+        pullback_request(
+            group_xmod_document(group_xmods["a3_s3"]), hom_document(group_homs["z3_to_s3"])
+        ),
+    )
+    out, hom_out = tmp_path / "pb.json", tmp_path / "phi-prime.json"
+    argv = ["construct", "group-pullback", req, "--out", str(out), "--hom-out", str(hom_out)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    pb = pullback_xmod(group_xmods["a3_s3"], group_homs["z3_to_s3"])
+    written = load_document(out)
+    assert written == group_xmod_document(pb.xmod)
+    assert written["dom"]["kind"] == "group"
+    assert written["dom"]["labels"] == ["(e,0)", "((123),1)", "((132),2)"]
+    assert load_document(hom_out) == hom_document(pb.phi_prime)
+
+
+def test_construct_group_pullback_wrong_kind_exits_2(tmp_path, rack_xmods, rack_homs, capsys):
+    req = write(
+        tmp_path,
+        "req.json",
+        pullback_request(
+            rack_xmod_document(rack_xmods["identity_cz2"]), hom_document(rack_homs["sgn_rack"])
+        ),
+    )
+    out = tmp_path / "o.json"
+    assert cli.main(["construct", "group-pullback", req, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: group-pullback expects a group-xmod request\n"
+    assert not out.exists()
+
+
 def test_certify_universal(tmp_path, rack_xmods, rack_homs, capsys):
     req = write(
         tmp_path,
@@ -371,31 +411,20 @@ def test_certify_conj_preserves_needs_group_request(tmp_path, rack_xmods, rack_h
     assert cli.main(["certify", "conj-preserves", req]) == 2
 
 
-def test_corpus_respects_bound_env(monkeypatch, capsys):
+def test_corpus_bound_defaults_to_3_and_reads_no_environment(monkeypatch, capsys):
     monkeypatch.setenv("RACKMOD_CORPUS_BOUND", "2")
     assert cli.main(["corpus"]) == 0
     out = capsys.readouterr().out
-    assert "pointed racks of size 1, up to isomorphism: 1" in out
-    assert "pointed racks of size 2, up to isomorphism: 1" in out
-    assert "size 3" not in out
-
-
-def test_corpus_flag_overrides_env(monkeypatch, capsys):
-    monkeypatch.setenv("RACKMOD_CORPUS_BOUND", "1")
-    assert cli.main(["corpus", "--bound", "3"]) == 0
-    assert "pointed racks of size 3, up to isomorphism: 2" in capsys.readouterr().out
+    assert "pointed racks of size 3, up to isomorphism: 2" in out
+    assert "size 4" not in out
 
 
 def test_corpus_rejects_bad_bound(capsys):
     assert cli.main(["corpus", "--bound", "0"]) == 2
 
 
-@pytest.mark.parametrize("argv,env", [(["corpus", "--bound", "7"], None), (["corpus"], "7")],
-                         ids=["flag", "env"])
-def test_corpus_above_the_ceiling_exits_2_before_enumerating(monkeypatch, capsys, argv, env):
-    if env is not None:
-        monkeypatch.setenv("RACKMOD_CORPUS_BOUND", env)
-
+@pytest.mark.parametrize("argv", [["corpus", "--bound", "7"]], ids=["flag"])
+def test_corpus_above_the_ceiling_exits_2_before_enumerating(monkeypatch, capsys, argv):
     def no_enumeration(n, **kwargs):
         raise AssertionError(f"enumerated order {n}")
 

@@ -3,14 +3,14 @@
 import pytest
 
 from rackmod import (
-    compose_group_homs,
+    compose_homs,
     conjugacy_classes,
     cyclic_group,
-    identity_group_hom,
+    identity_hom,
     subgroup,
     symmetric_group_3,
     validate_group,
-    validate_group_hom,
+    validate_hom,
 )
 from rackmod.errors import (
     AssociativityFail,
@@ -99,25 +99,25 @@ def test_conjugacy_classes_of_s3():
 
 def test_group_hom_validation(groups):
     z4, z2 = groups["z4"], groups["z2"]
-    mod2 = validate_group_hom(z4, z2, [0, 1, 0, 1])
+    mod2 = validate_hom(z4, z2, [0, 1, 0, 1])
     assert mod2(3) == 1
-    assert identity_group_hom(z2).map == (0, 1)
+    assert identity_hom(z2).map == (0, 1)
 
 
 def test_group_hom_failures(groups):
     z4, z2 = groups["z4"], groups["z2"]
     with pytest.raises(HomBasepointFail):
-        validate_group_hom(z2, z2, [1, 0])
+        validate_hom(z2, z2, [1, 0])
     with pytest.raises(HomLawFail) as exc:
-        validate_group_hom(z4, z2, [0, 0, 1, 0])
+        validate_hom(z4, z2, [0, 0, 1, 0])
     assert exc.value.witness == (1, 1)
 
 
 def test_compose_group_homs(group_homs):
-    comp = compose_group_homs(group_homs["z3_to_s3"], group_homs["sgn"])
+    comp = compose_homs(group_homs["z3_to_s3"], group_homs["sgn"])
     assert comp.map == (0, 0, 0)
     with pytest.raises(ValueError):
-        compose_group_homs(group_homs["sgn"], group_homs["sgn"])
+        compose_homs(group_homs["sgn"], group_homs["sgn"])
 
 
 def test_groups_answer_to_the_shared_names(groups, racks):
@@ -126,6 +126,6 @@ def test_groups_answer_to_the_shared_names(groups, racks):
     assert s3.table is s3.mul and s3.basepoint == s3.identity
     assert s3.op(1, 2) == s3.mul[1][2]
     with pytest.raises(ValueError, match="a FiniteRack and a FiniteGroup"):
-        validate_group_hom(racks["cz2"], groups["z2"], [0, 1])
+        validate_hom(racks["cz2"], groups["z2"], [0, 1])
     with pytest.raises(ValueError, match="a FiniteGroup and a FiniteRack"):
-        validate_group_hom(groups["z2"], racks["cz2"], [0, 1])
+        validate_hom(groups["z2"], racks["cz2"], [0, 1])

@@ -1,0 +1,44 @@
+"""One name per public object: racks and groups share their types and
+functions under the canonical names, with no rack- or group-side aliases."""
+
+import pkgutil
+from importlib import import_module
+
+import rackmod
+
+REMOVED = (
+    "RackHom",
+    "GroupHom",
+    "validate_rack_hom",
+    "validate_group_hom",
+    "identity_rack_hom",
+    "identity_group_hom",
+    "compose_rack_homs",
+    "compose_group_homs",
+    "RackXMod",
+    "GroupXMod",
+    "RackXModMorphism",
+    "GroupXModMorphism",
+    "validate_group_xmod_morphism",
+    "compose_group_xmod_morphisms",
+    "group_pullback_xmod",
+    "GroupPullbackXMod",
+    "GroupUniversalityCertificate",
+    "verify_group_universal_property",
+)
+
+
+def test_no_public_object_is_bound_under_two_names():
+    names: dict[int, list[str]] = {}
+    for name in rackmod.__all__:
+        names.setdefault(id(getattr(rackmod, name)), []).append(name)
+    assert [group for group in names.values() if len(group) > 1] == []
+
+
+def test_the_alias_names_are_gone_from_every_module():
+    modules = [rackmod] + [
+        import_module(f"rackmod.{info.name}") for info in pkgutil.iter_modules(rackmod.__path__)
+    ]
+    assert len(modules) > 10
+    for module in modules:
+        assert [name for name in REMOVED if hasattr(module, name)] == [], module.__name__

@@ -19,8 +19,7 @@ from rackmod import (
     fiber_product_xmod,
     find_isomorphism,
     find_xmod_isomorphism,
-    group_pullback_xmod,
-    identity_rack_hom,
+    identity_hom,
     identity_xmod,
     identity_xmod_morphism,
     inclusion_xmod,
@@ -32,14 +31,15 @@ from rackmod import (
     trivial_action,
     trivial_rack,
     validate_action,
+    validate_hom,
     validate_rack,
-    validate_rack_hom,
     validate_rack_xmod,
     validate_xmod_morphism,
-    verify_group_universal_property,
     verify_universal_property,
 )
 from rackmod import corpus, pullback
+from rackmod import racks as racks_module
+from rackmod import xmod as xmod_module
 from rackmod.errors import (
     AxiomError,
     BoundExceeded,
@@ -103,7 +103,7 @@ def test_pullback_square_commutes_on_corpus():
 def test_pullback_along_identity_is_isomorphic(rack_xmods):
     for name in ("a3r_cs3", "identity_cz2", "point_cs3"):
         xm = rack_xmods[name]
-        pb = pullback_xmod(xm, identity_rack_hom(xm.cod))
+        pb = pullback_xmod(xm, identity_hom(xm.cod))
         iso = find_xmod_isomorphism(pb.xmod, xm)
         assert iso is not None, name
 
@@ -184,7 +184,7 @@ def _doctored_pullback(rack_xmods, rack_homs):
     # boundary hits 1 twice; everything validates, uniqueness does not
     padded = trivial_rack(3)
     fake_xmod = validate_rack_xmod(
-        validate_rack_hom(padded, phi.dom, [0, 1, 1]),
+        validate_hom(padded, phi.dom, [0, 1, 1]),
         trivial_action(padded, phi.dom),
     )
     fake = PullbackXMod(
@@ -241,7 +241,7 @@ def test_pullback_on_morphisms_preserves_composition():
 def test_pullback_on_morphisms_requires_fixed_base(rack_xmods, rack_homs, racks):
     # base-moving morphisms are rejected before any construction happens
     moving = validate_xmod_morphism(
-        validate_rack_hom(rack_xmods["point_cz2"].dom, rack_xmods["point_cs3"].dom, [0]),
+        validate_hom(rack_xmods["point_cz2"].dom, rack_xmods["point_cs3"].dom, [0]),
         constant_rack_hom(racks["cz2"], racks["cs3"]),
         rack_xmods["point_cz2"],
         rack_xmods["point_cs3"],
@@ -251,9 +251,9 @@ def test_pullback_on_morphisms_requires_fixed_base(rack_xmods, rack_homs, racks)
 
 
 def test_group_pullback_and_its_universal_property(group_xmods, group_homs):
-    pb = group_pullback_xmod(group_xmods["a3_s3"], group_homs["z3_to_s3"])
+    pb = pullback_xmod(group_xmods["a3_s3"], group_homs["z3_to_s3"])
     assert pb.carrier.size == 3
-    cert = verify_group_universal_property(pb, pb.phi_prime, pb.xmod)
+    cert = verify_universal_property(pb, pb.phi_prime, pb.xmod)
     assert cert.satisfying_count == 1
     for i in range(pb.carrier.size):
         assert (
@@ -284,10 +284,10 @@ def test_conj_preserves_pullback_across_the_corpus():
         inverse0 = [0] * len(report.morphism.f0.map)
         for i, v in enumerate(report.morphism.f0.map):
             inverse0[v] = i
-        back1 = validate_rack_hom(
+        back1 = validate_hom(
             report.pullback_of_conj.dom, report.conj_of_pullback.dom, inverse1
         )
-        back0 = validate_rack_hom(
+        back0 = validate_hom(
             report.pullback_of_conj.cod, report.conj_of_pullback.cod, inverse0
         )
         validate_xmod_morphism(
@@ -306,17 +306,17 @@ _CONJ_PRESERVATION = {
 def test_conj_of_group_pullback_equals_rack_pullback_tables(name):
     """On these instances the two sides agree on the nose, not just up to iso."""
     source, phi = _CONJ_PRESERVATION[name]
-    left = conj_xmod(group_pullback_xmod(source, phi).xmod)
+    left = conj_xmod(pullback_xmod(source, phi).xmod)
     right = pullback_xmod(conj_xmod(source), conj_hom(phi)).xmod
     assert left.dom.table == right.dom.table
     assert left.boundary.map == right.boundary.map
-    assert left.action.table == right.action.table
+    assert left.action == right.action
 
 
 @pytest.mark.parametrize("name", _CONJ_PRESERVATION)
 def test_group_pullback_carrier_is_the_fiber_product_of_group_homs(name):
     source, phi = _CONJ_PRESERVATION[name]
-    pb = group_pullback_xmod(source, phi)
+    pb = pullback_xmod(source, phi)
     fp = fiber_product(source.boundary, phi)
     assert isinstance(fp.carrier, FiniteGroup)
     assert fp.carrier == pb.carrier
@@ -329,32 +329,84 @@ def test_conj_preserves_rejects_a_mislabelled_pullback(monkeypatch, group_xmods,
     """Swapping two pair labels of the group pullback breaks the comparison.
 
     The comparison is read off the pairs, so this fails although the tables
-    stay as they are.
+    stay as they are.  Only the group pullback, told apart by
+    ``source.dom``, is tampered with.
     """
-    real = pullback.group_pullback_xmod
+    real = pullback.pullback_xmod
 
     def mislabelled(source, phi):
         pb = real(source, phi)
+        if not isinstance(source.dom, FiniteGroup):
+            return pb
         pairs = list(pb.pairs)
         pairs[1], pairs[3] = pairs[3], pairs[1]
         return dataclasses.replace(pb, pairs=tuple(pairs))
 
-    monkeypatch.setattr(pullback, "group_pullback_xmod", mislabelled)
+    monkeypatch.setattr(pullback, "pullback_xmod", mislabelled)
     with pytest.raises(NoIsomorphismFound, match="canonical comparison"):
         check_conj_preserves_pullback(group_xmods["identity_s3"], group_homs["id_s3"])
 
 
 def test_conj_preserves_rejects_a_comparison_that_is_not_onto(monkeypatch, group_xmods, group_homs):
-    """A rack pullback listing a pair the group pullback lacks is not reached."""
+    """A rack pullback listing a pair the group pullback lacks is not reached.
+
+    Only the rack pullback, told apart by ``source.dom``, is tampered with.
+    """
     real = pullback.pullback_xmod
 
     def padded(source, phi):
         pb = real(source, phi)
+        if isinstance(source.dom, FiniteGroup):
+            return pb
         return dataclasses.replace(pb, pairs=pb.pairs + ((source.dom.size, phi.dom.size),))
 
     monkeypatch.setattr(pullback, "pullback_xmod", padded)
     with pytest.raises(NoIsomorphismFound, match="the group pullback lacks a pair"):
         check_conj_preserves_pullback(group_xmods["a3_s3"], group_homs["z3_to_s3"])
+
+
+def test_conj_preserves_builds_each_conjugation_rack_once(monkeypatch, group_xmods, group_homs):
+    """Conj of the carrier, Conj S, Conj N, Conj R and the rack pullback's
+    carrier: five racks, each validated once."""
+    sizes = []
+    real = racks_module.validate_rack
+
+    def counting(table, *args, **kwargs):
+        sizes.append(len(table))
+        return real(table, *args, **kwargs)
+
+    for module in (racks_module, xmod_module, pullback):
+        monkeypatch.setattr(module, "validate_rack", counting)
+    check_conj_preserves_pullback(group_xmods["a3_s3"], group_homs["z3_to_s3"])
+    assert sorted(sizes) == [3, 3, 3, 3, 6]
+
+
+def test_pullback_of_a_group_xmod_is_the_group_pullback(group_xmods, group_homs):
+    pb = pullback_xmod(group_xmods["a3_s3"], group_homs["z3_to_s3"])
+    assert isinstance(pb.carrier, FiniteGroup)
+    assert isinstance(pb.xmod.cod, FiniteGroup)
+    assert pb.pairs == ((0, 0), (1, 1), (2, 2))
+    assert pb.carrier.table == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    assert pb.xmod.action == ((0, 0, 0), (1, 1, 1), (2, 2, 2))
+
+
+def test_pullback_rejects_a_hom_of_the_other_kind(rack_xmods, group_xmods, rack_homs, group_homs):
+    with pytest.raises(ValueError):
+        pullback_xmod(rack_xmods["a3r_cs3"], group_homs["z3_to_s3"])
+    with pytest.raises(ValueError):
+        pullback_xmod(group_xmods["a3_s3"], rack_homs["z3_to_s3_rack"])
+
+
+def test_fiber_product_xmod_rejects_group_xmods(group_xmods):
+    with pytest.raises(ValueError, match="racks"):
+        fiber_product_xmod(group_xmods["a3_s3"], group_xmods["identity_s3"])
+
+
+def test_conj_xmod_rejects_a_rack_xmod(rack_xmods, rack_homs):
+    with pytest.raises(ValueError, match="group"):
+        conj_xmod(rack_xmods["a3r_cs3"])
+    with pytest.raises(ValueError, match="group"):
+        check_conj_preserves_pullback(rack_xmods["a3r_cs3"], rack_homs["z3_to_s3_rack"])
 
 
 @pytest.mark.parametrize(
@@ -372,7 +424,7 @@ def test_universal_property_rejects_a_wrong_mediating_map(
     if side == "rack":
         pb = pullback_xmod(rack_xmods[xname], rack_homs[hname])
     else:
-        pb = group_pullback_xmod(group_xmods[xname], group_homs[hname])
+        pb = pullback_xmod(group_xmods[xname], group_homs[hname])
     real = pullback.mediating_morphism
 
     def wrong(*args):
@@ -453,7 +505,7 @@ def test_universal_property_matches_the_unpruned_oracle_when_it_fails(rack_xmods
 
 def test_unpruned_oracle_is_bounded(rack_xmods):
     xm = rack_xmods["identity_cs3"]
-    pb = pullback_xmod(xm, identity_rack_hom(xm.cod))
+    pb = pullback_xmod(xm, identity_hom(xm.cod))
     assert len(_unpruned_satisfying(pb, pb.phi_prime, pb.xmod, limit=6**6)) == 1
     with pytest.raises(BoundExceeded):
         _unpruned_satisfying(pb, pb.phi_prime, pb.xmod, limit=6**6 - 1)
@@ -469,7 +521,7 @@ def _isomorphisms_by_permutations(a, b):
         if perm[a.basepoint] != b.basepoint:
             continue
         try:
-            isos.append(validate_rack_hom(a, b, perm))
+            isos.append(validate_hom(a, b, perm))
         except AxiomError:
             continue
     return isos
@@ -507,13 +559,13 @@ def _relabeled_xmod(xm, top, bottom):
         for s in range(xm.cod.size):
             action[top[r]][bottom[s]] = top[xm.act(r, s)]
     return validate_rack_xmod(
-        validate_rack_hom(dom, cod, boundary), validate_action(action, dom, cod)
+        validate_hom(dom, cod, boundary), validate_action(action, dom, cod)
     )
 
 
 def test_xmod_isomorphism_matches_the_full_search_on_conj_preservation():
     for name, source, phi in corpus.conj_preservation_instances():
-        conj_side = conj_xmod(group_pullback_xmod(source, phi).xmod)
+        conj_side = conj_xmod(pullback_xmod(source, phi).xmod)
         rack_side = pullback_xmod(conj_xmod(source), conj_hom(phi)).xmod
         expected = _isomorphism_by_full_search(conj_side, rack_side)
         assert expected is not None, name
@@ -523,7 +575,7 @@ def test_xmod_isomorphism_matches_the_full_search_on_conj_preservation():
 def test_xmod_isomorphism_matches_the_full_search_along_identities(rack_xmods):
     for name in ("a3r_cs3", "identity_cz2", "point_cs3"):
         xm = rack_xmods[name]
-        pb = pullback_xmod(xm, identity_rack_hom(xm.cod))
+        pb = pullback_xmod(xm, identity_hom(xm.cod))
         expected = _isomorphism_by_full_search(pb.xmod, xm)
         assert expected is not None, name
         assert find_xmod_isomorphism(pb.xmod, xm) == expected, name
@@ -536,7 +588,7 @@ def test_xmod_isomorphism_matches_the_full_search_off_the_identity(rack_xmods):
     perm = [0, 1, 3, 2, 4, 5]
     other = _relabeled_xmod(xm, perm, perm)
     with pytest.raises(AxiomError):
-        validate_rack_hom(xm.dom, other.dom, range(6))
+        validate_hom(xm.dom, other.dom, range(6))
     expected = _isomorphism_by_full_search(xm, other)
     assert expected is not None
     assert expected.f1.map != tuple(range(6))
@@ -569,7 +621,7 @@ def test_xmod_isomorphism_matches_the_full_search_when_one_square_fails(racks):
     t2, t3 = trivial_rack(2), trivial_rack(3)
     to_base = validate_rack_xmod(constant_rack_hom(t2, t3), trivial_action(t2, t3))
     onto_one = validate_rack_xmod(
-        validate_rack_hom(t2, t3, [0, 1]), trivial_action(t2, t3)
+        validate_hom(t2, t3, [0, 1]), trivial_action(t2, t3)
     )
     for a, b in ((swapping, fixing), (to_base, onto_one)):
         assert _isomorphism_by_full_search(a, b) is None

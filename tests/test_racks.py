@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 
 from rackmod import (
     adjoin_basepoint,
-    compose_rack_homs,
+    compose_homs,
     conj_hom,
     conj_rack,
     constant_rack_hom,
     core_rack,
     cyclic_group,
-    identity_rack_hom,
+    identity_hom,
     inclusion_rack_hom,
     is_normal_subrack,
     kernel,
@@ -21,8 +21,8 @@ from rackmod import (
     rack_orbits,
     restrict_rack,
     trivial_rack,
+    validate_hom,
     validate_rack,
-    validate_rack_hom,
     validate_unpointed_rack,
 )
 from rackmod.errors import (
@@ -171,26 +171,26 @@ def test_rack_hom_validation(racks):
     t2, cs3 = racks["t2"], racks["cs3"]
     maps = [(0, b) for b in range(6)]
     for m in maps:
-        validate_rack_hom(t2, cs3, m)
-    assert identity_rack_hom(cs3).map == (0, 1, 2, 3, 4, 5)
+        validate_hom(t2, cs3, m)
+    assert identity_hom(cs3).map == (0, 1, 2, 3, 4, 5)
     assert constant_rack_hom(cs3, t2).map == (0,) * 6
 
 
 def test_rack_hom_failures(racks):
     v3 = racks["v3"]
     with pytest.raises(HomBasepointFail):
-        validate_rack_hom(racks["t2"], racks["t2"], [1, 1])
+        validate_hom(racks["t2"], racks["t2"], [1, 1])
     with pytest.raises(HomLawFail) as exc:
-        validate_rack_hom(v3, v3, [0, 1, 1])
+        validate_hom(v3, v3, [0, 1, 1])
     assert exc.value.witness == (1, 1)
 
 
 def test_compose_rack_homs(racks, rack_homs):
     incl = rack_homs["incl_a3r_cs3"]
-    comp = compose_rack_homs(incl, rack_homs["sgn_rack"])
+    comp = compose_homs(incl, rack_homs["sgn_rack"])
     assert comp.map == (0, 0, 0)
     with pytest.raises(ValueError):
-        compose_rack_homs(rack_homs["sgn_rack"], rack_homs["sgn_rack"])
+        compose_homs(rack_homs["sgn_rack"], rack_homs["sgn_rack"])
 
 
 # -- validator soundness -----------------------------------------------------
