@@ -7,10 +7,10 @@ bijections, conjugation versus pullback) work by full enumeration with
 typed, witness-carrying failures.
 
 Racks and groups share one hom type (``Hom``), one crossed-module type
-(``XMod``), one crossed-module morphism type (``XModMorphism``), one
-pullback (``pullback_xmod``) and one universal-property certificate; each
-object knows its kind from its domain, and only the law validators are
-kept apart.
+(``XMod``) with one validator (``validate_xmod``), one crossed-module
+morphism type (``XModMorphism``), one pullback (``pullback_xmod``) and one
+universal-property certificate; each object knows its kind from its
+domain, and only the law families are kept apart.
 """
 
 from .errors import (
@@ -97,15 +97,13 @@ from .xmod import (
     conjugation_action,
     find_xmod_isomorphism,
     hemi_semidirect,
-    identity_group_xmod,
     identity_xmod,
     identity_xmod_morphism,
     inclusion_group_xmod,
     inclusion_xmod,
     trivial_action,
     validate_action,
-    validate_group_xmod,
-    validate_rack_xmod,
+    validate_xmod,
     validate_xmod_morphism,
 )
 

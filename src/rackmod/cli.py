@@ -40,8 +40,6 @@ from .interchange import (
     certificate_document,
     digest_file,
     document_for,
-    group_document,
-    group_xmod_document,
     hom_document,
     load_document,
     parse_action,
@@ -53,7 +51,6 @@ from .interchange import (
     parse_rack,
     parse_rack_xmod,
     rack_document,
-    rack_xmod_document,
     unpointed_rack_document,
     write_document,
 )
@@ -217,7 +214,7 @@ def cmd_construct_fiber(args: argparse.Namespace) -> int:
     kinds = (left_doc.get("kind"), right_doc.get("kind"))
     if kinds == ("rack-xmod", "rack-xmod"):
         xm = fiber_product_xmod(parse_rack_xmod(left_doc), parse_rack_xmod(right_doc))
-        return _write(rack_xmod_document(xm), args.out, f"carrier size {xm.dom.size}")
+        return _write(document_for(xm), args.out, f"carrier size {xm.dom.size}")
     if kinds == ("hom", "hom"):
         alpha = parse_hom(left_doc)
         beta = parse_hom(right_doc)
@@ -310,13 +307,13 @@ def cmd_certify_conj_preserves(args: argparse.Namespace) -> int:
 
 
 _CATALOGS = (
-    ("group", groups, group_document),
-    ("rack", racks, rack_document),
-    ("unpointed-rack", unpointed_racks, unpointed_rack_document),
-    ("group-hom", group_homs, hom_document),
-    ("rack-hom", rack_homs, hom_document),
-    ("rack-xmod", rack_xmods, rack_xmod_document),
-    ("group-xmod", group_xmods, group_xmod_document),
+    ("group", groups),
+    ("rack", racks),
+    ("unpointed-rack", unpointed_racks),
+    ("group-hom", group_homs),
+    ("rack-hom", rack_homs),
+    ("rack-xmod", rack_xmods),
+    ("group-xmod", group_xmods),
 )
 
 
@@ -334,15 +331,15 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     per_size = {n: enumerate_pointed_racks(n, bound=bound) for n in range(1, bound + 1)}
     for n, found in per_size.items():
         print(f"pointed racks of size {n}, up to isomorphism: {len(found)}")
-    for prefix, catalog, _ in _CATALOGS:
+    for prefix, catalog in _CATALOGS:
         print(f"catalog {prefix}: {len(catalog())} entries")
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         written = 0
-        for prefix, catalog, to_doc in _CATALOGS:
+        for prefix, catalog in _CATALOGS:
             for name, obj in catalog().items():
-                write_document(to_doc(obj), outdir / f"{prefix}-{name}.json")
+                write_document(document_for(obj), outdir / f"{prefix}-{name}.json")
                 written += 1
         for n, found in per_size.items():
             for i, rk in enumerate(found):

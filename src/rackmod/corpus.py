@@ -27,7 +27,6 @@ from .tables import Hom, identity_hom, validate_hom
 from .xmod import (
     XMod,
     XModMorphism,
-    identity_group_xmod,
     identity_xmod,
     inclusion_group_xmod,
     inclusion_xmod,
@@ -146,11 +145,11 @@ def group_xmods() -> dict[str, XMod]:
         "2z4_z4": inclusion_group_xmod([0, 2], g["z4"]),
         "z3_z6": inclusion_group_xmod([0, 2, 4], g["z6"]),
         "z2_z6": inclusion_group_xmod([0, 3], g["z6"]),
-        "identity_z2": identity_group_xmod(g["z2"]),
-        "identity_z3": identity_group_xmod(g["z3"]),
-        "identity_z4": identity_group_xmod(g["z4"]),
-        "identity_z6": identity_group_xmod(g["z6"]),
-        "identity_s3": identity_group_xmod(g["s3"]),
+        "identity_z2": identity_xmod(g["z2"]),
+        "identity_z3": identity_xmod(g["z3"]),
+        "identity_z4": identity_xmod(g["z4"]),
+        "identity_z6": identity_xmod(g["z6"]),
+        "identity_s3": identity_xmod(g["s3"]),
     }
 
 

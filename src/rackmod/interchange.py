@@ -40,8 +40,7 @@ from .xmod import (
     XMod,
     XModMorphism,
     validate_action,
-    validate_group_xmod,
-    validate_rack_xmod,
+    validate_xmod,
     validate_xmod_morphism,
 )
 
@@ -192,27 +191,22 @@ def parse_action(doc: dict[str, Any]) -> RackAction:
         raise ParseError(f"action: {exc}") from exc
 
 
-def parse_rack_xmod(doc: dict[str, Any]) -> XMod:
-    doc = _payload(doc, "rack-xmod")
-    dom = parse_rack(_field(doc, "dom"))
-    cod = parse_rack(_field(doc, "cod"))
+def _parse_xmod(doc: dict[str, Any], kind: str, parse_structure) -> XMod:
+    doc = _payload(doc, kind)
+    dom = parse_structure(_field(doc, "dom"))
+    cod = parse_structure(_field(doc, "cod"))
     try:
-        boundary = validate_hom(dom, cod, _field(doc, "boundary"))
-        action = validate_action(_field(doc, "action"), dom, cod)
-        return validate_rack_xmod(boundary, action)
+        return validate_xmod(validate_hom(dom, cod, _field(doc, "boundary")), _field(doc, "action"))
     except (ValueError, TypeError) as exc:
-        raise ParseError(f"rack-xmod: {exc}") from exc
+        raise ParseError(f"{kind}: {exc}") from exc
+
+
+def parse_rack_xmod(doc: dict[str, Any]) -> XMod:
+    return _parse_xmod(doc, "rack-xmod", parse_rack)
 
 
 def parse_group_xmod(doc: dict[str, Any]) -> XMod:
-    doc = _payload(doc, "group-xmod")
-    dom = parse_group(_field(doc, "dom"))
-    cod = parse_group(_field(doc, "cod"))
-    try:
-        boundary = validate_hom(dom, cod, _field(doc, "boundary"))
-        return validate_group_xmod(boundary, _field(doc, "action"))
-    except (ValueError, TypeError) as exc:
-        raise ParseError(f"group-xmod: {exc}") from exc
+    return _parse_xmod(doc, "group-xmod", parse_group)
 
 
 def parse_xmod_morphism(doc: dict[str, Any]) -> XModMorphism:

@@ -4,11 +4,11 @@ Given a crossed module d: P -> R and a hom phi: S -> R, of racks or of
 groups, the pullback crossed module lives on the fiber product carrier
 {(p, s) : d(p) = phi(s)}, has boundary (p, s) -> s, and carries the action
 (p, s) . s' = (p . phi(s'), s ◁ s'), where s ◁ s' is s'^-1 s s' for
-groups.  One fiber product and one pullback body serve both sides; only
-the law validators differ.  The universal property is certified here by
-counting the set maps into the carrier that make a morphism factor, which
-must leave exactly one; maps that fail a one-coordinate condition are
-never generated.
+groups.  One fiber product, one pullback body and one crossed-module
+validator serve both sides; only the law families differ.  The universal
+property is certified here by counting the set maps into the carrier that
+make a morphism factor, which must leave exactly one; maps that fail a
+one-coordinate condition are never generated.
 """
 
 from __future__ import annotations
@@ -30,9 +30,7 @@ from .xmod import (
     XMod,
     XModMorphism,
     conj_xmod,
-    validate_action,
-    validate_group_xmod,
-    validate_rack_xmod,
+    validate_xmod,
     validate_xmod_morphism,
 )
 
@@ -109,8 +107,7 @@ def fiber_product_xmod(a: XMod, b: XMod) -> XMod:
         "diagonal action escapes the carrier", fp.pairs, fp.pairs, cols,
         [[(a.act(p, r), b.act(s, r)) for (r,) in cols] for p, s in fp.pairs],
     )
-    action = validate_action(table, fp.carrier, a.cod)
-    return validate_rack_xmod(boundary, action)
+    return validate_xmod(boundary, table)
 
 
 # ---------------------------------------------------------------- pullbacks
@@ -137,24 +134,20 @@ def pullback_xmod(source: XMod, phi: Hom) -> PullbackXMod:
     The carrier is exactly the fiber product of d and phi, with boundary
     (p, s) -> s and the first projection as the comparison hom back to P.
     Both crossed-module laws, with the action laws for racks, are verified
-    exhaustively on the result by the validator of phi's kind, and the
+    exhaustively on the result by ``validate_xmod``, and the
     commuting square phi . boundary = d . phi_prime is re-checked.
     """
     if phi.cod != source.cod:
         raise ValueError("hom does not land in the base of the crossed module")
     fp = fiber_product(source.boundary, phi)
     s_x = phi.dom
-    group = isinstance(s_x, FiniteGroup)
-    s_op = s_x.conj if group else s_x.op
+    s_op = s_x.conj if isinstance(s_x, FiniteGroup) else s_x.op
     cols = [(sp,) for sp in s_x.elements()]
     table = _pair_table(
         "pullback action escapes the carrier", fp.pairs, fp.pairs, cols,
         [[(source.act(p, phi.map[sp]), s_op(s, sp)) for (sp,) in cols] for p, s in fp.pairs],
     )
-    if group:
-        xmod = validate_group_xmod(fp.proj2, table)
-    else:
-        xmod = validate_rack_xmod(fp.proj2, validate_action(table, fp.carrier, s_x))
+    xmod = validate_xmod(fp.proj2, table)
     d, boundary, proj = source.boundary.map, xmod.boundary.map, fp.proj1.map
     for i in range(len(fp.pairs)):
         if phi.map[boundary[i]] != d[proj[i]]:

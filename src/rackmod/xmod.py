@@ -9,8 +9,9 @@ need bijectivity re-validate their output instead of assuming it.
 
 A crossed module of racks is a pointed rack hom d: R -> S together with an
 action of S on R such that d(r.s) = d(r) ◁ s and r.d(r') = r ◁ r'.  Crossed
-modules of racks and of groups are one type, ``XMod``; only their law
-validators differ.
+modules of racks and of groups are one type, ``XMod``, checked by one
+validator, ``validate_xmod``, which reads the law family from the kind of
+the boundary's domain.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .racks import (
     FiniteRack,
     _normality,
     _pair_labels,
-    conj_hom,
     conj_rack,
     restrict_rack,
     validate_rack,
@@ -63,6 +63,8 @@ class RackAction:
 
 def validate_action(table, actee: FiniteRack, actor: FiniteRack) -> RackAction:
     """Exhaustively check the two action laws and pointed compatibility."""
+    if not (isinstance(actee, FiniteRack) and isinstance(actor, FiniteRack)):
+        raise ValueError("a rack action needs pointed racks on both sides")
     s_rack, r_rack = actee, actor
     t = rect_table(table, s_rack.size, r_rack.size, s_rack.size, "action table")
     for s in s_rack.elements():
@@ -144,13 +146,22 @@ class XMod:
         return self.action[r][s]
 
 
-def validate_rack_xmod(boundary: Hom, action: RackAction) -> XMod:
-    """Check both crossed-module laws over all pairs."""
-    if action.actee != boundary.dom or action.actor != boundary.cod:
-        raise ValueError("action endpoints do not match the boundary hom")
+def validate_xmod(boundary: Hom, action) -> XMod:
+    """Check every crossed-module law of the table ``action`` over all tuples.
+
+    The law family is read from the kind of ``boundary.dom``: the action
+    laws, X2 and X1 for racks; automorphisms, the right action,
+    equivariance and Peiffer for groups.
+    """
+    laws = _group_xmod_laws if isinstance(boundary.dom, FiniteGroup) else _rack_xmod_laws
+    return XMod(boundary, laws(boundary, action))
+
+
+def _rack_xmod_laws(boundary: Hom, action) -> tuple[tuple[int, ...], ...]:
+    """The action laws, then X2: r.d(r') = r ◁ r', then X1: d(r.s) = d(r) ◁ s."""
     r_rack, s_rack = boundary.dom, boundary.cod
     d = boundary.map
-    t = action.table
+    t = validate_action(action, r_rack, s_rack).table
     for r in r_rack.elements():
         for rp in r_rack.elements():
             if t[r][d[rp]] != r_rack.table[r][rp]:
@@ -159,34 +170,10 @@ def validate_rack_xmod(boundary: Hom, action: RackAction) -> XMod:
         for s in s_rack.elements():
             if d[t[r][s]] != s_rack.table[d[r]][s]:
                 raise X1Fail(r, s)
-    return XMod(boundary, t)
+    return t
 
 
-def inclusion_xmod(subset, r: FiniteRack) -> XMod:
-    """Normal subrack N of R, included into R, with R acting by conjugation.
-
-    The subrack is validated once, and the inclusion is validated as a hom
-    from it.
-    """
-    emb, check = _normality(subset, r)
-    if not check.ok:
-        raise NotNormal(*check.witness)
-    sub = restrict_rack(r, emb)
-    pos = {x: i for i, x in enumerate(emb)}
-    boundary = validate_hom(sub, r, emb)
-    table = [[pos[r.table[x][b]] for b in r.elements()] for x in emb]
-    action = validate_action(table, sub, r)
-    return validate_rack_xmod(boundary, action)
-
-
-def identity_xmod(r: FiniteRack) -> XMod:
-    return validate_rack_xmod(identity_hom(r), conjugation_action(r))
-
-
-# ---------------------------------------------------------------- group crossed modules
-
-
-def validate_group_xmod(boundary: Hom, action) -> XMod:
+def _group_xmod_laws(boundary: Hom, action) -> tuple[tuple[int, ...], ...]:
     """Right action by automorphisms, equivariance, and the Peiffer law."""
     m_grp, n_grp = boundary.dom, boundary.cod
     t = rect_table(action, m_grp.size, n_grp.size, m_grp.size, "action table")
@@ -218,7 +205,23 @@ def validate_group_xmod(boundary: Hom, action) -> XMod:
         for mp in m_grp.elements():
             if t[m][d[mp]] != m_grp.conj(m, mp):
                 raise PeifferFail(m, mp)
-    return XMod(boundary, t)
+    return t
+
+
+def inclusion_xmod(subset, r: FiniteRack) -> XMod:
+    """Normal subrack N of R, included into R, with R acting by conjugation.
+
+    The subrack is validated once, and the inclusion is validated as a hom
+    from it.
+    """
+    emb, check = _normality(subset, r)
+    if not check.ok:
+        raise NotNormal(*check.witness)
+    sub = restrict_rack(r, emb)
+    pos = {x: i for i, x in enumerate(emb)}
+    boundary = validate_hom(sub, r, emb)
+    table = [[pos[r.table[x][b]] for b in r.elements()] for x in emb]
+    return validate_xmod(boundary, table)
 
 
 def inclusion_group_xmod(subset, g: FiniteGroup) -> XMod:
@@ -235,12 +238,13 @@ def inclusion_group_xmod(subset, g: FiniteGroup) -> XMod:
                 raise NotNormal(m, n, v)
             row.append(pos[v])
         table.append(row)
-    return validate_group_xmod(emb_hom, table)
+    return validate_xmod(emb_hom, table)
 
 
-def identity_group_xmod(g: FiniteGroup) -> XMod:
-    table = [[g.conj(m, n) for n in g.elements()] for m in g.elements()]
-    return validate_group_xmod(identity_hom(g), table)
+def identity_xmod(x: FiniteStructure) -> XMod:
+    """x acting on itself by ◁, or by conjugation for a group."""
+    op = x.conj if isinstance(x, FiniteGroup) else x.op
+    return validate_xmod(identity_hom(x), [[op(m, n) for n in x.elements()] for m in x.elements()])
 
 
 # ---------------------------------------------------------------- crossed-module morphisms
@@ -328,14 +332,14 @@ def find_xmod_isomorphism(a: XMod, b: XMod) -> XModMorphism | None:
 
 def conj_xmod(g: XMod) -> XMod:
     """Conjugation racks on both groups, with the action table reused."""
-    dom = conj_rack(g.dom)
-    cod = conj_rack(g.cod)
-    boundary = validate_hom(dom, cod, g.boundary.map)
-    action = validate_action(g.action, dom, cod)
-    return validate_rack_xmod(boundary, action)
+    boundary = validate_hom(conj_rack(g.dom), conj_rack(g.cod), g.boundary.map)
+    return validate_xmod(boundary, g.action)
 
 
 def conj_xmod_morphism(m: XModMorphism) -> XModMorphism:
+    """f1 and f0 validated between the conjugation racks of ``conj_xmod``,
+    so each rack is built once."""
+    src, dst = conj_xmod(m.src), conj_xmod(m.dst)
     return validate_xmod_morphism(
-        conj_hom(m.f1), conj_hom(m.f0), conj_xmod(m.src), conj_xmod(m.dst)
+        validate_hom(src.dom, dst.dom, m.f1.map), validate_hom(src.cod, dst.cod, m.f0.map), src, dst
     )

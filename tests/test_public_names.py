@@ -1,5 +1,6 @@
 """One name per public object: racks and groups share their types and
-functions under the canonical names, with no rack- or group-side aliases."""
+functions under the canonical names, with no rack- or group-side aliases
+or validators."""
 
 import pkgutil
 from importlib import import_module
@@ -25,6 +26,9 @@ REMOVED = (
     "GroupPullbackXMod",
     "GroupUniversalityCertificate",
     "verify_group_universal_property",
+    "validate_rack_xmod",
+    "validate_group_xmod",
+    "identity_group_xmod",
 )
 
 

@@ -30,10 +30,9 @@ from rackmod import (
     restrict_rack,
     trivial_action,
     trivial_rack,
-    validate_action,
     validate_hom,
     validate_rack,
-    validate_rack_xmod,
+    validate_xmod,
     validate_xmod_morphism,
     verify_universal_property,
 )
@@ -183,9 +182,9 @@ def _doctored_pullback(rack_xmods, rack_homs):
     # replace the 2-element carrier with a trivial 3-element rack whose
     # boundary hits 1 twice; everything validates, uniqueness does not
     padded = trivial_rack(3)
-    fake_xmod = validate_rack_xmod(
+    fake_xmod = validate_xmod(
         validate_hom(padded, phi.dom, [0, 1, 1]),
-        trivial_action(padded, phi.dom),
+        trivial_action(padded, phi.dom).table,
     )
     fake = PullbackXMod(
         fake_xmod,
@@ -558,9 +557,7 @@ def _relabeled_xmod(xm, top, bottom):
         boundary[top[r]] = bottom[xm.boundary.map[r]]
         for s in range(xm.cod.size):
             action[top[r]][bottom[s]] = top[xm.act(r, s)]
-    return validate_rack_xmod(
-        validate_hom(dom, cod, boundary), validate_action(action, dom, cod)
-    )
+    return validate_xmod(validate_hom(dom, cod, boundary), action)
 
 
 def test_xmod_isomorphism_matches_the_full_search_on_conj_preservation():
@@ -599,8 +596,8 @@ def test_xmod_isomorphism_matches_the_full_search_when_there_is_none(rack_xmods)
     """Same carriers and bases, boundaries that no pair of bijections matches."""
     incl = rack_xmods["a3r_cs3"]
     flat = trivial_rack(3)
-    constant = validate_rack_xmod(
-        constant_rack_hom(flat, incl.cod), trivial_action(flat, incl.cod)
+    constant = validate_xmod(
+        constant_rack_hom(flat, incl.cod), trivial_action(flat, incl.cod).table
     )
     assert incl.dom.table == constant.dom.table
     assert _isomorphism_by_full_search(incl, constant) is None
@@ -613,16 +610,12 @@ def test_xmod_isomorphism_matches_the_full_search_when_one_square_fails(racks):
     # constant boundaries, so every boundary square commutes; the odd
     # permutations swap 1 and 2 in one action and fix them in the other
     by_sign = [[(0, 2, 1)[t] if odd else t for odd in (0, 1, 1, 0, 0, 1)] for t in range(3)]
-    swapping = validate_rack_xmod(
-        constant_rack_hom(flat, cs3), validate_action(by_sign, flat, cs3)
-    )
-    fixing = validate_rack_xmod(constant_rack_hom(flat, cs3), trivial_action(flat, cs3))
+    swapping = validate_xmod(constant_rack_hom(flat, cs3), by_sign)
+    fixing = validate_xmod(constant_rack_hom(flat, cs3), trivial_action(flat, cs3).table)
     # trivial actions, so every action square commutes; one boundary is constant
     t2, t3 = trivial_rack(2), trivial_rack(3)
-    to_base = validate_rack_xmod(constant_rack_hom(t2, t3), trivial_action(t2, t3))
-    onto_one = validate_rack_xmod(
-        validate_hom(t2, t3, [0, 1]), trivial_action(t2, t3)
-    )
+    to_base = validate_xmod(constant_rack_hom(t2, t3), trivial_action(t2, t3).table)
+    onto_one = validate_xmod(validate_hom(t2, t3, [0, 1]), trivial_action(t2, t3).table)
     for a, b in ((swapping, fixing), (to_base, onto_one)):
         assert _isomorphism_by_full_search(a, b) is None
         assert find_xmod_isomorphism(a, b) is None

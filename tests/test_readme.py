@@ -1,11 +1,15 @@
-"""The README's examples run as written: the Library block executes, and
-the console session replays through ``cli.main`` with the printed lines."""
+"""The README's examples run as written: the Library block executes, the
+console session replays through ``cli.main`` with the printed lines, and
+every name the entry-point list gives exists."""
 
+import builtins
 import json
 import re
 import shlex
+from importlib import import_module
 from pathlib import Path
 
+import rackmod
 from rackmod import cli
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -56,3 +60,18 @@ def test_console_session_replays(tmp_path, monkeypatch, capsys):
         "PASS certify universal carrier-size=6 factorizations=1 search-space=46656",
     ]
     assert json.loads((tmp_path / "cert.json").read_text(encoding="utf-8"))["verdict"] == "pass"
+
+
+def _resolves(name: str) -> bool:
+    """An attribute of rackmod, a builtin, or a dotted path into the package."""
+    if hasattr(rackmod, name) or hasattr(builtins, name):
+        return True
+    module, _, attr = name.rpartition(".")
+    return module.startswith("rackmod") and hasattr(import_module(module), attr)
+
+
+def test_entry_point_names_exist():
+    bullets = README.split("The main entry points:\n\n", 1)[1].split("\n\n", 1)[0]
+    names = re.findall(r"`([A-Za-z_][\w.]*)`", bullets)
+    assert len(names) > 30
+    assert [name for name in names if not _resolves(name)] == []

@@ -1,5 +1,7 @@
 """Actions, the pair-rack construction, and crossed modules of both flavors."""
 
+import hashlib
+
 import pytest
 
 from rackmod import (
@@ -9,7 +11,6 @@ from rackmod import (
     conjugation_action,
     find_xmod_isomorphism,
     hemi_semidirect,
-    identity_group_xmod,
     identity_hom,
     identity_xmod,
     identity_xmod_morphism,
@@ -18,11 +19,11 @@ from rackmod import (
     product_rack,
     trivial_action,
     validate_action,
-    validate_group_xmod,
     validate_hom,
-    validate_rack_xmod,
+    validate_xmod,
     validate_xmod_morphism,
 )
+from rackmod import corpus
 from rackmod import racks as racks_module
 from rackmod import xmod as xmod_module
 from rackmod.errors import (
@@ -30,6 +31,7 @@ from rackmod.errors import (
     ActionAxiom2Fail,
     ActionSquareFail,
     AutomorphismFail,
+    AxiomError,
     BasepointMissing,
     BoundarySquareFail,
     EquivarianceFail,
@@ -66,6 +68,14 @@ def test_action_law_failures(racks):
     v3 = racks["v3"]
     with pytest.raises((ActionAxiom1Fail, ActionAxiom2Fail)):
         validate_action(table, v3, cs3)
+
+
+def test_validate_action_refuses_groups(racks, groups, group_xmods):
+    for gx in group_xmods.values():
+        with pytest.raises(ValueError, match="pointed racks on both sides"):
+            validate_action(gx.action, gx.dom, gx.cod)
+    with pytest.raises(ValueError, match="pointed racks on both sides"):
+        validate_action(racks["cs3"].table, racks["cs3"], groups["s3"])
 
 
 def test_action_laws_do_not_force_bijective_translations(racks):
@@ -106,7 +116,7 @@ def test_hemi_semidirect_of_conjugation_action(racks):
 def test_validate_rack_xmod_checks_peiffer_before_equivariance(racks):
     cs3 = racks["cs3"]
     with pytest.raises(X2Fail) as exc:
-        validate_rack_xmod(identity_hom(cs3), trivial_action(cs3, cs3))
+        validate_xmod(identity_hom(cs3), trivial_action(cs3, cs3).table)
     assert exc.value.witness == (1, 2)
 
 
@@ -115,14 +125,14 @@ def test_validate_rack_xmod_x1_witness(racks):
     t2, cs3 = racks["t2"], racks["cs3"]
     boundary = validate_hom(t2, cs3, [0, 1])
     with pytest.raises(X1Fail) as exc:
-        validate_rack_xmod(boundary, trivial_action(t2, cs3))
+        validate_xmod(boundary, trivial_action(t2, cs3).table)
     assert exc.value.witness == (1, 2)
 
 
 def test_validate_rack_xmod_endpoint_mismatch(racks):
     with pytest.raises(ValueError):
-        validate_rack_xmod(
-            identity_hom(racks["cs3"]), trivial_action(racks["t2"], racks["cs3"])
+        validate_xmod(
+            identity_hom(racks["cs3"]), trivial_action(racks["t2"], racks["cs3"]).table
         )
 
 
@@ -206,22 +216,22 @@ def test_group_xmod_action_failures(groups):
     z2, z3, z4, s3 = groups["z2"], groups["z3"], groups["z4"], groups["s3"]
     incl = validate_hom(z2, z4, [0, 2])
     with pytest.raises(AutomorphismFail):
-        validate_group_xmod(incl, [[0, 0, 0, 0], [0, 0, 0, 0]])
+        validate_xmod(incl, [[0, 0, 0, 0], [0, 0, 0, 0]])
     # both columns negate, which is an automorphism, but 0 must act as id
     collapse = validate_hom(z3, z2, [0, 0, 0])
     with pytest.raises(GroupActionFail) as exc:
-        validate_group_xmod(collapse, [[0, 0], [2, 2], [1, 1]])
+        validate_xmod(collapse, [[0, 0], [2, 2], [1, 1]])
     assert exc.value.witness == (1, 0)
     # trivial action, but the boundary image is not central in S3
     j = validate_hom(z2, s3, [0, 2])
     with pytest.raises(EquivarianceFail) as exc:
-        validate_group_xmod(j, [[0] * 6, [1] * 6])
+        validate_xmod(j, [[0] * 6, [1] * 6])
     assert exc.value.witness == (1, 1)
     # twisting by an inner automorphism keeps every law except Peiffer
     sgn = validate_hom(s3, z2, [0, 1, 1, 0, 0, 1])
     twist = [[m, s3.conj(m, 2)] for m in range(6)]
     with pytest.raises(PeifferFail) as exc:
-        validate_group_xmod(sgn, twist)
+        validate_xmod(sgn, twist)
     assert exc.value.witness == (1, 1)
 
 
@@ -230,7 +240,7 @@ def test_inclusion_group_xmod(groups):
         inclusion_group_xmod([0, 2], groups["s3"])
     xm = inclusion_group_xmod([0, 3, 4], groups["s3"])
     assert xm.boundary.map == (0, 3, 4)
-    assert identity_group_xmod(groups["z4"]).act(1, 3) == 1
+    assert identity_xmod(groups["z4"]).act(1, 3) == 1
 
 
 def test_group_xmod_morphism_and_composition(groups, group_xmods, group_homs):
@@ -267,3 +277,63 @@ def test_conj_xmod_morphism(groups, group_xmods, group_homs):
     rm = conj_xmod_morphism(m)
     assert rm.f1.map == m.f1.map
     assert rm.f0.map == m.f0.map
+
+
+def test_conj_xmod_morphism_builds_each_conjugation_rack_once(monkeypatch):
+    """Conj A3 and Conj S3 for the source, Conj S3 twice for the target:
+    f1 and f0 are validated between those racks, not between rebuilt ones."""
+    m = dict(corpus.group_morphism_corpus())["a3_to_identity"]
+    sizes = []
+    real = racks_module.validate_rack
+
+    def counting(table, *args, **kwargs):
+        sizes.append(len(table))
+        return real(table, *args, **kwargs)
+
+    for module in (racks_module, xmod_module):
+        monkeypatch.setattr(module, "validate_rack", counting)
+    rm = conj_xmod_morphism(m)
+    assert sorted(sizes) == [3, 6, 6, 6]
+    assert (rm.f1.map, rm.f0.map) == (m.f1.map, m.f0.map)
+
+
+def test_validate_xmod_reads_the_law_family_from_the_boundary(rack_xmods, group_xmods):
+    for name, xm in {**rack_xmods, **group_xmods}.items():
+        assert validate_xmod(xm.boundary, xm.action) == xm, name
+
+
+def _action_mutations():
+    """Every corpus crossed module as it is, then with one action cell set
+    to each other element of its carrier."""
+    for kind, catalog in (("rack", corpus.rack_xmods()), ("group", corpus.group_xmods())):
+        for name, xm in catalog.items():
+            yield kind, name, xm, None, None, xm.action
+            for r, row in enumerate(xm.action):
+                for s, old in enumerate(row):
+                    for value in xm.dom.elements():
+                        if value != old:
+                            table = [list(t) for t in xm.action]
+                            table[r][s] = value
+                            yield kind, name, xm, (r, s), value, table
+
+
+# Pinned with the two validators that validate_xmod replaced:
+# validate_action followed by validate_rack_xmod for racks, and
+# validate_group_xmod for groups.
+MUTATION_DIGEST = "c6080c6d4ab87017aadea5cfb2b0b5725d98d9d217922c584c876d007a657db0"
+
+
+def test_validate_xmod_keeps_the_first_failure_of_every_mutated_action():
+    """Same class, law, message and witness on every one-cell mutation."""
+    digest = hashlib.sha256()
+    cases = 0
+    for kind, name, xm, cell, value, table in _action_mutations():
+        try:
+            validate_xmod(xm.boundary, table)
+            outcome = (None, None, None, None)
+        except AxiomError as exc:
+            outcome = (type(exc).__name__, exc.law, str(exc), exc.witness)
+        digest.update(repr((kind, name, cell, value) + outcome).encode())
+        cases += 1
+    assert cases == 855
+    assert digest.hexdigest() == MUTATION_DIGEST
