@@ -29,6 +29,7 @@ from .tables import FiniteStructure, Hom, identity_hom, validate_hom
 from .xmod import (
     XMod,
     XModMorphism,
+    _self_action,
     conj_xmod,
     validate_xmod,
     validate_xmod_morphism,
@@ -141,7 +142,7 @@ def pullback_xmod(source: XMod, phi: Hom) -> PullbackXMod:
         raise ValueError("hom does not land in the base of the crossed module")
     fp = fiber_product(source.boundary, phi)
     s_x = phi.dom
-    s_op = s_x.conj if isinstance(s_x, FiniteGroup) else s_x.op
+    s_op = _self_action(s_x)
     cols = [(sp,) for sp in s_x.elements()]
     table = _pair_table(
         "pullback action escapes the carrier", fp.pairs, fp.pairs, cols,

@@ -130,7 +130,8 @@ def test_validate_rack_xmod_x1_witness(racks):
 
 
 def test_validate_rack_xmod_endpoint_mismatch(racks):
-    with pytest.raises(ValueError):
+    """A table with t2's rows does not fit a boundary out of cs3."""
+    with pytest.raises(ValueError, match="action table has 2 rows, expected 6"):
         validate_xmod(
             identity_hom(racks["cs3"]), trivial_action(racks["t2"], racks["cs3"]).table
         )
@@ -233,6 +234,19 @@ def test_group_xmod_action_failures(groups):
     with pytest.raises(PeifferFail) as exc:
         validate_xmod(sgn, twist)
     assert exc.value.witness == (1, 1)
+    # S3 acting trivially on itself: an action by automorphisms that breaks
+    # both equivariance and Peiffer, and equivariance is checked first
+    ident, trivial = identity_hom(s3), [[m] * 6 for m in range(6)]
+    assert trivial[1][ident.map[2]] != s3.conj(1, 2)
+    with pytest.raises(EquivarianceFail) as exc:
+        validate_xmod(ident, trivial)
+    assert exc.value.witness == (1, 2)
+
+
+def test_group_xmod_laws_refuse_racks(rack_xmods):
+    xm = rack_xmods["a3r_cs3"]
+    with pytest.raises(ValueError, match="groups on both sides"):
+        xmod_module.validate_group_xmod(xm.boundary, xm.action)
 
 
 def test_inclusion_group_xmod(groups):
@@ -317,9 +331,10 @@ def _action_mutations():
                             yield kind, name, xm, (r, s), value, table
 
 
-# Pinned with the two validators that validate_xmod replaced:
-# validate_action followed by validate_rack_xmod for racks, and
-# validate_group_xmod for groups.
+# Pinned with the two validators that validate_xmod replaced, before their
+# law families moved under it: validate_action followed by
+# validate_rack_xmod(boundary, RackAction) for racks, and
+# validate_group_xmod(boundary, table) returning an XMod for groups.
 MUTATION_DIGEST = "c6080c6d4ab87017aadea5cfb2b0b5725d98d9d217922c584c876d007a657db0"
 
 
