@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import cache
 from pathlib import Path
 from typing import Any
 
@@ -352,7 +353,9 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------- glue
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="rackmod",
         description="validate, construct, and certify finite racks and crossed modules",

@@ -7,12 +7,24 @@ its homs into a finite group G are exactly the generator assignments under
 which every relator dies, and those coincide, as assignments, with the
 pointed rack homs X -> Conj(G).  The checks here verify that coincidence
 literally, as an equality of assignment sets.
+
+Both hom sets are searched in one solving order, read off the relators by
+``_solving_order``: the basepoint first, then, while one exists, the lowest
+generator that some relator determines from the generators already placed,
+so that a value is solved for as soon as it is determined instead of being
+guessed and rejected later (fail-first: Haralick and Elliott, 1980).  The
+relator of (p, q) reads the same three generators as the hom law
+f(p ◁ q) = f(p) ◁ f(q), so the rack search solves every variable the order
+solves, too.  ``check_adjunction_bijection`` runs each side once, re-checks
+every path of it against the other side's laws as it goes, and merges the
+two streams, which come out in the same order, pointer by pointer.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import product
 
 from .errors import BijectionFail
@@ -99,8 +111,44 @@ class HomSet:
         return len(self.maps)
 
 
+def _solving_order(p: Presentation) -> list[int]:
+    """``var[i]``, the variable that holds generator i in p's hom searches.
+
+    Generators are placed one at a time: the lowest generator that is the
+    only unplaced letter, read once, of some relator, since that relator
+    then solves for it; when there is none, the lowest unplaced generator.
+    The pointed relator puts the basepoint first.
+    """
+    n = len(p.generators)
+    words = [_compile_word(w) for w in p.relators + (p.pointed_relator,)]
+    unplaced = [len(w) for w in words]  # letters of each word not yet placed
+    reads: list[dict[int, int]] = [{} for _ in range(n)]  # word -> letters of generator i
+    for r, word in enumerate(words):
+        for i, _ in word:
+            reads[i][r] = reads[i].get(r, 0) + 1
+    solvable = [word[0][0] for word in words if len(word) == 1]
+    heapify(solvable)
+    var: list = [None] * n
+    lowest = 0
+    for k in range(n):
+        while solvable and var[solvable[0]] is not None:
+            heappop(solvable)
+        if solvable:
+            i = heappop(solvable)
+        else:
+            while var[lowest] is not None:
+                lowest += 1
+            i = lowest
+        var[i] = k
+        for r, count in reads[i].items():
+            unplaced[r] -= count
+            if unplaced[r] == 1:
+                heappush(solvable, next(j for j, _ in words[r] if var[j] is None))
+    return var
+
+
 def _presented_hom_search(p: Presentation, g: FiniteGroup, var: Sequence[int], nvars: int):
-    """The domains and per-level test of an ``assignments`` search for p in g.
+    """The domains, by variable, and per-level test of an ``assignments`` search for p in g.
 
     Generator i is held by variable ``var[i]`` and ranges over g in index
     order; a relator is compiled once and filed under its last variable, so
@@ -108,6 +156,7 @@ def _presented_hom_search(p: Presentation, g: FiniteGroup, var: Sequence[int], n
     the identity and constrains nothing, so it is not filed.  When a relator
     filed at k reads k's generator x exactly once, w = u·x^±1·v, x is
     solved for: x^±1 = (v·u)^-1, which is the one value that kills w.
+    Variables that no generator of p holds get the domain None.
     """
     first_value = _word_evaluator(g)
     e = g.identity
@@ -127,22 +176,30 @@ def _presented_hom_search(p: Presentation, g: FiniteGroup, var: Sequence[int], n
                 return lambda assign: (first_value((solved,), assign),)
         return range(g.size)
 
-    domains = [domain(var[i]) for i in range(len(p.generators))]
+    domains: list = [None] * nvars
+    for i in range(len(p.generators)):
+        domains[var[i]] = domain(var[i])
     return domains, lambda k, assign: first_value(by_last[k], assign) == e
+
+
+def _search_in_solving_order(search, p: Presentation) -> tuple[tuple[int, ...], ...]:
+    """The maps that ``search(var, nvars)`` finds in p's solving order, sorted by element."""
+    var = _solving_order(p)
+    found = assignments(*search(var, len(var)))
+    return tuple(sorted(tuple(map(f.__getitem__, var)) for f in found))
 
 
 def enumerate_presented_homs(p: Presentation, g: FiniteGroup) -> HomSet:
     """All generator assignments killing every relator, in lexicographic order.
 
-    One ``assignments`` search, generator by generator.
+    One ``assignments`` search in p's solving order, sorted.
     """
-    n = len(p.generators)
-    maps = assignments(*_presented_hom_search(p, g, range(n), n))
-    return HomSet(f"<{','.join(p.generators)}>", f"group[{g.size}]", tuple(maps))
+    maps = _search_in_solving_order(lambda *v: _presented_hom_search(p, g, *v), p)
+    return HomSet(f"<{','.join(p.generators)}>", f"group[{g.size}]", maps)
 
 
 def _rack_hom_search(x: FiniteRack, y: FiniteRack, var: Sequence[int], nvars: int):
-    """The domains and per-level test of an ``assignments`` search for x -> y.
+    """The domains, by variable, and per-level test of an ``assignments`` search for x -> y.
 
     Element a is held by variable ``var[a]``: the basepoint's domain is y's
     basepoint, every other element ranges over y, and each pair law
@@ -150,7 +207,8 @@ def _rack_hom_search(x: FiniteRack, y: FiniteRack, var: Sequence[int], nvars: in
     A law filed at var[a] can force f(a): if a = p ◁ q with p and q set
     earlier, f(a) = f(p) ◁ f(q); if a = p with q and p ◁ q set earlier,
     f(a) is the one element whose image under y's column f(q), a
-    bijection, is f(p ◁ q).
+    bijection, is f(p ◁ q).  Variables that no element of x holds get the
+    domain None.
     """
     laws = hom_laws(x.table, var, nvars)
     yt = y.table
@@ -172,17 +230,20 @@ def _rack_hom_search(x: FiniteRack, y: FiniteRack, var: Sequence[int], nvars: in
                 return lambda f: (left_of[f[j]][f[l]],)
         return range(y.size)
 
-    domains = [domain(a) for a in range(x.size)]
+    domains: list = [None] * nvars
+    for a in range(x.size):
+        domains[var[a]] = domain(a)
     return domains, lambda k, f: laws_hold(laws[k], f, yt)
 
 
 def enumerate_rack_homs(x: FiniteRack, y: FiniteRack) -> HomSet:
     """All pointed rack homs x -> y, in lexicographic order.
 
-    One ``assignments`` search over the elements of x in index order.
+    One ``assignments`` search in the solving order of x's presentation,
+    sorted.
     """
-    maps = assignments(*_rack_hom_search(x, y, range(x.size), x.size))
-    return HomSet(f"rack[{x.size}]", f"rack[{y.size}]", tuple(maps))
+    maps = _search_in_solving_order(lambda *v: _rack_hom_search(x, y, *v), as_presentation(x))
+    return HomSet(f"rack[{x.size}]", f"rack[{y.size}]", maps)
 
 
 def enumerate_rack_homs_bruteforce(x: FiniteRack, y: FiniteRack) -> HomSet:
@@ -207,30 +268,76 @@ class AdjunctionReport:
     assignments: tuple[tuple[int, ...], ...]
 
 
+def _flagged(domains, own, other, n: int):
+    """The assignments that pass ``own``, each with whether it fails ``other``.
+
+    ``other`` never prunes: its verdict is carried down the path as a
+    per-level flag, so each distinct prefix is tested once.
+    """
+    broken = [False] * (n + 1)
+
+    def holds(k: int, f: list) -> bool:
+        if not own(k, f):
+            return False
+        broken[k + 1] = broken[k] or not other(k, f)
+        return True
+
+    for f in assignments(domains, holds):
+        yield f, broken[n]
+
+
 def check_adjunction_bijection(x: FiniteRack, g: FiniteGroup) -> AdjunctionReport:
     """Hom(X, Conj G) and Hom(As X, G) must coincide as assignment sets.
 
-    Each side is enumerated by its own machinery and each assignment is
-    re-verified against the other side's laws before comparison.
+    Both sides are searched in the solving order of x's presentation, each
+    pruned by its own laws only: the rack side by the hom laws into Conj G
+    and the basepoint, the presented side by the relators.  Along each
+    path the other side's laws are tested too, without pruning, so every
+    map found is re-verified against them.  Both streams come out in the
+    same order and are merged in lockstep; only the rack maps are kept.
+    The first failure in lexicographic order is raised: a rack map that
+    breaks a relator or has no presented twin, and only then a presented
+    map that ``validate_hom`` rejects into Conj G or that has no rack twin.
     """
     cg = conj_rack(g)
-    rack_side = enumerate_rack_homs(x, cg)
     pres = as_presentation(x)
-    group_side = enumerate_presented_homs(pres, g)
-    rack_set = set(rack_side.maps)
-    group_set = set(group_side.maps)
-    first_value = _word_evaluator(g)
-    words = [_compile_word(w) for w in pres.relators + (pres.pointed_relator,)]
-    for m in rack_side.maps:
-        if first_value(words, m) != g.identity:
-            raise BijectionFail("rack", m)
-        if m not in group_set:
-            raise BijectionFail("rack", m)
-    for m in group_side.maps:
+    var, n = _solving_order(pres), x.size
+    rack_domains, rack_laws = _rack_hom_search(x, cg, var, n)
+    pres_domains, relators = _presented_hom_search(pres, g, var, n)
+    bp = var[x.basepoint]
+
+    def hom_laws_and_basepoint(k: int, f: list) -> bool:
+        return rack_laws(k, f) and (k != bp or f[k] == cg.basepoint)
+
+    rack_side = _flagged(rack_domains, rack_laws, relators, n)
+    pres_side = _flagged(pres_domains, relators, hom_laws_and_basepoint, n)
+    done = (None, False)
+    r, r_broken = next(rack_side, done)
+    p, p_broken = next(pres_side, done)
+    rack_maps: list[tuple[int, ...]] = []
+    bad_rack, bad_presented = [], []
+    presented = 0
+    while r is not None or p is not None:
+        take_r = p is None or (r is not None and r <= p)
+        take_p = r is None or (p is not None and p <= r)
+        if take_r:
+            rack_maps.append(tuple(map(r.__getitem__, var)))
+            if r_broken or not take_p:
+                bad_rack.append(rack_maps[-1])
+            r, r_broken = next(rack_side, done)
+        if take_p:
+            presented += 1
+            if p_broken or not take_r:
+                bad_presented.append(tuple(map(p.__getitem__, var)))
+            p, p_broken = next(pres_side, done)
+    if bad_rack:
+        raise BijectionFail("rack", min(bad_rack))
+    if bad_presented:
+        m = min(bad_presented)
         validate_hom(x, cg, m)
-        if m not in rack_set:
-            raise BijectionFail("presented", m)
-    return AdjunctionReport(rack_side.count, group_side.count, rack_side.maps)
+        raise BijectionFail("presented", m)
+    rack_maps.sort()
+    return AdjunctionReport(len(rack_maps), presented, tuple(rack_maps))
 
 
 @dataclass(frozen=True)
@@ -264,7 +371,8 @@ def check_xmod_adjunction(x: XMod, g: XMod) -> XModAdjunctionReport:
         def holds(k: int, f: list) -> bool:
             return test0(k, f) and test1(k, f) and squares_hold(squares[k], f, d, act)
 
-        return sorted((f[ns:], f[:ns]) for f in assignments(bottom + tops, holds))
+        domains = [b if b is not None else t for b, t in zip(bottom, tops)]
+        return sorted((f[ns:], f[:ns]) for f in assignments(domains, holds))
 
     rack_pairs = joint_pairs(_rack_hom_search, conj_xmod(g))
     group_pairs = joint_pairs(lambda r, h, *v: _presented_hom_search(as_presentation(r), h, *v), g)

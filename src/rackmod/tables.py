@@ -111,6 +111,8 @@ def validate_hom(dom: FiniteStructure, cod: FiniteStructure, mapping) -> Hom:
     """Check that the map keeps the distinguished element and the operation."""
     if type(dom) is not type(cod):
         raise ValueError(f"hom endpoints are a {type(dom).__name__} and a {type(cod).__name__}")
+    if not hasattr(dom, "basepoint"):
+        raise ValueError(f"a hom joins pointed racks or groups, not {type(dom).__name__}s")
     m = index_row(mapping, dom.size, cod.size, "hom map")
     bp = dom.basepoint
     if m[bp] != cod.basepoint:

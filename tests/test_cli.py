@@ -458,3 +458,38 @@ def test_usage_errors_exit_via_argparse():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, rack_xmods, rack_homs, group_xmods, group_homs, capsys):
+    """The parser is built once per process; calls with different subcommand
+    defaults, and a call after an argparse error, behave as on fresh parsers."""
+    rack_req = write(tmp_path, "rack.json", pullback_request(
+        rack_xmod_document(rack_xmods["identity_cz2"]), hom_document(rack_homs["sgn_rack"])))
+    group_req = write(tmp_path, "group.json", pullback_request(
+        group_xmod_document(group_xmods["a3_s3"]), hom_document(group_homs["z3_to_s3"])))
+    out = str(tmp_path / "o.json")
+    calls = [
+        ["construct", "pullback", group_req, "--out", out],
+        ["construct", "group-pullback", rack_req, "--out", out],
+        ["construct", "pullback", "--out"],
+        ["construct", "group-pullback", group_req, "--out", out],
+        ["construct", "pullback", rack_req, "--out", out],
+    ]
+
+    def run(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    cli._build_parser.cache_clear()
+    shared = [run(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 2, 2, 0, 0]
+    assert cli._build_parser() is cli._build_parser()

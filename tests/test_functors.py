@@ -23,8 +23,10 @@ from rackmod import (
     product_rack,
 )
 from rackmod import corpus, functors
-from rackmod.errors import BijectionFail
-from rackmod.functors import HomSet, Presentation, enumerate_rack_homs_bruteforce
+from rackmod.errors import BijectionFail, HomBasepointFail, HomLawFail
+from rackmod.functors import Presentation, enumerate_rack_homs_bruteforce
+from rackmod.search import assignments
+from rackmod.tables import validate_hom
 
 
 def test_presentation_of_the_trivial_rack(racks):
@@ -233,6 +235,53 @@ def test_presented_homs_match_unpruned_rack_homs_on_all_small_racks():
         assert presented.maps == unpruned, name
 
 
+def _in_variable_order(m, var, nvars):
+    out = [None] * nvars
+    for a, v in enumerate(m):
+        out[var[a]] = v
+    return out
+
+
+def _admitting(search, *extras):
+    """``search`` with its domains widened and its test relaxed to also admit ``extras``."""
+
+    def tampered(*args):
+        var, nvars = args[-2:]
+        domains, holds = search(*args)
+        wants = [_in_variable_order(m, var, nvars) for m in extras]
+
+        def widened(k, domain):
+            def values(f):
+                found = domain(f) if callable(domain) else domain
+                return sorted({*found, *(w[k] for w in wants if f[:k] == w[:k])})
+
+            return values
+
+        def admits(k, f):
+            return holds(k, f) or any(f[: k + 1] == w[: k + 1] for w in wants)
+
+        return [widened(k, d) for k, d in enumerate(domains)], admits
+
+    return tampered
+
+
+def _rejecting(search, missing):
+    """``search`` with the last value of ``missing`` dropped from its last domain."""
+
+    def tampered(*args):
+        var, nvars = args[-2:]
+        domains, holds = search(*args)
+        lost, last = _in_variable_order(missing, var, nvars), domains[-1]
+
+        def values(f):
+            found = last(f) if callable(last) else last
+            return [v for v in found if f[: nvars - 1] + [v] != lost]
+
+        return domains[:-1] + [values], holds
+
+    return tampered
+
+
 def test_adjunction_rejects_a_tampered_rack_side(monkeypatch, racks, groups):
     """An extra assignment on the rack side must fail the relator re-check."""
     real = functors.enumerate_rack_homs
@@ -242,12 +291,110 @@ def test_adjunction_rejects_a_tampered_rack_side(monkeypatch, racks, groups):
     extra = (0, 1, 0, 0, 0, 0)
     assert extra not in real(x, conj_rack(g)).maps
 
-    def tampered(dom, cod):
-        hs = real(dom, cod)
-        return HomSet(hs.source, hs.target, hs.maps + (extra,))
-
-    monkeypatch.setattr(functors, "enumerate_rack_homs", tampered)
+    monkeypatch.setattr(functors, "_rack_hom_search", _admitting(functors._rack_hom_search, extra))
     with pytest.raises(BijectionFail) as exc:
         check_adjunction_bijection(x, g)
     assert exc.value.side == "rack"
     assert exc.value.witness == extra
+
+
+def test_adjunction_rejects_a_tampered_presented_side(monkeypatch, racks, groups):
+    """An extra presented assignment that breaks a rack law must fail the
+    re-check with the law and witness that ``validate_hom`` reports."""
+    x, g = racks["cs3"], groups["z2"]
+    extra = (0, 1, 0, 0, 0, 0)
+    with pytest.raises(HomLawFail) as expected:
+        validate_hom(x, conj_rack(g), extra)
+    assert extra not in enumerate_presented_homs(as_presentation(x), g).maps
+
+    monkeypatch.setattr(
+        functors, "_presented_hom_search", _admitting(functors._presented_hom_search, extra)
+    )
+    with pytest.raises(HomLawFail) as exc:
+        check_adjunction_bijection(x, g)
+    assert exc.value.witness == expected.value.witness
+
+
+def test_adjunction_rejects_an_unpointed_presented_assignment(monkeypatch, racks, groups):
+    """A presented assignment that moves the basepoint fails ``validate_hom``'s
+    basepoint check, not a hom law."""
+    x, g = racks["t2"], groups["z2"]
+    extra = (1, 1)
+    monkeypatch.setattr(
+        functors, "_presented_hom_search", _admitting(functors._presented_hom_search, extra)
+    )
+    with pytest.raises(HomBasepointFail) as exc:
+        check_adjunction_bijection(x, g)
+    assert exc.value.witness == (0, 1)
+
+
+def test_reversed_variable_order_finds_the_same_hom_sets():
+    """Domains are placed by variable, so any order finds the same maps."""
+    for name, x, g in corpus.adjunction_pairs():
+        n = x.size
+        pres = as_presentation(x)
+        for search in (
+            lambda *v: functors._rack_hom_search(x, conj_rack(g), *v),
+            lambda *v: functors._presented_hom_search(pres, g, *v),
+        ):
+            found = {}
+            for var in (range(n), range(n - 1, -1, -1)):
+                maps = assignments(*search(var, n))
+                found[var.step] = {tuple(f[var[a]] for a in range(n)) for f in maps}
+            assert found[1] == found[-1], name
+
+
+def test_solving_order_puts_the_basepoint_first_and_solves_what_it_can(racks):
+    x = racks["cs3"]
+    var = functors._solving_order(as_presentation(x))
+    assert sorted(var) == list(range(x.size))
+    assert var[x.basepoint] == 0
+    # e, then (23) and (12) free; (13) = (23) ◁ (12) solved; (123) free
+    # again, and (132) = (123) ◁ (23) solved
+    order = sorted(range(x.size), key=var.__getitem__)
+    assert order == [0, 1, 2, 5, 3, 4]
+
+
+@pytest.mark.parametrize(
+    "builder,expected",
+    [("_rack_hom_search", BijectionFail("rack", (0, 0, 0, 0, 0, 1))), ("_presented_hom_search", HomLawFail(1, 2))],
+)
+def test_adjunction_reports_the_least_bad_map(monkeypatch, racks, groups, builder, expected):
+    """The witness comes from the least bad map by element, a, not from the
+    first one found: cs3 places (13) before the 3-cycles, so b comes first."""
+    x, g = racks["cs3"], groups["z2"]
+    a, b = (0, 0, 0, 0, 0, 1), (0, 0, 0, 1, 0, 0)
+    monkeypatch.setattr(functors, builder, _admitting(getattr(functors, builder), b, a))
+    with pytest.raises(type(expected)) as exc:
+        check_adjunction_bijection(x, g)
+    assert exc.value.witness == expected.witness
+    assert getattr(exc.value, "side", None) == getattr(expected, "side", None)
+
+
+@pytest.mark.parametrize("side,builder", [("rack", "_presented_hom_search"), ("presented", "_rack_hom_search")])
+def test_adjunction_rejects_a_map_missing_from_one_side(monkeypatch, racks, groups, side, builder):
+    """A hom that one side's search loses, here by a wrong domain that its
+    test never sees, is reported from the other side."""
+    x, g = racks["cs3"], groups["s3"]
+    missing = enumerate_rack_homs(x, conj_rack(g)).maps[5]
+    monkeypatch.setattr(functors, builder, _rejecting(getattr(functors, builder), missing))
+    with pytest.raises(BijectionFail) as exc:
+        check_adjunction_bijection(x, g)
+    assert (exc.value.side, exc.value.witness) == (side, missing)
+
+
+def test_adjunction_rechecks_the_basepoint_of_presented_maps(monkeypatch, racks, groups):
+    """When both searches admit a map that moves the basepoint, the presented
+    side's basepoint re-check still rejects it."""
+    x, g = racks["t2"], groups["z2"]
+    for builder in ("_rack_hom_search", "_presented_hom_search"):
+        monkeypatch.setattr(functors, builder, _admitting(getattr(functors, builder), (1, 1)))
+    with pytest.raises(HomBasepointFail) as exc:
+        check_adjunction_bijection(x, g)
+    assert exc.value.witness == (0, 1)
+
+
+def test_flagged_search_marks_paths_without_pruning():
+    """The other test only flags a path, from the first level where it fails."""
+    found = list(functors._flagged([range(2), range(2)], lambda k, f: True, lambda k, f: f[k] == 0, 2))
+    assert found == [((0, 0), False), ((0, 1), True), ((1, 0), True), ((1, 1), True)]

@@ -13,6 +13,7 @@ from rackmod import (
     core_rack,
     cyclic_group,
     identity_hom,
+    identity_xmod,
     inclusion_rack_hom,
     is_normal_subrack,
     kernel,
@@ -25,6 +26,7 @@ from rackmod import (
     validate_rack,
     validate_unpointed_rack,
 )
+from rackmod import corpus
 from rackmod.errors import (
     AxiomError,
     BasepointMissing,
@@ -184,6 +186,14 @@ def test_rack_hom_failures(racks):
         validate_hom(v3, v3, [0, 1, 1])
     assert exc.value.witness == (1, 1)
 
+
+
+def test_homs_refuse_unpointed_racks():
+    """A hom keeps the distinguished element, which an unpointed rack lacks."""
+    r3 = corpus.unpointed_racks()["r3"]
+    for call in (lambda: validate_hom(r3, r3, [0, 1, 2]), lambda: identity_hom(r3), lambda: identity_xmod(r3)):
+        with pytest.raises(ValueError, match="pointed racks or groups, not UnpointedRacks"):
+            call()
 
 def test_compose_rack_homs(racks, rack_homs):
     incl = rack_homs["incl_a3r_cs3"]
