@@ -15,9 +15,11 @@ so that a value is solved for as soon as it is determined instead of being
 guessed and rejected later (fail-first: Haralick and Elliott, 1980).  The
 relator of (p, q) reads the same three generators as the hom law
 f(p ◁ q) = f(p) ◁ f(q), so the rack search solves every variable the order
-solves, too.  ``check_adjunction_bijection`` runs each side once, re-checks
-every path of it against the other side's laws as it goes, and merges the
-two streams, which come out in the same order, pointer by pointer.
+solves, too.  Both adjunction checks walk the union of the two sides'
+search trees once (``_both_sides``): each node is tested by the laws of
+every side still alive on its path, and a leaf that only one side reaches is
+a map missing from the other.  Each side is pruned by its own filed laws
+only, so a map that both sides' laws wrongly admit is not caught.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ class Presentation:
 
 
 def as_presentation(x: FiniteRack) -> Presentation:
+    if not isinstance(x, FiniteRack):
+        raise ValueError(f"a presentation needs a pointed rack, got a {type(x).__name__}")
     gens = tuple(x.label(a) if x.labels else f"x{a}" for a in x.elements())
     relators = tuple(
         (-(b + 1), -(a + 1), (b + 1), (x.table[a][b] + 1))
@@ -268,76 +272,106 @@ class AdjunctionReport:
     assignments: tuple[tuple[int, ...], ...]
 
 
-def _flagged(domains, own, other, n: int):
-    """The assignments that pass ``own``, each with whether it fails ``other``.
+def _both_sides(rack, presented, n: int):
+    """Every leaf of the union of two searches' trees, with which sides reach it.
 
-    ``other`` never prunes: its verdict is carried down the path as a
-    per-level flag, so each distinct prefix is tested once.
+    ``rack`` and ``presented`` are each the (domains, test) of an
+    ``assignments`` search over the same n variables.  One walk serves
+    both: a path carries the pair (rack alive, presented alive), level k
+    offers the values of each side still alive, as they are when the two
+    offers are equal and as their sorted union otherwise, and a value
+    keeps a side alive only if that side offered it and its own test
+    passes.  A path is abandoned once neither side is alive, so each side's
+    live leaves are exactly those its own search yields, and every node is
+    tested once per side alive on it.
     """
-    broken = [False] * (n + 1)
+    (rack_domains, rack_test), (pres_domains, pres_test) = rack, presented
+    alive = [(True, True)] + [None] * n  # alive[k]: the sides alive above level k
+    offers: list = [None] * n  # offers[k]: both sides' offers at level k, None if equal
+
+    def joint(k: int):
+        r_domain, p_domain = rack_domains[k], pres_domains[k]
+
+        def values(f: list):
+            r_on, p_on = alive[k]
+            r = (r_domain(f) if callable(r_domain) else r_domain) if r_on else ()
+            p = (p_domain(f) if callable(p_domain) else p_domain) if p_on else ()
+            if r == p:
+                offers[k] = None
+                return r
+            offers[k] = r, p
+            return sorted({*r, *p})
+
+        return values
 
     def holds(k: int, f: list) -> bool:
-        if not own(k, f):
-            return False
-        broken[k + 1] = broken[k] or not other(k, f)
-        return True
+        offered = offers[k]  # a side that is not alive offers nothing
+        if offered is None:
+            sides = rack_test(k, f), pres_test(k, f)
+        else:
+            v = f[k]
+            sides = v in offered[0] and rack_test(k, f), v in offered[1] and pres_test(k, f)
+        alive[k + 1] = sides
+        return sides[0] or sides[1]
 
-    for f in assignments(domains, holds):
-        yield f, broken[n]
+    for f in assignments([joint(k) for k in range(n)], holds):
+        yield f, alive[n]
+
+
+def _shared_leaves(rack, presented, n: int, key, explain=None) -> tuple:
+    """``key`` of every leaf of ``_both_sides`` that both sides reach, sorted.
+
+    A leaf that only one side reaches is a bad map of that side.  The least
+    bad rack key raises ``BijectionFail("rack", ...)``; only then the least
+    bad presented key is passed to ``explain``, which may raise a more
+    specific failure, and raises ``BijectionFail("presented", ...)``.
+    """
+    shared: list = []
+    bad_rack: list = []
+    bad_presented: list = []
+    for f, (r, p) in _both_sides(rack, presented, n):
+        (shared if r and p else bad_rack if r else bad_presented).append(key(f))
+    if bad_rack:
+        raise BijectionFail("rack", min(bad_rack))
+    if bad_presented:
+        m = min(bad_presented)
+        if explain is not None:
+            explain(m)
+        raise BijectionFail("presented", m)
+    shared.sort()
+    return tuple(shared)
 
 
 def check_adjunction_bijection(x: FiniteRack, g: FiniteGroup) -> AdjunctionReport:
     """Hom(X, Conj G) and Hom(As X, G) must coincide as assignment sets.
 
-    Both sides are searched in the solving order of x's presentation, each
-    pruned by its own laws only: the rack side by the hom laws into Conj G
-    and the basepoint, the presented side by the relators.  Along each
-    path the other side's laws are tested too, without pruning, so every
-    map found is re-verified against them.  Both streams come out in the
-    same order and are merged in lockstep; only the rack maps are kept.
-    The first failure in lexicographic order is raised: a rack map that
-    breaks a relator or has no presented twin, and only then a presented
-    map that ``validate_hom`` rejects into Conj G or that has no rack twin.
+    Both sides are searched in one walk over the union of their search
+    trees (``_both_sides``), in the solving order of x's presentation.
+    Each side is pruned by its own filed laws only: the rack side by the
+    hom laws into Conj G and the basepoint, the presented side by the
+    relators.  A leaf that only one side reaches is a bad map of that
+    side.  The least bad rack map is raised first; only then the least bad
+    presented map, through ``validate_hom`` into Conj G when it breaks a
+    rack law.  So a map that both sides' filed laws wrongly admit is not
+    caught here.
     """
     cg = conj_rack(g)
     pres = as_presentation(x)
     var, n = _solving_order(pres), x.size
     rack_domains, rack_laws = _rack_hom_search(x, cg, var, n)
-    pres_domains, relators = _presented_hom_search(pres, g, var, n)
     bp = var[x.basepoint]
 
     def hom_laws_and_basepoint(k: int, f: list) -> bool:
         return rack_laws(k, f) and (k != bp or f[k] == cg.basepoint)
 
-    rack_side = _flagged(rack_domains, rack_laws, relators, n)
-    pres_side = _flagged(pres_domains, relators, hom_laws_and_basepoint, n)
-    done = (None, False)
-    r, r_broken = next(rack_side, done)
-    p, p_broken = next(pres_side, done)
-    rack_maps: list[tuple[int, ...]] = []
-    bad_rack, bad_presented = [], []
-    presented = 0
-    while r is not None or p is not None:
-        take_r = p is None or (r is not None and r <= p)
-        take_p = r is None or (p is not None and p <= r)
-        if take_r:
-            rack_maps.append(tuple(map(r.__getitem__, var)))
-            if r_broken or not take_p:
-                bad_rack.append(rack_maps[-1])
-            r, r_broken = next(rack_side, done)
-        if take_p:
-            presented += 1
-            if p_broken or not take_r:
-                bad_presented.append(tuple(map(p.__getitem__, var)))
-            p, p_broken = next(pres_side, done)
-    if bad_rack:
-        raise BijectionFail("rack", min(bad_rack))
-    if bad_presented:
-        m = min(bad_presented)
-        validate_hom(x, cg, m)
-        raise BijectionFail("presented", m)
-    rack_maps.sort()
-    return AdjunctionReport(len(rack_maps), presented, tuple(rack_maps))
+    maps = _shared_leaves(
+        (rack_domains, hom_laws_and_basepoint),
+        _presented_hom_search(pres, g, var, n),
+        n,
+        lambda f: tuple(map(f.__getitem__, var)),
+        lambda m: validate_hom(x, cg, m),
+    )
+    return AdjunctionReport(len(maps), len(maps), maps)
 
 
 @dataclass(frozen=True)
@@ -350,20 +384,23 @@ class XModAdjunctionReport:
 def check_xmod_adjunction(x: XMod, g: XMod) -> XModAdjunctionReport:
     """Crossed-module morphisms into Conj(g) against presented assignment pairs.
 
-    Each side is one ``assignments`` search that sets f0 on x's base and
-    then f1 on its carrier.  The rack side tests the pointed rack hom laws
-    into Conj(g), the group side kills the relators of both presentations
-    in g, and both test the boundary and action squares of ``xmod_squares``
-    against their own target once the last coordinate of each is set.  So
-    each side yields exactly the pairs of its two hom sets whose squares
-    commute.  The two sides must be literally equal.
+    Each side is a search that sets f0 on x's base and then f1 on its
+    carrier.  The rack side tests the pointed rack hom laws into Conj(g),
+    the group side kills the relators of both presentations in g, and both
+    test the boundary and action squares of ``xmod_squares`` against their
+    own target once the last coordinate of each is set.  So each side
+    reaches exactly the pairs of its two hom sets whose squares commute.
+    Both are walked at once by ``_both_sides``, and the two sides must be
+    literally equal: the least pair (f1, f0) that only the rack side
+    reaches is raised first, then the least that only the group side
+    reaches.
     """
     ns, n = x.cod.size, x.cod.size + x.dom.size
     base, top = range(ns), range(ns, n)
     squares = xmod_squares(x, top, base, n)
 
-    def joint_pairs(search, target):
-        """Every (f1, f0) of search's homs into target whose squares commute, ascending."""
+    def joint_search(search, target):
+        """The domains and test of search's hom pairs into target whose squares commute."""
         bottom, test0 = search(x.cod, target.cod, base, n)
         tops, test1 = search(x.dom, target.dom, top, n)
         d, act = target.boundary.map, target.act
@@ -371,17 +408,9 @@ def check_xmod_adjunction(x: XMod, g: XMod) -> XModAdjunctionReport:
         def holds(k: int, f: list) -> bool:
             return test0(k, f) and test1(k, f) and squares_hold(squares[k], f, d, act)
 
-        domains = [b if b is not None else t for b, t in zip(bottom, tops)]
-        return sorted((f[ns:], f[:ns]) for f in assignments(domains, holds))
+        return [b if b is not None else t for b, t in zip(bottom, tops)], holds
 
-    rack_pairs = joint_pairs(_rack_hom_search, conj_xmod(g))
-    group_pairs = joint_pairs(lambda r, h, *v: _presented_hom_search(as_presentation(r), h, *v), g)
-    rack_set = set(rack_pairs)
-    group_set = set(group_pairs)
-    for pair in rack_pairs:
-        if pair not in group_set:
-            raise BijectionFail("rack", pair)
-    for pair in group_pairs:
-        if pair not in rack_set:
-            raise BijectionFail("presented", pair)
-    return XModAdjunctionReport(len(rack_pairs), len(group_pairs), tuple(rack_pairs))
+    rack = joint_search(_rack_hom_search, conj_xmod(g))
+    group = joint_search(lambda r, h, *v: _presented_hom_search(as_presentation(r), h, *v), g)
+    pairs = _shared_leaves(rack, group, n, lambda f: (f[ns:], f[:ns]))
+    return XModAdjunctionReport(len(pairs), len(pairs), pairs)

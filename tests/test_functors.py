@@ -4,6 +4,7 @@ Hom counts pinned here were computed by the unpruned enumerator and agree
 with the backtracking one; they are frozen as regression oracles.
 """
 
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -242,6 +243,11 @@ def _in_variable_order(m, var, nvars):
     return out
 
 
+def _agrees(f, w, upto):
+    """Whether f equals w on the variables below ``upto`` that w holds."""
+    return all(v is None or f[i] == v for i, v in enumerate(w[:upto]))
+
+
 def _admitting(search, *extras):
     """``search`` with its domains widened and its test relaxed to also admit ``extras``."""
 
@@ -253,12 +259,12 @@ def _admitting(search, *extras):
         def widened(k, domain):
             def values(f):
                 found = domain(f) if callable(domain) else domain
-                return sorted({*found, *(w[k] for w in wants if f[:k] == w[:k])})
+                return sorted({*found, *(w[k] for w in wants if _agrees(f, w, k))})
 
-            return values
+            return values if domain is not None else None
 
         def admits(k, f):
-            return holds(k, f) or any(f[: k + 1] == w[: k + 1] for w in wants)
+            return holds(k, f) or any(w[k] is not None and _agrees(f, w, k + 1) for w in wants)
 
         return [widened(k, d) for k, d in enumerate(domains)], admits
 
@@ -266,16 +272,20 @@ def _admitting(search, *extras):
 
 
 def _rejecting(search, missing):
-    """``search`` with the last value of ``missing`` dropped from its last domain."""
+    """``search`` with the last value of ``missing`` dropped from its last domain,
+    if the search holds the last variable."""
 
     def tampered(*args):
         var, nvars = args[-2:]
         domains, holds = search(*args)
-        lost, last = _in_variable_order(missing, var, nvars), domains[-1]
+        last = domains[-1]
+        if last is None:
+            return domains, holds
+        lost = _in_variable_order(missing, var, nvars)
 
         def values(f):
             found = last(f) if callable(last) else last
-            return [v for v in found if f[: nvars - 1] + [v] != lost]
+            return [v for v in found if v != lost[-1] or not _agrees(f, lost, nvars - 1)]
 
         return domains[:-1] + [values], holds
 
@@ -384,8 +394,9 @@ def test_adjunction_rejects_a_map_missing_from_one_side(monkeypatch, racks, grou
 
 
 def test_adjunction_rechecks_the_basepoint_of_presented_maps(monkeypatch, racks, groups):
-    """When both searches admit a map that moves the basepoint, the presented
-    side's basepoint re-check still rejects it."""
+    """When both builders admit a map that moves the basepoint, the rack
+    side's basepoint test still drops it, so the presented side reports it
+    with ``validate_hom``'s basepoint failure."""
     x, g = racks["t2"], groups["z2"]
     for builder in ("_rack_hom_search", "_presented_hom_search"):
         monkeypatch.setattr(functors, builder, _admitting(getattr(functors, builder), (1, 1)))
@@ -394,7 +405,69 @@ def test_adjunction_rechecks_the_basepoint_of_presented_maps(monkeypatch, racks,
     assert exc.value.witness == (0, 1)
 
 
-def test_flagged_search_marks_paths_without_pruning():
-    """The other test only flags a path, from the first level where it fails."""
-    found = list(functors._flagged([range(2), range(2)], lambda k, f: True, lambda k, f: f[k] == 0, 2))
-    assert found == [((0, 0), False), ((0, 1), True), ((1, 0), True), ((1, 1), True)]
+def test_both_sides_walks_the_union_of_two_search_trees():
+    """A side is alive on a path until the first level where it rejects or
+    did not offer the value; a path is kept while either side is alive, and
+    each level offers the union of the live sides' values."""
+    rack = [range(2), (0, 1)], lambda k, f: f[k] != 1
+    presented = [range(2), range(3)], lambda k, f: f[: k + 1] != [1, 2]
+    found = list(functors._both_sides(rack, presented, 2))
+    assert found == [
+        ((0, 0), (True, True)),
+        ((0, 1), (False, True)),  # the rack side rejects 1 at level 1
+        ((0, 2), (False, True)),  # the rack side did not offer 2
+        ((1, 0), (False, True)),  # dead since level 0, though its test passes here
+        ((1, 1), (False, True)),
+    ]  # (1, 2): neither side alive
+
+
+def test_adjunction_and_presentations_refuse_groups_and_unpointed_racks(groups, group_xmods):
+    """A group's multiplication table is not a rack table, and an unpointed
+    rack has no basepoint to kill."""
+    with pytest.raises(ValueError, match="pointed rack"):
+        check_adjunction_bijection(groups["s3"], groups["s3"])
+    s3 = group_xmods["identity_s3"]
+    with pytest.raises(ValueError, match="pointed rack"):
+        check_xmod_adjunction(s3, s3)
+    r3 = corpus.unpointed_racks()["r3"]
+    with pytest.raises(ValueError, match="pointed rack"):
+        enumerate_rack_homs(r3, r3)
+
+
+@pytest.mark.parametrize(
+    "gname,count,digest",
+    [
+        ("s3", 342, "ce21f7a0b4c6ff251cb05b9d4e93ff50623e8f9ca8f1061e3a26008e968bdc2a"),
+        ("z6", 7776, "397741d61f1cb5239efb59657e6dcceede7ea82b6236045e4c87b1ebc220bfe7"),
+    ],
+)
+def test_adjunction_on_the_benchmark_domain(racks, groups, gname, count, digest):
+    """cs3×cz2 is the domain of perfbench's certify-ladder adjunction jobs;
+    into Z6 its 6^5 maps on the five orbits are all homs."""
+    report = check_adjunction_bijection(product_rack(racks["cs3"], racks["cz2"]), groups[gname])
+    assert (report.rack_hom_count, report.presented_hom_count) == (count, count)
+    assert hashlib.sha256(repr(report.assignments).encode()).hexdigest() == digest
+
+
+def test_xmod_adjunction_reports_the_least_bad_rack_pair(monkeypatch, rack_xmods, group_xmods):
+    """Rack homs cs3 -> Conj S3 that move only the basepoint pass every
+    square of the identity crossed modules but no pointed relator."""
+    a, b = (1, 0, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0)
+    monkeypatch.setattr(functors, "_rack_hom_search", _admitting(functors._rack_hom_search, b, a))
+    with pytest.raises(BijectionFail) as exc:
+        check_xmod_adjunction(rack_xmods["identity_cs3"], group_xmods["identity_s3"])
+    assert (exc.value.side, exc.value.witness) == ("rack", (a, a))
+
+
+@pytest.mark.parametrize("side,builder", [("rack", "_presented_hom_search"), ("presented", "_rack_hom_search")])
+def test_xmod_adjunction_rejects_a_pair_missing_from_one_side(
+    monkeypatch, rack_xmods, group_xmods, side, builder
+):
+    """A pair that one side's search loses is reported from the other side;
+    with identity boundaries f0 = f1, so losing f1 loses one pair."""
+    x, g = rack_xmods["identity_cs3"], group_xmods["identity_s3"]
+    missing = check_xmod_adjunction(x, g).pairs[5]
+    monkeypatch.setattr(functors, builder, _rejecting(getattr(functors, builder), missing[0]))
+    with pytest.raises(BijectionFail) as exc:
+        check_xmod_adjunction(x, g)
+    assert (exc.value.side, exc.value.witness) == (side, missing)
