@@ -55,7 +55,7 @@ from .interchange import (
     unpointed_rack_document,
     write_document,
 )
-from .isomorphism import enumerate_pointed_racks
+from .isomorphism import ENUMERATION_CEILING, enumerate_pointed_racks
 from .pullback import (
     check_conj_preserves_pullback,
     fiber_product,
@@ -318,18 +318,13 @@ _CATALOGS = (
 )
 
 
-# The largest order whose enumeration finishes in seconds (order 6: about 2 s;
-# order 7 does not finish in practical time).
-CORPUS_CEILING = 6
-
-
 def cmd_corpus(args: argparse.Namespace) -> int:
     bound = args.bound
     if bound < 1:
         raise ParseError(f"bound must be at least 1, got {bound}")
-    if bound > CORPUS_CEILING:
-        raise BoundExceeded(f"corpus bound {bound} is above the ceiling {CORPUS_CEILING}")
-    per_size = {n: enumerate_pointed_racks(n, bound=bound) for n in range(1, bound + 1)}
+    if bound > ENUMERATION_CEILING:
+        raise BoundExceeded(f"corpus bound {bound} is above the ceiling {ENUMERATION_CEILING}")
+    per_size = {n: enumerate_pointed_racks(n) for n in range(1, bound + 1)}
     for n, found in per_size.items():
         print(f"pointed racks of size {n}, up to isomorphism: {len(found)}")
     for prefix, catalog in _CATALOGS:
@@ -445,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--bound",
         type=int,
         default=3,
-        help=f"largest rack size, at most {CORPUS_CEILING} (default: 3)",
+        help=f"largest rack size, at most {ENUMERATION_CEILING} (default: 3)",
     )
     corpus.set_defaults(func=cmd_corpus)
 

@@ -14,12 +14,14 @@ generator that some relator determines from the generators already placed,
 so that a value is solved for as soon as it is determined instead of being
 guessed and rejected later (fail-first: Haralick and Elliott, 1980).  The
 relator of (p, q) reads the same three generators as the hom law
-f(p ◁ q) = f(p) ◁ f(q), so the rack search solves every variable the order
-solves, too.  Both adjunction checks walk the union of the two sides'
-search trees once (``_both_sides``): each node is tested by the laws of
-every side still alive on its path, and a leaf that only one side reaches is
-a map missing from the other.  Each side is pruned by its own filed laws
-only, so a map that both sides' laws wrongly admit is not caught.
+f(p ◁ q) = f(p) ◁ f(q), so the rack search, ``search.hom_search``, solves
+every variable the order solves, too; the crossed-module check joins each
+side's two hom searches with ``search.morphism_search``.  Both adjunction
+checks walk the union of the two sides' search trees once
+(``_both_sides``): each node is tested by the laws of every side still alive
+on its path, and a leaf that only one side reaches is a map missing from the
+other.  Each side is pruned by its own filed laws only, so a map that both
+sides' laws wrongly admit is not caught.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from itertools import product
 from .errors import BijectionFail
 from .groups import FiniteGroup
 from .racks import FiniteRack, conj_rack
-from .search import assignments, hom_laws, laws_hold, squares_hold, xmod_squares
+from .search import assignments, hom_search, morphism_search
 from .tables import validate_hom
 from .xmod import XMod, conj_xmod
 
@@ -79,6 +81,8 @@ def _word_evaluator(g: FiniteGroup):
     are bound once, so every relator test of a search and of its
     cross-checks, and ``evaluate_word``, run the same loop.
     """
+    if not isinstance(g, FiniteGroup):
+        raise ValueError(f"relators are evaluated in a group, not in a {type(g).__name__}")
     mul, inv, e = g.mul, g.inv, g.identity
 
     def first_value(words, assignment) -> int:
@@ -202,51 +206,13 @@ def enumerate_presented_homs(p: Presentation, g: FiniteGroup) -> HomSet:
     return HomSet(f"<{','.join(p.generators)}>", f"group[{g.size}]", maps)
 
 
-def _rack_hom_search(x: FiniteRack, y: FiniteRack, var: Sequence[int], nvars: int):
-    """The domains, by variable, and per-level test of an ``assignments`` search for x -> y.
-
-    Element a is held by variable ``var[a]``: the basepoint's domain is y's
-    basepoint, every other element ranges over y, and each pair law
-    f(p ◁ q) = f(p) ◁ f(q) is tested as soon as its last variable is set.
-    A law filed at var[a] can force f(a): if a = p ◁ q with p and q set
-    earlier, f(a) = f(p) ◁ f(q); if a = p with q and p ◁ q set earlier,
-    f(a) is the one element whose image under y's column f(q), a
-    bijection, is f(p ◁ q).  Variables that no element of x holds get the
-    domain None.
-    """
-    laws = hom_laws(x.table, var, nvars)
-    yt = y.table
-    # left_of[c][z] is the b with b ◁ c = z
-    left_of = [[0] * y.size for _ in range(y.size)]
-    for b, row in enumerate(yt):
-        for c, z in enumerate(row):
-            left_of[c][z] = b
-
-    def domain(a: int):
-        if a == x.basepoint:
-            return (y.basepoint,)
-        k = var[a]
-        for i, j, l in laws[k]:
-            if l == k and i < k and j < k:
-                return lambda f: (yt[f[i]][f[j]],)
-        for i, j, l in laws[k]:
-            if i == k and j < k and l < k:
-                return lambda f: (left_of[f[j]][f[l]],)
-        return range(y.size)
-
-    domains: list = [None] * nvars
-    for a in range(x.size):
-        domains[var[a]] = domain(a)
-    return domains, lambda k, f: laws_hold(laws[k], f, yt)
-
-
 def enumerate_rack_homs(x: FiniteRack, y: FiniteRack) -> HomSet:
     """All pointed rack homs x -> y, in lexicographic order.
 
     One ``assignments`` search in the solving order of x's presentation,
     sorted.
     """
-    maps = _search_in_solving_order(lambda *v: _rack_hom_search(x, y, *v), as_presentation(x))
+    maps = _search_in_solving_order(lambda *v: hom_search(x, y, *v), as_presentation(x))
     return HomSet(f"rack[{x.size}]", f"rack[{y.size}]", maps)
 
 
@@ -358,7 +324,7 @@ def check_adjunction_bijection(x: FiniteRack, g: FiniteGroup) -> AdjunctionRepor
     cg = conj_rack(g)
     pres = as_presentation(x)
     var, n = _solving_order(pres), x.size
-    rack_domains, rack_laws = _rack_hom_search(x, cg, var, n)
+    rack_domains, rack_laws = hom_search(x, cg, var, n)
     bp = var[x.basepoint]
 
     def hom_laws_and_basepoint(k: int, f: list) -> bool:
@@ -385,10 +351,11 @@ def check_xmod_adjunction(x: XMod, g: XMod) -> XModAdjunctionReport:
     """Crossed-module morphisms into Conj(g) against presented assignment pairs.
 
     Each side is a search that sets f0 on x's base and then f1 on its
-    carrier.  The rack side tests the pointed rack hom laws into Conj(g),
-    the group side kills the relators of both presentations in g, and both
-    test the boundary and action squares of ``xmod_squares`` against their
-    own target once the last coordinate of each is set.  So each side
+    carrier.  The rack side tests the pointed rack hom laws into Conj(g)
+    (``hom_search``), the group side kills the relators of both
+    presentations in g, and ``morphism_search`` joins each side's two
+    searches and tests the boundary and action squares against that side's
+    target once the last coordinate of each is set.  So each side
     reaches exactly the pairs of its two hom sets whose squares commute.
     Both are walked at once by ``_both_sides``, and the two sides must be
     literally equal: the least pair (f1, f0) that only the rack side
@@ -397,20 +364,12 @@ def check_xmod_adjunction(x: XMod, g: XMod) -> XModAdjunctionReport:
     """
     ns, n = x.cod.size, x.cod.size + x.dom.size
     base, top = range(ns), range(ns, n)
-    squares = xmod_squares(x, top, base, n)
 
-    def joint_search(search, target):
+    def side(search, target):
         """The domains and test of search's hom pairs into target whose squares commute."""
-        bottom, test0 = search(x.cod, target.cod, base, n)
-        tops, test1 = search(x.dom, target.dom, top, n)
-        d, act = target.boundary.map, target.act
+        bottom = search(x.cod, target.cod, base, n)
+        return morphism_search(x, target, top, base, search(x.dom, target.dom, top, n), bottom)
 
-        def holds(k: int, f: list) -> bool:
-            return test0(k, f) and test1(k, f) and squares_hold(squares[k], f, d, act)
-
-        return [b if b is not None else t for b, t in zip(bottom, tops)], holds
-
-    rack = joint_search(_rack_hom_search, conj_xmod(g))
-    group = joint_search(lambda r, h, *v: _presented_hom_search(as_presentation(r), h, *v), g)
-    pairs = _shared_leaves(rack, group, n, lambda f: (f[ns:], f[:ns]))
+    group = side(lambda r, h, *v: _presented_hom_search(as_presentation(r), h, *v), g)
+    pairs = _shared_leaves(side(hom_search, conj_xmod(g)), group, n, lambda f: (f[ns:], f[:ns]))
     return XModAdjunctionReport(len(pairs), len(pairs), pairs)

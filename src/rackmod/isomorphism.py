@@ -7,10 +7,12 @@ from itertools import permutations, product
 
 from .errors import AxiomError, BoundExceeded
 from .racks import FiniteRack, rack_orbits, validate_rack
-from .search import assignments, hom_laws, laws_hold
-from .tables import Hom, validate_hom
+from .search import assignments, hom_search
+from .tables import Hom, _check_endpoints, validate_hom
 
-DEFAULT_ENUMERATION_BOUND = 4
+# The largest order whose enumeration finishes in seconds (order 6: about 2 s;
+# order 7 does not finish in practical time).
+ENUMERATION_CEILING = 6
 BRUTEFORCE_LIMIT = 3
 
 
@@ -51,8 +53,10 @@ def _candidates(a: FiniteRack, b: FiniteRack) -> list[list[int]] | None:
     """For each element of a, the elements of b with its invariants, ascending.
 
     None when no bijection can match the invariants: the sizes or the
-    multisets of invariants differ.
+    multisets of invariants differ.  Endpoints that no hom joins raise the
+    ``ValueError`` of ``validate_hom`` before any invariant is read.
     """
+    _check_endpoints(a, b)
     if a.size != b.size:
         return None
     inv_a = element_invariants(a)
@@ -65,22 +69,22 @@ def _candidates(a: FiniteRack, b: FiniteRack) -> list[list[int]] | None:
 def _iso_maps(a: FiniteRack, b: FiniteRack) -> Iterator[tuple[int, ...]]:
     """Every pointed isomorphism a -> b as a map tuple, in search order.
 
-    One ``assignments`` search over the elements of a, most constrained
-    first (fewest candidates, ties by lowest index), each ranging over its
-    invariant-matched candidates; each hom law is tested once the last of
-    its three elements is assigned, and each image must be new.
+    One ``assignments`` search built by ``hom_search`` over the elements of
+    a, most constrained first (fewest candidates, ties by lowest index),
+    each ranging over its invariant-matched candidates or over the one value
+    a hom law forces, if it is a candidate; each image must also be new.
     """
     cands = _candidates(a, b)
     if cands is None:
         return
     order = sorted(range(a.size), key=lambda x: (len(cands[x]), x))
     var = [order.index(x) for x in range(a.size)]
-    laws = hom_laws(a.table, var, a.size)
+    domains, laws = hom_search(a, b, var, a.size, cands)
 
     def holds(k: int, img: list) -> bool:
-        return img.index(img[k]) == k and laws_hold(laws[k], img, b.table)
+        return img.index(img[k]) == k and laws(k, img)
 
-    for img in assignments([cands[x] for x in order], holds):
+    for img in assignments(domains, holds):
         yield tuple(img[v] for v in var)
 
 
@@ -99,7 +103,7 @@ def rack_automorphisms(r: FiniteRack) -> list[Hom]:
     return all_isomorphisms(r, r)
 
 
-def enumerate_pointed_racks(n: int, *, bound: int = DEFAULT_ENUMERATION_BOUND) -> list[FiniteRack]:
+def enumerate_pointed_racks(n: int) -> list[FiniteRack]:
     """All pointed racks of order n up to pointed isomorphism.
 
     Representatives carry basepoint 0 and are listed in lexicographic table
@@ -118,11 +122,13 @@ def enumerate_pointed_racks(n: int, *, bound: int = DEFAULT_ENUMERATION_BOUND) -
     column permutations, in that product's order.  Each is validated and
     deduplicated against the representatives found before it with the same
     sorted element invariants, the only ones it can be isomorphic to.
+    Orders above ``ENUMERATION_CEILING`` raise ``BoundExceeded`` before
+    anything is enumerated.
     """
     if n < 1:
         raise ValueError("rack order must be positive")
-    if n > bound:
-        raise BoundExceeded(f"order {n} exceeds the enumeration bound {bound}")
+    if n > ENUMERATION_CEILING:
+        raise BoundExceeded(f"order {n} exceeds the enumeration ceiling {ENUMERATION_CEILING}")
     table = [[0] * n for _ in range(n)]
     for a in range(1, n):
         table[a][0] = a

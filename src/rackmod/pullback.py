@@ -24,7 +24,7 @@ from .errors import (
 )
 from .groups import FiniteGroup, validate_group
 from .racks import validate_rack
-from .search import assignments, hom_laws, laws_hold, squares_hold, xmod_squares
+from .search import assignments, hom_search, morphism_search
 from .tables import FiniteStructure, Hom, identity_hom, validate_hom
 from .xmod import (
     XMod,
@@ -202,39 +202,32 @@ def verify_universal_property(
     Counts maps h (homomorphism or not) for which (h, id) is a morphism
     from mu_xmod to the pullback with phi_prime . h = f.  Exactly one must
     survive, and it must be the canonical mediating morphism.  The
-    basepoint and projection conditions each read one coordinate h[x], so
-    one ``assignments`` search ranges over the ascending lists of values
-    each coordinate allows, after the base map id as one-value domains, and
-    tests each hom law and each boundary and action square of
-    ``xmod_squares`` once its last coordinate is set: it yields exactly the
-    maps of the full product that pass all five conditions, in the same
-    order.
+    projection condition reads one coordinate h[x], so one ``assignments``
+    search, built by ``morphism_search`` over ``hom_search``es, sets the
+    base map to id and then h, each coordinate of h ranging over the
+    ascending values the projection allows, or over the one allowed value a
+    hom law forces.  ``hom_search`` pins the basepoint and tests each hom
+    law, and ``morphism_search`` each boundary and action square, once its
+    last coordinate is set: the search yields exactly the maps of the full
+    product that pass all five conditions, in the same order.
     ``search_space`` is the number of all set maps, carrier size to the
     power of the test carrier's.
     """
     med = mediating_morphism(pb, f, mu_xmod)
-    x_dom, carrier, n, ns = mu_xmod.dom, pb.carrier, mu_xmod.dom.size, mu_xmod.cod.size
-    x_bp, c_bp = x_dom.basepoint, carrier.basepoint
-    c_table, pb_act = carrier.table, pb.xmod.act
-    dstar, proj, fmap = pb.xmod.boundary.map, pb.phi_prime.map, f.map
-    allowed = [
-        [v for v in carrier.elements() if (x != x_bp or v == c_bp) and proj[v] == fmap[x]]
-        for x in range(n)
-    ]
+    x_dom, s_x, n, ns = mu_xmod.dom, mu_xmod.cod, mu_xmod.dom.size, mu_xmod.cod.size
+    proj, fmap = pb.phi_prime.map, f.map
+    allowed = [[v for v in pb.carrier.elements() if proj[v] == fmap[x]] for x in range(n)]
     # variables 0..ns-1 hold the base map id, ns..ns+n-1 hold h
     base, top = range(ns), range(ns, ns + n)
-    hom = hom_laws(x_dom.table, top, ns + n)
-    squares = xmod_squares(mu_xmod, top, base, ns + n)
-
-    def holds(k: int, h: list) -> bool:
-        return laws_hold(hom[k], h, c_table) and squares_hold(squares[k], h, dstar, pb_act)
-
-    satisfying = [h[ns:] for h in assignments([(s,) for s in base] + allowed, holds)]
+    identity = hom_search(s_x, s_x, base, ns + n, [(s,) for s in base])
+    h_search = hom_search(x_dom, pb.carrier, top, ns + n, allowed)
+    search = morphism_search(mu_xmod, pb.xmod, top, base, h_search, identity)
+    satisfying = [h[ns:] for h in assignments(*search)]
     if len(satisfying) != 1:
         raise UniquenessFail(len(satisfying), tuple(satisfying))
     if satisfying[0] != med.f1.map:
         raise ConstructionFail("the one factorization is not the mediating map", satisfying[0])
-    return UniversalityCertificate(med, 1, carrier.size**n)
+    return UniversalityCertificate(med, 1, pb.carrier.size**n)
 
 
 def pullback_on_morphisms(m: XModMorphism, phi: Hom) -> XModMorphism:

@@ -16,11 +16,19 @@ one value that constraint allows, and the search tries that value alone
 instead of scanning the whole domain (forward checking: Haralick and
 Elliott, "Increasing tree search efficiency for constraint satisfaction
 problems", Artificial Intelligence 14, 1980).
+
+Every search for homs, isomorphisms and crossed-module morphisms is built
+by the two builders here, which return the (domains, test) pair that
+``assignments`` takes: ``hom_search`` files the hom laws of one map and
+solves the values they force, and ``morphism_search`` joins a search for f1
+and one for f0 and files the squares of the morphism (``xmod_squares``).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
+
+from .tables import _check_endpoints
 
 
 def assignments(
@@ -54,27 +62,78 @@ def assignments(
     return extend(0)
 
 
-def hom_laws(table, var: Sequence[int], nvars: int) -> list[list[tuple[int, int, int]]]:
-    """The laws h(p ◁ q) = h(p) ◁ h(q) of a source table, filed by last variable.
+def hom_search(
+    dom, cod, var: Sequence[int], nvars: int, allowed: Sequence[Sequence[int]] | None = None
+):
+    """The domains, by variable, and per-level test of an ``assignments`` search for dom -> cod.
 
-    ``var[x]`` is the variable that holds h(x).  Entry k lists, as triples
-    (var[p], var[q], var[p ◁ q]), the laws whose largest variable is k;
-    ``laws_hold`` tests them against a target table.
+    dom and cod are both pointed racks or both groups; other endpoints raise
+    the ``ValueError`` of ``validate_hom``.  Element a is held by variable
+    ``var[a]`` and ranges over ``allowed[a]``, an ascending list, or else
+    over all of cod; the basepoint's domain is cod's basepoint, if allowed.
+    Each law f(p ◁ q) = f(p) ◁ f(q) is filed under its last variable and
+    tested there.  A law filed at var[a] can force f(a): if a = p ◁ q with p
+    and q set earlier, f(a) = f(p) ◁ f(q); if a = p with q and p ◁ q set
+    earlier, f(a) is the one element whose image under cod's column f(q), a
+    bijection, is f(p ◁ q).  The domain is then that value, or no value if
+    it is not allowed.  Variables that no element of dom holds get the
+    domain None.
     """
-    filed: list[list[tuple[int, int, int]]] = [[] for _ in range(nvars)]
-    for p, row in enumerate(table):
+    _check_endpoints(dom, cod)
+    laws: list[list[tuple[int, int, int]]] = [[] for _ in range(nvars)]
+    for p, row in enumerate(dom.table):
         for q, t in enumerate(row):
             law = (var[p], var[q], var[t])
-            filed[max(law)].append(law)
-    return filed
+            laws[max(law)].append(law)
+    yt = cod.table
+    # left_of[c][z] is the b with b ◁ c = z
+    left_of = [[0] * cod.size for _ in range(cod.size)]
+    for b, row in enumerate(yt):
+        for c, z in enumerate(row):
+            left_of[c][z] = b
+
+    def domain(a: int):
+        values = range(cod.size) if allowed is None else allowed[a]
+        k, ok = var[a], set(values)
+        if a == dom.basepoint:
+            return (cod.basepoint,) if cod.basepoint in ok else ()
+        for i, j, l in laws[k]:
+            if l == k and i < k and j < k:
+                return lambda f: (v,) if (v := yt[f[i]][f[j]]) in ok else ()
+        for i, j, l in laws[k]:
+            if i == k and j < k and l < k:
+                return lambda f: (v,) if (v := left_of[f[j]][f[l]]) in ok else ()
+        return values
+
+    def holds(k: int, f: list) -> bool:
+        for i, j, l in laws[k]:
+            if f[l] != yt[f[i]][f[j]]:
+                return False
+        return True
+
+    domains: list = [None] * nvars
+    for a in range(dom.size):
+        domains[var[a]] = domain(a)
+    return domains, holds
 
 
-def laws_hold(laws, assign, table) -> bool:
-    """Whether assign[l] == table[assign[i]][assign[j]] for each triple (i, j, l)."""
-    for i, j, l in laws:
-        if assign[l] != table[assign[i]][assign[j]]:
-            return False
-    return True
+def morphism_search(x, target, var1: Sequence[int], var0: Sequence[int], top, bottom):
+    """The domains and per-level test of an ``assignments`` search for x -> target.
+
+    ``top`` and ``bottom`` are the (domains, test) of searches for f1 and f0
+    over the same variables, where ``var1[r]`` holds f1(r) and ``var0[s]``
+    holds f0(s); each variable takes its domain from the search that holds
+    it.  A level passes when both tests pass and the boundary and action
+    squares of ``xmod_squares`` filed there commute in target.
+    """
+    (tops, test1), (bottoms, test0) = top, bottom
+    squares = xmod_squares(x, var1, var0, len(tops))
+    d, act = target.boundary.map, target.act
+
+    def holds(k: int, f: list) -> bool:
+        return test0(k, f) and test1(k, f) and squares_hold(squares[k], f, d, act)
+
+    return [b if b is not None else t for b, t in zip(bottoms, tops)], holds
 
 
 def xmod_squares(x, var1: Sequence[int], var0: Sequence[int], nvars: int) -> list:

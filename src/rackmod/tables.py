@@ -107,12 +107,17 @@ class Hom:
         return self.map[a]
 
 
-def validate_hom(dom: FiniteStructure, cod: FiniteStructure, mapping) -> Hom:
-    """Check that the map keeps the distinguished element and the operation."""
+def _check_endpoints(dom: FiniteStructure, cod: FiniteStructure) -> None:
+    """Refuse hom endpoints of different kinds, or without a basepoint."""
     if type(dom) is not type(cod):
         raise ValueError(f"hom endpoints are a {type(dom).__name__} and a {type(cod).__name__}")
     if not hasattr(dom, "basepoint"):
         raise ValueError(f"a hom joins pointed racks or groups, not {type(dom).__name__}s")
+
+
+def validate_hom(dom: FiniteStructure, cod: FiniteStructure, mapping) -> Hom:
+    """Check that the map keeps the distinguished element and the operation."""
+    _check_endpoints(dom, cod)
     m = index_row(mapping, dom.size, cod.size, "hom map")
     bp = dom.basepoint
     if m[bp] != cod.basepoint:

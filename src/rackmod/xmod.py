@@ -44,7 +44,7 @@ from .racks import (
     restrict_rack,
     validate_rack,
 )
-from .search import assignments, hom_laws, laws_hold, squares_hold, xmod_squares
+from .search import assignments, hom_search, morphism_search
 from .tables import FiniteStructure, Hom, compose_homs, identity_hom, rect_table, validate_hom
 
 
@@ -312,33 +312,28 @@ def compose_xmod_morphisms(m1: XModMorphism, m2: XModMorphism) -> XModMorphism:
 def find_xmod_isomorphism(a: XMod, b: XMod) -> XModMorphism | None:
     """The least crossed-module isomorphism a -> b by map tuples (f1, f0), if any.
 
-    One ``assignments`` search sets f1 on a's carrier and then f0 on its
-    base, each coordinate ranging in ascending order over the elements of b
-    with its invariants.  Both maps must be injective pointed rack homs, and
-    the boundary squares d_b f1(r) = f0 d_a(r) and the action squares
-    f1(r.s) = f1(r).f0(s), filed by ``xmod_squares``, must commute; each
-    law is tested once its last coordinate is set.  A bijective morphism is
-    an isomorphism of crossed modules, and the first hit is the least valid
-    pair.
+    One ``assignments`` search, built by ``morphism_search`` over two
+    ``hom_search``es, sets f1 on a's carrier and then f0 on its base, each
+    coordinate ranging in ascending order over the elements of b with its
+    invariants, or over the one value a hom law forces, if it is one of
+    them.  Both maps must be injective homs, and the boundary and action
+    squares must commute; each law is tested once its last coordinate is
+    set.  A bijective morphism is an isomorphism of crossed modules, and the
+    first hit is the least valid pair.
     """
     top, bottom = _candidates(a.dom, b.dom), _candidates(a.cod, b.cod)
     if top is None or bottom is None:
         return None
     m, n = len(top), len(bottom)
-    top_laws = hom_laws(a.dom.table, range(m), m + n)
-    bottom_laws = hom_laws(a.cod.table, range(m, m + n), m + n)
-    squares = xmod_squares(a, range(m), range(m, m + n), m + n)
+    var1, var0, nvars = range(m), range(m, m + n), m + n
+    f1 = hom_search(a.dom, b.dom, var1, nvars, top)
+    f0 = hom_search(a.cod, b.cod, var0, nvars, bottom)
+    domains, morphism = morphism_search(a, b, var1, var0, f1, f0)
 
     def holds(k: int, f: list) -> bool:
-        if k < m:
-            return f.index(f[k]) == k and laws_hold(top_laws[k], f, b.dom.table)
-        return (
-            f.index(f[k], m) == k
-            and laws_hold(bottom_laws[k], f, b.cod.table)
-            and squares_hold(squares[k], f, b.boundary.map, b.act)
-        )
+        return f.index(f[k], 0 if k < m else m) == k and morphism(k, f)
 
-    for f in assignments(top + bottom, holds):
+    for f in assignments(domains, holds):
         return validate_xmod_morphism(
             validate_hom(a.dom, b.dom, f[:m]), validate_hom(a.cod, b.cod, f[m:]), a, b
         )

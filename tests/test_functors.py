@@ -22,6 +22,7 @@ from rackmod import (
     evaluate_word,
     presentation_to_text,
     product_rack,
+    trivial_rack,
 )
 from rackmod import corpus, functors
 from rackmod.errors import BijectionFail, HomBasepointFail, HomLawFail
@@ -301,7 +302,7 @@ def test_adjunction_rejects_a_tampered_rack_side(monkeypatch, racks, groups):
     extra = (0, 1, 0, 0, 0, 0)
     assert extra not in real(x, conj_rack(g)).maps
 
-    monkeypatch.setattr(functors, "_rack_hom_search", _admitting(functors._rack_hom_search, extra))
+    monkeypatch.setattr(functors, "hom_search", _admitting(functors.hom_search, extra))
     with pytest.raises(BijectionFail) as exc:
         check_adjunction_bijection(x, g)
     assert exc.value.side == "rack"
@@ -344,7 +345,7 @@ def test_reversed_variable_order_finds_the_same_hom_sets():
         n = x.size
         pres = as_presentation(x)
         for search in (
-            lambda *v: functors._rack_hom_search(x, conj_rack(g), *v),
+            lambda *v: functors.hom_search(x, conj_rack(g), *v),
             lambda *v: functors._presented_hom_search(pres, g, *v),
         ):
             found = {}
@@ -367,7 +368,7 @@ def test_solving_order_puts_the_basepoint_first_and_solves_what_it_can(racks):
 
 @pytest.mark.parametrize(
     "builder,expected",
-    [("_rack_hom_search", BijectionFail("rack", (0, 0, 0, 0, 0, 1))), ("_presented_hom_search", HomLawFail(1, 2))],
+    [("hom_search", BijectionFail("rack", (0, 0, 0, 0, 0, 1))), ("_presented_hom_search", HomLawFail(1, 2))],
 )
 def test_adjunction_reports_the_least_bad_map(monkeypatch, racks, groups, builder, expected):
     """The witness comes from the least bad map by element, a, not from the
@@ -381,7 +382,7 @@ def test_adjunction_reports_the_least_bad_map(monkeypatch, racks, groups, builde
     assert getattr(exc.value, "side", None) == getattr(expected, "side", None)
 
 
-@pytest.mark.parametrize("side,builder", [("rack", "_presented_hom_search"), ("presented", "_rack_hom_search")])
+@pytest.mark.parametrize("side,builder", [("rack", "_presented_hom_search"), ("presented", "hom_search")])
 def test_adjunction_rejects_a_map_missing_from_one_side(monkeypatch, racks, groups, side, builder):
     """A hom that one side's search loses, here by a wrong domain that its
     test never sees, is reported from the other side."""
@@ -398,7 +399,7 @@ def test_adjunction_rechecks_the_basepoint_of_presented_maps(monkeypatch, racks,
     side's basepoint test still drops it, so the presented side reports it
     with ``validate_hom``'s basepoint failure."""
     x, g = racks["t2"], groups["z2"]
-    for builder in ("_rack_hom_search", "_presented_hom_search"):
+    for builder in ("hom_search", "_presented_hom_search"):
         monkeypatch.setattr(functors, builder, _admitting(getattr(functors, builder), (1, 1)))
     with pytest.raises(HomBasepointFail) as exc:
         check_adjunction_bijection(x, g)
@@ -434,6 +435,23 @@ def test_adjunction_and_presentations_refuse_groups_and_unpointed_racks(groups, 
         enumerate_rack_homs(r3, r3)
 
 
+def test_rack_homs_refuse_a_group_target():
+    """Z2's multiplication table is not a rack table: the hom search refuses
+    it with the error of ``validate_hom`` instead of reading it as one."""
+    with pytest.raises(ValueError, match="hom endpoints are a FiniteRack and a FiniteGroup"):
+        enumerate_rack_homs(trivial_rack(2), cyclic_group(2))
+
+
+def test_presented_homs_refuse_a_rack_target(racks):
+    with pytest.raises(ValueError, match="evaluated in a group"):
+        enumerate_presented_homs(as_presentation(racks["t2"]), racks["cz2"])
+
+
+def test_evaluate_word_refuses_a_rack(racks):
+    with pytest.raises(ValueError, match="evaluated in a group"):
+        evaluate_word((1,), (0,), racks["cz2"])
+
+
 @pytest.mark.parametrize(
     "gname,count,digest",
     [
@@ -453,13 +471,13 @@ def test_xmod_adjunction_reports_the_least_bad_rack_pair(monkeypatch, rack_xmods
     """Rack homs cs3 -> Conj S3 that move only the basepoint pass every
     square of the identity crossed modules but no pointed relator."""
     a, b = (1, 0, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0)
-    monkeypatch.setattr(functors, "_rack_hom_search", _admitting(functors._rack_hom_search, b, a))
+    monkeypatch.setattr(functors, "hom_search", _admitting(functors.hom_search, b, a))
     with pytest.raises(BijectionFail) as exc:
         check_xmod_adjunction(rack_xmods["identity_cs3"], group_xmods["identity_s3"])
     assert (exc.value.side, exc.value.witness) == ("rack", (a, a))
 
 
-@pytest.mark.parametrize("side,builder", [("rack", "_presented_hom_search"), ("presented", "_rack_hom_search")])
+@pytest.mark.parametrize("side,builder", [("rack", "_presented_hom_search"), ("presented", "hom_search")])
 def test_xmod_adjunction_rejects_a_pair_missing_from_one_side(
     monkeypatch, rack_xmods, group_xmods, side, builder
 ):

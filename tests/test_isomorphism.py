@@ -13,6 +13,7 @@ from rackmod import (
     trivial_rack,
     validate_rack,
 )
+from rackmod import corpus, isomorphism
 from rackmod.errors import BoundExceeded
 from rackmod.functors import enumerate_rack_homs, enumerate_rack_homs_bruteforce
 from rackmod.isomorphism import enumerate_pointed_racks_bruteforce
@@ -54,11 +55,24 @@ def test_adjoined_dihedral_rack_appears_at_order_four(racks):
 
 def test_bounds():
     with pytest.raises(BoundExceeded):
-        enumerate_pointed_racks(5)
+        enumerate_pointed_racks(7)
     with pytest.raises(BoundExceeded):
         enumerate_pointed_racks_bruteforce(4)
     with pytest.raises(ValueError):
         enumerate_pointed_racks(0)
+
+
+def test_find_isomorphism_refuses_unpointed_racks(monkeypatch):
+    """A pointed isomorphism needs basepoints; the refusal comes before any
+    invariant is read."""
+
+    def unread(r):
+        raise AssertionError("an invariant was read")
+
+    monkeypatch.setattr(isomorphism, "element_invariants", unread)
+    r3 = corpus.unpointed_racks()["r3"]
+    with pytest.raises(ValueError, match="pointed racks or groups"):
+        find_isomorphism(r3, r3)
 
 
 def test_find_isomorphism_on_a_relabeling(racks):
@@ -135,7 +149,7 @@ ORDER_FIVE_SHA256 = "1c6473120c51ca228c83dc9f5c2d0fb093f12c42775fa5cd79a8174af2a
 
 
 def test_order_five_representatives_are_pinned():
-    reps = enumerate_pointed_racks(5, bound=5)
+    reps = enumerate_pointed_racks(5)
     assert len(reps) == 19
     assert all(r.basepoint == 0 for r in reps)
     tables = repr(tuple(r.table for r in reps)).encode()
@@ -148,11 +162,27 @@ ORDER_SIX_SHA256 = "a2731b988ede639e39b2c7de602dfa72c8a7cd407b2475ff669801a221bb
 
 
 def test_order_six_representatives_are_pinned():
-    reps = enumerate_pointed_racks(6, bound=6)
+    reps = enumerate_pointed_racks(6)
     assert len(reps) == 74
     assert all(r.basepoint == 0 for r in reps)
     tables = repr(tuple(r.table for r in reps)).encode()
     assert hashlib.sha256(tables).hexdigest() == ORDER_SIX_SHA256
+
+
+# sha256 of repr of the maps over every ordered pair of the 29 representatives
+# of order <= 5, in enumeration order (None where there is no isomorphism),
+# pinned from the isomorphism search as it was before it solved forced values
+FIND_ISOMORPHISM_SHA256 = "d2aca36600635bda85c13a4fc1ea97788529ad8c10e0fdf0c64ad19d5f3ef2f0"
+ALL_ISOMORPHISMS_SHA256 = "35f1f7c508ccc37ee26985177e0630a2545a11ac50babbfcd3968449ac0fcdc3"
+
+
+def test_isomorphisms_between_small_representatives_are_pinned():
+    reps = [r for n in range(1, 6) for r in enumerate_pointed_racks(n)]
+    assert len(reps) == 29
+    first = tuple(None if (h := find_isomorphism(a, b)) is None else h.map for a in reps for b in reps)
+    every = tuple(tuple(h.map for h in all_isomorphisms(a, b)) for a in reps for b in reps)
+    assert hashlib.sha256(repr(first).encode()).hexdigest() == FIND_ISOMORPHISM_SHA256
+    assert hashlib.sha256(repr(every).encode()).hexdigest() == ALL_ISOMORPHISMS_SHA256
 
 
 # A rack with a law whose result is placed last: the most-constrained order

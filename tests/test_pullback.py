@@ -4,6 +4,7 @@ computed by hand from the S3 conventions and cross-checked by enumeration.
 """
 
 import dataclasses
+import hashlib
 from itertools import permutations, product
 
 import pytest
@@ -13,8 +14,10 @@ from rackmod import (
     check_conj_preserves_pullback,
     compose_xmod_morphisms,
     conj_hom,
+    conj_rack,
     conj_xmod,
     constant_rack_hom,
+    enumerate_rack_homs,
     fiber_product,
     fiber_product_xmod,
     find_isomorphism,
@@ -22,6 +25,7 @@ from rackmod import (
     identity_hom,
     identity_xmod,
     identity_xmod_morphism,
+    inclusion_group_xmod,
     inclusion_xmod,
     is_normal_subrack,
     mediating_morphism,
@@ -171,6 +175,26 @@ def test_universal_property_over_the_corpus():
         cert = verify_universal_property(pb, pb.phi_prime, pb.xmod)
         assert cert.satisfying_count == 1, name
         assert cert.search_space == pb.carrier.size**pb.carrier.size
+
+
+# sha256 of repr of (mediating f1 map, search space) over every corpus
+# pullback of one kind, pinned from the search as it was before it was built
+# by hom_search and morphism_search
+MEDIATING_SHA256 = {
+    "rack": "1b1363e21dba352abd1d30362457bc4396d02f48d33c962bb26954152e04e836",
+    "group": "6dbb9f1c1a94c7197c5795d86c5d8f68cab7e1328a97fd2309adb0e68d59a96f",
+}
+
+
+@pytest.mark.parametrize("kind", ["rack", "group"])
+def test_mediating_maps_over_the_corpus_are_pinned(kind):
+    instances = corpus.pullback_instances() if kind == "rack" else corpus.conj_preservation_instances()
+    found = []
+    for _name, xm, phi in instances:
+        pb = pullback_xmod(xm, phi)
+        cert = verify_universal_property(pb, pb.phi_prime, pb.xmod)
+        found.append((cert.mediating.f1.map, cert.search_space))
+    assert hashlib.sha256(repr(tuple(found)).encode()).hexdigest() == MEDIATING_SHA256[kind]
 
 
 def _doctored_pullback(rack_xmods, rack_homs):
@@ -500,6 +524,45 @@ def test_universal_property_matches_the_unpruned_oracle_when_it_fails(rack_xmods
     expected = _unpruned_satisfying(fake, pb.phi_prime, pb.xmod)
     assert expected == ((0, 1), (0, 2))
     assert _satisfying(fake, pb.phi_prime, pb.xmod) == expected
+
+
+def _morphism_tops(mu_xmod, source, phi):
+    """Every hom f: mu_xmod.dom -> source.dom for which (f, phi) is a morphism,
+    by filtering the rack homs of the underlying, or conjugation, racks."""
+    dom, cod = mu_xmod.dom, source.dom
+    if isinstance(dom, FiniteGroup):
+        candidates = enumerate_rack_homs(conj_rack(dom), conj_rack(cod)).maps
+    else:
+        candidates = enumerate_rack_homs(dom, cod).maps
+    tops = []
+    for m in candidates:
+        try:
+            f = validate_hom(dom, cod, m)
+            validate_xmod_morphism(f, phi, mu_xmod, source)
+        except AxiomError:
+            continue
+        tops.append(f)
+    return tops
+
+
+def test_universal_property_on_external_cones():
+    """Test crossed modules other than the pullback itself: the basepoint
+    inclusion and the identity over S, with every f that makes (f, phi) a
+    morphism, so f is not phi' and h is not the pullback's own carrier map."""
+    cases = 0
+    for name, xm, phi in corpus.pullback_instances() + corpus.conj_preservation_instances():
+        pb, s_x = pullback_xmod(xm, phi), phi.dom
+        if isinstance(s_x, FiniteGroup):
+            point = inclusion_group_xmod([s_x.basepoint], s_x)
+        else:
+            point = inclusion_xmod([s_x.basepoint], s_x)
+        for mu_xmod in (point, identity_xmod(s_x)):
+            for f in _morphism_tops(mu_xmod, xm, phi):
+                expected = _unpruned_satisfying(pb, f, mu_xmod)
+                assert _satisfying(pb, f, mu_xmod) == expected, name
+                assert len(expected) == 1, name
+                cases += 1
+    assert cases == 53
 
 
 def test_unpruned_oracle_is_bounded(rack_xmods):

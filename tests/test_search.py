@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rackmod import corpus
-from rackmod.search import assignments, squares_hold, xmod_squares
+from rackmod.errors import AxiomError
+from rackmod.search import assignments, hom_search, squares_hold, xmod_squares
+from rackmod.tables import validate_hom
 
 
 @st.composite
@@ -126,3 +128,51 @@ def test_xmod_squares_are_the_morphism_squares_filed_by_last_variable():
                         assert got == _squares_commute(x, target, f1, f0)
                         checked += 1
     assert checked > 10_000
+
+
+# Pairs with more set maps than this are skipped, to keep the test fast.
+HOM_SEARCH_LIMIT = 20_000
+
+
+def _homs_among(dom, cod, allowed):
+    """The maps of ``product(*allowed)`` that ``validate_hom`` accepts, in product order."""
+    homs = []
+    for m in product(*allowed):
+        try:
+            validate_hom(dom, cod, m)
+        except AxiomError:
+            continue
+        homs.append(m)
+    return homs
+
+
+def test_hom_search_is_the_filtered_product_of_its_allowed_values():
+    """Racks and groups, in index and in reversed variable order, with every
+    value allowed and with a restriction that drops values a law forces."""
+    checked = forced_drops = 0
+    for family in (corpus.racks(), corpus.groups()):
+        for dom in family.values():
+            n = dom.size
+            for cod in family.values():
+                if cod.size**n > HOM_SEARCH_LIMIT:
+                    continue
+                every = [list(cod.elements())] * n
+                homs = _homs_among(dom, cod, every)
+                # element a may not take the values v with (a + v) % 3 == 2
+                restricted = [[v for v in cod.elements() if (a + v) % 3 != 2] for a in range(n)]
+                for allowed, expected in ((None, homs), (restricted, _homs_among(dom, cod, restricted))):
+                    for var in (range(n), range(n - 1, -1, -1)):
+                        domains, holds = hom_search(dom, cod, var, n, allowed)
+                        found = [tuple(f[v] for v in var) for f in assignments(domains, holds)]
+                        if var.step < 0:
+                            found.sort()
+                        assert found == expected, (dom, cod, allowed, var)
+                        checked += 1
+                        if allowed is not None:
+                            # a hom lost at a variable whose domain a law forces
+                            forced_drops += sum(
+                                any(h[a] not in allowed[a] and callable(domains[var[a]]) for a in range(n))
+                                for h in homs
+                            )
+    assert checked > 100
+    assert forced_drops > 0
