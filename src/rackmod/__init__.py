@@ -95,7 +95,6 @@ from .xmod import (
     conj_xmod,
     conj_xmod_morphism,
     conjugation_action,
-    find_xmod_isomorphism,
     hemi_semidirect,
     identity_xmod,
     identity_xmod_morphism,

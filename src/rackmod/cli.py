@@ -68,18 +68,12 @@ from .tables import FiniteStructure, Hom
 from .xmod import RackAction, XMod, XModMorphism, hemi_semidirect
 
 
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _failure(exc: AxiomError) -> dict[str, Any]:
     return {
         "law": exc.law,
         "error": type(exc).__name__,
         "message": str(exc),
-        "witness": _jsonable(exc.witness),
+        "witness": exc.witness,
     }
 
 

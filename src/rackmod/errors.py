@@ -1,8 +1,12 @@
 """Typed failures raised by the validators.
 
-Every axiom error carries the first offending tuple (in lexicographic scan
-order) on its ``witness`` attribute, so callers and tests can inspect exactly
-which instance of a law broke.
+Every axiom error names its law on ``law`` and carries a tuple on
+``witness``.  A validator that scans a law raises the first offending tuple
+in lexicographic scan order, so callers and tests can inspect exactly which
+instance of the law broke.  The other witnesses are: the least map that only
+one side reaches for ``BijectionFail``, ``(count,)`` for ``UniquenessFail``,
+``()`` for ``BasepointMissing`` and ``NoIsomorphismFound``, and the cause's
+witness for ``NotAMorphism`` and ``ResultNotRack``.
 """
 
 from __future__ import annotations
@@ -30,28 +34,30 @@ class AxiomError(RackAlgebraError):
         self.witness = witness
 
 
+class _Stated(AxiomError):
+    """A failure whose witness is exactly its arguments, stated by ``template``."""
+
+    template = ""
+
+    def __init__(self, *witness: int):
+        super().__init__(self.template.format(*witness), witness)
+
+
 # ---------------------------------------------------------------- racks
 
 
-class NonBijectiveColumn(AxiomError):
+class NonBijectiveColumn(_Stated):
     law = "unique-solution"
+    template = "column {0} is not a bijection: {1} ◁ {0} == {2} ◁ {0}"
 
-    def __init__(self, column: int, x: int, y: int):
-        super().__init__(
-            f"column {column} is not a bijection: {x} ◁ {column} == {y} ◁ {column}",
-            (column, x, y),
-        )
-        self.column = column
+    @property
+    def column(self) -> int:
+        return self.witness[0]
 
 
-class SelfDistributivityFail(AxiomError):
+class SelfDistributivityFail(_Stated):
     law = "self-distributivity"
-
-    def __init__(self, a: int, b: int, c: int):
-        super().__init__(
-            f"({a} ◁ {b}) ◁ {c} != ({a} ◁ {c}) ◁ ({b} ◁ {c})",
-            (a, b, c),
-        )
+    template = "({0} ◁ {1}) ◁ {2} != ({0} ◁ {2}) ◁ ({1} ◁ {2})"
 
 
 class NotPointed(AxiomError):
@@ -74,76 +80,53 @@ class BasepointMissing(AxiomError):
         super().__init__(what, ())
 
 
-class NotNormal(AxiomError):
+class NotNormal(_Stated):
     law = "normality"
-
-    def __init__(self, n: int, r: int, got: int):
-        super().__init__(
-            f"subset is not closed under conjugation: {n} ◁ {r} = {got} escapes",
-            (n, r, got),
-        )
+    template = "subset is not closed under conjugation: {0} ◁ {1} = {2} escapes"
 
 
 # ---------------------------------------------------------------- groups
 
 
-class IdentityFail(AxiomError):
+class IdentityFail(_Stated):
     law = "identity"
-
-    def __init__(self, a: int):
-        super().__init__(f"claimed identity does not fix element {a}", (a,))
+    template = "claimed identity does not fix element {0}"
 
 
-class AssociativityFail(AxiomError):
+class AssociativityFail(_Stated):
     law = "associativity"
-
-    def __init__(self, a: int, b: int, c: int):
-        super().__init__(f"({a}*{b})*{c} != {a}*({b}*{c})", (a, b, c))
+    template = "({0}*{1})*{2} != {0}*({1}*{2})"
 
 
-class InverseFail(AxiomError):
+class InverseFail(_Stated):
     law = "inverses"
-
-    def __init__(self, a: int):
-        super().__init__(f"element {a} has no two-sided inverse", (a,))
+    template = "element {0} has no two-sided inverse"
 
 
 # ---------------------------------------------------------------- homs
 
 
-class HomLawFail(AxiomError):
+class HomLawFail(_Stated):
     law = "homomorphism"
-
-    def __init__(self, a: int, b: int):
-        super().__init__(f"map does not commute with the operation at ({a}, {b})", (a, b))
+    template = "map does not commute with the operation at ({0}, {1})"
 
 
-class HomBasepointFail(AxiomError):
+class HomBasepointFail(_Stated):
     law = "homomorphism"
-
-    def __init__(self, a: int, got: int):
-        super().__init__(f"map sends the distinguished element {a} to {got}", (a, got))
+    template = "map sends the distinguished element {0} to {1}"
 
 
 # ---------------------------------------------------------------- actions
 
 
-class ActionAxiom1Fail(AxiomError):
+class ActionAxiom1Fail(_Stated):
     law = "action-exchange"
-
-    def __init__(self, s: int, r: int, rp: int):
-        super().__init__(
-            f"({s}.{r}).{rp} != ({s}.{rp}).({r} ◁ {rp})", (s, r, rp)
-        )
+    template = "({0}.{1}).{2} != ({0}.{2}).({1} ◁ {2})"
 
 
-class ActionAxiom2Fail(AxiomError):
+class ActionAxiom2Fail(_Stated):
     law = "action-distributivity"
-
-    def __init__(self, s: int, sp: int, r: int):
-        super().__init__(
-            f"({s} ◁ {sp}).{r} != ({s}.{r}) ◁ ({sp}.{r})", (s, sp, r)
-        )
+    template = "({0} ◁ {1}).{2} != ({0}.{2}) ◁ ({1}.{2})"
 
 
 class PointednessFail(AxiomError):
@@ -162,18 +145,14 @@ class PointednessFail(AxiomError):
 # ---------------------------------------------------------------- crossed modules
 
 
-class X1Fail(AxiomError):
+class X1Fail(_Stated):
     law = "boundary-equivariance"
-
-    def __init__(self, r: int, s: int):
-        super().__init__(f"d({r}.{s}) != d({r}) ◁ {s}", (r, s))
+    template = "d({0}.{1}) != d({0}) ◁ {1}"
 
 
-class X2Fail(AxiomError):
+class X2Fail(_Stated):
     law = "peiffer"
-
-    def __init__(self, r: int, rp: int):
-        super().__init__(f"{r}.d({rp}) != {r} ◁ {rp}", (r, rp))
+    template = "{0}.d({1}) != {0} ◁ {1}"
 
 
 class AutomorphismFail(AxiomError):
@@ -200,35 +179,27 @@ class GroupActionFail(AxiomError):
         super().__init__(msg, witness)
 
 
-class EquivarianceFail(AxiomError):
+class EquivarianceFail(_Stated):
     law = "boundary-equivariance"
-
-    def __init__(self, m: int, n: int):
-        super().__init__(f"d({m}.{n}) != {n}^-1 d({m}) {n}", (m, n))
+    template = "d({0}.{1}) != {1}^-1 d({0}) {1}"
 
 
-class PeifferFail(AxiomError):
+class PeifferFail(_Stated):
     law = "peiffer"
-
-    def __init__(self, m: int, mp: int):
-        super().__init__(f"{m}.d({mp}) != {mp}^-1 {m} {mp}", (m, mp))
+    template = "{0}.d({1}) != {1}^-1 {0} {1}"
 
 
 # ---------------------------------------------------------------- morphisms
 
 
-class BoundarySquareFail(AxiomError):
+class BoundarySquareFail(_Stated):
     law = "boundary-square"
-
-    def __init__(self, r: int):
-        super().__init__(f"boundary square does not commute at {r}", (r,))
+    template = "boundary square does not commute at {0}"
 
 
-class ActionSquareFail(AxiomError):
+class ActionSquareFail(_Stated):
     law = "action-square"
-
-    def __init__(self, r: int, s: int):
-        super().__init__(f"action square does not commute at ({r}, {s})", (r, s))
+    template = "action square does not commute at ({0}, {1})"
 
 
 class NotAMorphism(AxiomError):

@@ -35,7 +35,7 @@ from .errors import BijectionFail
 from .groups import FiniteGroup
 from .racks import FiniteRack, conj_rack
 from .search import assignments, hom_search, morphism_search
-from .tables import validate_hom
+from .tables import index_row, validate_hom
 from .xmod import XMod, conj_xmod
 
 Word = tuple[int, ...]
@@ -67,9 +67,13 @@ CompiledWord = tuple[tuple[int, bool], ...]
 """A word as (generator index, inverted) pairs, one per letter."""
 
 
-def _compile_word(word: Word) -> CompiledWord:
-    if 0 in word:
-        raise ValueError(f"word {word!r} has the letter 0; letters must be nonzero")
+def _compile_word(word: Word, n: int) -> CompiledWord:
+    """word, each of whose letters must name one of n generators."""
+    for letter in word:
+        if type(letter) is not int or not 0 < abs(letter) <= n:
+            raise ValueError(
+                f"word {word!r} has the letter {letter!r}; letters are -{n}..-1 and 1..{n}"
+            )
     return tuple((abs(letter) - 1, letter < 0) for letter in word)
 
 
@@ -99,7 +103,11 @@ def _word_evaluator(g: FiniteGroup):
 
 
 def evaluate_word(word: Word, assignment, g: FiniteGroup) -> int:
-    return _word_evaluator(g)((_compile_word(word),), assignment)
+    """The value of word in g when generator i is the element ``assignment[i]``."""
+    first_value = _word_evaluator(g)
+    row = tuple(assignment)
+    compiled = _compile_word(word, len(row))
+    return first_value((compiled,), index_row(row, len(row), g.size, "assignment"))
 
 
 def presentation_to_text(p: Presentation) -> str:
@@ -128,7 +136,7 @@ def _solving_order(p: Presentation) -> list[int]:
     The pointed relator puts the basepoint first.
     """
     n = len(p.generators)
-    words = [_compile_word(w) for w in p.relators + (p.pointed_relator,)]
+    words = [_compile_word(w, n) for w in p.relators + (p.pointed_relator,)]
     unplaced = [len(w) for w in words]  # letters of each word not yet placed
     reads: list[dict[int, int]] = [{} for _ in range(n)]  # word -> letters of generator i
     for r, word in enumerate(words):
@@ -170,7 +178,8 @@ def _presented_hom_search(p: Presentation, g: FiniteGroup, var: Sequence[int], n
     e = g.identity
     by_last: list[list[CompiledWord]] = [[] for _ in range(nvars)]
     for w in p.relators + (p.pointed_relator,):
-        word = tuple((var[i], inverted) for i, inverted in _compile_word(w))
+        compiled = _compile_word(w, len(p.generators))
+        word = tuple((var[i], inverted) for i, inverted in compiled)
         if word:
             by_last[max(i for i, _ in word)].append(word)
 
@@ -363,12 +372,15 @@ def check_xmod_adjunction(x: XMod, g: XMod) -> XModAdjunctionReport:
     reaches.
     """
     ns, n = x.cod.size, x.cod.size + x.dom.size
-    base, top = range(ns), range(ns, n)
 
     def side(search, target):
         """The domains and test of search's hom pairs into target whose squares commute."""
-        bottom = search(x.cod, target.cod, base, n)
-        return morphism_search(x, target, top, base, search(x.dom, target.dom, top, n), bottom)
+        return morphism_search(
+            x,
+            target,
+            lambda *v: search(x.dom, target.dom, *v),
+            lambda *v: search(x.cod, target.cod, *v),
+        )
 
     group = side(lambda r, h, *v: _presented_hom_search(as_presentation(r), h, *v), g)
     pairs = _shared_leaves(side(hom_search, conj_xmod(g)), group, n, lambda f: (f[ns:], f[:ns]))

@@ -217,11 +217,12 @@ def verify_universal_property(
     x_dom, s_x, n, ns = mu_xmod.dom, mu_xmod.cod, mu_xmod.dom.size, mu_xmod.cod.size
     proj, fmap = pb.phi_prime.map, f.map
     allowed = [[v for v in pb.carrier.elements() if proj[v] == fmap[x]] for x in range(n)]
-    # variables 0..ns-1 hold the base map id, ns..ns+n-1 hold h
-    base, top = range(ns), range(ns, ns + n)
-    identity = hom_search(s_x, s_x, base, ns + n, [(s,) for s in base])
-    h_search = hom_search(x_dom, pb.carrier, top, ns + n, allowed)
-    search = morphism_search(mu_xmod, pb.xmod, top, base, h_search, identity)
+    search = morphism_search(
+        mu_xmod,
+        pb.xmod,
+        lambda *v: hom_search(x_dom, pb.carrier, *v, allowed),
+        lambda *v: hom_search(s_x, s_x, *v, [(s,) for s in s_x.elements()]),
+    )
     satisfying = [h[ns:] for h in assignments(*search)]
     if len(satisfying) != 1:
         raise UniquenessFail(len(satisfying), tuple(satisfying))

@@ -20,8 +20,10 @@ problems", Artificial Intelligence 14, 1980).
 Every search for homs, isomorphisms and crossed-module morphisms is built
 by the two builders here, which return the (domains, test) pair that
 ``assignments`` takes: ``hom_search`` files the hom laws of one map and
-solves the values they force, and ``morphism_search`` joins a search for f1
-and one for f0 and files the squares of the morphism (``xmod_squares``).
+solves the values they force, and ``morphism_search`` joins a search for f0
+and one for f1, in one layout (f0 first, then f1), and files the boundary
+and action squares of the morphism.  No other module files a law or a
+square.
 """
 
 from __future__ import annotations
@@ -117,54 +119,38 @@ def hom_search(
     return domains, holds
 
 
-def morphism_search(x, target, var1: Sequence[int], var0: Sequence[int], top, bottom):
+def morphism_search(x, target, top, bottom):
     """The domains and per-level test of an ``assignments`` search for x -> target.
 
-    ``top`` and ``bottom`` are the (domains, test) of searches for f1 and f0
-    over the same variables, where ``var1[r]`` holds f1(r) and ``var0[s]``
-    holds f0(s); each variable takes its domain from the search that holds
-    it.  A level passes when both tests pass and the boundary and action
-    squares of ``xmod_squares`` filed there commute in target.
+    Variables 0..|x.cod|-1 hold f0 and the rest hold f1: f0(s) is variable
+    s and f1(r) is variable |x.cod| + r.  ``top`` and ``bottom`` build the
+    searches for f1 and f0: each is called as ``(var, nvars)`` and returns
+    its (domains, test) over all the variables, and each variable takes its
+    domain from the search that holds it.  A level passes when both tests
+    pass and the squares filed there commute in target: the boundary square
+    d′(f1(r)) = f0(d(r)) at f1(r), and the action square
+    f1(r.s) = f1(r).f0(s) at the later of f1(r) and f1(r.s).
     """
-    (tops, test1), (bottoms, test0) = top, bottom
-    squares = xmod_squares(x, var1, var0, len(tops))
-    d, act = target.boundary.map, target.act
+    ns = x.cod.size
+    n = ns + x.dom.size
+    bottoms, test0 = bottom(range(ns), n)
+    tops, test1 = top(range(ns, n), n)
+    # action[k]: the (f1(r), f0(s), f1(r.s)) variables of the squares filed at k
+    action: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for r in x.dom.elements():
+        for s in range(ns):
+            rs = ns + x.act(r, s)
+            action[max(ns + r, rs)].append((ns + r, s, rs))
+    dx, d, act = x.boundary.map, target.boundary.map, target.action
 
     def holds(k: int, f: list) -> bool:
-        return test0(k, f) and test1(k, f) and squares_hold(squares[k], f, d, act)
-
-    return [b if b is not None else t for b, t in zip(bottoms, tops)], holds
-
-
-def xmod_squares(x, var1: Sequence[int], var0: Sequence[int], nvars: int) -> list:
-    """The squares of a morphism (f1, f0) out of crossed module x, filed by last variable.
-
-    ``var1[r]`` holds f1(r) and ``var0[s]`` holds f0(s).  Entry k pairs the
-    boundary squares d′(f1(r)) = f0(d(r)), as pairs (var1[r], var0[d(r)]),
-    with the action squares f1(r.s) = f1(r).f0(s), as triples
-    (var1[r], var0[s], var1[r.s]), whose largest variable is k;
-    ``squares_hold`` tests them against a target crossed module.
-    """
-    filed: list[tuple[list, list]] = [([], []) for _ in range(nvars)]
-    for r, d in enumerate(x.boundary.map):
-        filed[max(var1[r], var0[d])][0].append((var1[r], var0[d]))
-        for s in range(x.cod.size):
-            square = (var1[r], var0[s], var1[x.act(r, s)])
-            filed[max(square)][1].append(square)
-    return filed
-
-
-def squares_hold(squares, assign, d, act) -> bool:
-    """Whether filed squares hold in a target with boundary map d and action act.
-
-    That is, d[assign[i]] == assign[j] for each boundary pair (i, j) and
-    assign[l] == act(assign[i], assign[j]) for each action triple (i, j, l).
-    """
-    boundary, action = squares
-    for i, j in boundary:
-        if d[assign[i]] != assign[j]:
+        if not (test0(k, f) and test1(k, f)):
             return False
-    for i, j, l in action:
-        if assign[l] != act(assign[i], assign[j]):
+        if k >= ns and d[f[k]] != f[dx[k - ns]]:
             return False
-    return True
+        for i, j, l in action[k]:
+            if f[l] != act[f[i]][f[j]]:
+                return False
+        return True
+
+    return bottoms[:ns] + tops[ns:], holds

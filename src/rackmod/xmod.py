@@ -35,7 +35,6 @@ from .errors import (
     X2Fail,
 )
 from .groups import FiniteGroup, subgroup
-from .isomorphism import _candidates
 from .racks import (
     FiniteRack,
     _normality,
@@ -44,7 +43,6 @@ from .racks import (
     restrict_rack,
     validate_rack,
 )
-from .search import assignments, hom_search, morphism_search
 from .tables import FiniteStructure, Hom, compose_homs, identity_hom, rect_table, validate_hom
 
 
@@ -307,37 +305,6 @@ def compose_xmod_morphisms(m1: XModMorphism, m2: XModMorphism) -> XModMorphism:
     return validate_xmod_morphism(
         compose_homs(m1.f1, m2.f1), compose_homs(m1.f0, m2.f0), m1.src, m2.dst
     )
-
-
-def find_xmod_isomorphism(a: XMod, b: XMod) -> XModMorphism | None:
-    """The least crossed-module isomorphism a -> b by map tuples (f1, f0), if any.
-
-    One ``assignments`` search, built by ``morphism_search`` over two
-    ``hom_search``es, sets f1 on a's carrier and then f0 on its base, each
-    coordinate ranging in ascending order over the elements of b with its
-    invariants, or over the one value a hom law forces, if it is one of
-    them.  Both maps must be injective homs, and the boundary and action
-    squares must commute; each law is tested once its last coordinate is
-    set.  A bijective morphism is an isomorphism of crossed modules, and the
-    first hit is the least valid pair.
-    """
-    top, bottom = _candidates(a.dom, b.dom), _candidates(a.cod, b.cod)
-    if top is None or bottom is None:
-        return None
-    m, n = len(top), len(bottom)
-    var1, var0, nvars = range(m), range(m, m + n), m + n
-    f1 = hom_search(a.dom, b.dom, var1, nvars, top)
-    f0 = hom_search(a.cod, b.cod, var0, nvars, bottom)
-    domains, morphism = morphism_search(a, b, var1, var0, f1, f0)
-
-    def holds(k: int, f: list) -> bool:
-        return f.index(f[k], 0 if k < m else m) == k and morphism(k, f)
-
-    for f in assignments(domains, holds):
-        return validate_xmod_morphism(
-            validate_hom(a.dom, b.dom, f[:m]), validate_hom(a.cod, b.cod, f[m:]), a, b
-        )
-    return None
 
 
 # ---------------------------------------------------------------- conjugation functor

@@ -65,6 +65,29 @@ def test_a_zero_letter_is_rejected():
         enumerate_presented_homs(Presentation(("a",), ((1, 0),), (1,), (0,)), cyclic_group(2))
 
 
+Z2 = cyclic_group(2)
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: evaluate_word((-1,), (-1,), Z2), r"assignment\[0\] = -1 is out of range"),
+        (lambda: evaluate_word((1,), (True,), Z2), r"assignment\[0\] = True is not an integer"),
+        (lambda: evaluate_word((1,), (7,), Z2), r"assignment\[0\] = 7 is out of range"),
+        (lambda: evaluate_word((5,), (0,), Z2), "has the letter 5"),
+        (lambda: evaluate_word((1.0,), (1,), Z2), "has the letter 1.0"),
+        (lambda: enumerate_presented_homs(Presentation(("a",), ((2,),), (1,), (0,)), Z2), "letter 2"),
+        (lambda: enumerate_presented_homs(Presentation(("a",), ((1,),), (-2,), (0,)), Z2), "letter -2"),
+    ],
+    ids=["negative-value", "bool-value", "value-past-g", "letter-past-assignment", "float-letter",
+         "relator-letter-past-generators", "pointed-letter-past-generators"],
+)
+def test_words_and_assignments_out_of_range_are_rejected(call, match):
+    # a negative value or letter must not be read from the end of a table
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_an_empty_relator_constrains_nothing(racks):
     # the empty word is the identity, as x0·x0⁻¹ is
     p = as_presentation(racks["cs3"])

@@ -1,7 +1,8 @@
 """One name per public object: racks and groups share their types and
 functions under the canonical names, with no rack- or group-side aliases,
 the crossed-module law families are bound only in ``rackmod.xmod``, and
-the law-filing helpers of the searches only in ``rackmod.search``."""
+the uncalled crossed-module isomorphism search and the law-filing helpers
+that ``rackmod.search``'s two builders replaced are gone."""
 
 import pkgutil
 from importlib import import_module
@@ -28,11 +29,14 @@ REMOVED = (
     "GroupUniversalityCertificate",
     "verify_group_universal_property",
     "identity_group_xmod",
+    "find_xmod_isomorphism",
+    "hom_laws",
+    "laws_hold",
+    "xmod_squares",
+    "squares_hold",
 )
 # The two law families of validate_xmod, kept by name in rackmod.xmod alone.
 XMOD_LAWS = ("validate_rack_xmod", "validate_group_xmod")
-# Every search files its laws through rackmod.search's two builders.
-FILING_HELPERS = ("hom_laws", "laws_hold", "xmod_squares", "squares_hold")
 
 
 def test_no_public_object_is_bound_under_two_names():
@@ -51,5 +55,3 @@ def test_the_alias_names_are_gone_from_every_module():
         assert [name for name in REMOVED if hasattr(module, name)] == [], module.__name__
         if module.__name__ != "rackmod.xmod":
             assert [name for name in XMOD_LAWS if hasattr(module, name)] == [], module.__name__
-        if module.__name__ != "rackmod.search":
-            assert [name for name in FILING_HELPERS if hasattr(module, name)] == [], module.__name__

@@ -5,10 +5,11 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rackmod import corpus
-from rackmod.errors import AxiomError
-from rackmod.search import assignments, hom_search, squares_hold, xmod_squares
+from rackmod import constant_rack_hom, corpus, trivial_action, trivial_rack, validate_xmod
+from rackmod.errors import ActionSquareFail, AxiomError, BoundarySquareFail
+from rackmod.search import assignments, hom_search, morphism_search
 from rackmod.tables import validate_hom
+from rackmod.xmod import validate_xmod_morphism
 
 
 @st.composite
@@ -89,47 +90,6 @@ def test_a_failing_prefix_is_abandoned():
     assert calls == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
-def _squares_commute(x, target, f1, f0):
-    """Both squares of (f1, f0): x -> target, checked element by element."""
-    return all(
-        target.boundary.map[f1[r]] == f0[x.boundary.map[r]] for r in x.dom.elements()
-    ) and all(
-        f1[x.act(r, s)] == target.act(f1[r], f0[s])
-        for r in x.dom.elements()
-        for s in x.cod.elements()
-    )
-
-
-def test_xmod_squares_are_the_morphism_squares_filed_by_last_variable():
-    sources = corpus.rack_xmods().values()
-    targets = list(corpus.rack_xmods().values()) + list(corpus.group_xmods().values())
-    checked = 0
-    for x in sources:
-        m, n = x.dom.size, x.cod.size
-        # f1 first then f0, and f0 first then f1
-        for var1, var0 in ((range(m), range(m, m + n)), (range(n, n + m), range(n))):
-            filed = xmod_squares(x, var1, var0, m + n)
-            assert sum(len(b) for b, _ in filed) == m
-            assert sum(len(a) for _, a in filed) == m * n
-            for k, (boundary, action) in enumerate(filed):
-                assert all(max(square) == k for square in boundary + action)
-            for target in targets:
-                if target.dom.size ** m * target.cod.size ** n > 2000:
-                    continue
-                for f1 in product(target.dom.elements(), repeat=m):
-                    for f0 in product(target.cod.elements(), repeat=n):
-                        assign = [None] * (m + n)
-                        for variable, value in zip(var1, f1):
-                            assign[variable] = value
-                        for variable, value in zip(var0, f0):
-                            assign[variable] = value
-                        d, act = target.boundary.map, target.act
-                        got = all(squares_hold(sq, assign, d, act) for sq in filed)
-                        assert got == _squares_commute(x, target, f1, f0)
-                        checked += 1
-    assert checked > 10_000
-
-
 # Pairs with more set maps than this are skipped, to keep the test fast.
 HOM_SEARCH_LIMIT = 20_000
 
@@ -176,3 +136,87 @@ def test_hom_search_is_the_filtered_product_of_its_allowed_values():
                             )
     assert checked > 100
     assert forced_drops > 0
+
+
+def _action_only_xmods():
+    """Two crossed modules t3 -> t2 with the constant boundary, so every
+    boundary square commutes: 1 in t2 swaps 1 and 2 in one action and fixes
+    them in the other."""
+    flat, base = trivial_rack(3), trivial_rack(2)
+    swap = [[r, (0, 2, 1)[r]] for r in range(3)]
+    return [
+        validate_xmod(constant_rack_hom(flat, base), swap),
+        validate_xmod(constant_rack_hom(flat, base), trivial_action(flat, base).table),
+    ]
+
+
+def _listing(maps):
+    """A builder whose search yields exactly ``maps``, maps of one length,
+    in ascending order: each variable offers every value, and its test
+    keeps the prefixes of the listed maps."""
+    prefixes = {m[:i] for m in maps for i in range(len(m) + 1)}
+    values = sorted({v for m in maps for v in m})
+
+    def build(var, nvars):
+        at = {k: i for i, k in enumerate(var)}
+
+        def holds(k, f):
+            return k not in at or tuple(f[v] for v in var[: at[k] + 1]) in prefixes
+
+        return [values if k in at else None for k in range(nvars)], holds
+
+    return build
+
+
+def test_morphism_search_is_the_filtered_product_of_two_hom_sets():
+    """Every ordered pair of corpus crossed modules of one kind, plus two
+    that differ only in their actions, whose hom sets are small enough to
+    list by brute force.  Built by ``hom_search``, the search yields exactly
+    the pairs (f0, f1) of the product of the two hom lists that
+    ``validate_xmod_morphism`` accepts, in that order.  Built by searches
+    that keep every other hom of each list, it yields exactly the accepted
+    pairs of the kept homs, so each component's test is applied."""
+    checked = 0
+    rejected = {BoundarySquareFail: 0, ActionSquareFail: 0}
+    dropped = {"f0": 0, "f1": 0}  # accepted pairs that only a dropped f0, or f1, leaves out
+    rack_xmods = list(corpus.rack_xmods().values()) + _action_only_xmods()
+    for family in (rack_xmods, list(corpus.group_xmods().values())):
+        for x in family:
+            for target in family:
+                if max(target.dom.size**x.dom.size, target.cod.size**x.cod.size) > HOM_SEARCH_LIMIT:
+                    continue
+                tops = _homs_among(x.dom, target.dom, [list(target.dom.elements())] * x.dom.size)
+                bottoms = _homs_among(x.cod, target.cod, [list(target.cod.elements())] * x.cod.size)
+                expected = []
+                for f0 in bottoms:
+                    for f1 in tops:
+                        try:
+                            validate_xmod_morphism(
+                                validate_hom(x.dom, target.dom, f1),
+                                validate_hom(x.cod, target.cod, f0),
+                                x,
+                                target,
+                            )
+                        except (BoundarySquareFail, ActionSquareFail) as exc:
+                            rejected[type(exc)] += 1
+                            continue
+                        expected.append((f0, f1))
+                kept_tops, kept_bottoms = set(tops[::2]), set(bottoms[1::2])
+                kept = [(f0, f1) for f0, f1 in expected if f0 in kept_bottoms and f1 in kept_tops]
+                dropped["f0"] += sum(f0 not in kept_bottoms and f1 in kept_tops for f0, f1 in expected)
+                dropped["f1"] += sum(f0 in kept_bottoms and f1 not in kept_tops for f0, f1 in expected)
+                ns = x.cod.size
+                for top, bottom, want in (
+                    (
+                        lambda *v: hom_search(x.dom, target.dom, *v),
+                        lambda *v: hom_search(x.cod, target.cod, *v),
+                        expected,
+                    ),
+                    (_listing(tops[::2]), _listing(bottoms[1::2]), kept),
+                ):
+                    found = assignments(*morphism_search(x, target, top, bottom))
+                    assert [(f[:ns], f[ns:]) for f in found] == want, (x, target)
+                checked += 1
+    assert checked > 200
+    assert min(rejected.values()) > 0
+    assert min(dropped.values()) > 0

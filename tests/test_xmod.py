@@ -9,7 +9,6 @@ from rackmod import (
     conj_xmod,
     conj_xmod_morphism,
     conjugation_action,
-    find_xmod_isomorphism,
     hemi_semidirect,
     identity_hom,
     identity_xmod,
@@ -195,36 +194,6 @@ def test_xmod_morphism_squares(rack_xmods, racks):
     bad = validate_hom(incl.dom, ident.dom, [0, 4, 3])
     with pytest.raises((BoundarySquareFail, ActionSquareFail)):
         validate_xmod_morphism(bad, id_cs3, incl, ident)
-
-
-def test_find_xmod_isomorphism(rack_xmods):
-    incl = rack_xmods["a3r_cs3"]
-    iso = find_xmod_isomorphism(incl, incl)
-    assert iso is not None
-    assert iso.f1.map == (0, 1, 2)
-    assert iso.f0.map == (0, 1, 2, 3, 4, 5)
-    assert find_xmod_isomorphism(incl, rack_xmods["identity_cs3"]) is None
-
-
-# sha256 of repr of the (f1, f0) maps over every ordered pair of the corpus
-# crossed modules of one kind (None where there is no isomorphism), pinned
-# from the search as it was before it solved forced values
-XMOD_ISOMORPHISM_SHA256 = {
-    "rack": "4365f111f028d78fdabbd4bf32f5014ea1e8b035abc98fa2130f049d89c9f49e",
-    "group": "86e1fc980941b99755ac129aaeb309f1e57547b56fca7a53d37b88d602c27c8a",
-}
-
-
-@pytest.mark.parametrize("kind", ["rack", "group"])
-def test_xmod_isomorphisms_over_the_corpus_are_pinned(rack_xmods, group_xmods, kind):
-    xmods = list((rack_xmods if kind == "rack" else group_xmods).values())
-    found = []
-    for a in xmods:
-        for b in xmods:
-            iso = find_xmod_isomorphism(a, b)
-            found.append(None if iso is None else (iso.f1.map, iso.f0.map))
-    assert sum(iso is not None for iso in found) == {"rack": 17, "group": 12}[kind]
-    assert hashlib.sha256(repr(tuple(found)).encode()).hexdigest() == XMOD_ISOMORPHISM_SHA256[kind]
 
 
 def test_group_xmod_validation(groups, group_xmods):
