@@ -26,17 +26,14 @@ from .errors import (
     UniquenessFail,
 )
 from .functors import (
-    AdjunctionReport,
     HomSet,
     Presentation,
-    XModAdjunctionReport,
     as_presentation,
     check_adjunction_bijection,
     check_xmod_adjunction,
     enumerate_presented_homs,
     enumerate_rack_homs,
     evaluate_word,
-    presentation_to_text,
 )
 from .groups import (
     FiniteGroup,

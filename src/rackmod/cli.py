@@ -258,11 +258,8 @@ def cmd_certify_adjunction(args: argparse.Namespace) -> int:
     group = parse_group(load_document(args.group))
 
     def fn():
-        rep = check_adjunction_bijection(rack, group)
-        counts = {
-            "rack-homs": rep.rack_hom_count,
-            "presented-homs": rep.presented_hom_count,
-        }
+        count = check_adjunction_bijection(rack, group)
+        counts = {"rack-homs": count, "presented-homs": count}
         return counts, None, group.size**rack.size
 
     return _certified(args, "certify adjunction", inputs, fn)
@@ -274,8 +271,8 @@ def cmd_certify_xmod_adjunction(args: argparse.Namespace) -> int:
     gx = parse_group_xmod(load_document(args.group_xmod))
 
     def fn():
-        rep = check_xmod_adjunction(rx, gx)
-        counts = {"rack-side": rep.rack_side_count, "group-side": rep.group_side_count}
+        count = check_xmod_adjunction(rx, gx)
+        counts = {"rack-side": count, "group-side": count}
         space = (gx.dom.size ** rx.dom.size) * (gx.cod.size ** rx.cod.size)
         return counts, None, space
 

@@ -6,7 +6,9 @@ killing the basepoint generator.  The presented group is never materialized;
 its homs into a finite group G are exactly the generator assignments under
 which every relator dies, and those coincide, as assignments, with the
 pointed rack homs X -> Conj(G).  The checks here verify that coincidence
-literally, as an equality of assignment sets.
+literally, as an equality of assignment sets, and return its one count: a
+map in both sets is counted, not kept, and only a map that one side alone
+finds is turned into a witness.
 
 Both hom sets are searched in one solving order, read off the relators by
 ``_solving_order``: the basepoint first, then, while one exists, the lowest
@@ -21,7 +23,8 @@ checks walk the union of the two sides' search trees once
 (``_both_sides``): each node is tested by the laws of every side still alive
 on its path, and a leaf that only one side reaches is a map missing from the
 other.  Each side is pruned by its own filed laws only, so a map that both
-sides' laws wrongly admit is not caught.
+sides' laws wrongly admit is not caught here; the tests check every shared
+map against the hom laws and the relators over the corpus instead.
 """
 
 from __future__ import annotations
@@ -47,8 +50,6 @@ class Presentation:
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
     pointed_relator: Word
-    unit: tuple[int, ...]
-    """Element x of the source rack maps to generator unit[x]."""
 
 
 def as_presentation(x: FiniteRack) -> Presentation:
@@ -60,7 +61,7 @@ def as_presentation(x: FiniteRack) -> Presentation:
         for a in x.elements()
         for b in x.elements()
     )
-    return Presentation(gens, relators, (x.basepoint + 1,), tuple(range(x.size)))
+    return Presentation(gens, relators, (x.basepoint + 1,))
 
 
 CompiledWord = tuple[tuple[int, bool], ...]
@@ -110,16 +111,8 @@ def evaluate_word(word: Word, assignment, g: FiniteGroup) -> int:
     return first_value((compiled,), index_row(row, len(row), g.size, "assignment"))
 
 
-def presentation_to_text(p: Presentation) -> str:
-    """One relator per line as signed 1-based generator indices."""
-    words = p.relators + (p.pointed_relator,)
-    return "\n".join(" ".join(str(l) for l in w) for w in words) + "\n"
-
-
 @dataclass(frozen=True)
 class HomSet:
-    source: str
-    target: str
     maps: tuple[tuple[int, ...], ...]
 
     @property
@@ -212,7 +205,7 @@ def enumerate_presented_homs(p: Presentation, g: FiniteGroup) -> HomSet:
     One ``assignments`` search in p's solving order, sorted.
     """
     maps = _search_in_solving_order(lambda *v: _presented_hom_search(p, g, *v), p)
-    return HomSet(f"<{','.join(p.generators)}>", f"group[{g.size}]", maps)
+    return HomSet(maps)
 
 
 def enumerate_rack_homs(x: FiniteRack, y: FiniteRack) -> HomSet:
@@ -222,7 +215,7 @@ def enumerate_rack_homs(x: FiniteRack, y: FiniteRack) -> HomSet:
     sorted.
     """
     maps = _search_in_solving_order(lambda *v: hom_search(x, y, *v), as_presentation(x))
-    return HomSet(f"rack[{x.size}]", f"rack[{y.size}]", maps)
+    return HomSet(maps)
 
 
 def enumerate_rack_homs_bruteforce(x: FiniteRack, y: FiniteRack) -> HomSet:
@@ -237,14 +230,7 @@ def enumerate_rack_homs_bruteforce(x: FiniteRack, y: FiniteRack) -> HomSet:
             for b in range(x.size)
         ):
             out.append(f)
-    return HomSet(f"rack[{x.size}]", f"rack[{y.size}]", tuple(out))
-
-
-@dataclass(frozen=True)
-class AdjunctionReport:
-    rack_hom_count: int
-    presented_hom_count: int
-    assignments: tuple[tuple[int, ...], ...]
+    return HomSet(tuple(out))
 
 
 def _both_sides(rack, presented, n: int):
@@ -293,19 +279,23 @@ def _both_sides(rack, presented, n: int):
         yield f, alive[n]
 
 
-def _shared_leaves(rack, presented, n: int, key, explain=None) -> tuple:
-    """``key`` of every leaf of ``_both_sides`` that both sides reach, sorted.
+def _count_shared_leaves(rack, presented, n: int, key, explain=None) -> int:
+    """The number of leaves of ``_both_sides`` that both sides reach.
 
-    A leaf that only one side reaches is a bad map of that side.  The least
-    bad rack key raises ``BijectionFail("rack", ...)``; only then the least
-    bad presented key is passed to ``explain``, which may raise a more
-    specific failure, and raises ``BijectionFail("presented", ...)``.
+    A leaf that only one side reaches is a bad map of that side, and only
+    such a leaf is passed to ``key``.  The least bad rack key raises
+    ``BijectionFail("rack", ...)``; only then the least bad presented key is
+    passed to ``explain``, which may raise a more specific failure, and
+    raises ``BijectionFail("presented", ...)``.
     """
-    shared: list = []
+    shared = 0
     bad_rack: list = []
     bad_presented: list = []
     for f, (r, p) in _both_sides(rack, presented, n):
-        (shared if r and p else bad_rack if r else bad_presented).append(key(f))
+        if r and p:
+            shared += 1
+        else:
+            (bad_rack if r else bad_presented).append(key(f))
     if bad_rack:
         raise BijectionFail("rack", min(bad_rack))
     if bad_presented:
@@ -313,12 +303,12 @@ def _shared_leaves(rack, presented, n: int, key, explain=None) -> tuple:
         if explain is not None:
             explain(m)
         raise BijectionFail("presented", m)
-    shared.sort()
-    return tuple(shared)
+    return shared
 
 
-def check_adjunction_bijection(x: FiniteRack, g: FiniteGroup) -> AdjunctionReport:
-    """Hom(X, Conj G) and Hom(As X, G) must coincide as assignment sets.
+def check_adjunction_bijection(x: FiniteRack, g: FiniteGroup) -> int:
+    """The number of maps in Hom(X, Conj G), which must coincide with
+    Hom(As X, G) as an assignment set.
 
     Both sides are searched in one walk over the union of their search
     trees (``_both_sides``), in the solving order of x's presentation.
@@ -339,25 +329,18 @@ def check_adjunction_bijection(x: FiniteRack, g: FiniteGroup) -> AdjunctionRepor
     def hom_laws_and_basepoint(k: int, f: list) -> bool:
         return rack_laws(k, f) and (k != bp or f[k] == cg.basepoint)
 
-    maps = _shared_leaves(
+    return _count_shared_leaves(
         (rack_domains, hom_laws_and_basepoint),
         _presented_hom_search(pres, g, var, n),
         n,
         lambda f: tuple(map(f.__getitem__, var)),
         lambda m: validate_hom(x, cg, m),
     )
-    return AdjunctionReport(len(maps), len(maps), maps)
 
 
-@dataclass(frozen=True)
-class XModAdjunctionReport:
-    rack_side_count: int
-    group_side_count: int
-    pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-
-
-def check_xmod_adjunction(x: XMod, g: XMod) -> XModAdjunctionReport:
-    """Crossed-module morphisms into Conj(g) against presented assignment pairs.
+def check_xmod_adjunction(x: XMod, g: XMod) -> int:
+    """The number of crossed-module morphisms x -> Conj(g), which must
+    coincide with the presented assignment pairs.
 
     Each side is a search that sets f0 on x's base and then f1 on its
     carrier.  The rack side tests the pointed rack hom laws into Conj(g)
@@ -383,5 +366,5 @@ def check_xmod_adjunction(x: XMod, g: XMod) -> XModAdjunctionReport:
         )
 
     group = side(lambda r, h, *v: _presented_hom_search(as_presentation(r), h, *v), g)
-    pairs = _shared_leaves(side(hom_search, conj_xmod(g)), group, n, lambda f: (f[ns:], f[:ns]))
-    return XModAdjunctionReport(len(pairs), len(pairs), pairs)
+    rack = side(hom_search, conj_xmod(g))
+    return _count_shared_leaves(rack, group, n, lambda f: (f[ns:], f[:ns]))

@@ -31,9 +31,6 @@ class FiniteGroup(FiniteStructure):
     def basepoint(self) -> int:
         return self.identity
 
-    def invert(self, a: int) -> int:
-        return self.inv[a]
-
     def conj(self, g: int, h: int) -> int:
         """h^-1 g h"""
         return self.mul[self.mul[self.inv[h]][g]][h]

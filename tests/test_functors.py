@@ -10,7 +10,6 @@ from dataclasses import replace
 import pytest
 
 from rackmod import (
-    AdjunctionReport,
     as_presentation,
     check_adjunction_bijection,
     check_xmod_adjunction,
@@ -20,7 +19,6 @@ from rackmod import (
     enumerate_presented_homs,
     enumerate_rack_homs,
     evaluate_word,
-    presentation_to_text,
     product_rack,
     trivial_rack,
 )
@@ -29,6 +27,7 @@ from rackmod.errors import BijectionFail, HomBasepointFail, HomLawFail
 from rackmod.functors import Presentation, enumerate_rack_homs_bruteforce
 from rackmod.search import assignments
 from rackmod.tables import validate_hom
+from rackmod.xmod import validate_xmod_morphism
 
 
 def test_presentation_of_the_trivial_rack(racks):
@@ -38,7 +37,6 @@ def test_presentation_of_the_trivial_rack(racks):
     assert p.relators[0] == (-1, -1, 1, 1)
     assert p.relators[1] == (-2, -1, 2, 1)
     assert p.pointed_relator == (1,)
-    assert p.unit == (0, 1)
 
 
 def test_presentation_uses_rack_labels(racks):
@@ -62,7 +60,7 @@ def test_a_zero_letter_is_rejected():
     with pytest.raises(ValueError, match="letter 0"):
         evaluate_word((0,), (0, 0, 5), cyclic_group(6))
     with pytest.raises(ValueError, match="letter 0"):
-        enumerate_presented_homs(Presentation(("a",), ((1, 0),), (1,), (0,)), cyclic_group(2))
+        enumerate_presented_homs(Presentation(("a",), ((1, 0),), (1,)), cyclic_group(2))
 
 
 Z2 = cyclic_group(2)
@@ -76,8 +74,8 @@ Z2 = cyclic_group(2)
         (lambda: evaluate_word((1,), (7,), Z2), r"assignment\[0\] = 7 is out of range"),
         (lambda: evaluate_word((5,), (0,), Z2), "has the letter 5"),
         (lambda: evaluate_word((1.0,), (1,), Z2), "has the letter 1.0"),
-        (lambda: enumerate_presented_homs(Presentation(("a",), ((2,),), (1,), (0,)), Z2), "letter 2"),
-        (lambda: enumerate_presented_homs(Presentation(("a",), ((1,),), (-2,), (0,)), Z2), "letter -2"),
+        (lambda: enumerate_presented_homs(Presentation(("a",), ((2,),), (1,)), Z2), "letter 2"),
+        (lambda: enumerate_presented_homs(Presentation(("a",), ((1,),), (-2,)), Z2), "letter -2"),
     ],
     ids=["negative-value", "bool-value", "value-past-g", "letter-past-assignment", "float-letter",
          "relator-letter-past-generators", "pointed-letter-past-generators"],
@@ -96,11 +94,6 @@ def test_an_empty_relator_constrains_nothing(racks):
     cancelled = enumerate_presented_homs(replace(p, pointed_relator=(1, -1)), z2)
     assert empty.maps == cancelled.maps
     assert empty.count == 2 * enumerate_presented_homs(p, z2).count
-
-
-def test_presentation_text_layout(racks):
-    text = presentation_to_text(as_presentation(racks["t2"]))
-    assert text == "-1 -1 1 1\n-2 -1 2 1\n-1 -2 1 2\n-2 -2 2 2\n1\n"
 
 
 def test_hom_enumeration_into_conj_s3(racks):
@@ -137,50 +130,76 @@ def test_presented_homs_into_an_abelian_group(racks):
     assert hs.maps == ((0, 0), (0, 1))
 
 
-def test_adjunction_pinned_counts(racks, groups):
-    for xname, gname, count in [
-        ("t2", "s3", 6),
-        ("cs3", "s3", 24),
-        ("cs3", "z2", 4),
-        ("v3", "z3", 3),
-    ]:
-        report = check_adjunction_bijection(racks[xname], groups[gname])
-        assert report.rack_hom_count == count, (xname, gname)
-        assert report.presented_hom_count == count, (xname, gname)
-        assert report.assignments == enumerate_rack_homs(
-            racks[xname], conj_rack(groups[gname])
-        ).maps
+PINNED_ADJUNCTION_COUNTS = [
+    ("t2", "s3", 6),
+    ("cs3", "s3", 24),
+    ("cs3", "z2", 4),
+    ("v3", "z3", 3),
+]
 
 
-def test_adjunction_across_all_small_racks():
+def test_adjunction_pinned_counts(racks, groups, shared_leaves):
+    for xname, gname, count in PINNED_ADJUNCTION_COUNTS:
+        x, g = racks[xname], groups[gname]
+        homs = shared_leaves(check_adjunction_bijection, x, g)
+        assert len(homs) == count, (xname, gname)
+        assert homs == enumerate_rack_homs(x, conj_rack(g)).maps, (xname, gname)
+
+
+def test_adjunction_across_all_small_racks(shared_leaves):
     seen = 0
     for name, x, g in corpus.adjunction_pairs():
-        report = check_adjunction_bijection(x, g)
-        assert isinstance(report, AdjunctionReport)
-        assert report.rack_hom_count == report.presented_hom_count, name
+        homs = shared_leaves(check_adjunction_bijection, x, g)
+        assert len(set(homs)) == len(homs), name
         # the everything-to-the-identity assignment always survives
-        assert report.rack_hom_count >= 1, name
+        assert (g.identity,) * x.size in homs, name
         seen += 1
     # every pointed rack of order <= 3 against four groups
     assert seen == 16
 
 
-def test_xmod_adjunction_pinned_counts(rack_xmods, group_xmods):
-    report = check_xmod_adjunction(rack_xmods["a3r_cs3"], group_xmods["a3_s3"])
-    assert (report.rack_side_count, report.group_side_count) == (18, 18)
-    report = check_xmod_adjunction(rack_xmods["point_t2"], group_xmods["identity_z2"])
-    assert (report.rack_side_count, report.group_side_count) == (2, 2)
+def test_adjunction_counts_only_maps_that_pass_every_law(racks, groups, shared_leaves):
+    """Each side is pruned by its own filed laws only, so the check cannot
+    see a map that both sides wrongly admit; here every map it counts must
+    also pass ``validate_hom`` into Conj G and kill every relator in G."""
+    pinned = [(f"{x}/{g}", racks[x], groups[g]) for x, g, _ in PINNED_ADJUNCTION_COUNTS]
+    for name, x, g in list(corpus.adjunction_pairs()) + pinned:
+        p, cg = as_presentation(x), conj_rack(g)
+        for m in shared_leaves(check_adjunction_bijection, x, g):
+            validate_hom(x, cg, m)
+            for word in p.relators + (p.pointed_relator,):
+                assert evaluate_word(word, m, g) == g.identity, (name, m, word)
 
 
-def test_xmod_adjunction_across_corpus():
+def test_xmod_adjunction_pinned_counts(rack_xmods, group_xmods, shared_leaves):
+    for xname, gname, count in [("a3r_cs3", "a3_s3", 18), ("point_t2", "identity_z2", 2)]:
+        x, g = rack_xmods[xname], group_xmods[gname]
+        assert len(shared_leaves(check_xmod_adjunction, x, g)) == count, (xname, gname)
+
+
+def test_xmod_adjunction_across_corpus(shared_leaves):
     seen = 0
     for name, x, g in corpus.xmod_adjunction_pairs():
-        report = check_xmod_adjunction(x, g)
-        assert report.rack_side_count == report.group_side_count, name
-        assert report.rack_side_count >= 1, name
-        assert report.pairs == tuple(sorted(report.pairs)), name
+        pairs = shared_leaves(check_xmod_adjunction, x, g)
+        assert len(pairs) >= 1, name
+        assert len(set(pairs)) == len(pairs), name
         seen += 1
     assert seen >= 5
+
+
+def test_xmod_adjunction_counts_only_pairs_that_pass_every_law(shared_leaves):
+    """Every pair the crossed-module check counts must be a crossed-module
+    morphism into Conj(g) and kill the relators of both presentations."""
+    for name, x, g in corpus.xmod_adjunction_pairs():
+        cg = conj_xmod(g)
+        for f1, f0 in shared_leaves(check_xmod_adjunction, x, g):
+            validate_xmod_morphism(
+                validate_hom(x.dom, cg.dom, f1), validate_hom(x.cod, cg.cod, f0), x, cg
+            )
+            for r, h, m in ((x.dom, g.dom, f1), (x.cod, g.cod, f0)):
+                p = as_presentation(r)
+                for word in p.relators + (p.pointed_relator,):
+                    assert evaluate_word(word, m, h) == h.identity, (name, m, word)
 
 
 def _square_pairs(x, tops, bottoms, d, act):
@@ -198,7 +217,7 @@ def _square_pairs(x, tops, bottoms, d, act):
     )
 
 
-def test_xmod_adjunction_matches_the_product_filter_on_both_sides():
+def test_xmod_adjunction_matches_the_product_filter_on_both_sides(shared_leaves):
     for name, x, g in corpus.xmod_adjunction_pairs():
         cg = conj_xmod(g)
         # each hom search of both sides against the maps of the full product
@@ -220,9 +239,9 @@ def test_xmod_adjunction_matches_the_product_filter_on_both_sides():
             g.boundary.map,
             g.act,
         )
-        report = check_xmod_adjunction(x, g)
-        assert report.pairs == tuple(rack_side), name
-        assert report.pairs == tuple(presented_side), name
+        pairs = shared_leaves(check_xmod_adjunction, x, g)
+        assert pairs == tuple(rack_side), name
+        assert pairs == tuple(presented_side), name
 
 
 def test_xmod_adjunction_rejects_a_tampered_presented_side(monkeypatch, rack_xmods, group_xmods):
@@ -232,7 +251,7 @@ def test_xmod_adjunction_rejects_a_tampered_presented_side(monkeypatch, rack_xmo
 
     def tampered(x):
         p = real(x)
-        return Presentation(p.generators, p.relators, (1, -1), p.unit)
+        return Presentation(p.generators, p.relators, (1, -1))
 
     monkeypatch.setattr(functors, "as_presentation", tampered)
     with pytest.raises(BijectionFail) as exc:
@@ -482,12 +501,13 @@ def test_evaluate_word_refuses_a_rack(racks):
         ("z6", 7776, "397741d61f1cb5239efb59657e6dcceede7ea82b6236045e4c87b1ebc220bfe7"),
     ],
 )
-def test_adjunction_on_the_benchmark_domain(racks, groups, gname, count, digest):
+def test_adjunction_on_the_benchmark_domain(racks, groups, shared_leaves, gname, count, digest):
     """cs3×cz2 is the domain of perfbench's certify-ladder adjunction jobs;
     into Z6 its 6^5 maps on the five orbits are all homs."""
-    report = check_adjunction_bijection(product_rack(racks["cs3"], racks["cz2"]), groups[gname])
-    assert (report.rack_hom_count, report.presented_hom_count) == (count, count)
-    assert hashlib.sha256(repr(report.assignments).encode()).hexdigest() == digest
+    x = product_rack(racks["cs3"], racks["cz2"])
+    homs = shared_leaves(check_adjunction_bijection, x, groups[gname])
+    assert len(homs) == count
+    assert hashlib.sha256(repr(homs).encode()).hexdigest() == digest
 
 
 def test_xmod_adjunction_reports_the_least_bad_rack_pair(monkeypatch, rack_xmods, group_xmods):
@@ -502,12 +522,12 @@ def test_xmod_adjunction_reports_the_least_bad_rack_pair(monkeypatch, rack_xmods
 
 @pytest.mark.parametrize("side,builder", [("rack", "_presented_hom_search"), ("presented", "hom_search")])
 def test_xmod_adjunction_rejects_a_pair_missing_from_one_side(
-    monkeypatch, rack_xmods, group_xmods, side, builder
+    monkeypatch, rack_xmods, group_xmods, shared_leaves, side, builder
 ):
     """A pair that one side's search loses is reported from the other side;
     with identity boundaries f0 = f1, so losing f1 loses one pair."""
     x, g = rack_xmods["identity_cs3"], group_xmods["identity_s3"]
-    missing = check_xmod_adjunction(x, g).pairs[5]
+    missing = shared_leaves(check_xmod_adjunction, x, g)[5]
     monkeypatch.setattr(functors, builder, _rejecting(getattr(functors, builder), missing[0]))
     with pytest.raises(BijectionFail) as exc:
         check_xmod_adjunction(x, g)

@@ -2,7 +2,9 @@
 functions under the canonical names, with no rack- or group-side aliases,
 the crossed-module law families are bound only in ``rackmod.xmod``, and
 the uncalled crossed-module isomorphism search and the law-filing helpers
-that ``rackmod.search``'s two builders replaced are gone."""
+that ``rackmod.search``'s two builders replaced are gone, and so are the
+adjunction report classes, now that both checks return one count, and the
+presentation text format that nothing wrote or read."""
 
 import pkgutil
 from importlib import import_module
@@ -34,6 +36,9 @@ REMOVED = (
     "laws_hold",
     "xmod_squares",
     "squares_hold",
+    "AdjunctionReport",
+    "XModAdjunctionReport",
+    "presentation_to_text",
 )
 # The two law families of validate_xmod, kept by name in rackmod.xmod alone.
 XMOD_LAWS = ("validate_rack_xmod", "validate_group_xmod")
