@@ -39,7 +39,6 @@ from .groups import (
     FiniteGroup,
     conjugacy_classes,
     cyclic_group,
-    subgroup,
     symmetric_group_3,
     validate_group,
 )
@@ -64,7 +63,6 @@ from .pullback import (
 )
 from .racks import (
     FiniteRack,
-    Kernel,
     NormalityCheck,
     UnpointedRack,
     adjoin_basepoint,
@@ -72,13 +70,12 @@ from .racks import (
     conj_rack,
     constant_rack_hom,
     core_rack,
-    inclusion_rack_hom,
     is_normal_subrack,
     kernel,
     product_projections,
     product_rack,
     rack_orbits,
-    restrict_rack,
+    substructure,
     trivial_rack,
     validate_rack,
     validate_unpointed_rack,
@@ -95,7 +92,6 @@ from .xmod import (
     hemi_semidirect,
     identity_xmod,
     identity_xmod_morphism,
-    inclusion_group_xmod,
     inclusion_xmod,
     trivial_action,
     validate_action,

@@ -164,9 +164,13 @@ def cmd_check(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- construct
 
 
-def _write(doc: dict[str, Any], out: str, note: str) -> int:
-    write_document(doc, out)
-    print(f"wrote {doc['kind']} to {out} ({note})")
+def _write(*outputs: tuple[dict[str, Any], str, str]) -> int:
+    """Write every (document, path, note), then name each on stdout, so that
+    a failed write prints nothing."""
+    for doc, out, _ in outputs:
+        write_document(doc, out)
+    for doc, out, note in outputs:
+        print(f"wrote {doc['kind']} to {out} ({note})")
     return 0
 
 
@@ -175,32 +179,32 @@ def cmd_construct_conj(args: argparse.Namespace) -> int:
     kind = doc.get("kind")
     if kind == "group":
         rack = conj_rack(parse_group(doc))
-        return _write(rack_document(rack), args.out, f"size {rack.size}")
+        return _write((rack_document(rack), args.out, f"size {rack.size}"))
     if kind == "hom":
         hom = parse_hom(doc)
         if not isinstance(hom.dom, FiniteGroup):
             raise ParseError("conj of a hom needs group endpoints")
         rh = conj_hom(hom)
-        return _write(hom_document(rh), args.out, f"sizes {rh.dom.size} -> {rh.cod.size}")
+        return _write((hom_document(rh), args.out, f"sizes {rh.dom.size} -> {rh.cod.size}"))
     raise ParseError(f"conj expects a group or a group hom, got {kind!r}")
 
 
 def cmd_construct_core(args: argparse.Namespace) -> int:
     rack = core_rack(parse_group(load_document(args.file)))
-    return _write(unpointed_rack_document(rack), args.out, f"size {rack.size}")
+    return _write((unpointed_rack_document(rack), args.out, f"size {rack.size}"))
 
 
 def cmd_construct_product(args: argparse.Namespace) -> int:
     left = parse_rack(load_document(args.left))
     right = parse_rack(load_document(args.right))
     rack = product_rack(left, right)
-    return _write(rack_document(rack), args.out, f"size {rack.size}")
+    return _write((rack_document(rack), args.out, f"size {rack.size}"))
 
 
 def cmd_construct_hemisemi(args: argparse.Namespace) -> int:
     action = parse_action(load_document(args.file))
     rack = hemi_semidirect(action)
-    return _write(rack_document(rack), args.out, f"size {rack.size}")
+    return _write((rack_document(rack), args.out, f"size {rack.size}"))
 
 
 def cmd_construct_fiber(args: argparse.Namespace) -> int:
@@ -209,14 +213,14 @@ def cmd_construct_fiber(args: argparse.Namespace) -> int:
     kinds = (left_doc.get("kind"), right_doc.get("kind"))
     if kinds == ("rack-xmod", "rack-xmod"):
         xm = fiber_product_xmod(parse_rack_xmod(left_doc), parse_rack_xmod(right_doc))
-        return _write(document_for(xm), args.out, f"carrier size {xm.dom.size}")
+        return _write((document_for(xm), args.out, f"carrier size {xm.dom.size}"))
     if kinds == ("hom", "hom"):
         alpha = parse_hom(left_doc)
         beta = parse_hom(right_doc)
         if not (isinstance(alpha.dom, FiniteRack) and isinstance(beta.dom, FiniteRack)):
             raise ParseError("fiber of homs needs rack endpoints")
         fp = fiber_product(alpha, beta)
-        return _write(rack_document(fp.carrier), args.out, f"size {fp.carrier.size}")
+        return _write((rack_document(fp.carrier), args.out, f"size {fp.carrier.size}"))
     raise ParseError(f"fiber expects two rack-xmods or two rack homs, got {kinds}")
 
 
@@ -227,10 +231,11 @@ def cmd_construct_pullback(args: argparse.Namespace) -> int:
     if not isinstance(source.dom, args.kind):
         raise ParseError(args.wrong_kind)
     pb = pullback_xmod(source, phi)
+    outputs = [(document_for(pb.xmod), args.out, f"carrier size {pb.carrier.size}")]
     if args.hom_out:
-        write_document(hom_document(pb.phi_prime), args.hom_out)
-        print(f"wrote hom to {args.hom_out} (comparison back to the source)")
-    return _write(document_for(pb.xmod), args.out, f"carrier size {pb.carrier.size}")
+        note = "comparison back to the source"
+        outputs.insert(0, (hom_document(pb.phi_prime), args.hom_out, note))
+    return _write(*outputs)
 
 
 # ------------------------------------------------------------------ certify
@@ -316,10 +321,13 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     if bound > ENUMERATION_CEILING:
         raise BoundExceeded(f"corpus bound {bound} is above the ceiling {ENUMERATION_CEILING}")
     per_size = {n: enumerate_pointed_racks(n) for n in range(1, bound + 1)}
-    for n, found in per_size.items():
-        print(f"pointed racks of size {n}, up to isomorphism: {len(found)}")
-    for prefix, catalog in _CATALOGS:
-        print(f"catalog {prefix}: {len(catalog())} entries")
+    lines = [
+        f"pointed racks of size {n}, up to isomorphism: {len(found)}"
+        for n, found in per_size.items()
+    ]
+    lines += [f"catalog {prefix}: {len(catalog())} entries" for prefix, catalog in _CATALOGS]
+    # every document is written before the first line is printed, so that a
+    # failed write leaves stdout empty
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -332,7 +340,8 @@ def cmd_corpus(args: argparse.Namespace) -> int:
             for i, rk in enumerate(found):
                 write_document(rack_document(rk), outdir / f"enum-rack-{n}-{i}.json")
                 written += 1
-        print(f"wrote {written} documents to {outdir}")
+        lines.append(f"wrote {written} documents to {outdir}")
+    print("\n".join(lines))
     return 0
 
 

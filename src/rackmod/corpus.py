@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .groups import FiniteGroup, cyclic_group, subgroup, symmetric_group_3
+from .groups import FiniteGroup, cyclic_group, symmetric_group_3
 from .isomorphism import enumerate_pointed_racks
 from .racks import (
     FiniteRack,
@@ -18,7 +18,7 @@ from .racks import (
     conj_hom,
     conj_rack,
     constant_rack_hom,
-    inclusion_rack_hom,
+    substructure,
     trivial_rack,
     validate_rack,
     validate_unpointed_rack,
@@ -28,7 +28,6 @@ from .xmod import (
     XMod,
     XModMorphism,
     identity_xmod,
-    inclusion_group_xmod,
     inclusion_xmod,
     validate_xmod_morphism,
 )
@@ -40,14 +39,13 @@ A3_IN_S3 = (0, 3, 4)
 @cache
 def groups() -> dict[str, FiniteGroup]:
     s3 = symmetric_group_3()
-    a3, _ = subgroup(s3, A3_IN_S3)
     return {
         "z2": cyclic_group(2),
         "z3": cyclic_group(3),
         "z4": cyclic_group(4),
         "z6": cyclic_group(6),
         "s3": s3,
-        "a3": a3,
+        "a3": substructure(s3, A3_IN_S3).dom,
     }
 
 
@@ -55,11 +53,10 @@ def groups() -> dict[str, FiniteGroup]:
 def group_homs() -> dict[str, Hom]:
     g = groups()
     s3, z2, z3, z4, z6, a3 = g["s3"], g["z2"], g["z3"], g["z4"], g["z6"], g["a3"]
-    _, incl_a3 = subgroup(s3, A3_IN_S3)
     sgn = validate_hom(s3, z2, [0, 1, 1, 0, 0, 1])
     return {
         "sgn": sgn,
-        "incl_a3_s3": incl_a3,
+        "incl_a3_s3": substructure(s3, A3_IN_S3),
         "z3_to_s3": validate_hom(z3, s3, [0, 3, 4]),
         "z2_to_s3": validate_hom(z2, s3, [0, 2]),
         "z4_mod2": validate_hom(z4, z2, [0, 1, 0, 1]),
@@ -111,7 +108,7 @@ def rack_homs() -> dict[str, Hom]:
         "z3_to_s3_rack": conj_hom(h["z3_to_s3"]),
         "z2_to_s3_rack": conj_hom(h["z2_to_s3"]),
         "z4_mod2_rack": conj_hom(h["z4_mod2"]),
-        "incl_a3r_cs3": inclusion_rack_hom(cs3, A3_IN_S3),
+        "incl_a3r_cs3": substructure(cs3, A3_IN_S3),
         "id_t2": identity_hom(t2),
         "id_cz2": identity_hom(cz2),
         "id_cs3": identity_hom(cs3),
@@ -138,13 +135,13 @@ def rack_xmods() -> dict[str, XMod]:
 def group_xmods() -> dict[str, XMod]:
     g = groups()
     return {
-        "triv_z2": inclusion_group_xmod([0], g["z2"]),
-        "triv_z3": inclusion_group_xmod([0], g["z3"]),
-        "triv_s3": inclusion_group_xmod([0], g["s3"]),
-        "a3_s3": inclusion_group_xmod(A3_IN_S3, g["s3"]),
-        "2z4_z4": inclusion_group_xmod([0, 2], g["z4"]),
-        "z3_z6": inclusion_group_xmod([0, 2, 4], g["z6"]),
-        "z2_z6": inclusion_group_xmod([0, 3], g["z6"]),
+        "triv_z2": inclusion_xmod([0], g["z2"]),
+        "triv_z3": inclusion_xmod([0], g["z3"]),
+        "triv_s3": inclusion_xmod([0], g["s3"]),
+        "a3_s3": inclusion_xmod(A3_IN_S3, g["s3"]),
+        "2z4_z4": inclusion_xmod([0, 2], g["z4"]),
+        "z3_z6": inclusion_xmod([0, 2, 4], g["z6"]),
+        "z2_z6": inclusion_xmod([0, 3], g["z6"]),
         "identity_z2": identity_xmod(g["z2"]),
         "identity_z3": identity_xmod(g["z3"]),
         "identity_z4": identity_xmod(g["z4"]),

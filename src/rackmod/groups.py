@@ -2,7 +2,9 @@
 
 The product convention for permutation groups is "apply left, then right":
 ``mul[g][h]`` composes g first and h second.  Conjugation of g by h is
-``h^-1 g h`` throughout.
+``h^-1 g h`` throughout.  Subgroups, normal subgroups and kernels are built
+by the shared bodies in ``rackmod.racks``: ``substructure``,
+``is_normal_subrack`` and ``kernel``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 from .errors import AssociativityFail, IdentityFail, InverseFail
-from .tables import FiniteStructure, Hom, check_index, label_row, square_table, validate_hom
+from .tables import FiniteStructure, check_index, label_row, square_table
 
 
 @dataclass(frozen=True)
@@ -85,24 +87,6 @@ def symmetric_group_3() -> FiniteGroup:
         for a in elems
     ]
     return validate_group(table, 0, labels=[_S3_LABELS[p] for p in elems])
-
-
-def subgroup(g: FiniteGroup, elements) -> tuple[FiniteGroup, Hom]:
-    """Restrict to a subset; returns the subgroup and its inclusion hom."""
-    emb = tuple(sorted({check_index(x, g.size, "subgroup element") for x in elements}))
-    pos = {x: i for i, x in enumerate(emb)}
-    if g.identity not in pos:
-        raise ValueError("subset does not contain the identity")
-    for a in emb:
-        if g.inv[a] not in pos:
-            raise ValueError(f"subset is not closed under inversion at {a}")
-        for b in emb:
-            if g.mul[a][b] not in pos:
-                raise ValueError(f"subset is not closed under multiplication at ({a}, {b})")
-    table = [[pos[g.mul[a][b]] for b in emb] for a in emb]
-    labels = [g.label(a) for a in emb] if g.labels else None
-    sub = validate_group(table, pos[g.identity], labels=labels)
-    return sub, validate_hom(sub, g, emb)
 
 
 def conjugacy_classes(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:

@@ -22,14 +22,13 @@ from .errors import (
     NotAMorphism,
     UniquenessFail,
 )
-from .groups import FiniteGroup, validate_group
-from .racks import validate_rack
+from .groups import FiniteGroup
+from .racks import _self_action, _validator
 from .search import assignments, hom_search, morphism_search
 from .tables import FiniteStructure, Hom, identity_hom, validate_hom
 from .xmod import (
     XMod,
     XModMorphism,
-    _self_action,
     conj_xmod,
     validate_xmod,
     validate_xmod_morphism,
@@ -82,8 +81,7 @@ def fiber_product(alpha: Hom, beta: Hom) -> FiberProduct:
         [[(p_x.table[p][pp], s_x.table[s][sp]) for pp, sp in pairs] for p, s in pairs],
     )
     labels = [f"({p_x.label(p)},{s_x.label(s)})" for p, s in pairs]
-    validate = validate_group if isinstance(p_x, FiniteGroup) else validate_rack
-    carrier = validate(table, pairs.index(bp_pair), labels=labels)
+    carrier = _validator(p_x)(table, pairs.index(bp_pair), labels=labels)
     proj1 = validate_hom(carrier, p_x, [p for p, _ in pairs])
     proj2 = validate_hom(carrier, s_x, [s for _, s in pairs])
     for i in range(carrier.size):

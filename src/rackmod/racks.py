@@ -6,6 +6,11 @@ self-distributive ``(a ◁ b) ◁ c = (a ◁ c) ◁ (b ◁ c)``, and a distingui
 element 1 satisfies ``1 ◁ a = 1`` and ``a ◁ 1 = a``.  Unpointed racks drop the
 last family.  All values here are immutable; validators re-check every axiom
 eagerly and report the lexicographically first violation.
+
+Substructures have one body for racks and groups: ``substructure`` includes
+a closed subset into a rack or a group, and normality, which
+``is_normal_subrack`` and ``kernel`` check, is closure under the structure
+acting on itself, by ◁ for a rack and by conjugation for a group.
 """
 
 from __future__ import annotations
@@ -14,11 +19,12 @@ from dataclasses import dataclass, field
 
 from .errors import (
     BasepointMissing,
+    ConstructionFail,
     NonBijectiveColumn,
     NotPointed,
     SelfDistributivityFail,
 )
-from .groups import FiniteGroup
+from .groups import FiniteGroup, validate_group
 from .tables import FiniteStructure, Hom, check_index, label_row, square_table, validate_hom
 
 
@@ -172,27 +178,37 @@ def adjoin_basepoint(u: UnpointedRack) -> FiniteRack:
     return validate_rack(table, n, labels=labels)
 
 
-# ---------------------------------------------------------------- subracks
+# ---------------------------------------------------------------- substructures
 
 
-def restrict_rack(r: FiniteRack, elements) -> FiniteRack:
-    """The subrack on a closed subset containing the basepoint."""
-    emb = tuple(sorted({check_index(x, r.size, "subrack element") for x in elements}))
-    pos = {x: i for i, x in enumerate(emb)}
-    if r.basepoint not in pos:
+def _validator(x: FiniteStructure):
+    """The validator of x's kind: ``validate_group`` or ``validate_rack``."""
+    return validate_group if isinstance(x, FiniteGroup) else validate_rack
+
+
+def _self_action(x: FiniteStructure):
+    """How x acts on itself: by conjugation for a group, by ◁ for a rack."""
+    return x.conj if isinstance(x, FiniteGroup) else x.op
+
+
+def substructure(x: FiniteStructure, elements) -> Hom:
+    """The inclusion of a closed subset of x that holds x's basepoint (a
+    group's identity).
+
+    ``.dom`` is the subrack or subgroup, validated in x's own kind: a closed
+    subset of a finite group that holds the identity is a subgroup.
+    """
+    emb = tuple(sorted({check_index(a, x.size, "subset element") for a in elements}))
+    pos = {a: i for i, a in enumerate(emb)}
+    if x.basepoint not in pos:
         raise ValueError("subset does not contain the basepoint")
     for a in emb:
         for b in emb:
-            if r.table[a][b] not in pos:
+            if x.table[a][b] not in pos:
                 raise ValueError(f"subset is not closed at ({a}, {b})")
-    table = [[pos[r.table[a][b]] for b in emb] for a in emb]
-    labels = [r.label(a) for a in emb] if r.labels else None
-    return validate_rack(table, pos[r.basepoint], labels=labels)
-
-
-def inclusion_rack_hom(r: FiniteRack, elements) -> Hom:
-    emb = tuple(sorted({check_index(x, r.size, "subrack element") for x in elements}))
-    return validate_hom(restrict_rack(r, emb), r, emb)
+    table = [[pos[x.table[a][b]] for b in emb] for a in emb]
+    labels = [x.label(a) for a in emb] if x.labels else None
+    return validate_hom(_validator(x)(table, pos[x.basepoint], labels=labels), x, emb)
 
 
 @dataclass(frozen=True)
@@ -201,43 +217,40 @@ class NormalityCheck:
     witness: tuple[int, int, int] | None
 
 
-def _normality(subset, r: FiniteRack) -> tuple[tuple[int, ...], NormalityCheck]:
-    """The sorted subset and its closure under conjugation by the whole rack."""
-    emb = tuple(sorted({check_index(x, r.size, "subset element") for x in subset}))
-    if not emb or r.basepoint not in emb:
+def _normality(subset, x: FiniteStructure) -> tuple[tuple[int, ...], NormalityCheck]:
+    """The sorted subset and its closure under x acting on itself: by ◁ for a
+    rack, by conjugation for a group."""
+    emb = tuple(sorted({check_index(a, x.size, "subset element") for a in subset}))
+    if not emb or x.basepoint not in emb:
         raise BasepointMissing()
-    members = set(emb)
+    members, op = set(emb), _self_action(x)
     for n in emb:
-        for b in range(r.size):
-            v = r.table[n][b]
+        for b in x.elements():
+            v = op(n, b)
             if v not in members:
                 return emb, NormalityCheck(False, (n, b, v))
     return emb, NormalityCheck(True, None)
 
 
-def is_normal_subrack(subset, r: FiniteRack) -> NormalityCheck:
-    """Closure of the subset under conjugation by the whole rack.
+def is_normal_subrack(subset, x: FiniteStructure) -> NormalityCheck:
+    """Closure of the subset under x acting on itself.
 
-    A closed subset containing the basepoint is automatically a pointed rack
-    under the restricted table; that is re-verified here all the same.
+    A normal subset of a rack is closed, and so a pointed rack under the
+    restricted table; that is re-verified here all the same.  A normal
+    subset of a group that is not closed raises ``ValueError``.
     """
-    emb, check = _normality(subset, r)
+    emb, check = _normality(subset, x)
     if check.ok:
-        restrict_rack(r, emb)
+        substructure(x, emb)
     return check
 
 
-@dataclass(frozen=True)
-class Kernel:
-    elements: tuple[int, ...]
-    normality: NormalityCheck
-
-
-def kernel(f: Hom) -> Kernel:
-    """Preimage of the codomain basepoint, with its normality certificate."""
-    elems = tuple(a for a in f.dom.elements() if f.map[a] == f.cod.basepoint)
-    cert = is_normal_subrack(elems, f.dom)
-    return Kernel(elems, cert)
+def kernel(f: Hom) -> Hom:
+    """The inclusion of the preimage of the codomain's basepoint, which is normal."""
+    emb, check = _normality([a for a in f.dom.elements() if f.map[a] == f.cod.basepoint], f.dom)
+    if not check.ok:
+        raise ConstructionFail("the kernel is not normal", check.witness)
+    return substructure(f.dom, emb)
 
 
 # ---------------------------------------------------------------- orbits

@@ -11,7 +11,10 @@ A crossed module of racks is a pointed rack hom d: R -> S together with an
 action of S on R such that d(r.s) = d(r) ◁ s and r.d(r') = r ◁ r'.  Crossed
 modules of racks and of groups are one type, ``XMod``, checked by one
 validator, ``validate_xmod``, which reads the law family from the kind of
-the boundary's domain.
+the boundary's domain.  The basic examples have one body for both kinds:
+``inclusion_xmod`` includes a normal subrack or subgroup, and
+``identity_xmod`` takes the whole structure, each acted on as the structure
+acts on itself.
 """
 
 from __future__ import annotations
@@ -34,13 +37,14 @@ from .errors import (
     X1Fail,
     X2Fail,
 )
-from .groups import FiniteGroup, subgroup
+from .groups import FiniteGroup
 from .racks import (
     FiniteRack,
     _normality,
     _pair_labels,
+    _self_action,
     conj_rack,
-    restrict_rack,
+    substructure,
     validate_rack,
 )
 from .tables import FiniteStructure, Hom, compose_homs, identity_hom, rect_table, validate_hom
@@ -219,42 +223,20 @@ def validate_group_xmod(boundary: Hom, action) -> tuple[tuple[int, ...], ...]:
     return t
 
 
-def inclusion_xmod(subset, r: FiniteRack) -> XMod:
-    """Normal subrack N of R, included into R, with R acting by conjugation.
+def inclusion_xmod(subset, x: FiniteStructure) -> XMod:
+    """A normal subrack or subgroup N of x, included into x, with x acting on
+    N as it acts on itself: by ◁ for a rack, by conjugation for a group.
 
-    The subrack is validated once, and the inclusion is validated as a hom
+    The subset is checked for the basepoint, then for normality, then for
+    closure; the substructure is validated once, and the inclusion as a hom
     from it.
     """
-    emb, check = _normality(subset, r)
+    emb, check = _normality(subset, x)
     if not check.ok:
         raise NotNormal(*check.witness)
-    sub = restrict_rack(r, emb)
-    pos = {x: i for i, x in enumerate(emb)}
-    boundary = validate_hom(sub, r, emb)
-    table = [[pos[r.table[x][b]] for b in r.elements()] for x in emb]
-    return validate_xmod(boundary, table)
-
-
-def inclusion_group_xmod(subset, g: FiniteGroup) -> XMod:
-    """Normal subgroup included into g, with g acting by conjugation."""
-    sub, emb_hom = subgroup(g, subset)
-    emb = emb_hom.map
-    pos = {x: i for i, x in enumerate(emb)}
-    table = []
-    for i, m in enumerate(emb):
-        row = []
-        for n in g.elements():
-            v = g.conj(m, n)
-            if v not in pos:
-                raise NotNormal(m, n, v)
-            row.append(pos[v])
-        table.append(row)
-    return validate_xmod(emb_hom, table)
-
-
-def _self_action(x: FiniteStructure):
-    """How x acts on itself: by conjugation for a group, by ◁ for a rack."""
-    return x.conj if isinstance(x, FiniteGroup) else x.op
+    boundary = substructure(x, emb)
+    pos, op = {a: i for i, a in enumerate(emb)}, _self_action(x)
+    return validate_xmod(boundary, [[pos[op(a, b)] for b in x.elements()] for a in emb])
 
 
 def identity_xmod(x: FiniteStructure) -> XMod:

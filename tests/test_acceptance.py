@@ -31,7 +31,7 @@ from rackmod import (
     product_rack,
     pullback_on_morphisms,
     pullback_xmod,
-    restrict_rack,
+    substructure,
     validate_group,
     validate_hom,
     validate_rack,
@@ -97,7 +97,7 @@ def test_criterion_01_axiom_soundness():
             product_rack(r["cz2"], r["v3"]),
             hemi_semidirect(conjugation_action(r["cs3"])),
             adjoin_basepoint(core_rack(corpus.groups()["z3"])),
-            restrict_rack(r["cs3"], [0, 3, 4]),
+            substructure(r["cs3"], [0, 3, 4]).dom,
         )
         for rk in derived:
             validate_rack(rk.table, rk.basepoint, labels=rk.labels)
@@ -143,7 +143,7 @@ def test_criterion_04_universal_property_holds_everywhere():
             inclusion_xmod([0], r["cz2"]), corpus.rack_homs()["sgn_rack"]
         )
         assert pb.carrier.size == 3
-        evens = restrict_rack(r["cs3"], [0, 3, 4])
+        evens = substructure(r["cs3"], [0, 3, 4]).dom
         assert evens.labels == ("e", "(123)", "(132)")
         assert find_isomorphism(pb.carrier, evens) is not None
         cert = verify_universal_property(pb, pb.phi_prime, pb.xmod)
@@ -158,7 +158,7 @@ def test_criterion_05_preimages_are_normal_subracks():
             pb = pullback_xmod(inclusion_xmod(subset, base), phi)
             members = set(subset)
             preimage = [s for s in phi.dom.elements() if phi.map[s] in members]
-            sub = restrict_rack(phi.dom, preimage)
+            sub = substructure(phi.dom, preimage).dom
             assert find_isomorphism(pb.carrier, sub) is not None, name
             assert is_normal_subrack(preimage, phi.dom).ok, name
 

@@ -448,6 +448,37 @@ def test_corpus_dumps_documents(tmp_path, capsys):
     assert (outdir / "enum-rack-2-0.json").exists()
 
 
+def test_corpus_out_on_a_file_exits_2_with_nothing_on_stdout(tmp_path, capsys):
+    """An --out that is a file, or lies under one, fails before any line is printed."""
+    existing = tmp_path / "file.json"
+    existing.write_text("{}")
+    for out in (existing, existing / "dump"):
+        assert cli.main(["corpus", "--bound", "2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
+def test_construct_pullback_failed_out_exits_2_with_nothing_on_stdout(
+    tmp_path, rack_xmods, rack_homs, group_xmods, group_homs, capsys
+):
+    """--out fails after the --hom-out document is written: stdout stays empty."""
+    requests = {
+        "pullback": (rack_xmod_document(rack_xmods["identity_cz2"]), rack_homs["sgn_rack"]),
+        "group-pullback": (group_xmod_document(group_xmods["a3_s3"]), group_homs["z3_to_s3"]),
+    }
+    bad = tmp_path / "missing" / "pb.json"
+    for command, (xmod_doc, hom) in requests.items():
+        req = write(tmp_path, f"{command}.json", pullback_request(xmod_doc, hom_document(hom)))
+        hom_out = tmp_path / f"{command}-phi-prime.json"
+        argv = ["construct", command, req, "--hom-out", str(hom_out), "--out", str(bad)]
+        assert cli.main(argv) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == "", command
+        assert captured.err.startswith("error: "), command
+        assert not bad.exists(), command
+
+
 def test_write_failure_exits_2(tmp_path, groups, capsys):
     s3 = write(tmp_path, "s3.json", group_document(groups["s3"]))
     missing = tmp_path / "no" / "such" / "dir" / "out.json"

@@ -3,11 +3,12 @@
 import pytest
 
 from rackmod import (
+    FiniteGroup,
     compose_homs,
     conjugacy_classes,
     cyclic_group,
     identity_hom,
-    subgroup,
+    substructure,
     symmetric_group_3,
     validate_group,
     validate_hom,
@@ -83,14 +84,15 @@ def test_validate_group_rejects_ragged_table():
 
 def test_subgroup_inclusion_and_closure():
     s3 = symmetric_group_3()
-    a3, incl = subgroup(s3, [0, 3, 4])
-    assert a3.size == 3
+    incl = substructure(s3, [0, 3, 4])
+    a3 = incl.dom
+    assert isinstance(a3, FiniteGroup) and a3.size == 3
     assert incl.map == (0, 3, 4)
     assert a3.labels == ("e", "(123)", "(132)")
-    with pytest.raises(ValueError):
-        subgroup(s3, [0, 1, 3])
-    with pytest.raises(ValueError):
-        subgroup(s3, [3, 4])
+    with pytest.raises(ValueError, match="not closed at"):
+        substructure(s3, [0, 1, 3])
+    with pytest.raises(ValueError, match="basepoint"):
+        substructure(s3, [3, 4])
 
 
 def test_conjugacy_classes_of_s3():

@@ -3,8 +3,10 @@ functions under the canonical names, with no rack- or group-side aliases,
 the crossed-module law families are bound only in ``rackmod.xmod``, and
 the uncalled crossed-module isomorphism search and the law-filing helpers
 that ``rackmod.search``'s two builders replaced are gone, and so are the
-adjunction report classes, now that both checks return one count, and the
-presentation text format that nothing wrote or read."""
+adjunction report classes, now that both checks return one count, the
+presentation text format that nothing wrote or read, and the rack and group
+copies of the substructure functions that ``substructure`` and
+``inclusion_xmod`` replaced."""
 
 import pkgutil
 from importlib import import_module
@@ -39,6 +41,11 @@ REMOVED = (
     "AdjunctionReport",
     "XModAdjunctionReport",
     "presentation_to_text",
+    "restrict_rack",
+    "inclusion_rack_hom",
+    "subgroup",
+    "inclusion_group_xmod",
+    "Kernel",
 )
 # The two law families of validate_xmod, kept by name in rackmod.xmod alone.
 XMOD_LAWS = ("validate_rack_xmod", "validate_group_xmod")

@@ -14,13 +14,12 @@ from rackmod import (
     cyclic_group,
     identity_hom,
     identity_xmod,
-    inclusion_rack_hom,
     is_normal_subrack,
     kernel,
     product_projections,
     product_rack,
     rack_orbits,
-    restrict_rack,
+    substructure,
     trivial_rack,
     validate_hom,
     validate_rack,
@@ -131,19 +130,19 @@ def test_adjoin_basepoint(racks):
 
 
 def test_restrict_rack_and_inclusion(racks):
-    sub = restrict_rack(racks["cs3"], [0, 3, 4])
-    assert sub.labels == ("e", "(123)", "(132)")
-    assert sub.table == trivial_rack(3).table
-    incl = inclusion_rack_hom(racks["cs3"], [0, 3, 4])
+    incl = substructure(racks["cs3"], [0, 3, 4])
+    assert incl.dom.labels == ("e", "(123)", "(132)")
+    assert incl.dom.table == trivial_rack(3).table
     assert incl.map == (0, 3, 4)
+    assert incl.cod is racks["cs3"]
 
 
 def test_restrict_rack_failures(racks):
     cs3 = racks["cs3"]
     with pytest.raises(ValueError, match="basepoint"):
-        restrict_rack(cs3, [3, 4])
+        substructure(cs3, [3, 4])
     with pytest.raises(ValueError, match="closed"):
-        restrict_rack(cs3, [0, 1, 3])
+        substructure(cs3, [0, 1, 3])
 
 
 def test_is_normal_subrack(racks):
@@ -160,8 +159,8 @@ def test_is_normal_subrack(racks):
 
 def test_kernel_of_the_sign_hom(rack_homs):
     k = kernel(rack_homs["sgn_rack"])
-    assert k.elements == (0, 3, 4)
-    assert k.normality.ok
+    assert k.map == (0, 3, 4)
+    assert k.cod is rack_homs["sgn_rack"].dom
 
 
 def test_rack_orbits(racks):

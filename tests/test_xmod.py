@@ -13,7 +13,6 @@ from rackmod import (
     identity_hom,
     identity_xmod,
     identity_xmod_morphism,
-    inclusion_group_xmod,
     inclusion_xmod,
     product_rack,
     trivial_action,
@@ -147,19 +146,30 @@ def test_inclusion_xmod(racks):
     assert exc.value.witness == (2, 1, 5)
 
 
-def test_inclusion_xmod_validates_the_subrack_once(monkeypatch, racks):
+def test_inclusion_xmod_validates_the_subrack_once(monkeypatch, racks, groups):
+    """The subrack, or the subgroup, is validated once, in its own kind."""
     calls = []
-    real = racks_module.validate_rack
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
+    def counting(name, real):
+        def validate(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(racks_module, "validate_rack", counting)
-    monkeypatch.setattr(xmod_module, "validate_rack", counting)
+        return validate
+
+    for module, name in (
+        (racks_module, "validate_rack"),
+        (xmod_module, "validate_rack"),
+        (racks_module, "validate_group"),
+    ):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     xm = inclusion_xmod([0, 3, 4], racks["cs3"])
-    assert len(calls) == 1
+    assert calls == ["validate_rack"]
     assert xm.boundary.map == (0, 3, 4)
+    calls.clear()
+    gx = inclusion_xmod([0, 3, 4], groups["s3"])
+    assert calls == ["validate_group"]
+    assert gx.boundary.map == (0, 3, 4)
 
 
 def test_inclusion_xmod_errors(racks):
@@ -241,8 +251,8 @@ def test_group_xmod_laws_refuse_racks(rack_xmods):
 
 def test_inclusion_group_xmod(groups):
     with pytest.raises(NotNormal):
-        inclusion_group_xmod([0, 2], groups["s3"])
-    xm = inclusion_group_xmod([0, 3, 4], groups["s3"])
+        inclusion_xmod([0, 2], groups["s3"])
+    xm = inclusion_xmod([0, 3, 4], groups["s3"])
     assert xm.boundary.map == (0, 3, 4)
     assert identity_xmod(groups["z4"]).act(1, 3) == 1
 
