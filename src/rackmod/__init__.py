@@ -49,7 +49,6 @@ from .isomorphism import (
     rack_automorphisms,
 )
 from .pullback import (
-    ConjPreservationReport,
     FiberProduct,
     PullbackXMod,
     UniversalityCertificate,
@@ -89,6 +88,7 @@ from .xmod import (
     conj_xmod,
     conj_xmod_morphism,
     conjugation_action,
+    enumerate_xmod_morphisms,
     hemi_semidirect,
     identity_xmod,
     identity_xmod_morphism,

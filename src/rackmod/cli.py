@@ -19,8 +19,10 @@ Stdout is deterministic; wall-clock timing appears only in the
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
+from collections.abc import Iterable
 from functools import cache
 from pathlib import Path
 from typing import Any
@@ -164,11 +166,32 @@ def cmd_check(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- construct
 
 
+def _write_all(outputs: Iterable[tuple[dict[str, Any], str | Path]]) -> None:
+    """Write every (document, path) to a temporary file beside its path, then
+    move each onto its path in order, so that a failed write leaves no file.
+
+    On a failure every temporary file is removed; a failure while moving
+    leaves the documents already moved in place.
+    """
+    staged: list[tuple[Path, Path]] = []
+    try:
+        for doc, out in outputs:
+            target = Path(out)
+            tmp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
+            staged.append((tmp, target))
+            write_document(doc, tmp)
+        for tmp, target in staged:
+            os.replace(tmp, target)
+    except BaseException:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write(*outputs: tuple[dict[str, Any], str, str]) -> int:
     """Write every (document, path, note), then name each on stdout, so that
     a failed write prints nothing."""
-    for doc, out, _ in outputs:
-        write_document(doc, out)
+    _write_all((doc, out) for doc, out, _ in outputs)
     for doc, out, note in outputs:
         print(f"wrote {doc['kind']} to {out} ({note})")
     return 0
@@ -291,11 +314,9 @@ def cmd_certify_conj_preserves(args: argparse.Namespace) -> int:
         raise ParseError("conj-preserves expects a group-xmod request")
 
     def fn():
-        rep = check_conj_preserves_pullback(source, phi)
-        witnesses = [
-            {"f1": list(rep.morphism.f1.map), "f0": list(rep.morphism.f0.map)}
-        ]
-        return {"carrier-size": rep.carrier_size}, witnesses, None
+        m = check_conj_preserves_pullback(source, phi)
+        witnesses = [{"f1": list(m.f1.map), "f0": list(m.f0.map)}]
+        return {"carrier-size": m.src.dom.size}, witnesses, None
 
     return _certified(args, "certify conj-preserves", inputs, fn)
 
@@ -331,16 +352,18 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        written = 0
-        for prefix, catalog in _CATALOGS:
-            for name, obj in catalog().items():
-                write_document(document_for(obj), outdir / f"{prefix}-{name}.json")
-                written += 1
-        for n, found in per_size.items():
-            for i, rk in enumerate(found):
-                write_document(rack_document(rk), outdir / f"enum-rack-{n}-{i}.json")
-                written += 1
-        lines.append(f"wrote {written} documents to {outdir}")
+        outputs = [
+            (document_for(obj), outdir / f"{prefix}-{name}.json")
+            for prefix, catalog in _CATALOGS
+            for name, obj in catalog().items()
+        ]
+        outputs += [
+            (rack_document(rk), outdir / f"enum-rack-{n}-{i}.json")
+            for n, found in per_size.items()
+            for i, rk in enumerate(found)
+        ]
+        _write_all(outputs)
+        lines.append(f"wrote {len(outputs)} documents to {outdir}")
     print("\n".join(lines))
     return 0
 

@@ -1,8 +1,10 @@
-"""Canonical small structures and the instance lists the certification suites sweep.
+"""The built-in catalogs of small structures, and the pullback requests the benchmark reads.
 
 Everything here is deterministic: fixed element orderings, fixed labels,
-fixed instance names.  The CLI `corpus` command serializes these catalogs;
-the acceptance tests iterate them directly.
+fixed instance names.  The seven catalogs (``groups`` through
+``group_xmods``) are what the CLI `corpus` command writes;
+``pullback_instances`` and ``conj_preservation_instances`` are the two
+request lists that perfbench reads.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 from functools import cache
 
 from .groups import FiniteGroup, cyclic_group, symmetric_group_3
-from .isomorphism import enumerate_pointed_racks
 from .racks import (
     FiniteRack,
     UnpointedRack,
@@ -24,13 +25,7 @@ from .racks import (
     validate_unpointed_rack,
 )
 from .tables import Hom, identity_hom, validate_hom
-from .xmod import (
-    XMod,
-    XModMorphism,
-    identity_xmod,
-    inclusion_xmod,
-    validate_xmod_morphism,
-)
+from .xmod import XMod, identity_xmod, inclusion_xmod
 
 A3_IN_S3 = (0, 3, 4)
 """Indices of the even permutations in the canonical S3 element order."""
@@ -151,24 +146,6 @@ def group_xmods() -> dict[str, XMod]:
 
 
 @cache
-def fiber_instances() -> tuple[tuple[str, XMod, XMod], ...]:
-    """Ordered pairs of crossed modules over a common base rack."""
-    x = rack_xmods()
-    by_base = {
-        "cs3": ("point_cs3", "a3r_cs3", "identity_cs3"),
-        "cz2": ("point_cz2", "identity_cz2"),
-        "cz3": ("point_cz3", "identity_cz3"),
-        "t2": ("point_t2", "identity_t2"),
-    }
-    out = []
-    for base, names in by_base.items():
-        for a in names:
-            for b in names:
-                out.append((f"{a}*{b}@{base}", x[a], x[b]))
-    return tuple(out)
-
-
-@cache
 def pullback_instances() -> tuple[tuple[str, XMod, Hom], ...]:
     """Pairs (crossed module over R, hom into R) for the pullback sweeps."""
     x = rack_xmods()
@@ -192,22 +169,6 @@ def pullback_instances() -> tuple[tuple[str, XMod, Hom], ...]:
 
 
 @cache
-def preimage_instances() -> tuple[tuple[str, tuple[int, ...], FiniteRack, Hom], ...]:
-    """(name, normal subset N of R, R, phi: S -> R) for preimage checks."""
-    r = racks()
-    h = rack_homs()
-    return (
-        ("kernel_sgn", (0,), r["cz2"], h["sgn_rack"]),
-        ("a3_under_id", A3_IN_S3, r["cs3"], h["id_cs3"]),
-        ("a3_under_z3", A3_IN_S3, r["cs3"], h["cz3_to_cs3"]),
-        ("a3_under_z2", A3_IN_S3, r["cs3"], h["z2_to_s3_rack"]),
-        ("point_under_z3", (0,), r["cs3"], h["cz3_to_cs3"]),
-        ("point_under_mod2", (0,), r["cz2"], h["z4_mod2_rack"]),
-        ("point_under_const", (0,), r["cs3"], h["const_t2_cs3"]),
-    )
-
-
-@cache
 def conj_preservation_instances() -> tuple[tuple[str, XMod, Hom], ...]:
     gx = group_xmods()
     gh = group_homs()
@@ -220,77 +181,3 @@ def conj_preservation_instances() -> tuple[tuple[str, XMod, Hom], ...]:
         ("z2_z6_along_z3", gx["z2_z6"], gh["z3_to_z6"]),
         ("identity_s3_along_id", gx["identity_s3"], gh["id_s3"]),
     )
-
-
-@cache
-def xmod_adjunction_pairs() -> tuple[tuple[str, XMod, XMod], ...]:
-    x = rack_xmods()
-    gx = group_xmods()
-    return (
-        ("point_t2/identity_z2", x["point_t2"], gx["identity_z2"]),
-        ("a3r_cs3/a3_s3", x["a3r_cs3"], gx["a3_s3"]),
-        ("point_cz2/triv_z2", x["point_cz2"], gx["triv_z2"]),
-        ("identity_t2/identity_z2", x["identity_t2"], gx["identity_z2"]),
-        ("identity_cz2/identity_z2", x["identity_cz2"], gx["identity_z2"]),
-        ("point_cz3/triv_z3", x["point_cz3"], gx["triv_z3"]),
-        ("identity_cs3/identity_s3", x["identity_cs3"], gx["identity_s3"]),
-    )
-
-
-@cache
-def adjunction_pairs() -> tuple[tuple[str, FiniteRack, FiniteGroup], ...]:
-    """Every pointed rack of order <= 3 against each of four groups."""
-    g = groups()
-    out = []
-    small = [rk for n in (1, 2, 3) for rk in enumerate_pointed_racks(n)]
-    for i, rk in enumerate(small):
-        for gname in ("z2", "z3", "z4", "s3"):
-            out.append((f"rack{rk.size}.{i}/{gname}", rk, g[gname]))
-    return tuple(out)
-
-
-@cache
-def slice_morphism_corpus() -> tuple[tuple[str, XModMorphism, XModMorphism, Hom], ...]:
-    """Composable pairs of base-fixing morphisms, with a hom to pull back along."""
-    x = rack_xmods()
-    h = rack_homs()
-    r = racks()
-    cs3 = r["cs3"]
-    point_cs3, a3r_cs3, ident_cs3 = x["point_cs3"], x["a3r_cs3"], x["identity_cs3"]
-    id_cs3 = identity_hom(cs3)
-    m1 = validate_xmod_morphism(
-        constant_rack_hom(point_cs3.dom, a3r_cs3.dom), id_cs3, point_cs3, a3r_cs3
-    )
-    m2 = validate_xmod_morphism(a3r_cs3.boundary, id_cs3, a3r_cs3, ident_cs3)
-    cz2 = r["cz2"]
-    point_cz2, ident_cz2 = x["point_cz2"], x["identity_cz2"]
-    id_cz2 = identity_hom(cz2)
-    n1 = validate_xmod_morphism(
-        constant_rack_hom(point_cz2.dom, ident_cz2.dom), id_cz2, point_cz2, ident_cz2
-    )
-    n2 = validate_xmod_morphism(identity_hom(cz2), id_cz2, ident_cz2, ident_cz2)
-    return (
-        ("cs3_chain", m1, m2, h["cz3_to_cs3"]),
-        ("cs3_chain_along_id", m1, m2, h["id_cs3"]),
-        ("cz2_chain", n1, n2, h["sgn_rack"]),
-        ("cz2_chain_along_mod2", n1, n2, h["z4_mod2_rack"]),
-    )
-
-
-@cache
-def group_morphism_corpus() -> tuple[tuple[str, XModMorphism], ...]:
-    gx = group_xmods()
-    g = groups()
-    gh = group_homs()
-    triv_s3, a3_s3, ident_s3 = gx["triv_s3"], gx["a3_s3"], gx["identity_s3"]
-    trivial_to_a3 = validate_hom(triv_s3.dom, a3_s3.dom, [0])
-    m1 = validate_xmod_morphism(trivial_to_a3, gh["id_s3"], triv_s3, a3_s3)
-    m2 = validate_xmod_morphism(a3_s3.boundary, gh["id_s3"], a3_s3, ident_s3)
-    ident_z2 = gx["identity_z2"]
-    m3 = validate_xmod_morphism(
-        identity_hom(g["z2"]), identity_hom(g["z2"]), ident_z2, ident_z2
-    )
-    m4 = validate_xmod_morphism(
-        gx["triv_z2"].boundary, identity_hom(g["z2"]), gx["triv_z2"], ident_z2
-    )
-    return (("triv_to_a3", m1), ("a3_to_identity", m2), ("id_z2", m3), ("triv_to_id_z2", m4))

@@ -249,15 +249,7 @@ def pullback_on_morphisms(m: XModMorphism, phi: Hom) -> XModMorphism:
 # ---------------------------------------------------------------- conjugation vs pullback
 
 
-@dataclass(frozen=True)
-class ConjPreservationReport:
-    morphism: XModMorphism
-    conj_of_pullback: XMod
-    pullback_of_conj: XMod
-    carrier_size: int
-
-
-def check_conj_preserves_pullback(source: XMod, phi: Hom) -> ConjPreservationReport:
+def check_conj_preserves_pullback(source: XMod, phi: Hom) -> XModMorphism:
     """Compare conjugation-then-pullback against pullback-then-conjugation.
 
     Conjugation keeps elements, so both crossed modules of racks live on
@@ -266,9 +258,10 @@ def check_conj_preserves_pullback(source: XMod, phi: Hom) -> ConjPreservationRep
     the identity on Conj S.  Each pair list must hold every pair of the
     other, so the comparison is bijective; validated as a pair of rack homs
     and as a crossed-module morphism, it is then an isomorphism, and
-    conjugation preserves this pullback.  Each conjugation rack is built
-    once: Conj phi is validated between the bases of the two conjugated
-    crossed modules.
+    conjugation preserves this pullback.  Returns the comparison, from
+    Conj(phi*source) to (Conj phi)*(Conj source).  Each conjugation rack is
+    built once: Conj phi is validated between the bases of the two
+    conjugated crossed modules.
     """
     gp = pullback_xmod(source, phi)
     conj_side = conj_xmod(gp.xmod)
@@ -278,7 +271,7 @@ def check_conj_preserves_pullback(source: XMod, phi: Hom) -> ConjPreservationRep
     try:
         (f1,) = _pair_table("the rack pullback lacks a pair", rp.pairs, [()], gp.pairs, [gp.pairs])
         _pair_table("the group pullback lacks a pair", gp.pairs, [()], rp.pairs, [rp.pairs])
-        iso = validate_xmod_morphism(
+        return validate_xmod_morphism(
             validate_hom(conj_side.dom, rack_side.dom, f1),
             validate_hom(conj_side.cod, rack_side.cod, conj_side.cod.elements()),
             conj_side,
@@ -289,4 +282,3 @@ def check_conj_preserves_pullback(source: XMod, phi: Hom) -> ConjPreservationRep
             "the canonical comparison (p, s) -> (p, s) from the conjugation of the group "
             f"pullback to the rack pullback of the conjugation is not an isomorphism: {exc}"
         ) from exc
-    return ConjPreservationReport(iso, conj_side, rack_side, conj_side.dom.size)

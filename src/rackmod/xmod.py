@@ -47,6 +47,7 @@ from .racks import (
     substructure,
     validate_rack,
 )
+from .search import assignments, hom_search, morphism_search
 from .tables import FiniteStructure, Hom, compose_homs, identity_hom, rect_table, validate_hom
 
 
@@ -274,6 +275,27 @@ def validate_xmod_morphism(
             if f1.map[src.act(r, s)] != dst.act(f1.map[r], f0.map[s]):
                 raise ActionSquareFail(r, s)
     return XModMorphism(src, dst, f1, f0)
+
+
+def enumerate_xmod_morphisms(x: XMod, y: XMod) -> list[XModMorphism]:
+    """Every crossed-module morphism x -> y, validated, in search order.
+
+    One ``assignments`` search, built by ``morphism_search`` over two
+    ``hom_search``es, sets f0 and then f1, each by element index, so the
+    morphisms come sorted by (f0, f1).  x and y are both crossed modules of
+    racks or both of groups; other endpoints raise the ``ValueError`` of
+    ``validate_hom``.
+    """
+    search = morphism_search(
+        x, y, lambda *v: hom_search(x.dom, y.dom, *v), lambda *v: hom_search(x.cod, y.cod, *v)
+    )
+    ns = x.cod.size
+    return [
+        validate_xmod_morphism(
+            validate_hom(x.dom, y.dom, f[ns:]), validate_hom(x.cod, y.cod, f[:ns]), x, y
+        )
+        for f in assignments(*search)
+    ]
 
 
 def identity_xmod_morphism(x: XMod) -> XModMorphism:

@@ -1,6 +1,15 @@
+from itertools import combinations, product
+
 import pytest
 
-from rackmod import corpus, functors
+from rackmod import (
+    corpus,
+    enumerate_pointed_racks,
+    enumerate_xmod_morphisms,
+    functors,
+    identity_hom,
+    is_normal_subrack,
+)
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +40,71 @@ def rack_xmods():
 @pytest.fixture(scope="session")
 def group_xmods():
     return corpus.group_xmods()
+
+
+@pytest.fixture(scope="session")
+def adjunction_pairs():
+    """Every pointed rack of order <= 3 against each of four groups."""
+    g = corpus.groups()
+    small = [rk for n in (1, 2, 3) for rk in enumerate_pointed_racks(n)]
+    return tuple(
+        (f"rack{rk.size}.{i}/{gname}", rk, g[gname])
+        for i, rk in enumerate(small)
+        for gname in ("z2", "z3", "z4", "s3")
+    )
+
+
+@pytest.fixture(scope="session")
+def xmod_adjunction_pairs():
+    """Every (crossed module of racks, crossed module of groups) pair of the corpus."""
+    return tuple(
+        (f"{xname}/{gname}", x, g)
+        for xname, x in corpus.rack_xmods().items()
+        for gname, g in corpus.group_xmods().items()
+    )
+
+
+@pytest.fixture(scope="session")
+def preimage_cases():
+    """(name, N, R, phi): every corpus rack hom phi: S -> R with every normal
+    subrack N of R."""
+    cases = []
+    for hname, phi in corpus.rack_homs().items():
+        r = phi.cod
+        for k in range(1, r.size + 1):
+            for subset in combinations(r.elements(), k):
+                if r.basepoint in subset and is_normal_subrack(subset, r).ok:
+                    cases.append((f"{subset}<-{hname}", subset, r, phi))
+    return tuple(cases)
+
+
+@pytest.fixture(scope="session")
+def functor_law_cases():
+    """(name, m1, m2, phi): every composable pair of base-fixing morphisms
+    between corpus crossed modules over one base, of both kinds, from
+    ``enumerate_xmod_morphisms``, with every corpus hom phi into the base."""
+    cases = []
+    for xmods, homs in (
+        (corpus.rack_xmods(), corpus.rack_homs()),
+        (corpus.group_xmods(), corpus.group_homs()),
+    ):
+        fixing = {
+            (a, b): [
+                m for m in enumerate_xmod_morphisms(x, y) if m.f0 == identity_hom(x.cod)
+            ]
+            for a, x in xmods.items()
+            for b, y in xmods.items()
+            if x.cod == y.cod
+        }
+        for (a, b), firsts in fixing.items():
+            for (b2, c), seconds in fixing.items():
+                if b2 != b:
+                    continue
+                for (i, m1), (j, m2) in product(enumerate(firsts), enumerate(seconds)):
+                    for hname, phi in homs.items():
+                        if phi.cod == m1.src.cod:
+                            cases.append((f"{a}.{i}->{b}.{j}->{c}<-{hname}", m1, m2, phi))
+    return tuple(cases)
 
 
 def _shared_leaves(check, x, g):

@@ -7,6 +7,7 @@ enumeration.
 """
 
 import random
+from collections import Counter
 from contextlib import contextmanager
 
 from rackmod import (
@@ -21,6 +22,7 @@ from rackmod import (
     core_rack,
     enumerate_pointed_racks,
     enumerate_rack_homs,
+    enumerate_xmod_morphisms,
     fiber_product,
     fiber_product_xmod,
     find_isomorphism,
@@ -107,10 +109,11 @@ def test_criterion_01_axiom_soundness():
 
 def test_criterion_02_fiber_products_are_crossed_modules():
     with criterion(2, "fiber products satisfy both module laws"):
-        instances = corpus.fiber_instances()
-        assert len(instances) >= 10
-        for name, a, b in instances:
-            revalidate_rack_xmod(fiber_product_xmod(a, b))
+        xmods = corpus.rack_xmods()
+        pairs = [(a, b) for a in xmods for b in xmods if xmods[a].cod == xmods[b].cod]
+        assert len(pairs) == 37
+        for a, b in pairs:
+            revalidate_rack_xmod(fiber_product_xmod(xmods[a], xmods[b]))
 
 
 def test_criterion_03_pullbacks_are_crossed_modules():
@@ -150,11 +153,10 @@ def test_criterion_04_universal_property_holds_everywhere():
         assert cert.satisfying_count == 1
 
 
-def test_criterion_05_preimages_are_normal_subracks():
+def test_criterion_05_preimages_are_normal_subracks(preimage_cases):
     with criterion(5, "pullback of an inclusion is the preimage subrack"):
-        instances = corpus.preimage_instances()
-        assert len(instances) >= 5
-        for name, subset, base, phi in instances:
+        assert len(preimage_cases) == 36
+        for name, subset, base, phi in preimage_cases:
             pb = pullback_xmod(inclusion_xmod(subset, base), phi)
             members = set(subset)
             preimage = [s for s in phi.dom.elements() if phi.map[s] in members]
@@ -177,28 +179,26 @@ def test_criterion_06_full_base_pullback_is_the_graph():
         assert iso is not None and iso.map == (0, 3, 4, 1, 2, 5)
 
 
-def test_criterion_07_hom_sets_match_presented_assignments(shared_leaves):
+def test_criterion_07_hom_sets_match_presented_assignments(adjunction_pairs, shared_leaves):
     with criterion(7, "rack homs into conj = relator-killing assignments"):
-        pairs = corpus.adjunction_pairs()
-        assert len(pairs) == 16
-        for name, x, g in pairs:
+        assert len(adjunction_pairs) == 16
+        for name, x, g in adjunction_pairs:
             homs = shared_leaves(check_adjunction_bijection, x, g)
             assert len(set(homs)) == len(homs), name
         t2, s3 = corpus.racks()["t2"], corpus.groups()["s3"]
         assert shared_leaves(check_adjunction_bijection, t2, s3) == tuple((0, v) for v in range(6))
 
 
-def test_criterion_08_crossed_module_adjunction(shared_leaves):
+def test_criterion_08_crossed_module_adjunction(xmod_adjunction_pairs, shared_leaves):
     with criterion(8, "module morphisms match presented assignment pairs"):
-        pairs = corpus.xmod_adjunction_pairs()
-        assert len(pairs) >= 5
-        names = [name for name, _, _ in pairs]
-        assert "a3r_cs3/a3_s3" in names
-        for name, x, g in pairs:
+        assert len(xmod_adjunction_pairs) == 156
+        counts = {}
+        for name, x, g in xmod_adjunction_pairs:
             found = shared_leaves(check_xmod_adjunction, x, g)
             assert len(set(found)) == len(found), name
-            if name == "a3r_cs3/a3_s3":
-                assert len(found) == 18
+            counts[name] = len(found)
+        assert counts["a3r_cs3/a3_s3"] == 18
+        assert sum(counts.values()) == 1220
 
 
 def test_criterion_09_conjugation_preserves_pullbacks():
@@ -208,15 +208,12 @@ def test_criterion_09_conjugation_preserves_pullbacks():
         names = [name for name, _, _ in instances]
         assert "a3_s3_along_z3" in names and "triv_z2_along_sgn" in names
         for name, source, phi in instances:
-            report = check_conj_preserves_pullback(source, phi)
-            m = report.morphism
+            m = check_conj_preserves_pullback(source, phi)
             # re-validate the exhibited isomorphism and its inverse from raw maps
             f1 = validate_hom(m.f1.dom, m.f1.cod, m.f1.map)
             f0 = validate_hom(m.f0.dom, m.f0.cod, m.f0.map)
-            validate_xmod_morphism(
-                f1, f0, report.conj_of_pullback, report.pullback_of_conj
-            )
-            assert sorted(m.f1.map) == list(range(report.carrier_size)), name
+            validate_xmod_morphism(f1, f0, m.src, m.dst)
+            assert sorted(m.f1.map) == list(range(m.src.dom.size)), name
             assert sorted(m.f0.map) == list(range(len(m.f0.map))), name
             inv1 = [0] * len(m.f1.map)
             for i, v in enumerate(m.f1.map):
@@ -227,14 +224,16 @@ def test_criterion_09_conjugation_preserves_pullbacks():
             validate_xmod_morphism(
                 validate_hom(m.f1.cod, m.f1.dom, inv1),
                 validate_hom(m.f0.cod, m.f0.dom, inv0),
-                report.pullback_of_conj,
-                report.conj_of_pullback,
+                m.dst,
+                m.src,
             )
 
 
-def test_criterion_10_functor_laws():
+def test_criterion_10_functor_laws(functor_law_cases):
     with criterion(10, "pullback and conj act functorially on morphisms"):
-        for name, m1, m2, phi in corpus.slice_morphism_corpus():
+        kinds = Counter(type(phi.dom).__name__ for _, _, _, phi in functor_law_cases)
+        assert kinds == {"FiniteRack": 252, "FiniteGroup": 82}
+        for name, m1, m2, phi in functor_law_cases:
             lifted_id = pullback_on_morphisms(identity_xmod_morphism(m1.src), phi)
             assert lifted_id.f1.map == tuple(range(len(lifted_id.f1.map))), name
             both = compose_xmod_morphisms(
@@ -243,8 +242,15 @@ def test_criterion_10_functor_laws():
             composite = pullback_on_morphisms(compose_xmod_morphisms(m1, m2), phi)
             assert both.f1.map == composite.f1.map, name
             assert both.f0.map == composite.f0.map, name
-        for name, gm in corpus.group_morphism_corpus():
-            conj_xmod_morphism(gm)
+        group_xmods = corpus.group_xmods().values()
+        conjugated = 0
+        for x in group_xmods:
+            for y in group_xmods:
+                for gm in enumerate_xmod_morphisms(x, y):
+                    rm = conj_xmod_morphism(gm)
+                    assert (rm.f1.map, rm.f0.map) == (gm.f1.map, gm.f0.map)
+                    conjugated += 1
+        assert conjugated == 378
 
 
 def test_criterion_11_enumerators_agree():

@@ -462,7 +462,8 @@ def test_corpus_out_on_a_file_exits_2_with_nothing_on_stdout(tmp_path, capsys):
 def test_construct_pullback_failed_out_exits_2_with_nothing_on_stdout(
     tmp_path, rack_xmods, rack_homs, group_xmods, group_homs, capsys
 ):
-    """--out fails after the --hom-out document is written: stdout stays empty."""
+    """--out fails after the --hom-out document is written: stdout stays
+    empty, and neither document is left behind."""
     requests = {
         "pullback": (rack_xmod_document(rack_xmods["identity_cz2"]), rack_homs["sgn_rack"]),
         "group-pullback": (group_xmod_document(group_xmods["a3_s3"]), group_homs["z3_to_s3"]),
@@ -477,6 +478,28 @@ def test_construct_pullback_failed_out_exits_2_with_nothing_on_stdout(
         assert captured.out == "", command
         assert captured.err.startswith("error: "), command
         assert not bad.exists(), command
+        assert not hom_out.exists(), command
+        assert list(tmp_path.glob(".*.tmp")) == [], command
+
+
+def test_corpus_out_failing_on_a_later_document_leaves_no_file(tmp_path, monkeypatch, capsys):
+    """The tenth write fails: the nine documents before it are not left behind."""
+    real, calls = cli.write_document, []
+
+    def failing(doc, path):
+        calls.append(path)
+        if len(calls) == 10:
+            raise OSError("disk full")
+        real(doc, path)
+
+    monkeypatch.setattr(cli, "write_document", failing)
+    outdir = tmp_path / "dump"
+    assert cli.main(["corpus", "--bound", "2", "--out", str(outdir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: disk full\n"
+    assert len(calls) == 10
+    assert list(outdir.iterdir()) == []
 
 
 def test_write_failure_exits_2(tmp_path, groups, capsys):

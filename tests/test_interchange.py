@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from rackmod import conjugation_action
+from rackmod import conjugation_action, enumerate_xmod_morphisms
 from rackmod import corpus
 from rackmod.errors import ParseError, SelfDistributivityFail
 from rackmod.interchange import (
@@ -101,16 +101,21 @@ def test_group_xmod_round_trip(tmp_path, group_xmods):
     assert document_for(parsed) == doc
 
 
-def test_xmod_morphism_round_trip(tmp_path):
-    _, m1, _, _ = corpus.slice_morphism_corpus()[0]
-    _, gm = corpus.group_morphism_corpus()[0]
-    for name, m in [("rack", m1), ("group", gm)]:
-        doc = xmod_morphism_document(m)
-        path = tmp_path / f"{name}-morph.json"
-        write_document(doc, path)
-        parsed = parse_document(load_document(path))
-        assert parsed == m
-        assert document_for(parsed) == doc
+def test_xmod_morphism_round_trip(tmp_path, rack_xmods, group_xmods):
+    seen = 0
+    for name, x, y in [
+        ("rack", rack_xmods["point_cs3"], rack_xmods["a3r_cs3"]),
+        ("group", group_xmods["triv_s3"], group_xmods["a3_s3"]),
+    ]:
+        for i, m in enumerate(enumerate_xmod_morphisms(x, y)):
+            doc = xmod_morphism_document(m)
+            path = tmp_path / f"{name}-morph-{i}.json"
+            write_document(doc, path)
+            parsed = parse_document(load_document(path))
+            assert parsed == m
+            assert document_for(parsed) == doc
+            seen += 1
+    assert seen == 34
 
 
 def test_write_is_deterministic(tmp_path, racks):

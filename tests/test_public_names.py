@@ -6,7 +6,8 @@ that ``rackmod.search``'s two builders replaced are gone, and so are the
 adjunction report classes, now that both checks return one count, the
 presentation text format that nothing wrote or read, and the rack and group
 copies of the substructure functions that ``substructure`` and
-``inclusion_xmod`` replaced."""
+``inclusion_xmod`` replaced, and the conj-preservation report, now that the
+check returns its comparison morphism."""
 
 import pkgutil
 from importlib import import_module
@@ -46,6 +47,7 @@ REMOVED = (
     "subgroup",
     "inclusion_group_xmod",
     "Kernel",
+    "ConjPreservationReport",
 )
 # The two law families of validate_xmod, kept by name in rackmod.xmod alone.
 XMOD_LAWS = ("validate_rack_xmod", "validate_group_xmod")

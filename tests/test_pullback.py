@@ -14,10 +14,9 @@ from rackmod import (
     check_conj_preserves_pullback,
     compose_xmod_morphisms,
     conj_hom,
-    conj_rack,
     conj_xmod,
     constant_rack_hom,
-    enumerate_rack_homs,
+    enumerate_xmod_morphisms,
     fiber_product,
     fiber_product_xmod,
     find_isomorphism,
@@ -228,9 +227,9 @@ def test_universal_property_fails_for_a_doctored_pullback(rack_xmods, rack_homs)
     assert exc.value.witnesses == ((0, 1), (0, 2))
 
 
-def test_preimage_instances_are_normal_subracks():
+def test_preimage_instances_are_normal_subracks(preimage_cases):
     seen = 0
-    for name, subset, base, phi in corpus.preimage_instances():
+    for name, subset, base, phi in preimage_cases:
         incl = inclusion_xmod(subset, base)
         pb = pullback_xmod(incl, phi)
         members = set(subset)
@@ -239,7 +238,7 @@ def test_preimage_instances_are_normal_subracks():
         assert find_isomorphism(pb.carrier, sub) is not None, name
         assert is_normal_subrack(preimage, phi.dom).ok, name
         seen += 1
-    assert seen >= 5
+    assert seen == 36
 
 
 def test_pullback_on_morphisms_preserves_identity(rack_xmods, rack_homs):
@@ -248,16 +247,16 @@ def test_pullback_on_morphisms_preserves_identity(rack_xmods, rack_homs):
     assert lifted.f1.map == tuple(range(len(lifted.f1.map)))
 
 
-def test_pullback_on_morphisms_preserves_composition():
+def test_pullback_on_morphisms_preserves_composition(functor_law_cases):
     seen = 0
-    for name, m1, m2, phi in corpus.slice_morphism_corpus():
+    for name, m1, m2, phi in functor_law_cases:
         lifted_separately = compose_xmod_morphisms(
             pullback_on_morphisms(m1, phi), pullback_on_morphisms(m2, phi)
         )
         lifted_composite = pullback_on_morphisms(compose_xmod_morphisms(m1, m2), phi)
         assert lifted_separately.f1.map == lifted_composite.f1.map, name
         seen += 1
-    assert seen >= 3
+    assert seen == 334
 
 
 def test_pullback_on_morphisms_requires_fixed_base(rack_xmods, rack_homs, racks):
@@ -285,36 +284,30 @@ def test_group_pullback_and_its_universal_property(group_xmods, group_homs):
 
 
 def test_conj_preserves_pullback_on_required_instances(group_xmods, group_homs):
-    report = check_conj_preserves_pullback(group_xmods["a3_s3"], group_homs["z3_to_s3"])
-    assert report.carrier_size == 3
-    assert report.morphism.f1.map == (0, 1, 2)
+    m = check_conj_preserves_pullback(group_xmods["a3_s3"], group_homs["z3_to_s3"])
+    assert m.src.dom.size == 3
+    assert m.f1.map == (0, 1, 2)
     # the trivial module pulled back along sgn: one fiber point over each
     # even permutation
-    report = check_conj_preserves_pullback(group_xmods["triv_z2"], group_homs["sgn"])
-    assert report.carrier_size == 3
-    assert report.morphism.f1.map == (0, 1, 2)
+    m = check_conj_preserves_pullback(group_xmods["triv_z2"], group_homs["sgn"])
+    assert m.src.dom.size == 3
+    assert m.f1.map == (0, 1, 2)
 
 
 def test_conj_preserves_pullback_across_the_corpus():
     seen = 0
     for name, source, phi in corpus.conj_preservation_instances():
-        report = check_conj_preserves_pullback(source, phi)
+        m = check_conj_preserves_pullback(source, phi)
         # the isomorphism revalidates as a morphism in both directions
-        inverse1 = [0] * len(report.morphism.f1.map)
-        for i, v in enumerate(report.morphism.f1.map):
+        inverse1 = [0] * len(m.f1.map)
+        for i, v in enumerate(m.f1.map):
             inverse1[v] = i
-        inverse0 = [0] * len(report.morphism.f0.map)
-        for i, v in enumerate(report.morphism.f0.map):
+        inverse0 = [0] * len(m.f0.map)
+        for i, v in enumerate(m.f0.map):
             inverse0[v] = i
-        back1 = validate_hom(
-            report.pullback_of_conj.dom, report.conj_of_pullback.dom, inverse1
-        )
-        back0 = validate_hom(
-            report.pullback_of_conj.cod, report.conj_of_pullback.cod, inverse0
-        )
-        validate_xmod_morphism(
-            back1, back0, report.pullback_of_conj, report.conj_of_pullback
-        )
+        back1 = validate_hom(m.dst.dom, m.src.dom, inverse1)
+        back0 = validate_hom(m.dst.cod, m.src.cod, inverse0)
+        validate_xmod_morphism(back1, back0, m.dst, m.src)
         seen += 1
     assert seen >= 5
 
@@ -525,25 +518,6 @@ def test_universal_property_matches_the_unpruned_oracle_when_it_fails(rack_xmods
     assert _satisfying(fake, pb.phi_prime, pb.xmod) == expected
 
 
-def _morphism_tops(mu_xmod, source, phi):
-    """Every hom f: mu_xmod.dom -> source.dom for which (f, phi) is a morphism,
-    by filtering the rack homs of the underlying, or conjugation, racks."""
-    dom, cod = mu_xmod.dom, source.dom
-    if isinstance(dom, FiniteGroup):
-        candidates = enumerate_rack_homs(conj_rack(dom), conj_rack(cod)).maps
-    else:
-        candidates = enumerate_rack_homs(dom, cod).maps
-    tops = []
-    for m in candidates:
-        try:
-            f = validate_hom(dom, cod, m)
-            validate_xmod_morphism(f, phi, mu_xmod, source)
-        except AxiomError:
-            continue
-        tops.append(f)
-    return tops
-
-
 def test_universal_property_on_external_cones():
     """Test crossed modules other than the pullback itself: the basepoint
     inclusion and the identity over S, with every f that makes (f, phi) a
@@ -553,7 +527,8 @@ def test_universal_property_on_external_cones():
         pb, s_x = pullback_xmod(xm, phi), phi.dom
         point = inclusion_xmod([s_x.basepoint], s_x)
         for mu_xmod in (point, identity_xmod(s_x)):
-            for f in _morphism_tops(mu_xmod, xm, phi):
+            tops = [m.f1 for m in enumerate_xmod_morphisms(mu_xmod, xm) if m.f0 == phi]
+            for f in tops:
                 expected = _unpruned_satisfying(pb, f, mu_xmod)
                 assert _satisfying(pb, f, mu_xmod) == expected, name
                 assert len(expected) == 1, name

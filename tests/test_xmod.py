@@ -293,10 +293,11 @@ def test_conj_xmod_morphism(groups, group_xmods, group_homs):
     assert rm.f0.map == m.f0.map
 
 
-def test_conj_xmod_morphism_builds_each_conjugation_rack_once(monkeypatch):
+def test_conj_xmod_morphism_builds_each_conjugation_rack_once(monkeypatch, group_xmods, group_homs):
     """Conj A3 and Conj S3 for the source, Conj S3 twice for the target:
     f1 and f0 are validated between those racks, not between rebuilt ones."""
-    m = dict(corpus.group_morphism_corpus())["a3_to_identity"]
+    a3_s3, ident_s3 = group_xmods["a3_s3"], group_xmods["identity_s3"]
+    m = validate_xmod_morphism(a3_s3.boundary, group_homs["id_s3"], a3_s3, ident_s3)
     sizes = []
     real = racks_module.validate_rack
 
