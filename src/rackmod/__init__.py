@@ -26,13 +26,12 @@ from .errors import (
     UniquenessFail,
 )
 from .functors import (
-    HomSet,
     Presentation,
     as_presentation,
     check_adjunction_bijection,
     check_xmod_adjunction,
+    enumerate_homs,
     enumerate_presented_homs,
-    enumerate_rack_homs,
     evaluate_word,
 )
 from .groups import (
@@ -46,7 +45,6 @@ from .isomorphism import (
     all_isomorphisms,
     enumerate_pointed_racks,
     find_isomorphism,
-    rack_automorphisms,
 )
 from .pullback import (
     FiberProduct,

@@ -43,18 +43,8 @@ from .interchange import (
     certificate_document,
     digest_file,
     document_for,
-    hom_document,
     load_document,
-    parse_action,
     parse_document,
-    parse_group,
-    parse_group_xmod,
-    parse_hom,
-    parse_pullback_request,
-    parse_rack,
-    parse_rack_xmod,
-    rack_document,
-    unpointed_rack_document,
     write_document,
 )
 from .isomorphism import ENUMERATION_CEILING, enumerate_pointed_racks
@@ -148,6 +138,20 @@ def _certified(args: argparse.Namespace, command: str, inputs: list[tuple[str, s
     )
 
 
+def _read(path: str, *kinds: str, refusal: str | None = None) -> Any:
+    """The structure in the document at path, parsed by its kind.
+
+    A document of a kind not in ``kinds`` is refused before it is parsed,
+    with ``refusal`` (by default, the kinds expected) and the kind it has.
+    """
+    doc = load_document(path)
+    kind = doc.get("kind")
+    if kind not in kinds:
+        expected = refusal or "expected kind " + " or ".join(map(repr, kinds))
+        raise ParseError(f"{expected}, got {kind!r}")
+    return parse_document(doc)
+
+
 # -------------------------------------------------------------------- check
 
 
@@ -170,13 +174,17 @@ def _write_all(outputs: Iterable[tuple[dict[str, Any], str | Path]]) -> None:
     """Write every (document, path) to a temporary file beside its path, then
     move each onto its path in order, so that a failed write leaves no file.
 
-    On a failure every temporary file is removed; a failure while moving
-    leaves the documents already moved in place.
+    A path that is an existing directory is refused before anything is
+    written.  On a failure every temporary file is removed; a failure while
+    moving leaves the documents already moved in place.
     """
+    outputs = [(doc, Path(out)) for doc, out in outputs]
+    for _, target in outputs:
+        if target.is_dir():
+            raise IsADirectoryError(f"cannot write {target}: it is a directory")
     staged: list[tuple[Path, Path]] = []
     try:
-        for doc, out in outputs:
-            target = Path(out)
+        for doc, target in outputs:
             tmp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
             staged.append((tmp, target))
             write_document(doc, tmp)
@@ -198,66 +206,55 @@ def _write(*outputs: tuple[dict[str, Any], str, str]) -> int:
 
 
 def cmd_construct_conj(args: argparse.Namespace) -> int:
-    doc = load_document(args.file)
-    kind = doc.get("kind")
-    if kind == "group":
-        rack = conj_rack(parse_group(doc))
-        return _write((rack_document(rack), args.out, f"size {rack.size}"))
-    if kind == "hom":
-        hom = parse_hom(doc)
-        if not isinstance(hom.dom, FiniteGroup):
-            raise ParseError("conj of a hom needs group endpoints")
-        rh = conj_hom(hom)
-        return _write((hom_document(rh), args.out, f"sizes {rh.dom.size} -> {rh.cod.size}"))
-    raise ParseError(f"conj expects a group or a group hom, got {kind!r}")
+    x = _read(args.file, "group", "hom", refusal="conj expects a group or a group hom")
+    if isinstance(x, FiniteGroup):
+        rack = conj_rack(x)
+        return _write((document_for(rack), args.out, f"size {rack.size}"))
+    if not isinstance(x.dom, FiniteGroup):
+        raise ParseError("conj of a hom needs group endpoints")
+    rh = conj_hom(x)
+    return _write((document_for(rh), args.out, f"sizes {rh.dom.size} -> {rh.cod.size}"))
 
 
 def cmd_construct_core(args: argparse.Namespace) -> int:
-    rack = core_rack(parse_group(load_document(args.file)))
-    return _write((unpointed_rack_document(rack), args.out, f"size {rack.size}"))
+    rack = core_rack(_read(args.file, "group"))
+    return _write((document_for(rack), args.out, f"size {rack.size}"))
 
 
 def cmd_construct_product(args: argparse.Namespace) -> int:
-    left = parse_rack(load_document(args.left))
-    right = parse_rack(load_document(args.right))
-    rack = product_rack(left, right)
-    return _write((rack_document(rack), args.out, f"size {rack.size}"))
+    rack = product_rack(_read(args.left, "rack"), _read(args.right, "rack"))
+    return _write((document_for(rack), args.out, f"size {rack.size}"))
 
 
 def cmd_construct_hemisemi(args: argparse.Namespace) -> int:
-    action = parse_action(load_document(args.file))
-    rack = hemi_semidirect(action)
-    return _write((rack_document(rack), args.out, f"size {rack.size}"))
+    rack = hemi_semidirect(_read(args.file, "action"))
+    return _write((document_for(rack), args.out, f"size {rack.size}"))
 
 
 def cmd_construct_fiber(args: argparse.Namespace) -> int:
-    left_doc = load_document(args.left)
-    right_doc = load_document(args.right)
-    kinds = (left_doc.get("kind"), right_doc.get("kind"))
-    if kinds == ("rack-xmod", "rack-xmod"):
-        xm = fiber_product_xmod(parse_rack_xmod(left_doc), parse_rack_xmod(right_doc))
+    refusal = "fiber expects two rack-xmods or two rack homs"
+    left = _read(args.left, "rack-xmod", "hom", refusal=refusal)
+    right = _read(args.right, "rack-xmod" if isinstance(left, XMod) else "hom", refusal=refusal)
+    if isinstance(left, XMod):
+        xm = fiber_product_xmod(left, right)
         return _write((document_for(xm), args.out, f"carrier size {xm.dom.size}"))
-    if kinds == ("hom", "hom"):
-        alpha = parse_hom(left_doc)
-        beta = parse_hom(right_doc)
-        if not (isinstance(alpha.dom, FiniteRack) and isinstance(beta.dom, FiniteRack)):
-            raise ParseError("fiber of homs needs rack endpoints")
-        fp = fiber_product(alpha, beta)
-        return _write((rack_document(fp.carrier), args.out, f"size {fp.carrier.size}"))
-    raise ParseError(f"fiber expects two rack-xmods or two rack homs, got {kinds}")
+    if not (isinstance(left.dom, FiniteRack) and isinstance(right.dom, FiniteRack)):
+        raise ParseError("fiber of homs needs rack endpoints")
+    fp = fiber_product(left, right)
+    return _write((document_for(fp.carrier), args.out, f"size {fp.carrier.size}"))
 
 
 def cmd_construct_pullback(args: argparse.Namespace) -> int:
     """``construct pullback`` and ``construct group-pullback``; ``args.kind`` is
     the structure the subcommand pulls back, ``args.wrong_kind`` its refusal."""
-    source, phi = parse_pullback_request(load_document(args.file))
+    source, phi = _read(args.file, "pullback-request")
     if not isinstance(source.dom, args.kind):
         raise ParseError(args.wrong_kind)
     pb = pullback_xmod(source, phi)
     outputs = [(document_for(pb.xmod), args.out, f"carrier size {pb.carrier.size}")]
     if args.hom_out:
         note = "comparison back to the source"
-        outputs.insert(0, (hom_document(pb.phi_prime), args.hom_out, note))
+        outputs.insert(0, (document_for(pb.phi_prime), args.hom_out, note))
     return _write(*outputs)
 
 
@@ -266,7 +263,7 @@ def cmd_construct_pullback(args: argparse.Namespace) -> int:
 
 def cmd_certify_universal(args: argparse.Namespace) -> int:
     inputs = [("request", args.file)]
-    source, phi = parse_pullback_request(load_document(args.file))
+    source, phi = _read(args.file, "pullback-request")
 
     def fn():
         pb = pullback_xmod(source, phi)
@@ -282,8 +279,8 @@ def cmd_certify_universal(args: argparse.Namespace) -> int:
 
 def cmd_certify_adjunction(args: argparse.Namespace) -> int:
     inputs = [("rack", args.rack), ("group", args.group)]
-    rack = parse_rack(load_document(args.rack))
-    group = parse_group(load_document(args.group))
+    rack = _read(args.rack, "rack")
+    group = _read(args.group, "group")
 
     def fn():
         count = check_adjunction_bijection(rack, group)
@@ -295,8 +292,8 @@ def cmd_certify_adjunction(args: argparse.Namespace) -> int:
 
 def cmd_certify_xmod_adjunction(args: argparse.Namespace) -> int:
     inputs = [("rack-xmod", args.rack_xmod), ("group-xmod", args.group_xmod)]
-    rx = parse_rack_xmod(load_document(args.rack_xmod))
-    gx = parse_group_xmod(load_document(args.group_xmod))
+    rx = _read(args.rack_xmod, "rack-xmod")
+    gx = _read(args.group_xmod, "group-xmod")
 
     def fn():
         count = check_xmod_adjunction(rx, gx)
@@ -309,7 +306,7 @@ def cmd_certify_xmod_adjunction(args: argparse.Namespace) -> int:
 
 def cmd_certify_conj_preserves(args: argparse.Namespace) -> int:
     inputs = [("request", args.file)]
-    source, phi = parse_pullback_request(load_document(args.file))
+    source, phi = _read(args.file, "pullback-request")
     if not isinstance(source.dom, FiniteGroup):
         raise ParseError("conj-preserves expects a group-xmod request")
 
@@ -358,7 +355,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
             for name, obj in catalog().items()
         ]
         outputs += [
-            (rack_document(rk), outdir / f"enum-rack-{n}-{i}.json")
+            (document_for(rk), outdir / f"enum-rack-{n}-{i}.json")
             for n, found in per_size.items()
             for i, rk in enumerate(found)
         ]

@@ -10,21 +10,25 @@ literally, as an equality of assignment sets, and return its one count: a
 map in both sets is counted, not kept, and only a map that one side alone
 finds is turned into a witness.
 
-Both hom sets are searched in one solving order, read off the relators by
-``_solving_order``: the basepoint first, then, while one exists, the lowest
-generator that some relator determines from the generators already placed,
-so that a value is solved for as soon as it is determined instead of being
-guessed and rejected later (fail-first: Haralick and Elliott, 1980).  The
-relator of (p, q) reads the same three generators as the hom law
-f(p ◁ q) = f(p) ◁ f(q), so the rack search, ``search.hom_search``, solves
-every variable the order solves, too; the crossed-module check joins each
-side's two hom searches with ``search.morphism_search``.  Both adjunction
-checks walk the union of the two sides' search trees once
-(``_both_sides``): each node is tested by the laws of every side still alive
-on its path, and a leaf that only one side reaches is a map missing from the
-other.  Each side is pruned by its own filed laws only, so a map that both
-sides' laws wrongly admit is not caught here; the tests check every shared
-map against the hom laws and the relators over the corpus instead.
+Every hom set here is searched in one solving order, ``_solving_order``,
+read off words of generator indices: the basepoint first, then, while one
+exists, the lowest generator that some word determines from the generators
+already placed, so that a value is solved for as soon as it is determined
+instead of being guessed and rejected later (fail-first: Haralick and
+Elliott, 1980).  For a rack or a group the words are (q, p, q, p ◁ q) for
+every p and q, plus (basepoint,): the letters of a rack presentation's
+relators, which read the same three elements as the hom law
+f(p ◁ q) = f(p) ◁ f(q).  So ``enumerate_homs`` and the rack side of both
+checks, searched by ``search.hom_search``, solve every variable the order
+solves, and the presented side searches in the same order; the
+crossed-module check joins each side's two hom searches with
+``search.morphism_search``.  Both adjunction checks walk the union of the
+two sides' search trees once (``_both_sides``): each node is tested by the
+laws of every side still alive on its path, and a leaf that only one side
+reaches is a map missing from the other.  Each side is pruned by its own
+filed laws only, so a map that both sides' laws wrongly admit is not caught
+here; the tests check every shared map against the hom laws and the
+relators over the corpus instead.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .errors import BijectionFail
 from .groups import FiniteGroup
 from .racks import FiniteRack, conj_rack
 from .search import assignments, hom_search, morphism_search
-from .tables import index_row, validate_hom
+from .tables import _check_endpoints, index_row, validate_hom
 from .xmod import XMod, conj_xmod
 
 Word = tuple[int, ...]
@@ -111,31 +115,28 @@ def evaluate_word(word: Word, assignment, g: FiniteGroup) -> int:
     return first_value((compiled,), index_row(row, len(row), g.size, "assignment"))
 
 
-@dataclass(frozen=True)
-class HomSet:
-    maps: tuple[tuple[int, ...], ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.maps)
+def _law_letters(x) -> list[tuple[int, ...]]:
+    """The words (q, p, q, p ◁ q) for every p and q of a rack or a group x,
+    then (basepoint,): the letters of the relators of x's presentation."""
+    words = [(q, p, q, t) for p, row in enumerate(x.table) for q, t in enumerate(row)]
+    return words + [(x.basepoint,)]
 
 
-def _solving_order(p: Presentation) -> list[int]:
-    """``var[i]``, the variable that holds generator i in p's hom searches.
+def _solving_order(words: Sequence[Sequence[int]], n: int) -> list[int]:
+    """``var[i]``, the variable that holds generator i of n in a hom search.
 
-    Generators are placed one at a time: the lowest generator that is the
-    only unplaced letter, read once, of some relator, since that relator
-    then solves for it; when there is none, the lowest unplaced generator.
-    The pointed relator puts the basepoint first.
+    Each word lists the generator indices of its letters.  Generators are
+    placed one at a time: the lowest generator that is the only unplaced
+    letter, read once, of some word, since that word then solves for it;
+    when there is none, the lowest unplaced generator.  A word of one letter
+    puts its generator first.
     """
-    n = len(p.generators)
-    words = [_compile_word(w, n) for w in p.relators + (p.pointed_relator,)]
     unplaced = [len(w) for w in words]  # letters of each word not yet placed
     reads: list[dict[int, int]] = [{} for _ in range(n)]  # word -> letters of generator i
     for r, word in enumerate(words):
-        for i, _ in word:
+        for i in word:
             reads[i][r] = reads[i].get(r, 0) + 1
-    solvable = [word[0][0] for word in words if len(word) == 1]
+    solvable = [word[0] for word in words if len(word) == 1]
     heapify(solvable)
     var: list = [None] * n
     lowest = 0
@@ -152,7 +153,7 @@ def _solving_order(p: Presentation) -> list[int]:
         for r, count in reads[i].items():
             unplaced[r] -= count
             if unplaced[r] == 1:
-                heappush(solvable, next(j for j, _ in words[r] if var[j] is None))
+                heappush(solvable, next(j for j in words[r] if var[j] is None))
     return var
 
 
@@ -192,45 +193,48 @@ def _presented_hom_search(p: Presentation, g: FiniteGroup, var: Sequence[int], n
     return domains, lambda k, assign: first_value(by_last[k], assign) == e
 
 
-def _search_in_solving_order(search, p: Presentation) -> tuple[tuple[int, ...], ...]:
-    """The maps that ``search(var, nvars)`` finds in p's solving order, sorted by element."""
-    var = _solving_order(p)
-    found = assignments(*search(var, len(var)))
-    return tuple(sorted(tuple(map(f.__getitem__, var)) for f in found))
+def _sorted_maps(search, var: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The maps that the ``assignments`` search (domains, test) finds, read
+    by generator through ``var``, in lexicographic order."""
+    return tuple(sorted(tuple(map(f.__getitem__, var)) for f in assignments(*search)))
 
 
-def enumerate_presented_homs(p: Presentation, g: FiniteGroup) -> HomSet:
+def enumerate_presented_homs(p: Presentation, g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """All generator assignments killing every relator, in lexicographic order.
 
-    One ``assignments`` search in p's solving order, sorted.
+    One ``assignments`` search in the solving order of p's words, sorted.
     """
-    maps = _search_in_solving_order(lambda *v: _presented_hom_search(p, g, *v), p)
-    return HomSet(maps)
+    n = len(p.generators)
+    words = [[i for i, _ in _compile_word(w, n)] for w in p.relators + (p.pointed_relator,)]
+    var = _solving_order(words, n)
+    return _sorted_maps(_presented_hom_search(p, g, var, n), var)
 
 
-def enumerate_rack_homs(x: FiniteRack, y: FiniteRack) -> HomSet:
-    """All pointed rack homs x -> y, in lexicographic order.
+def enumerate_homs(dom, cod) -> tuple[tuple[int, ...], ...]:
+    """All homs dom -> cod of pointed racks or of groups, in lexicographic order.
 
-    One ``assignments`` search in the solving order of x's presentation,
-    sorted.
+    One ``hom_search`` in the solving order of dom's law letters, sorted.
+    Other endpoints raise the ``ValueError`` of ``validate_hom`` before the
+    letters, which read the basepoint, are taken.
     """
-    maps = _search_in_solving_order(lambda *v: hom_search(x, y, *v), as_presentation(x))
-    return HomSet(maps)
+    _check_endpoints(dom, cod)
+    var = _solving_order(_law_letters(dom), dom.size)
+    return _sorted_maps(hom_search(dom, cod, var, dom.size), var)
 
 
-def enumerate_rack_homs_bruteforce(x: FiniteRack, y: FiniteRack) -> HomSet:
-    """Unpruned cross-check: filter every one of y.size ** x.size maps."""
+def enumerate_homs_bruteforce(dom, cod) -> tuple[tuple[int, ...], ...]:
+    """Unpruned cross-check: filter every one of cod.size ** dom.size maps."""
     out = []
-    for f in product(range(y.size), repeat=x.size):
-        if f[x.basepoint] != y.basepoint:
+    for f in product(range(cod.size), repeat=dom.size):
+        if f[dom.basepoint] != cod.basepoint:
             continue
         if all(
-            f[x.table[a][b]] == y.table[f[a]][f[b]]
-            for a in range(x.size)
-            for b in range(x.size)
+            f[dom.table[a][b]] == cod.table[f[a]][f[b]]
+            for a in range(dom.size)
+            for b in range(dom.size)
         ):
             out.append(f)
-    return HomSet(tuple(out))
+    return tuple(out)
 
 
 def _both_sides(rack, presented, n: int):
@@ -322,7 +326,7 @@ def check_adjunction_bijection(x: FiniteRack, g: FiniteGroup) -> int:
     """
     cg = conj_rack(g)
     pres = as_presentation(x)
-    var, n = _solving_order(pres), x.size
+    var, n = _solving_order(_law_letters(x), x.size), x.size
     rack_domains, rack_laws = hom_search(x, cg, var, n)
     bp = var[x.basepoint]
 

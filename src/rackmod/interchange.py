@@ -163,20 +163,25 @@ def parse_group(doc: dict[str, Any]) -> FiniteGroup:
     return _parse_structure(doc, "group", validate_group, "table", "identity")
 
 
+def _endpoints(doc: dict[str, Any], what: str, keys: tuple[str, str], parsers, allowed: str):
+    """The two endpoint documents under ``keys``, which must be of one kind
+    that ``parsers`` maps to a parser, each parsed by it."""
+    docs = [_field(doc, key) for key in keys]
+    kinds = [_payload(d)["kind"] for d in docs]
+    if kinds[0] != kinds[1]:
+        raise ParseError(f"{what} endpoints disagree: {kinds[0]!r} vs {kinds[1]!r}")
+    parse = parsers.get(kinds[0])
+    if parse is None:
+        raise ParseError(f"{what} endpoints must be {allowed}, got {kinds[0]!r}")
+    return [parse(d) for d in docs]
+
+
 def parse_hom(doc: dict[str, Any]) -> Hom:
     doc = _payload(doc, "hom")
-    dom_doc = _field(doc, "dom")
-    cod_doc = _field(doc, "cod")
-    dom_kind = _payload(dom_doc)["kind"]
-    cod_kind = _payload(cod_doc)["kind"]
-    if dom_kind != cod_kind:
-        raise ParseError(f"hom endpoints disagree: {dom_kind!r} vs {cod_kind!r}")
-    mapping = _field(doc, "map")
-    parse = {"rack": parse_rack, "group": parse_group}.get(dom_kind)
-    if parse is None:
-        raise ParseError(f"hom endpoints must be racks or groups, got {dom_kind!r}")
+    parsers = {"rack": parse_rack, "group": parse_group}
+    dom, cod = _endpoints(doc, "hom", ("dom", "cod"), parsers, "racks or groups")
     try:
-        return validate_hom(parse(dom_doc), parse(cod_doc), mapping)
+        return validate_hom(dom, cod, _field(doc, "map"))
     except (ValueError, TypeError) as exc:
         raise ParseError(f"hom: {exc}") from exc
 
@@ -211,17 +216,9 @@ def parse_group_xmod(doc: dict[str, Any]) -> XMod:
 
 def parse_xmod_morphism(doc: dict[str, Any]) -> XModMorphism:
     doc = _payload(doc, "xmod-morphism")
-    src_doc = _field(doc, "src")
-    dst_doc = _field(doc, "dst")
-    src_kind = _payload(src_doc)["kind"]
-    dst_kind = _payload(dst_doc)["kind"]
-    if src_kind != dst_kind:
-        raise ParseError(f"morphism endpoints disagree: {src_kind!r} vs {dst_kind!r}")
-    parse = {"rack-xmod": parse_rack_xmod, "group-xmod": parse_group_xmod}.get(src_kind)
-    if parse is None:
-        raise ParseError(f"morphism endpoints must be crossed modules, got {src_kind!r}")
+    parsers = {"rack-xmod": parse_rack_xmod, "group-xmod": parse_group_xmod}
+    src, dst = _endpoints(doc, "morphism", ("src", "dst"), parsers, "crossed modules")
     try:
-        src, dst = parse(src_doc), parse(dst_doc)
         f1 = validate_hom(src.dom, dst.dom, _field(doc, "f1"))
         f0 = validate_hom(src.cod, dst.cod, _field(doc, "f0"))
         return validate_xmod_morphism(f1, f0, src, dst)

@@ -99,10 +99,6 @@ def all_isomorphisms(a: FiniteRack, b: FiniteRack) -> list[Hom]:
     return [validate_hom(a, b, m) for m in sorted(_iso_maps(a, b))]
 
 
-def rack_automorphisms(r: FiniteRack) -> list[Hom]:
-    return all_isomorphisms(r, r)
-
-
 def enumerate_pointed_racks(n: int) -> list[FiniteRack]:
     """All pointed racks of order n up to pointed isomorphism.
 

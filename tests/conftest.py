@@ -132,7 +132,7 @@ def _shared_leaves(check, x, g):
         ns = x.cod.size
         shared = sorted((f[ns:], f[:ns]) for f in leaves)
     else:
-        var = functors._solving_order(functors.as_presentation(x))
+        var = functors._solving_order(functors._law_letters(x), x.size)
         shared = sorted(tuple(map(f.__getitem__, var)) for f in leaves)
     assert count == len(shared)
     return tuple(shared)

@@ -20,8 +20,8 @@ from rackmod import (
     conj_xmod_morphism,
     conjugation_action,
     core_rack,
+    enumerate_homs,
     enumerate_pointed_racks,
-    enumerate_rack_homs,
     enumerate_xmod_morphisms,
     fiber_product,
     fiber_product_xmod,
@@ -43,7 +43,7 @@ from rackmod import (
     verify_universal_property,
 )
 from rackmod import corpus
-from rackmod.functors import enumerate_rack_homs_bruteforce
+from rackmod.functors import enumerate_homs_bruteforce
 from rackmod.isomorphism import enumerate_pointed_racks_bruteforce
 
 
@@ -271,7 +271,15 @@ def test_criterion_11_enumerators_agree():
             y = catalog[rng.choice(names)]
             if y.size**x.size > 50000:
                 continue
-            fast = enumerate_rack_homs(x, y)
-            slow = enumerate_rack_homs_bruteforce(x, y)
-            assert fast.maps == slow.maps
+            fast = enumerate_homs(x, y)
+            slow = enumerate_homs_bruteforce(x, y)
+            assert fast == slow
             done += 1
+        # group homs through the same search and the same oracle
+        group_homs = 0
+        for x in corpus.groups().values():
+            for y in corpus.groups().values():
+                fast = enumerate_homs(x, y)
+                assert fast == enumerate_homs_bruteforce(x, y)
+                group_homs += len(fast)
+        assert group_homs == 94

@@ -482,6 +482,31 @@ def test_construct_pullback_failed_out_exits_2_with_nothing_on_stdout(
         assert list(tmp_path.glob(".*.tmp")) == [], command
 
 
+def test_construct_pullback_out_on_a_directory_leaves_no_file(
+    tmp_path, rack_xmods, rack_homs, capsys
+):
+    """An --out that is an existing directory is refused before the --hom-out
+    document is written, so no document and no temporary file is left."""
+    req = write(
+        tmp_path,
+        "req.json",
+        pullback_request(
+            rack_xmod_document(rack_xmods["identity_cz2"]), hom_document(rack_homs["sgn_rack"])
+        ),
+    )
+    outdir = tmp_path / "dir"
+    outdir.mkdir()
+    hom_out = tmp_path / "h.json"
+    argv = ["construct", "pullback", req, "--hom-out", str(hom_out), "--out", str(outdir)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not hom_out.exists()
+    assert list(tmp_path.glob(".*.tmp")) == []
+    assert list(outdir.iterdir()) == []
+
+
 def test_corpus_out_failing_on_a_later_document_leaves_no_file(tmp_path, monkeypatch, capsys):
     """The tenth write fails: the nine documents before it are not left behind."""
     real, calls = cli.write_document, []

@@ -16,15 +16,15 @@ from rackmod import (
     conj_rack,
     conj_xmod,
     cyclic_group,
+    enumerate_homs,
     enumerate_presented_homs,
-    enumerate_rack_homs,
     evaluate_word,
     product_rack,
     trivial_rack,
 )
 from rackmod import corpus, functors
 from rackmod.errors import BijectionFail, HomBasepointFail, HomLawFail
-from rackmod.functors import Presentation, enumerate_rack_homs_bruteforce
+from rackmod.functors import Presentation, enumerate_homs_bruteforce
 from rackmod.search import assignments
 from rackmod.tables import validate_hom
 from rackmod.xmod import validate_xmod_morphism
@@ -92,15 +92,14 @@ def test_an_empty_relator_constrains_nothing(racks):
     z2 = cyclic_group(2)
     empty = enumerate_presented_homs(replace(p, pointed_relator=()), z2)
     cancelled = enumerate_presented_homs(replace(p, pointed_relator=(1, -1)), z2)
-    assert empty.maps == cancelled.maps
-    assert empty.count == 2 * enumerate_presented_homs(p, z2).count
+    assert empty == cancelled
+    assert len(empty) == 2 * len(enumerate_presented_homs(p, z2))
 
 
 def test_hom_enumeration_into_conj_s3(racks):
-    hs = enumerate_rack_homs(racks["t2"], racks["cs3"])
+    hs = enumerate_homs(racks["t2"], racks["cs3"])
     # the non-basepoint element can land anywhere: conjugation is idempotent
-    assert hs.maps == tuple((0, v) for v in range(6))
-    assert hs.count == 6
+    assert hs == tuple((0, v) for v in range(6))
 
 
 PINNED_HOM_COUNTS = [
@@ -117,17 +116,17 @@ PINNED_HOM_COUNTS = [
 
 @pytest.mark.parametrize("xname,yname,count", PINNED_HOM_COUNTS)
 def test_hom_counts_and_enumerator_agreement(racks, xname, yname, count):
-    fast = enumerate_rack_homs(racks[xname], racks[yname])
-    slow = enumerate_rack_homs_bruteforce(racks[xname], racks[yname])
-    assert fast.maps == slow.maps
-    assert fast.count == count
+    fast = enumerate_homs(racks[xname], racks[yname])
+    slow = enumerate_homs_bruteforce(racks[xname], racks[yname])
+    assert fast == slow
+    assert len(fast) == count
 
 
 def test_presented_homs_into_an_abelian_group(racks):
     # conjugation relators die in any abelian group; only the basepoint
     # generator is pinned
     hs = enumerate_presented_homs(as_presentation(racks["t2"]), cyclic_group(2))
-    assert hs.maps == ((0, 0), (0, 1))
+    assert hs == ((0, 0), (0, 1))
 
 
 PINNED_ADJUNCTION_COUNTS = [
@@ -143,7 +142,7 @@ def test_adjunction_pinned_counts(racks, groups, shared_leaves):
         x, g = racks[xname], groups[gname]
         homs = shared_leaves(check_adjunction_bijection, x, g)
         assert len(homs) == count, (xname, gname)
-        assert homs == enumerate_rack_homs(x, conj_rack(g)).maps, (xname, gname)
+        assert homs == enumerate_homs(x, conj_rack(g)), (xname, gname)
 
 
 def test_adjunction_across_all_small_racks(adjunction_pairs, shared_leaves):
@@ -228,20 +227,20 @@ def test_xmod_adjunction_matches_the_product_filter_on_both_sides(
         cg = conj_xmod(g)
         # each hom search of both sides against the maps of the full product
         for r, h, ch in ((x.dom, g.dom, cg.dom), (x.cod, g.cod, cg.cod)):
-            unpruned = enumerate_rack_homs_bruteforce(r, ch).maps
-            assert enumerate_rack_homs(r, ch).maps == unpruned, name
-            assert enumerate_presented_homs(as_presentation(r), h).maps == unpruned, name
+            unpruned = enumerate_homs_bruteforce(r, ch)
+            assert enumerate_homs(r, ch) == unpruned, name
+            assert enumerate_presented_homs(as_presentation(r), h) == unpruned, name
         rack_side = _square_pairs(
             x,
-            enumerate_rack_homs(x.dom, cg.dom).maps,
-            enumerate_rack_homs(x.cod, cg.cod).maps,
+            enumerate_homs(x.dom, cg.dom),
+            enumerate_homs(x.cod, cg.cod),
             cg.boundary.map,
             cg.act,
         )
         presented_side = _square_pairs(
             x,
-            enumerate_presented_homs(as_presentation(x.dom), g.dom).maps,
-            enumerate_presented_homs(as_presentation(x.cod), g.cod).maps,
+            enumerate_presented_homs(as_presentation(x.dom), g.dom),
+            enumerate_presented_homs(as_presentation(x.cod), g.cod),
             g.boundary.map,
             g.act,
         )
@@ -270,19 +269,16 @@ def test_hom_counts_multiply_over_products(racks):
     x = racks["cs3"]
     for a_name, b_name in [("cz2", "v3"), ("t2", "cz3")]:
         a, b = racks[a_name], racks[b_name]
-        into_product = enumerate_rack_homs(x, product_rack(a, b)).count
-        assert (
-            into_product
-            == enumerate_rack_homs(x, a).count * enumerate_rack_homs(x, b).count
-        )
+        into_product = len(enumerate_homs(x, product_rack(a, b)))
+        assert into_product == len(enumerate_homs(x, a)) * len(enumerate_homs(x, b))
 
 
 def test_presented_homs_match_unpruned_rack_homs_on_all_small_racks(adjunction_pairs):
     for name, x, g in adjunction_pairs:
-        unpruned = enumerate_rack_homs_bruteforce(x, conj_rack(g)).maps
-        assert enumerate_rack_homs(x, conj_rack(g)).maps == unpruned, name
+        unpruned = enumerate_homs_bruteforce(x, conj_rack(g))
+        assert enumerate_homs(x, conj_rack(g)) == unpruned, name
         presented = enumerate_presented_homs(as_presentation(x), g)
-        assert presented.maps == unpruned, name
+        assert presented == unpruned, name
 
 
 def _in_variable_order(m, var, nvars):
@@ -343,12 +339,12 @@ def _rejecting(search, missing):
 
 def test_adjunction_rejects_a_tampered_rack_side(monkeypatch, racks, groups):
     """An extra assignment on the rack side must fail the relator re-check."""
-    real = functors.enumerate_rack_homs
+    real = functors.enumerate_homs
     x, g = racks["cs3"], groups["z2"]
     # (23) to the generator, everything else to the identity: not constant
     # on the orbits of cs3, so no hom into the trivial rack Conj(Z2)
     extra = (0, 1, 0, 0, 0, 0)
-    assert extra not in real(x, conj_rack(g)).maps
+    assert extra not in real(x, conj_rack(g))
 
     monkeypatch.setattr(functors, "hom_search", _admitting(functors.hom_search, extra))
     with pytest.raises(BijectionFail) as exc:
@@ -364,7 +360,7 @@ def test_adjunction_rejects_a_tampered_presented_side(monkeypatch, racks, groups
     extra = (0, 1, 0, 0, 0, 0)
     with pytest.raises(HomLawFail) as expected:
         validate_hom(x, conj_rack(g), extra)
-    assert extra not in enumerate_presented_homs(as_presentation(x), g).maps
+    assert extra not in enumerate_presented_homs(as_presentation(x), g)
 
     monkeypatch.setattr(
         functors, "_presented_hom_search", _admitting(functors._presented_hom_search, extra)
@@ -405,13 +401,21 @@ def test_reversed_variable_order_finds_the_same_hom_sets(adjunction_pairs):
 
 def test_solving_order_puts_the_basepoint_first_and_solves_what_it_can(racks):
     x = racks["cs3"]
-    var = functors._solving_order(as_presentation(x))
+    var = functors._solving_order(functors._law_letters(x), x.size)
     assert sorted(var) == list(range(x.size))
     assert var[x.basepoint] == 0
     # e, then (23) and (12) free; (13) = (23) ◁ (12) solved; (123) free
     # again, and (132) = (123) ◁ (23) solved
     order = sorted(range(x.size), key=var.__getitem__)
     assert order == [0, 1, 2, 5, 3, 4]
+    # the domain of the certify-ladder adjunction, cs3×cz2
+    x = product_rack(racks["cs3"], racks["cz2"])
+    var = functors._solving_order(functors._law_letters(x), x.size)
+    assert var == [0, 1, 2, 3, 4, 6, 8, 10, 9, 11, 5, 7]
+    # the presentation's relators give the same order
+    p = as_presentation(x)
+    words = [[abs(letter) - 1 for letter in w] for w in p.relators + (p.pointed_relator,)]
+    assert functors._solving_order(words, x.size) == var
 
 
 @pytest.mark.parametrize(
@@ -435,7 +439,7 @@ def test_adjunction_rejects_a_map_missing_from_one_side(monkeypatch, racks, grou
     """A hom that one side's search loses, here by a wrong domain that its
     test never sees, is reported from the other side."""
     x, g = racks["cs3"], groups["s3"]
-    missing = enumerate_rack_homs(x, conj_rack(g)).maps[5]
+    missing = enumerate_homs(x, conj_rack(g))[5]
     monkeypatch.setattr(functors, builder, _rejecting(getattr(functors, builder), missing))
     with pytest.raises(BijectionFail) as exc:
         check_adjunction_bijection(x, g)
@@ -480,14 +484,14 @@ def test_adjunction_and_presentations_refuse_groups_and_unpointed_racks(groups, 
         check_xmod_adjunction(s3, s3)
     r3 = corpus.unpointed_racks()["r3"]
     with pytest.raises(ValueError, match="pointed rack"):
-        enumerate_rack_homs(r3, r3)
+        enumerate_homs(r3, r3)
 
 
 def test_rack_homs_refuse_a_group_target():
     """Z2's multiplication table is not a rack table: the hom search refuses
     it with the error of ``validate_hom`` instead of reading it as one."""
     with pytest.raises(ValueError, match="hom endpoints are a FiniteRack and a FiniteGroup"):
-        enumerate_rack_homs(trivial_rack(2), cyclic_group(2))
+        enumerate_homs(trivial_rack(2), cyclic_group(2))
 
 
 def test_presented_homs_refuse_a_rack_target(racks):

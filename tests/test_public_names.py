@@ -48,6 +48,9 @@ REMOVED = (
     "inclusion_group_xmod",
     "Kernel",
     "ConjPreservationReport",
+    "enumerate_rack_homs",
+    "HomSet",
+    "rack_automorphisms",
 )
 # The two law families of validate_xmod, kept by name in rackmod.xmod alone.
 XMOD_LAWS = ("validate_rack_xmod", "validate_group_xmod")

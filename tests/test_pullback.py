@@ -15,6 +15,7 @@ from rackmod import (
     compose_xmod_morphisms,
     conj_hom,
     conj_xmod,
+    conj_xmod_morphism,
     constant_rack_hom,
     enumerate_xmod_morphisms,
     fiber_product,
@@ -310,6 +311,33 @@ def test_conj_preserves_pullback_across_the_corpus():
         validate_xmod_morphism(back1, back0, m.dst, m.src)
         seen += 1
     assert seen >= 5
+
+
+def test_the_conj_comparison_is_natural(group_xmods, group_homs):
+    """For m: A -> B fixing the base N and phi: S -> N, with c the comparison
+    of ``check_conj_preserves_pullback``: c_B ∘ Conj(phi*m) equals
+    (Conj phi)*(Conj m) ∘ c_A, over every base-fixing corpus group morphism
+    and every corpus group hom into the base."""
+    cases = 0
+    for a, x in group_xmods.items():
+        for b, y in group_xmods.items():
+            if x.cod != y.cod:
+                continue
+            for m in enumerate_xmod_morphisms(x, y):
+                if m.f0 != identity_hom(x.cod):
+                    continue
+                for hname, phi in group_homs.items():
+                    if phi.cod != x.cod:
+                        continue
+                    c_a = check_conj_preserves_pullback(x, phi)
+                    c_b = check_conj_preserves_pullback(y, phi)
+                    conj_then_pull = pullback_on_morphisms(conj_xmod_morphism(m), conj_hom(phi))
+                    pull_then_conj = conj_xmod_morphism(pullback_on_morphisms(m, phi))
+                    assert compose_xmod_morphisms(pull_then_conj, c_b) == compose_xmod_morphisms(
+                        c_a, conj_then_pull
+                    ), (a, b, m.f1.map, hname)
+                    cases += 1
+    assert cases == 55
 
 
 _CONJ_PRESERVATION = {

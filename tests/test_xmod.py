@@ -1,6 +1,7 @@
 """Actions, the pair-rack construction, and crossed modules of both flavors."""
 
 import hashlib
+from itertools import product
 
 import pytest
 
@@ -9,6 +10,7 @@ from rackmod import (
     conj_xmod,
     conj_xmod_morphism,
     conjugation_action,
+    enumerate_xmod_morphisms,
     hemi_semidirect,
     identity_hom,
     identity_xmod,
@@ -310,6 +312,38 @@ def test_conj_xmod_morphism_builds_each_conjugation_rack_once(monkeypatch, group
     rm = conj_xmod_morphism(m)
     assert sorted(sizes) == [3, 6, 6, 6]
     assert (rm.f1.map, rm.f0.map) == (m.f1.map, m.f0.map)
+
+
+def test_conj_preserves_composition(group_xmods):
+    """Conj of "m1 then m2" is "Conj m1 then Conj m2", as validated
+    morphisms, on every composable pair of corpus group crossed-module
+    morphisms.  Each conjugated crossed module and morphism is built once:
+    the enumerator lists every morphism, so the composite's conjugate is
+    looked up among them."""
+    conj = {name: conj_xmod(x) for name, x in group_xmods.items()}
+    morphisms = {
+        (a, b): enumerate_xmod_morphisms(x, y)
+        for a, x in group_xmods.items()
+        for b, y in group_xmods.items()
+    }
+    conj_of = {}
+    for (a, b), found in morphisms.items():
+        for m in found:
+            cm = conj_xmod_morphism(m)
+            assert (cm.src, cm.dst) == (conj[a], conj[b])
+            conj_of[a, b, m.f1.map, m.f0.map] = cm
+    assert len(conj_of) == 378
+    pairs = 0
+    for (a, b), firsts in morphisms.items():
+        for c in group_xmods:
+            for m1, m2 in product(firsts, morphisms[b, c]):
+                m = compose_xmod_morphisms(m1, m2)
+                composite = compose_xmod_morphisms(
+                    conj_of[a, b, m1.f1.map, m1.f0.map], conj_of[b, c, m2.f1.map, m2.f0.map]
+                )
+                assert composite == conj_of[a, c, m.f1.map, m.f0.map], (a, b, c)
+                pairs += 1
+    assert pairs == 12_224
 
 
 def test_validate_xmod_reads_the_law_family_from_the_boundary(rack_xmods, group_xmods):
