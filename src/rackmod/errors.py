@@ -6,7 +6,7 @@ in lexicographic scan order, so callers and tests can inspect exactly which
 instance of the law broke.  The other witnesses are: the least map that only
 one side reaches for ``BijectionFail``, ``(count,)`` for ``UniquenessFail``,
 ``()`` for ``BasepointMissing`` and ``NoIsomorphismFound``, and the cause's
-witness for ``NotAMorphism`` and ``ResultNotRack``.
+witness for ``ResultNotRack``.
 """
 
 from __future__ import annotations
@@ -200,14 +200,6 @@ class BoundarySquareFail(_Stated):
 class ActionSquareFail(_Stated):
     law = "action-square"
     template = "action square does not commute at ({0}, {1})"
-
-
-class NotAMorphism(AxiomError):
-    law = "morphism"
-
-    def __init__(self, cause: AxiomError):
-        super().__init__(f"the supplied pair of maps is not a morphism: {cause}", cause.witness)
-        self.cause = cause
 
 
 # ---------------------------------------------------------------- constructions

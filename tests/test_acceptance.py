@@ -15,6 +15,7 @@ from rackmod import (
     check_adjunction_bijection,
     check_conj_preserves_pullback,
     check_xmod_adjunction,
+    compose_homs,
     compose_xmod_morphisms,
     conj_rack,
     conj_xmod_morphism,
@@ -113,7 +114,14 @@ def test_criterion_02_fiber_products_are_crossed_modules():
         pairs = [(a, b) for a in xmods for b in xmods if xmods[a].cod == xmods[b].cod]
         assert len(pairs) == 37
         for a, b in pairs:
-            revalidate_rack_xmod(fiber_product_xmod(xmods[a], xmods[b]))
+            fx = fiber_product_xmod(xmods[a], xmods[b])
+            revalidate_rack_xmod(fx)
+            # the fibre product is the pullback of a along the boundary of b
+            pb = pullback_xmod(xmods[a], xmods[b].boundary)
+            assert fx.dom == pb.src.dom, (a, b)
+            assert fx.dom.labels == pb.src.dom.labels, (a, b)
+            assert fx.boundary == compose_homs(pb.src.boundary, xmods[b].boundary), (a, b)
+            assert fx.boundary == compose_homs(pb.f1, xmods[a].boundary), (a, b)
 
 
 def test_criterion_03_pullbacks_are_crossed_modules():
@@ -122,14 +130,15 @@ def test_criterion_03_pullbacks_are_crossed_modules():
         assert len(instances) >= 20
         for name, xm, phi in instances:
             pb = pullback_xmod(xm, phi)
-            revalidate_rack_xmod(pb.xmod)
-            fp = fiber_product(xm.boundary, phi)
-            assert pb.pairs == fp.pairs, name
-            assert pb.carrier.table == fp.carrier.table, name
-            for i in range(pb.carrier.size):
+            revalidate_rack_xmod(pb.src)
+            proj1, proj2 = fiber_product(xm.boundary, phi)
+            pairs = tuple(zip(pb.f1.map, pb.src.boundary.map))
+            assert pairs == tuple(zip(proj1.map, proj2.map)), name
+            assert pb.src.dom.table == proj1.dom.table, name
+            for i in range(pb.src.dom.size):
                 assert (
-                    phi.map[pb.xmod.boundary.map[i]]
-                    == xm.boundary.map[pb.phi_prime.map[i]]
+                    phi.map[pb.src.boundary.map[i]]
+                    == xm.boundary.map[pb.f1.map[i]]
                 ), name
 
 
@@ -137,20 +146,20 @@ def test_criterion_04_universal_property_holds_everywhere():
     with criterion(4, "universal property: exactly one factorization"):
         for name, xm, phi in corpus.pullback_instances():
             pb = pullback_xmod(xm, phi)
-            cert = verify_universal_property(pb, pb.phi_prime, pb.xmod)
-            assert cert.satisfying_count == 1, name
+            cert = verify_universal_property(pb, pb)
+            assert cert.mediating == identity_xmod_morphism(pb.src), name
         # the basepoint module of CZ2 pulled back along the parity hom:
         # the carrier is the three even permutations
         r = corpus.racks()
         pb = pullback_xmod(
             inclusion_xmod([0], r["cz2"]), corpus.rack_homs()["sgn_rack"]
         )
-        assert pb.carrier.size == 3
+        assert pb.src.dom.size == 3
         evens = substructure(r["cs3"], [0, 3, 4]).dom
         assert evens.labels == ("e", "(123)", "(132)")
-        assert find_isomorphism(pb.carrier, evens) is not None
-        cert = verify_universal_property(pb, pb.phi_prime, pb.xmod)
-        assert cert.satisfying_count == 1
+        assert find_isomorphism(pb.src.dom, evens) is not None
+        cert = verify_universal_property(pb, pb)
+        assert cert.mediating == identity_xmod_morphism(pb.src)
 
 
 def test_criterion_05_preimages_are_normal_subracks(preimage_cases):
@@ -161,7 +170,7 @@ def test_criterion_05_preimages_are_normal_subracks(preimage_cases):
             members = set(subset)
             preimage = [s for s in phi.dom.elements() if phi.map[s] in members]
             sub = substructure(phi.dom, preimage).dom
-            assert find_isomorphism(pb.carrier, sub) is not None, name
+            assert find_isomorphism(pb.src.dom, sub) is not None, name
             assert is_normal_subrack(preimage, phi.dom).ok, name
 
 
@@ -172,10 +181,11 @@ def test_criterion_06_full_base_pullback_is_the_graph():
         pb = pullback_xmod(xm, phi)
         # one carrier point per element of the domain of phi: the graph
         # {(phi(s), s)}, not the 12-element full product
-        assert pb.carrier.size == phi.dom.size == 6
-        assert pb.carrier.size != xm.dom.size * phi.dom.size
-        assert pb.pairs == tuple(sorted((phi.map[s], s) for s in phi.dom.elements()))
-        iso = find_isomorphism(pb.carrier, phi.dom)
+        assert pb.src.dom.size == phi.dom.size == 6
+        assert pb.src.dom.size != xm.dom.size * phi.dom.size
+        pairs = tuple(zip(pb.f1.map, pb.src.boundary.map))
+        assert pairs == tuple(sorted((phi.map[s], s) for s in phi.dom.elements()))
+        iso = find_isomorphism(pb.src.dom, phi.dom)
         assert iso is not None and iso.map == (0, 3, 4, 1, 2, 5)
 
 

@@ -236,8 +236,8 @@ def test_construct_pullback_with_hom_out(tmp_path, rack_xmods, rack_homs, capsys
         f"wrote rack-xmod to {out} (carrier size 6)",
     ]
     expected = pullback_xmod(rack_xmods["identity_cz2"], rack_homs["sgn_rack"])
-    assert parse_document(load_document(out)) == expected.xmod
-    assert parse_document(load_document(hom_out)).map == expected.phi_prime.map
+    assert parse_document(load_document(out)) == expected.src
+    assert parse_document(load_document(hom_out)).map == expected.f1.map
 
 
 def test_construct_pullback_wrong_kind_exits_2(tmp_path, group_xmods, group_homs, capsys):
@@ -284,10 +284,10 @@ def test_construct_group_pullback_writes_the_library_pullback(
     capsys.readouterr()
     pb = pullback_xmod(group_xmods["a3_s3"], group_homs["z3_to_s3"])
     written = load_document(out)
-    assert written == group_xmod_document(pb.xmod)
+    assert written == group_xmod_document(pb.src)
     assert written["dom"]["kind"] == "group"
     assert written["dom"]["labels"] == ["(e,0)", "((123),1)", "((132),2)"]
-    assert load_document(hom_out) == hom_document(pb.phi_prime)
+    assert load_document(hom_out) == hom_document(pb.f1)
 
 
 def test_construct_group_pullback_wrong_kind_exits_2(tmp_path, rack_xmods, rack_homs, capsys):
@@ -505,6 +505,31 @@ def test_construct_pullback_out_on_a_directory_leaves_no_file(
     assert not hom_out.exists()
     assert list(tmp_path.glob(".*.tmp")) == []
     assert list(outdir.iterdir()) == []
+
+
+def test_construct_pullback_refuses_one_path_named_twice(
+    tmp_path, monkeypatch, rack_xmods, rack_homs, capsys
+):
+    """--hom-out and --out that resolve to one file, however spelled, are
+    refused before anything is written: exit 2, empty stdout and no file."""
+    req = write(
+        tmp_path,
+        "req.json",
+        pullback_request(
+            rack_xmod_document(rack_xmods["identity_cz2"]), hom_document(rack_homs["sgn_rack"])
+        ),
+    )
+    monkeypatch.chdir(tmp_path)
+    for hom_out in ("same.json", "./same.json"):
+        argv = ["construct", "pullback", req, "--hom-out", hom_out, "--out", "same.json"]
+        assert cli.main(argv) == 2, hom_out
+        captured = capsys.readouterr()
+        assert captured.out == "", hom_out
+        assert captured.err == (
+            "error: cannot write same.json: the command writes another document there\n"
+        ), hom_out
+        assert not (tmp_path / "same.json").exists(), hom_out
+        assert list(tmp_path.glob(".*.tmp")) == [], hom_out
 
 
 def test_corpus_out_failing_on_a_later_document_leaves_no_file(tmp_path, monkeypatch, capsys):

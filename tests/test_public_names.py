@@ -7,7 +7,10 @@ adjunction report classes, now that both checks return one count, the
 presentation text format that nothing wrote or read, and the rack and group
 copies of the substructure functions that ``substructure`` and
 ``inclusion_xmod`` replaced, and the conj-preservation report, now that the
-check returns its comparison morphism."""
+check returns its comparison morphism, and the pullback and fibre-product
+records and the error for a cone that is not a morphism, now that a
+pullback is its crossed-module morphism, a fibre product its two
+projections, and a cone arrives as a validated morphism."""
 
 import pkgutil
 from importlib import import_module
@@ -51,6 +54,9 @@ REMOVED = (
     "enumerate_rack_homs",
     "HomSet",
     "rack_automorphisms",
+    "PullbackXMod",
+    "FiberProduct",
+    "NotAMorphism",
 )
 # The two law families of validate_xmod, kept by name in rackmod.xmod alone.
 XMOD_LAWS = ("validate_rack_xmod", "validate_group_xmod")

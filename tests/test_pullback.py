@@ -11,6 +11,7 @@ import pytest
 
 from rackmod import (
     FiniteGroup,
+    XModMorphism,
     check_conj_preserves_pullback,
     compose_xmod_morphisms,
     conj_hom,
@@ -42,20 +43,34 @@ from rackmod import racks as racks_module
 from rackmod import xmod as xmod_module
 from rackmod.errors import (
     AxiomError,
+    BoundarySquareFail,
     BoundExceeded,
     NoIsomorphismFound,
-    NotAMorphism,
     UniquenessFail,
 )
-from rackmod.pullback import PullbackXMod
+
+
+def _pairs(pb):
+    """The pairs (p, s) of a pullback's carrier, read off its two maps."""
+    return tuple(zip(pb.f1.map, pb.src.boundary.map))
+
+
+def _tampered(pb, f1_map, boundary_map):
+    """``pb`` with its first projection and boundary maps replaced, unchecked."""
+    boundary = dataclasses.replace(pb.src.boundary, map=boundary_map)
+    return dataclasses.replace(
+        pb,
+        src=dataclasses.replace(pb.src, boundary=boundary),
+        f1=dataclasses.replace(pb.f1, map=f1_map),
+    )
 
 
 def test_fiber_product_of_homs(rack_homs):
-    fp = fiber_product(rack_homs["sgn_rack"], rack_homs["sgn_rack"])
+    proj1, proj2 = fiber_product(rack_homs["sgn_rack"], rack_homs["sgn_rack"])
     # evens pair with evens, odds with odds: 3*3 + 3*3
-    assert fp.carrier.size == 18
+    assert proj1.dom.size == 18
     for i in range(18):
-        assert rack_homs["sgn_rack"].map[fp.proj1.map[i]] == rack_homs["sgn_rack"].map[fp.proj2.map[i]]
+        assert rack_homs["sgn_rack"].map[proj1.map[i]] == rack_homs["sgn_rack"].map[proj2.map[i]]
 
 
 def test_fiber_product_requires_common_codomain(rack_homs):
@@ -80,21 +95,22 @@ def test_fiber_product_xmod_rejects_mixed_bases(rack_xmods):
 def test_pullback_carrier_is_the_fiber_product(rack_xmods, rack_homs):
     xm, phi = rack_xmods["identity_cs3"], rack_homs["cz3_to_cs3"]
     pb = pullback_xmod(xm, phi)
-    fp = fiber_product(xm.boundary, phi)
-    assert pb.pairs == fp.pairs
-    assert pb.carrier.table == fp.carrier.table
-    assert pb.xmod.boundary.map == fp.proj2.map
-    assert pb.phi_prime.map == fp.proj1.map
+    proj1, proj2 = fiber_product(xm.boundary, phi)
+    assert _pairs(pb) == tuple(zip(proj1.map, proj2.map))
+    assert pb.src.dom.table == proj1.dom.table
+    assert pb.src.boundary.map == proj2.map
+    assert pb.f1.map == proj1.map
+    assert (pb.f0, pb.dst) == (phi, xm)
 
 
 def test_pullback_square_commutes_on_corpus():
     seen = 0
     for name, xm, phi in corpus.pullback_instances():
         pb = pullback_xmod(xm, phi)
-        for i in range(pb.carrier.size):
+        for i in range(pb.src.dom.size):
             assert (
-                phi.map[pb.xmod.boundary.map[i]]
-                == xm.boundary.map[pb.phi_prime.map[i]]
+                phi.map[pb.src.boundary.map[i]]
+                == xm.boundary.map[pb.f1.map[i]]
             ), name
         seen += 1
     assert seen >= 20
@@ -106,7 +122,7 @@ def test_pullback_along_identity_is_isomorphic(rack_xmods):
     for name in ("a3r_cs3", "identity_cz2", "point_cs3"):
         xm = rack_xmods[name]
         pb = pullback_xmod(xm, identity_hom(xm.cod))
-        iso = validate_xmod_morphism(pb.phi_prime, identity_hom(xm.cod), pb.xmod, xm)
+        iso = validate_xmod_morphism(pb.f1, identity_hom(xm.cod), pb.src, xm)
         assert sorted(iso.f1.map) == list(xm.dom.elements()), name
 
 
@@ -114,12 +130,12 @@ def test_pullback_of_point_along_kernel_bearing_hom(racks, rack_homs):
     """Pulling the basepoint inclusion back along a hom carves out its kernel."""
     point = inclusion_xmod([0], racks["cz2"])
     pb = pullback_xmod(point, rack_homs["sgn_rack"])
-    assert pb.carrier.size == 3
-    assert pb.pairs == ((0, 0), (0, 3), (0, 4))
+    assert pb.src.dom.size == 3
+    assert _pairs(pb) == ((0, 0), (0, 3), (0, 4))
     evens = substructure(racks["cs3"], [0, 3, 4]).dom
-    assert find_isomorphism(pb.carrier, evens) is not None
-    cert = verify_universal_property(pb, pb.phi_prime, pb.xmod)
-    assert cert.satisfying_count == 1
+    assert find_isomorphism(pb.src.dom, evens) is not None
+    cert = verify_universal_property(pb, pb)
+    assert cert.mediating == identity_xmod_morphism(pb.src)
 
 
 def test_pullback_of_full_base_is_the_graph(rack_xmods, rack_homs, racks):
@@ -129,9 +145,9 @@ def test_pullback_of_full_base_is_the_graph(rack_xmods, rack_homs, racks):
     not the twelve a full product would give.
     """
     pb = pullback_xmod(rack_xmods["identity_cz2"], rack_homs["sgn_rack"])
-    assert pb.carrier.size == 6
-    assert pb.pairs == ((0, 0), (0, 3), (0, 4), (1, 1), (1, 2), (1, 5))
-    iso = find_isomorphism(pb.carrier, racks["cs3"])
+    assert pb.src.dom.size == 6
+    assert _pairs(pb) == ((0, 0), (0, 3), (0, 4), (1, 1), (1, 2), (1, 5))
+    iso = find_isomorphism(pb.src.dom, racks["cs3"])
     assert iso is not None
     assert iso.map == (0, 3, 4, 1, 2, 5)
 
@@ -140,11 +156,11 @@ def test_mediating_morphism_factorization(rack_xmods, rack_homs):
     xm, phi = rack_xmods["identity_cs3"], rack_homs["incl_a3r_cs3"]
     pb = pullback_xmod(xm, phi)
     # cone: the pulled-back module itself with its comparison hom
-    med = mediating_morphism(pb, pb.phi_prime, pb.xmod)
-    assert med.f1.map == tuple(range(pb.carrier.size))
-    for x in range(pb.carrier.size):
-        assert pb.phi_prime.map[med.f1.map[x]] == pb.phi_prime.map[x]
-        assert pb.xmod.boundary.map[med.f1.map[x]] == pb.xmod.boundary.map[x]
+    med = mediating_morphism(pb, pb)
+    assert med.f1.map == tuple(range(pb.src.dom.size))
+    for x in range(pb.src.dom.size):
+        assert pb.f1.map[med.f1.map[x]] == pb.f1.map[x]
+        assert pb.src.boundary.map[med.f1.map[x]] == pb.src.boundary.map[x]
 
 
 def test_mediating_morphism_from_an_external_cone(racks, rack_xmods, rack_homs):
@@ -152,28 +168,31 @@ def test_mediating_morphism_from_an_external_cone(racks, rack_xmods, rack_homs):
     pb = pullback_xmod(xm, phi)
     evens = phi.dom
     cone_xmod = inclusion_xmod([evens.basepoint], evens)
-    f = constant_rack_hom(cone_xmod.dom, xm.dom)
-    med = mediating_morphism(pb, f, cone_xmod)
-    assert med.f1.map == (pb.pairs.index((0, 0)),)
+    cone = validate_xmod_morphism(constant_rack_hom(cone_xmod.dom, xm.dom), phi, cone_xmod, xm)
+    med = mediating_morphism(pb, cone)
+    assert med.f1.map == (_pairs(pb).index((0, 0)),)
 
 
 def test_mediating_morphism_rejects_non_cones(rack_xmods, rack_homs):
     xm, phi = rack_xmods["identity_cs3"], rack_homs["incl_a3r_cs3"]
     pb = pullback_xmod(xm, phi)
-    cone = identity_xmod(phi.dom)
+    mu_xmod = identity_xmod(phi.dom)
     # the boundary square forces f == phi here, so the constant map cannot
     # be the leg of any cone over this pullback
     bad = constant_rack_hom(phi.dom, xm.dom)
-    with pytest.raises(NotAMorphism):
-        mediating_morphism(pb, bad, cone)
+    with pytest.raises(BoundarySquareFail):
+        validate_xmod_morphism(bad, phi, mu_xmod, xm)
+    # a morphism into the source over another base map is not a cone over phi
+    with pytest.raises(ValueError):
+        mediating_morphism(pb, identity_xmod_morphism(xm))
 
 
 def test_universal_property_over_the_corpus():
     for name, xm, phi in corpus.pullback_instances():
         pb = pullback_xmod(xm, phi)
-        cert = verify_universal_property(pb, pb.phi_prime, pb.xmod)
-        assert cert.satisfying_count == 1, name
-        assert cert.search_space == pb.carrier.size**pb.carrier.size
+        cert = verify_universal_property(pb, pb)
+        assert cert.mediating == identity_xmod_morphism(pb.src), name
+        assert cert.search_space == pb.src.dom.size**pb.src.dom.size
 
 
 # sha256 of repr of (mediating f1 map, search space) over every corpus
@@ -191,7 +210,7 @@ def test_mediating_maps_over_the_corpus_are_pinned(kind):
     found = []
     for _name, xm, phi in instances:
         pb = pullback_xmod(xm, phi)
-        cert = verify_universal_property(pb, pb.phi_prime, pb.xmod)
+        cert = verify_universal_property(pb, pb)
         found.append((cert.mediating.f1.map, cert.search_space))
     assert hashlib.sha256(repr(tuple(found)).encode()).hexdigest() == MEDIATING_SHA256[kind]
 
@@ -201,7 +220,7 @@ def _doctored_pullback(rack_xmods, rack_homs):
     factorizations of the honest cone."""
     xm, phi = rack_xmods["point_cz2"], rack_homs["const_t2_cz2"]
     pb = pullback_xmod(xm, phi)
-    assert pb.pairs == ((0, 0), (0, 1))
+    assert _pairs(pb) == ((0, 0), (0, 1))
     # replace the 2-element carrier with a trivial 3-element rack whose
     # boundary hits 1 twice; everything validates, uniqueness does not
     padded = trivial_rack(3)
@@ -209,13 +228,8 @@ def _doctored_pullback(rack_xmods, rack_homs):
         validate_hom(padded, phi.dom, [0, 1, 1]),
         trivial_action(padded, phi.dom).table,
     )
-    fake = PullbackXMod(
-        fake_xmod,
-        constant_rack_hom(padded, xm.dom),
-        xm,
-        phi,
-        ((0, 0), (0, 1), (0, 1)),
-    )
+    fake = XModMorphism(fake_xmod, xm, constant_rack_hom(padded, xm.dom), phi)
+    assert _pairs(fake) == ((0, 0), (0, 1), (0, 1))
     return pb, fake
 
 
@@ -223,7 +237,7 @@ def test_universal_property_fails_for_a_doctored_pullback(rack_xmods, rack_homs)
     """An inflated carrier admits two factorizations of the honest cone."""
     pb, fake = _doctored_pullback(rack_xmods, rack_homs)
     with pytest.raises(UniquenessFail) as exc:
-        verify_universal_property(fake, pb.phi_prime, pb.xmod)
+        verify_universal_property(fake, pb)
     assert exc.value.count == 2
     assert exc.value.witnesses == ((0, 1), (0, 2))
 
@@ -236,7 +250,7 @@ def test_preimage_instances_are_normal_subracks(preimage_cases):
         members = set(subset)
         preimage = sorted(s for s in phi.dom.elements() if phi.map[s] in members)
         sub = substructure(phi.dom, preimage).dom
-        assert find_isomorphism(pb.carrier, sub) is not None, name
+        assert find_isomorphism(pb.src.dom, sub) is not None, name
         assert is_normal_subrack(preimage, phi.dom).ok, name
         seen += 1
     assert seen == 36
@@ -274,13 +288,13 @@ def test_pullback_on_morphisms_requires_fixed_base(rack_xmods, rack_homs, racks)
 
 def test_group_pullback_and_its_universal_property(group_xmods, group_homs):
     pb = pullback_xmod(group_xmods["a3_s3"], group_homs["z3_to_s3"])
-    assert pb.carrier.size == 3
-    cert = verify_universal_property(pb, pb.phi_prime, pb.xmod)
-    assert cert.satisfying_count == 1
-    for i in range(pb.carrier.size):
+    assert pb.src.dom.size == 3
+    cert = verify_universal_property(pb, pb)
+    assert cert.mediating == identity_xmod_morphism(pb.src)
+    for i in range(pb.src.dom.size):
         assert (
-            group_homs["z3_to_s3"].map[pb.xmod.boundary.map[i]]
-            == group_xmods["a3_s3"].boundary.map[pb.phi_prime.map[i]]
+            group_homs["z3_to_s3"].map[pb.src.boundary.map[i]]
+            == group_xmods["a3_s3"].boundary.map[pb.f1.map[i]]
         )
 
 
@@ -349,8 +363,8 @@ _CONJ_PRESERVATION = {
 def test_conj_of_group_pullback_equals_rack_pullback_tables(name):
     """On these instances the two sides agree on the nose, not just up to iso."""
     source, phi = _CONJ_PRESERVATION[name]
-    left = conj_xmod(pullback_xmod(source, phi).xmod)
-    right = pullback_xmod(conj_xmod(source), conj_hom(phi)).xmod
+    left = conj_xmod(pullback_xmod(source, phi).src)
+    right = pullback_xmod(conj_xmod(source), conj_hom(phi)).src
     assert left.dom.table == right.dom.table
     assert left.boundary.map == right.boundary.map
     assert left.action == right.action
@@ -360,16 +374,17 @@ def test_conj_of_group_pullback_equals_rack_pullback_tables(name):
 def test_group_pullback_carrier_is_the_fiber_product_of_group_homs(name):
     source, phi = _CONJ_PRESERVATION[name]
     pb = pullback_xmod(source, phi)
-    fp = fiber_product(source.boundary, phi)
-    assert isinstance(fp.carrier, FiniteGroup)
-    assert fp.carrier == pb.carrier
-    assert fp.pairs == pb.pairs
-    assert fp.proj1 == pb.phi_prime
-    assert fp.proj2 == pb.xmod.boundary
+    proj1, proj2 = fiber_product(source.boundary, phi)
+    assert isinstance(proj1.dom, FiniteGroup)
+    assert proj1.dom == pb.src.dom
+    assert tuple(zip(proj1.map, proj2.map)) == _pairs(pb)
+    assert proj1 == pb.f1
+    assert proj2 == pb.src.boundary
 
 
 def test_conj_preserves_rejects_a_mislabelled_pullback(monkeypatch, group_xmods, group_homs):
-    """Swapping two pair labels of the group pullback breaks the comparison.
+    """Swapping two entries of the group pullback's first projection
+    mislabels two of its pairs and breaks the comparison.
 
     The comparison is read off the pairs, so this fails although the tables
     stay as they are.  Only the group pullback, told apart by
@@ -381,9 +396,9 @@ def test_conj_preserves_rejects_a_mislabelled_pullback(monkeypatch, group_xmods,
         pb = real(source, phi)
         if not isinstance(source.dom, FiniteGroup):
             return pb
-        pairs = list(pb.pairs)
-        pairs[1], pairs[3] = pairs[3], pairs[1]
-        return dataclasses.replace(pb, pairs=tuple(pairs))
+        firsts = list(pb.f1.map)
+        firsts[1], firsts[3] = firsts[3], firsts[1]
+        return _tampered(pb, tuple(firsts), pb.src.boundary.map)
 
     monkeypatch.setattr(pullback, "pullback_xmod", mislabelled)
     with pytest.raises(NoIsomorphismFound, match="canonical comparison"):
@@ -401,7 +416,9 @@ def test_conj_preserves_rejects_a_comparison_that_is_not_onto(monkeypatch, group
         pb = real(source, phi)
         if isinstance(source.dom, FiniteGroup):
             return pb
-        return dataclasses.replace(pb, pairs=pb.pairs + ((source.dom.size, phi.dom.size),))
+        return _tampered(
+            pb, pb.f1.map + (source.dom.size,), pb.src.boundary.map + (phi.dom.size,)
+        )
 
     monkeypatch.setattr(pullback, "pullback_xmod", padded)
     with pytest.raises(NoIsomorphismFound, match="the group pullback lacks a pair"):
@@ -426,11 +443,11 @@ def test_conj_preserves_builds_each_conjugation_rack_once(monkeypatch, group_xmo
 
 def test_pullback_of_a_group_xmod_is_the_group_pullback(group_xmods, group_homs):
     pb = pullback_xmod(group_xmods["a3_s3"], group_homs["z3_to_s3"])
-    assert isinstance(pb.carrier, FiniteGroup)
-    assert isinstance(pb.xmod.cod, FiniteGroup)
-    assert pb.pairs == ((0, 0), (1, 1), (2, 2))
-    assert pb.carrier.table == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    assert pb.xmod.action == ((0, 0, 0), (1, 1, 1), (2, 2, 2))
+    assert isinstance(pb.src.dom, FiniteGroup)
+    assert isinstance(pb.src.cod, FiniteGroup)
+    assert _pairs(pb) == ((0, 0), (1, 1), (2, 2))
+    assert pb.src.dom.table == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    assert pb.src.action == ((0, 0, 0), (1, 1, 1), (2, 2, 2))
 
 
 def test_pullback_rejects_a_hom_of_the_other_kind(rack_xmods, group_xmods, rack_homs, group_homs):
@@ -473,16 +490,16 @@ def test_universal_property_rejects_a_wrong_mediating_map(
     def wrong(*args):
         med = real(*args)
         m = med.f1.map
-        shifted = ((m[0] + 1) % pb.carrier.size,) + m[1:]
+        shifted = ((m[0] + 1) % pb.src.dom.size,) + m[1:]
         return dataclasses.replace(med, f1=dataclasses.replace(med.f1, map=shifted))
 
     monkeypatch.setattr(pullback, "mediating_morphism", wrong)
     with pytest.raises(AxiomError) as exc:
-        verify_universal_property(pb, pb.phi_prime, pb.xmod)
+        verify_universal_property(pb, pb)
     assert exc.value.law == "construction"
     assert type(exc.value).__name__ == "ConstructionFail"
     # the witness is the one map that survived the scan: the honest one
-    assert exc.value.witness == real(pb, pb.phi_prime, pb.xmod).f1.map
+    assert exc.value.witness == real(pb, pb).f1.map
 
 
 # ---------------------------------------------------------------- unpruned oracles
@@ -490,13 +507,14 @@ def test_universal_property_rejects_a_wrong_mediating_map(
 UNPRUNED_SEARCH_LIMIT = 10**6
 
 
-def _unpruned_satisfying(pb, f, mu_xmod, limit=UNPRUNED_SEARCH_LIMIT):
+def _unpruned_satisfying(pb, cone, limit=UNPRUNED_SEARCH_LIMIT):
     """Unpruned oracle: filter every set map into the carrier by all five laws."""
-    x_dom, carrier = mu_xmod.dom, pb.carrier
+    mu_xmod, f = cone.src, cone.f1
+    x_dom, carrier = mu_xmod.dom, pb.src.dom
     n = x_dom.size
     if carrier.size**n > limit:
         raise BoundExceeded(f"{carrier.size}^{n} set maps exceed the limit {limit}")
-    mu, dstar, proj = mu_xmod.boundary.map, pb.xmod.boundary.map, pb.phi_prime.map
+    mu, dstar, proj = mu_xmod.boundary.map, pb.src.boundary.map, pb.f1.map
     satisfying = []
     for h in product(range(carrier.size), repeat=n):
         if h[x_dom.basepoint] != carrier.basepoint:
@@ -512,7 +530,7 @@ def _unpruned_satisfying(pb, f, mu_xmod, limit=UNPRUNED_SEARCH_LIMIT):
         ):
             continue
         if any(
-            h[mu_xmod.act(x, s)] != pb.xmod.act(h[x], s)
+            h[mu_xmod.act(x, s)] != pb.src.act(h[x], s)
             for x in range(n)
             for s in mu_xmod.cod.elements()
         ):
@@ -521,11 +539,11 @@ def _unpruned_satisfying(pb, f, mu_xmod, limit=UNPRUNED_SEARCH_LIMIT):
     return tuple(satisfying)
 
 
-def _satisfying(pb, f, mu_xmod):
+def _satisfying(pb, cone):
     """The maps verify_universal_property found: the one it certified, or
     the witnesses of its UniquenessFail."""
     try:
-        cert = verify_universal_property(pb, f, mu_xmod)
+        cert = verify_universal_property(pb, cone)
     except UniquenessFail as exc:
         return exc.witnesses
     return (cert.mediating.f1.map,)
@@ -534,31 +552,32 @@ def _satisfying(pb, f, mu_xmod):
 def test_universal_property_matches_the_unpruned_oracle_on_the_corpus():
     for name, xm, phi in corpus.pullback_instances():
         pb = pullback_xmod(xm, phi)
-        expected = _unpruned_satisfying(pb, pb.phi_prime, pb.xmod)
-        assert _satisfying(pb, pb.phi_prime, pb.xmod) == expected, name
+        expected = _unpruned_satisfying(pb, pb)
+        assert _satisfying(pb, pb) == expected, name
         assert len(expected) == 1, name
 
 
 def test_universal_property_matches_the_unpruned_oracle_when_it_fails(rack_xmods, rack_homs):
     pb, fake = _doctored_pullback(rack_xmods, rack_homs)
-    expected = _unpruned_satisfying(fake, pb.phi_prime, pb.xmod)
+    expected = _unpruned_satisfying(fake, pb)
     assert expected == ((0, 1), (0, 2))
-    assert _satisfying(fake, pb.phi_prime, pb.xmod) == expected
+    assert _satisfying(fake, pb) == expected
 
 
 def test_universal_property_on_external_cones():
     """Test crossed modules other than the pullback itself: the basepoint
     inclusion and the identity over S, with every f that makes (f, phi) a
-    morphism, so f is not phi' and h is not the pullback's own carrier map."""
+    morphism, so f is not the pullback's projection and h is not the
+    pullback's own carrier map."""
     cases = 0
     for name, xm, phi in corpus.pullback_instances() + corpus.conj_preservation_instances():
         pb, s_x = pullback_xmod(xm, phi), phi.dom
         point = inclusion_xmod([s_x.basepoint], s_x)
         for mu_xmod in (point, identity_xmod(s_x)):
-            tops = [m.f1 for m in enumerate_xmod_morphisms(mu_xmod, xm) if m.f0 == phi]
-            for f in tops:
-                expected = _unpruned_satisfying(pb, f, mu_xmod)
-                assert _satisfying(pb, f, mu_xmod) == expected, name
+            cones = [m for m in enumerate_xmod_morphisms(mu_xmod, xm) if m.f0 == phi]
+            for cone in cones:
+                expected = _unpruned_satisfying(pb, cone)
+                assert _satisfying(pb, cone) == expected, name
                 assert len(expected) == 1, name
                 cases += 1
     assert cases == 53
@@ -567,6 +586,6 @@ def test_universal_property_on_external_cones():
 def test_unpruned_oracle_is_bounded(rack_xmods):
     xm = rack_xmods["identity_cs3"]
     pb = pullback_xmod(xm, identity_hom(xm.cod))
-    assert len(_unpruned_satisfying(pb, pb.phi_prime, pb.xmod, limit=6**6)) == 1
+    assert len(_unpruned_satisfying(pb, pb, limit=6**6)) == 1
     with pytest.raises(BoundExceeded):
-        _unpruned_satisfying(pb, pb.phi_prime, pb.xmod, limit=6**6 - 1)
+        _unpruned_satisfying(pb, pb, limit=6**6 - 1)

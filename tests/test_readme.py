@@ -29,9 +29,10 @@ def test_library_block_runs():
     namespace: dict = {}
     exec(compile(code, "README.md", "exec"), namespace)
     # the block's own asserts vanish under python -O; these do not
-    assert namespace["cert"].satisfying_count == 1
-    assert namespace["pb"].carrier.size == 3
-    assert namespace["gpb"].carrier.size == 3
+    pb = namespace["pb"]
+    assert namespace["cert"].mediating == rackmod.identity_xmod_morphism(pb.src)
+    assert pb.src.dom.size == 3
+    assert namespace["gpb"].src.dom.size == 3
 
 
 def test_console_session_replays(tmp_path, monkeypatch, capsys):
