@@ -4,14 +4,19 @@ Given a crossed module d: P -> R and a hom phi: S -> R, of racks or of
 groups, the pullback crossed module lives on the fiber product carrier
 {(p, s) : d(p) = phi(s)}, has boundary (p, s) -> s, and carries the action
 (p, s) . s' = (p . phi(s'), s ◁ s'), where s ◁ s' is s'^-1 s s' for
-groups.  One fiber product, one pullback body and one crossed-module
-validator serve both sides; only the law families differ.  The pullback is
-returned as its crossed-module morphism back to the source, (p, s) -> p
-over phi, and a fiber product as its two projections; the pairs (p, s) are
-read off those maps, never stored beside them.  The universal property is
-certified here by counting the set maps into the carrier that make a cone
-factor, which must leave exactly one; maps that fail a one-coordinate
-condition are never generated.
+groups.  One fiber product, one construction body and one crossed-module
+validator serve both kinds; only the law families differ.  The body pulls
+d back along a crossed module B over a hom psi into R: the pullback is the
+case of S acting on itself over psi = phi, and the fiber product of two
+crossed modules over R the case psi = id_R.  The pullback is returned as
+its crossed-module morphism back to the source, (p, s) -> p over phi, and
+a fiber product of homs as its two projections; the pairs (p, s) are read
+off those maps, never stored beside them.  Every map into a pullback, the
+pullback on morphisms and the Conj comparison included, is the mediating
+morphism of a cone.  The universal property is certified here by counting
+the set maps into the carrier that make a cone factor, which must leave
+exactly one; maps that fail a one-coordinate condition are never
+generated.
 """
 
 from __future__ import annotations
@@ -19,11 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AxiomError, ConstructionFail, NoIsomorphismFound, UniquenessFail
-from .groups import FiniteGroup
 from .racks import _self_action, _validator
 from .search import assignments, hom_search, morphism_search
 from .tables import Hom, compose_homs, identity_hom, validate_hom
-from .xmod import XMod, XModMorphism, conj_xmod, validate_xmod, validate_xmod_morphism
+from .xmod import (
+    XMod,
+    XModMorphism,
+    compose_xmod_morphisms,
+    conj_xmod_morphism,
+    validate_xmod,
+    validate_xmod_morphism,
+)
 
 
 # ---------------------------------------------------------------- fiber products
@@ -81,26 +92,44 @@ def fiber_product(alpha: Hom, beta: Hom) -> tuple[Hom, Hom]:
     return proj1, proj2
 
 
-def fiber_product_xmod(a: XMod, b: XMod) -> XMod:
-    """Fiber product of two crossed modules of racks over the same base rack.
-
-    Boundary (p, s) -> d_a(p) and the diagonal action (p, s).r = (p.r, s.r).
-    """
-    if isinstance(a.cod, FiniteGroup):
-        raise ValueError("fiber products of crossed modules need crossed modules of racks")
-    if a.cod != b.cod:
-        raise ValueError("crossed modules are not over the same rack")
-    proj1, proj2 = fiber_product(a.boundary, b.boundary)
-    pairs = list(zip(proj1.map, proj2.map))
-    cols = [(r,) for r in a.cod.elements()]
-    table = _pair_table(
-        "diagonal action escapes the carrier", pairs, pairs, cols,
-        [[(a.act(p, r), b.act(s, r)) for (r,) in cols] for p, s in pairs],
-    )
-    return validate_xmod(compose_homs(proj1, a.boundary), table)
-
-
 # ---------------------------------------------------------------- pullbacks
+
+
+def _pull_back(source: XMod, psi: Hom, boundary: Hom, act) -> XModMorphism:
+    """Pull d: P -> R back along a crossed module B over a hom psi: S -> R.
+
+    B is given by its boundary d_B: Q -> S and its action ``act``.  The
+    pullback lives on the fiber product of d and psi . d_B, over S, with
+    boundary (p, q) -> d_B(q) and action (p, q).s = (p.psi(s), q.s): the
+    limit of source -> I(R) <- B, where I is ``identity_xmod``, the left leg
+    is (d, id) and the right one is fixed by psi.  Returns the validated
+    morphism (proj1, psi) back to source.
+    """
+    proj1, proj2 = fiber_product(source.boundary, compose_homs(boundary, psi))
+    pairs = list(zip(proj1.map, proj2.map))
+    cols = [(s,) for s in psi.dom.elements()]
+    table = _pair_table(
+        "pullback action escapes the carrier", pairs, pairs, cols,
+        [[(source.act(p, psi.map[s]), act(q, s)) for (s,) in cols] for p, q in pairs],
+    )
+    xmod = validate_xmod(compose_homs(proj2, boundary), table)
+    try:
+        return validate_xmod_morphism(proj1, psi, xmod, source)
+    except AxiomError as exc:
+        raise ConstructionFail("pullback square does not commute", exc.witness) from exc
+
+
+def fiber_product_xmod(a: XMod, b: XMod) -> XMod:
+    """Fiber product of two crossed modules, of racks or of groups, over one base R.
+
+    The pullback of a along b over id_R: boundary (p, q) -> d_b(q), which is
+    d_a(p), and the diagonal action (p, q).r = (p.r, q.r).  The base is
+    a's own, labels included.
+    """
+    if a.cod != b.cod:
+        raise ValueError("crossed modules are not over the same base")
+    boundary = validate_hom(b.dom, a.cod, b.boundary.map)
+    return _pull_back(a, identity_hom(a.cod), boundary, b.act).src
 
 
 def pullback_xmod(source: XMod, phi: Hom) -> XModMorphism:
@@ -116,19 +145,7 @@ def pullback_xmod(source: XMod, phi: Hom) -> XModMorphism:
     """
     if phi.cod != source.cod:
         raise ValueError("hom does not land in the base of the crossed module")
-    proj1, proj2 = fiber_product(source.boundary, phi)
-    pairs = list(zip(proj1.map, proj2.map))
-    s_op = _self_action(phi.dom)
-    cols = [(sp,) for sp in phi.dom.elements()]
-    table = _pair_table(
-        "pullback action escapes the carrier", pairs, pairs, cols,
-        [[(source.act(p, phi.map[sp]), s_op(s, sp)) for (sp,) in cols] for p, s in pairs],
-    )
-    xmod = validate_xmod(proj2, table)
-    try:
-        return validate_xmod_morphism(proj1, phi, xmod, source)
-    except AxiomError as exc:
-        raise ConstructionFail("pullback square does not commute", exc.witness) from exc
+    return _pull_back(source, phi, identity_hom(phi.dom), _self_action(phi.dom))
 
 
 # ---------------------------------------------------------------- universal property
@@ -201,21 +218,13 @@ def verify_universal_property(pb: XModMorphism, cone: XModMorphism) -> Universal
 
 
 def pullback_on_morphisms(m: XModMorphism, phi: Hom) -> XModMorphism:
-    """Functorial action on a morphism over a fixed base: (p, s) -> (g(p), s)."""
-    base = m.src.cod
-    if m.dst.cod != base or m.f0.map != tuple(range(base.size)):
+    """Functorial action on a morphism over a fixed base: (p, s) -> (g(p), s),
+    the mediating morphism of the cone phi*m.src -> m.src -> m.dst."""
+    if m.f0 != identity_hom(m.src.cod):
         raise ValueError("morphism must fix the base rack")
-    if phi.cod != base:
-        raise ValueError("hom does not land in the base rack")
-    pb_src = pullback_xmod(m.src, phi)
-    pb_dst = pullback_xmod(m.dst, phi)
-    src_pairs = _pairs(pb_src)
-    (mapped,) = _pair_table(
-        "image escapes the carrier despite the morphism laws", _pairs(pb_dst), [()], src_pairs,
-        [[(m.f1.map[p], s) for p, s in src_pairs]],
+    return mediating_morphism(
+        pullback_xmod(m.dst, phi), compose_xmod_morphisms(pullback_xmod(m.src, phi), m)
     )
-    f1 = validate_hom(pb_src.src.dom, pb_dst.src.dom, mapped)
-    return validate_xmod_morphism(f1, identity_hom(phi.dom), pb_src.src, pb_dst.src)
 
 
 # ---------------------------------------------------------------- conjugation vs pullback
@@ -224,33 +233,25 @@ def pullback_on_morphisms(m: XModMorphism, phi: Hom) -> XModMorphism:
 def check_conj_preserves_pullback(source: XMod, phi: Hom) -> XModMorphism:
     """Compare conjugation-then-pullback against pullback-then-conjugation.
 
-    Conjugation keeps elements, so both crossed modules of racks live on
-    fiber pairs (p, s) over the same base Conj S.  The canonical comparison
-    sends each pair to itself, read off the two pullbacks' pairs, and is
-    the identity on Conj S.  Each pullback must hold every pair of the
-    other, so the comparison is bijective; validated as a pair of rack homs
-    and as a crossed-module morphism, it is then an isomorphism, and
-    conjugation preserves this pullback.  Returns the comparison, from
-    Conj(phi*source) to (Conj phi)*(Conj source).  Each conjugation rack is
-    built once: Conj phi is validated between the bases of the two
-    conjugated crossed modules.
+    Conj of the group pullback phi*source -> source is a cone over the rack
+    pullback (Conj phi)*(Conj source), both on fiber pairs (p, s) over the
+    same base Conj S, and the canonical comparison is its mediating
+    morphism, each pair to itself and the identity on Conj S.  The rack
+    pullback must hold no pair the group pullback lacks, so the comparison
+    is bijective, and being a crossed-module morphism it is then an
+    isomorphism: conjugation preserves this pullback.  Returns the
+    comparison, from Conj(phi*source) to (Conj phi)*(Conj source).  Each
+    conjugation rack is built once, by ``conj_xmod_morphism``.
     """
     gp = pullback_xmod(source, phi)
-    conj_side = conj_xmod(gp.src)
-    conj_source = conj_xmod(source)
-    rp = pullback_xmod(conj_source, validate_hom(conj_side.cod, conj_source.cod, phi.map))
-    rack_side = rp.src
-    gp_pairs, rp_pairs = _pairs(gp), _pairs(rp)
     try:
-        (f1,) = _pair_table("the rack pullback lacks a pair", rp_pairs, [()], gp_pairs, [gp_pairs])
-        _pair_table("the group pullback lacks a pair", gp_pairs, [()], rp_pairs, [rp_pairs])
-        return validate_xmod_morphism(
-            validate_hom(conj_side.dom, rack_side.dom, f1),
-            validate_hom(conj_side.cod, rack_side.cod, conj_side.cod.elements()),
-            conj_side,
-            rack_side,
-        )
-    except (AxiomError, ValueError) as exc:
+        cone = conj_xmod_morphism(gp)
+        rp = pullback_xmod(cone.dst, cone.f0)
+        comparison = mediating_morphism(rp, cone)
+        rp_pairs = _pairs(rp)
+        _pair_table("the group pullback lacks a pair", _pairs(gp), [()], rp_pairs, [rp_pairs])
+        return comparison
+    except AxiomError as exc:
         raise NoIsomorphismFound(
             "the canonical comparison (p, s) -> (p, s) from the conjugation of the group "
             f"pullback to the rack pullback of the conjugation is not an isomorphism: {exc}"

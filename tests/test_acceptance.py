@@ -120,6 +120,8 @@ def test_criterion_02_fiber_products_are_crossed_modules():
             pb = pullback_xmod(xmods[a], xmods[b].boundary)
             assert fx.dom == pb.src.dom, (a, b)
             assert fx.dom.labels == pb.src.dom.labels, (a, b)
+            # FiniteRack == ignores labels, so the base must be a's own
+            assert fx.cod.labels == xmods[a].cod.labels, (a, b)
             assert fx.boundary == compose_homs(pb.src.boundary, xmods[b].boundary), (a, b)
             assert fx.boundary == compose_homs(pb.f1, xmods[a].boundary), (a, b)
 

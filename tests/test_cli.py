@@ -208,6 +208,16 @@ def test_construct_fiber_mixed_kinds_exits_2(tmp_path, rack_homs, rack_xmods, ca
     assert cli.main(["construct", "fiber", hom, xm, "--out", str(tmp_path / "o.json")]) == 2
 
 
+def test_construct_fiber_rejects_group_xmods(tmp_path, group_xmods, capsys):
+    """The library takes fibre products of group crossed modules; the CLI
+    reader does not."""
+    a = write(tmp_path, "a.json", group_xmod_document(group_xmods["a3_s3"]))
+    out = tmp_path / "o.json"
+    assert cli.main(["construct", "fiber", a, a, "--out", str(out)]) == 2
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
 def test_construct_fiber_rejects_group_homs(tmp_path, group_homs, capsys):
     sgn = write(tmp_path, "sgn.json", hom_document(group_homs["sgn"]))
     out = tmp_path / "o.json"

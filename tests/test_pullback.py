@@ -18,6 +18,7 @@ from rackmod import (
     conj_xmod,
     conj_xmod_morphism,
     constant_rack_hom,
+    enumerate_homs,
     enumerate_xmod_morphisms,
     fiber_product,
     fiber_product_xmod,
@@ -39,6 +40,7 @@ from rackmod import (
     verify_universal_property,
 )
 from rackmod import corpus, pullback
+from rackmod.interchange import canonical_json, document_for
 from rackmod import racks as racks_module
 from rackmod import xmod as xmod_module
 from rackmod.errors import (
@@ -85,6 +87,27 @@ def test_fiber_product_xmod_diagonal_action(rack_xmods):
     assert xm.cod.size == 6
     # the fiber over each 3-cycle is the diagonal pair
     assert xm.boundary.map == (0, 3, 4)
+
+
+@pytest.mark.parametrize("kind,expected", [("rack", 481), ("group", 360)])
+def test_fiber_product_xmod_is_the_limit_by_count(kind, expected):
+    """Unpruned oracle for the universal property of a x_R b: from every
+    catalog crossed module T of the same kind, the morphisms T -> a x_R b
+    are as many as the pairs (u, v) of morphisms T -> a and T -> b that
+    agree on the base."""
+    xmods = corpus.rack_xmods() if kind == "rack" else corpus.group_xmods()
+    legs = {(t, a): enumerate_xmod_morphisms(xmods[t], xmods[a]) for t in xmods for a in xmods}
+    checks = 0
+    for a, x in xmods.items():
+        for b, y in xmods.items():
+            if x.cod != y.cod:
+                continue
+            fx = fiber_product_xmod(x, y)
+            for t, z in xmods.items():
+                agreeing = sum(u.f0 == v.f0 for u in legs[t, a] for v in legs[t, b])
+                assert len(enumerate_xmod_morphisms(z, fx)) == agreeing, (a, b, t)
+                checks += 1
+    assert checks == expected
 
 
 def test_fiber_product_xmod_rejects_mixed_bases(rack_xmods):
@@ -213,6 +236,72 @@ def test_mediating_maps_over_the_corpus_are_pinned(kind):
         cert = verify_universal_property(pb, pb)
         found.append((cert.mediating.f1.map, cert.search_space))
     assert hashlib.sha256(repr(tuple(found)).encode()).hexdigest() == MEDIATING_SHA256[kind]
+
+
+# ---------------------------------------------------------------- pinned documents
+
+_CATALOGS = (
+    (corpus.racks(), corpus.rack_xmods()),
+    (corpus.groups(), corpus.group_xmods()),
+)
+
+
+def _homs_into(structures, base):
+    """(tag, hom) for every hom into ``base`` from every catalog structure."""
+    for sname, s in structures.items():
+        for f in enumerate_homs(s, base):
+            yield f"{sname}{list(f)}", validate_hom(s, base, f)
+
+
+def _pinned_documents(family):
+    """(tag, object) for each case of one family of constructions, over the
+    catalogs of both kinds; the fibre products are of rack crossed modules
+    only."""
+    for structures, xmods in _CATALOGS[:1] if family == "fiber" else _CATALOGS:
+        for a, x in xmods.items():
+            if family == "fiber":
+                for b, y in xmods.items():
+                    if x.cod == y.cod:
+                        yield f"{a}x{b}", fiber_product_xmod(x, y)
+            elif family == "pullback":
+                for htag, phi in _homs_into(structures, x.cod):
+                    pb = pullback_xmod(x, phi)
+                    yield f"{a}<-{htag}", pb.src
+                    yield f"{a}<-{htag}.f1", pb.f1
+            elif family == "conj":
+                for htag, phi in _homs_into(structures, x.cod):
+                    if isinstance(x.dom, FiniteGroup):
+                        yield f"{a}<-{htag}", check_conj_preserves_pullback(x, phi)
+            else:
+                for b, y in xmods.items():
+                    if x.cod != y.cod:
+                        continue
+                    for m in enumerate_xmod_morphisms(x, y):
+                        if m.f0 != identity_hom(x.cod):
+                            continue
+                        for htag, phi in _homs_into(structures, x.cod):
+                            yield f"{a}->{b}{list(m.f1.map)}<-{htag}", pullback_on_morphisms(m, phi)
+
+
+# Per family: the number of cases, and the sha256 over "tag\0document\0" for
+# each case in catalog order, where the document is the canonical JSON of
+# ``document_for``.  Pinned from the constructions before they shared one
+# body.
+DOCUMENT_SHA256 = {
+    "fiber": (37, "021cbd1616015ab2b8e510fe532cf6d9a39b1b7112a74d96f3dfce7f8928641f"),
+    "pullback": (2102, "e383db8b41e60da5638bbc68343a5f473a4bf63943adfa62f92ceec2a900d65b"),
+    "lift": (2013, "0d34723d91a4fef3465903f5dc95ba730baa6492d0f3f4d6be093eed0e4a18bd"),
+    "conj": (212, "2f2cb8f7a3f8d8374a73f91418511a6be383b487755913a19b6700366ae156d2"),
+}
+
+
+@pytest.mark.parametrize("family", DOCUMENT_SHA256)
+def test_construction_documents_are_pinned(family):
+    digest, count = hashlib.sha256(), 0
+    for tag, obj in _pinned_documents(family):
+        digest.update(f"{tag}\0{canonical_json(document_for(obj))}\0".encode())
+        count += 1
+    assert (count, digest.hexdigest()) == DOCUMENT_SHA256[family]
 
 
 def _doctored_pullback(rack_xmods, rack_homs):
@@ -457,9 +546,20 @@ def test_pullback_rejects_a_hom_of_the_other_kind(rack_xmods, group_xmods, rack_
         pullback_xmod(group_xmods["a3_s3"], rack_homs["z3_to_s3_rack"])
 
 
-def test_fiber_product_xmod_rejects_group_xmods(group_xmods):
-    with pytest.raises(ValueError, match="racks"):
-        fiber_product_xmod(group_xmods["a3_s3"], group_xmods["identity_s3"])
+def test_fiber_products_of_group_xmods_are_preserved_by_conj(group_xmods):
+    """Every pair of catalog group crossed modules over one base: the fibre
+    product is a group crossed module, and conjugating it gives the fibre
+    product of the conjugations, table for table and label for label."""
+    pairs = [(a, b) for a, x in group_xmods.items() for b, y in group_xmods.items() if x.cod == y.cod]
+    assert len(pairs) == 30
+    for a, b in pairs:
+        x, y = group_xmods[a], group_xmods[b]
+        fx = fiber_product_xmod(x, y)
+        assert isinstance(fx.dom, FiniteGroup), (a, b)
+        assert validate_xmod(fx.boundary, fx.action) == fx, (a, b)
+        left, right = conj_xmod(fx), fiber_product_xmod(conj_xmod(x), conj_xmod(y))
+        assert left == right, (a, b)
+        assert (left.dom.labels, left.cod.labels) == (right.dom.labels, right.cod.labels), (a, b)
 
 
 def test_conj_xmod_rejects_a_rack_xmod(rack_xmods, rack_homs):
