@@ -121,6 +121,10 @@ def _emit(
 
 
 def _certified(args: argparse.Namespace, command: str, inputs: list[tuple[str, str]], fn) -> int:
+    report = getattr(args, "report", None)
+    # every input was read, so a report that does not exist is none of them
+    if report and os.path.exists(report) and any(os.path.samefile(report, p) for _, p in inputs):
+        raise ValueError(f"cannot write {report}: it is an input of the command")
     t0 = time.perf_counter()
     try:
         counts, witnesses, search_space = fn()

@@ -22,13 +22,16 @@ f(p ◁ q) = f(p) ◁ f(q).  So ``enumerate_homs`` and the rack side of both
 checks, searched by ``search.hom_search``, solve every variable the order
 solves, and the presented side searches in the same order; the
 crossed-module check joins each side's two hom searches with
-``search.morphism_search``.  Both adjunction checks walk the union of the
-two sides' search trees once (``_both_sides``): each node is tested by the
-laws of every side still alive on its path, and a leaf that only one side
-reaches is a map missing from the other.  Each side is pruned by its own
-filed laws only, so a map that both sides' laws wrongly admit is not caught
-here; the tests check every shared map against the hom laws and the
-relators over the corpus instead.
+``search.morphism_search``.  Both adjunction checks run the two sides as
+two independent ``assignments`` searches and merge their leaves in
+lockstep: every domain ascends, so each search yields its maps in
+lexicographic order, a map in both streams is counted, and a map in one
+only is missing from the other.  Were a domain ever out of order, equal
+maps could pass unpaired and be reported on both sides, so the merge fails
+closed: it can refuse a true bijection, never pass a false one.  Each side
+is pruned by its own filed laws only, so a map that both sides' laws
+wrongly admit is not caught here; the tests check every shared map against
+the hom laws and the relators over the corpus instead.
 """
 
 from __future__ import annotations
@@ -237,69 +240,35 @@ def enumerate_homs_bruteforce(dom, cod) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _both_sides(rack, presented, n: int):
-    """Every leaf of the union of two searches' trees, with which sides reach it.
+def _count_shared_leaves(rack, presented, key, explain=None) -> int:
+    """The number of leaves that both searches yield.
 
     ``rack`` and ``presented`` are each the (domains, test) of an
-    ``assignments`` search over the same n variables.  One walk serves
-    both: a path carries the pair (rack alive, presented alive), level k
-    offers the values of each side still alive, as they are when the two
-    offers are equal and as their sorted union otherwise, and a value
-    keeps a side alive only if that side offered it and its own test
-    passes.  A path is abandoned once neither side is alive, so each side's
-    live leaves are exactly those its own search yields, and every node is
-    tested once per side alive on it.
+    ``assignments`` search over the same variables.  Every domain ascends,
+    so each search yields its leaves in lexicographic order, and the two
+    streams are merged in lockstep: a leaf in both is counted, and a leaf
+    in one only is a bad map of that side; only such a leaf is passed to
+    ``key``.  Were a domain out of order, equal leaves could pass
+    unpaired and be reported on both sides, so the check fails closed.
+    The least bad rack key raises ``BijectionFail("rack", ...)``; only then
+    the least bad presented key is passed to ``explain``, which may raise a
+    more specific failure, and raises ``BijectionFail("presented", ...)``.
     """
-    (rack_domains, rack_test), (pres_domains, pres_test) = rack, presented
-    alive = [(True, True)] + [None] * n  # alive[k]: the sides alive above level k
-    offers: list = [None] * n  # offers[k]: both sides' offers at level k, None if equal
-
-    def joint(k: int):
-        r_domain, p_domain = rack_domains[k], pres_domains[k]
-
-        def values(f: list):
-            r_on, p_on = alive[k]
-            r = (r_domain(f) if callable(r_domain) else r_domain) if r_on else ()
-            p = (p_domain(f) if callable(p_domain) else p_domain) if p_on else ()
-            if r == p:
-                offers[k] = None
-                return r
-            offers[k] = r, p
-            return sorted({*r, *p})
-
-        return values
-
-    def holds(k: int, f: list) -> bool:
-        offered = offers[k]  # a side that is not alive offers nothing
-        if offered is None:
-            sides = rack_test(k, f), pres_test(k, f)
-        else:
-            v = f[k]
-            sides = v in offered[0] and rack_test(k, f), v in offered[1] and pres_test(k, f)
-        alive[k + 1] = sides
-        return sides[0] or sides[1]
-
-    for f in assignments([joint(k) for k in range(n)], holds):
-        yield f, alive[n]
-
-
-def _count_shared_leaves(rack, presented, n: int, key, explain=None) -> int:
-    """The number of leaves of ``_both_sides`` that both sides reach.
-
-    A leaf that only one side reaches is a bad map of that side, and only
-    such a leaf is passed to ``key``.  The least bad rack key raises
-    ``BijectionFail("rack", ...)``; only then the least bad presented key is
-    passed to ``explain``, which may raise a more specific failure, and
-    raises ``BijectionFail("presented", ...)``.
-    """
+    rack_leaves, presented_leaves = assignments(*rack), assignments(*presented)
+    r, p = next(rack_leaves, None), next(presented_leaves, None)
     shared = 0
     bad_rack: list = []
     bad_presented: list = []
-    for f, (r, p) in _both_sides(rack, presented, n):
-        if r and p:
+    while r is not None or p is not None:
+        if r == p:
             shared += 1
+            r, p = next(rack_leaves, None), next(presented_leaves, None)
+        elif p is None or (r is not None and r < p):
+            bad_rack.append(key(r))
+            r = next(rack_leaves, None)
         else:
-            (bad_rack if r else bad_presented).append(key(f))
+            bad_presented.append(key(p))
+            p = next(presented_leaves, None)
     if bad_rack:
         raise BijectionFail("rack", min(bad_rack))
     if bad_presented:
@@ -314,12 +283,13 @@ def check_adjunction_bijection(x: FiniteRack, g: FiniteGroup) -> int:
     """The number of maps in Hom(X, Conj G), which must coincide with
     Hom(As X, G) as an assignment set.
 
-    Both sides are searched in one walk over the union of their search
-    trees (``_both_sides``), in the solving order of x's presentation.
-    Each side is pruned by its own filed laws only: the rack side by the
-    hom laws into Conj G and the basepoint, the presented side by the
-    relators.  A leaf that only one side reaches is a bad map of that
-    side.  The least bad rack map is raised first; only then the least bad
+    The two sides are two independent searches in the solving order of
+    x's presentation, merged in lockstep (``_count_shared_leaves``), which
+    relies on every domain ascending and fails closed otherwise.  Each
+    side is pruned by its own filed laws only: the rack side by the hom
+    laws into Conj G and the basepoint, the presented side by the
+    relators.  A map that only one side finds is a bad map of that side.
+    The least bad rack map is raised first; only then the least bad
     presented map, through ``validate_hom`` into Conj G when it breaks a
     rack law.  So a map that both sides' filed laws wrongly admit is not
     caught here.
@@ -336,7 +306,6 @@ def check_adjunction_bijection(x: FiniteRack, g: FiniteGroup) -> int:
     return _count_shared_leaves(
         (rack_domains, hom_laws_and_basepoint),
         _presented_hom_search(pres, g, var, n),
-        n,
         lambda f: tuple(map(f.__getitem__, var)),
         lambda m: validate_hom(x, cg, m),
     )
@@ -353,12 +322,13 @@ def check_xmod_adjunction(x: XMod, g: XMod) -> int:
     searches and tests the boundary and action squares against that side's
     target once the last coordinate of each is set.  So each side
     reaches exactly the pairs of its two hom sets whose squares commute.
-    Both are walked at once by ``_both_sides``, and the two sides must be
-    literally equal: the least pair (f1, f0) that only the rack side
-    reaches is raised first, then the least that only the group side
-    reaches.
+    The two searches are independent and merged in lockstep
+    (``_count_shared_leaves``), which relies on every domain ascending and
+    fails closed otherwise, and the two sides must be literally equal: the
+    least pair (f1, f0) that only the rack side reaches is raised first,
+    then the least that only the group side reaches.
     """
-    ns, n = x.cod.size, x.cod.size + x.dom.size
+    ns = x.cod.size
 
     def side(search, target):
         """The domains and test of search's hom pairs into target whose squares commute."""
@@ -371,4 +341,4 @@ def check_xmod_adjunction(x: XMod, g: XMod) -> int:
 
     group = side(lambda r, h, *v: _presented_hom_search(as_presentation(r), h, *v), g)
     rack = side(hom_search, conj_xmod(g))
-    return _count_shared_leaves(rack, group, n, lambda f: (f[ns:], f[:ns]))
+    return _count_shared_leaves(rack, group, lambda f: (f[ns:], f[:ns]))

@@ -17,13 +17,16 @@ instead of scanning the whole domain (forward checking: Haralick and
 Elliott, "Increasing tree search efficiency for constraint satisfaction
 problems", Artificial Intelligence 14, 1980).
 
-Every search for homs, isomorphisms and crossed-module morphisms is built
-by the two builders here, which return the (domains, test) pair that
-``assignments`` takes: ``hom_search`` files the hom laws of one map and
-solves the values they force, and ``morphism_search`` joins a search for f0
-and one for f1, in one layout (f0 first, then f1), and files the boundary
-and action squares of the morphism.  No other module files a law or a
-square.
+Every search for homs between racks or groups, isomorphisms and
+crossed-module morphisms is built by the two builders here, which return
+the (domains, test) pair that ``assignments`` takes: ``hom_search`` files
+the hom laws of one map and solves the values they force, and
+``morphism_search`` joins a search for f0 and one for f1, in one layout (f0
+first, then f1), and files the boundary and action squares of the
+morphism.  Two searches file their own constraints instead:
+``functors._presented_hom_search`` files the relators of a presentation,
+and ``isomorphism.enumerate_pointed_racks`` files the self-distributivity
+triples of a table built column by column.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ def assignments(
     variables 0..k-1 are set, may read ``assign[0..k-1]`` only, and must
     return, in domain order, every value that could pass ``holds`` at k;
     ``holds`` still tests each value it returns.  With no variables the one
-    empty assignment ``()`` is yielded.
+    empty assignment ``()`` is yielded.  When every domain ascends, the
+    assignments come out in lexicographic order.
     """
     n = len(domains)
     assign: list = [None] * n

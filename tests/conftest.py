@@ -111,23 +111,32 @@ def _shared_leaves(check, x, g):
     """What ``check(x, g)`` counts, kept: every leaf that both sides reach, sorted.
 
     ``check`` is ``check_adjunction_bijection`` or ``check_xmod_adjunction``.
-    The walk of both sides is recorded as it passes, unchanged; a leaf is
-    read by element through the solving order of x's presentation (a hom),
-    or as (f1, f0) (a crossed-module pair).  The count the check returns must
-    be the number of leaves recorded.
+    The check must make exactly two ``assignments`` searches, the rack
+    side's first, and each is recorded as it passes, unchanged.  Each
+    stream must be strictly increasing, as the check's lockstep merge of
+    the two assumes.  A shared leaf is one in both streams, read by element
+    through the solving order of x's presentation (a hom), or as (f1, f0)
+    (a crossed-module pair).  The count the check returns must be the
+    number of shared leaves.
     """
-    real = functors._both_sides
-    leaves = []
+    real = functors.assignments
+    streams = []
 
-    def recording(*args):
-        for f, sides in real(*args):
-            if sides == (True, True):
-                leaves.append(f)
-            yield f, sides
+    def recording(*search):
+        leaves = []
+        streams.append(leaves)
+        for f in real(*search):
+            leaves.append(f)
+            yield f
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(functors, "_both_sides", recording)
+        mp.setattr(functors, "assignments", recording)
         count = check(x, g)
+    assert len(streams) == 2, "one search per side"
+    for leaves in streams:
+        assert all(a < b for a, b in zip(leaves, leaves[1:])), "a stream out of order"
+    rack, presented = streams
+    leaves = set(rack) & set(presented)
     if check is functors.check_xmod_adjunction:
         ns = x.cod.size
         shared = sorted((f[ns:], f[:ns]) for f in leaves)

@@ -121,6 +121,40 @@ def test_check_writes_a_certificate(tmp_path, racks, capsys):
     assert isinstance(doc["timing-ms"], float)
 
 
+def test_check_refuses_a_report_onto_its_input(tmp_path, racks, capsys):
+    """The certificate would replace the document it certifies."""
+    path = write(tmp_path, "r.json", rack_document(racks["cs3"]))
+    before = (tmp_path / "r.json").read_bytes()
+    assert cli.main(["check", path, "--report", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {path}: it is an input of the command\n"
+    assert (tmp_path / "r.json").read_bytes() == before
+
+
+@pytest.mark.parametrize("report", ["s3.json", "./s3.json", "r.json", "link.json"])
+def test_certify_refuses_a_report_onto_an_input_before_searching(
+    monkeypatch, tmp_path, racks, groups, capsys, report
+):
+    """Any spelling of either input, or a link to one, is refused before the
+    search runs."""
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "r.json", rack_document(racks["cs3"]))
+    write(tmp_path, "s3.json", group_document(groups["s3"]))
+    (tmp_path / "link.json").symlink_to("s3.json")
+    before = {name: (tmp_path / name).read_bytes() for name in ("r.json", "s3.json")}
+
+    def no_search(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(cli, "check_adjunction_bijection", no_search)
+    assert cli.main(["certify", "adjunction", "r.json", "s3.json", "--report", report]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "it is an input of the command" in captured.err
+    assert {name: (tmp_path / name).read_bytes() for name in before} == before
+
+
 def test_construct_conj_of_group_and_hom(tmp_path, groups, group_homs, racks, rack_homs, capsys):
     s3 = write(tmp_path, "s3.json", group_document(groups["s3"]))
     out = tmp_path / "cs3.json"

@@ -458,20 +458,26 @@ def test_adjunction_rechecks_the_basepoint_of_presented_maps(monkeypatch, racks,
     assert exc.value.witness == (0, 1)
 
 
-def test_both_sides_walks_the_union_of_two_search_trees():
-    """A side is alive on a path until the first level where it rejects or
-    did not offer the value; a path is kept while either side is alive, and
-    each level offers the union of the live sides' values."""
+def test_merge_counts_shared_leaves_and_raises_the_least_bad_one():
+    """The two searches are merged in lockstep: a leaf in both is counted,
+    and a leaf in one only is a bad map of that side.  Here (0, 0) is
+    shared, and the presented side alone finds (0, 1), (0, 2), (1, 0) and
+    (1, 1), of which (0, 1) is the least."""
     rack = [range(2), (0, 1)], lambda k, f: f[k] != 1
     presented = [range(2), range(3)], lambda k, f: f[: k + 1] != [1, 2]
-    found = list(functors._both_sides(rack, presented, 2))
-    assert found == [
-        ((0, 0), (True, True)),
-        ((0, 1), (False, True)),  # the rack side rejects 1 at level 1
-        ((0, 2), (False, True)),  # the rack side did not offer 2
-        ((1, 0), (False, True)),  # dead since level 0, though its test passes here
-        ((1, 1), (False, True)),
-    ]  # (1, 2): neither side alive
+    with pytest.raises(BijectionFail) as exc:
+        functors._count_shared_leaves(rack, presented, lambda f: f)
+    assert (exc.value.side, exc.value.witness) == ("presented", (0, 1))
+
+
+def test_merge_raises_the_rack_side_first():
+    """Each side finds a leaf the other lacks; the rack side's is raised,
+    though the presented side's would have been found too."""
+    rack = [(0,), (0, 1)], lambda k, f: True
+    presented = [(0,), (0, 2)], lambda k, f: True
+    with pytest.raises(BijectionFail) as exc:
+        functors._count_shared_leaves(rack, presented, lambda f: f)
+    assert (exc.value.side, exc.value.witness) == ("rack", (0, 1))
 
 
 def test_adjunction_and_presentations_refuse_groups_and_unpointed_racks(groups, group_xmods):
