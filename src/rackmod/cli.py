@@ -121,10 +121,6 @@ def _emit(
 
 
 def _certified(args: argparse.Namespace, command: str, inputs: list[tuple[str, str]], fn) -> int:
-    report = getattr(args, "report", None)
-    # every input was read, so a report that does not exist is none of them
-    if report and os.path.exists(report) and any(os.path.samefile(report, p) for _, p in inputs):
-        raise ValueError(f"cannot write {report}: it is an input of the command")
     t0 = time.perf_counter()
     try:
         counts, witnesses, search_space = fn()
@@ -142,13 +138,27 @@ def _certified(args: argparse.Namespace, command: str, inputs: list[tuple[str, s
     )
 
 
-def _read(path: str, *kinds: str, refusal: str | None = None) -> Any:
+def _load_input(path: str, report: str | None) -> dict[str, Any]:
+    """The document at path, refused when ``report`` is any file it was read
+    from, a file that a ``{"path": ...}`` reference names included, so that
+    the report cannot replace an input."""
+    read: list[Path] = []
+    doc = load_document(path, read=read)
+    # every file was read, so a report that does not exist is none of them
+    if report and os.path.exists(report) and any(os.path.samefile(report, p) for p in read):
+        raise ValueError(f"cannot write {report}: it is an input of the command")
+    return doc
+
+
+def _read(path: str, *kinds: str, refusal: str | None = None, report: str | None = None) -> Any:
     """The structure in the document at path, parsed by its kind.
 
-    A document of a kind not in ``kinds`` is refused before it is parsed,
-    with ``refusal`` (by default, the kinds expected) and the kind it has.
+    A ``report`` that is a file the document was read from is refused
+    (``_load_input``).  A document of a kind not in ``kinds`` is refused
+    before it is parsed, with ``refusal`` (by default, the kinds expected)
+    and the kind it has.
     """
-    doc = load_document(path)
+    doc = _load_input(path, report)
     kind = doc.get("kind")
     if kind not in kinds:
         expected = refusal or "expected kind " + " or ".join(map(repr, kinds))
@@ -160,7 +170,7 @@ def _read(path: str, *kinds: str, refusal: str | None = None) -> Any:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    doc = load_document(args.file)
+    doc = _load_input(args.file, args.report)
     kind = doc.get("kind")
     if kind == "certificate":
         raise ParseError("certificate documents are tool output, not checkable structures")
@@ -273,7 +283,7 @@ def cmd_construct_pullback(args: argparse.Namespace) -> int:
 
 def cmd_certify_universal(args: argparse.Namespace) -> int:
     inputs = [("request", args.file)]
-    source, phi = _read(args.file, "pullback-request")
+    source, phi = _read(args.file, "pullback-request", report=args.report)
 
     def fn():
         pb = pullback_xmod(source, phi)
@@ -286,8 +296,8 @@ def cmd_certify_universal(args: argparse.Namespace) -> int:
 
 def cmd_certify_adjunction(args: argparse.Namespace) -> int:
     inputs = [("rack", args.rack), ("group", args.group)]
-    rack = _read(args.rack, "rack")
-    group = _read(args.group, "group")
+    rack = _read(args.rack, "rack", report=args.report)
+    group = _read(args.group, "group", report=args.report)
 
     def fn():
         count = check_adjunction_bijection(rack, group)
@@ -299,8 +309,8 @@ def cmd_certify_adjunction(args: argparse.Namespace) -> int:
 
 def cmd_certify_xmod_adjunction(args: argparse.Namespace) -> int:
     inputs = [("rack-xmod", args.rack_xmod), ("group-xmod", args.group_xmod)]
-    rx = _read(args.rack_xmod, "rack-xmod")
-    gx = _read(args.group_xmod, "group-xmod")
+    rx = _read(args.rack_xmod, "rack-xmod", report=args.report)
+    gx = _read(args.group_xmod, "group-xmod", report=args.report)
 
     def fn():
         count = check_xmod_adjunction(rx, gx)
@@ -313,7 +323,7 @@ def cmd_certify_xmod_adjunction(args: argparse.Namespace) -> int:
 
 def cmd_certify_conj_preserves(args: argparse.Namespace) -> int:
     inputs = [("request", args.file)]
-    source, phi = _read(args.file, "pullback-request")
+    source, phi = _read(args.file, "pullback-request", report=args.report)
     if not isinstance(source.dom, FiniteGroup):
         raise ParseError("conj-preserves expects a group-xmod request")
 

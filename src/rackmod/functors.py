@@ -10,6 +10,14 @@ literally, as an equality of assignment sets, and return its one count: a
 map in both sets is counted, not kept, and only a map that one side alone
 finds is turned into a witness.
 
+A relator w = u·v dies exactly when u = v^-1.  The presented search splits
+each relator of at most four letters, as every relator of a rack
+presentation is, into halves of at most two letters and tests it as two
+reads of |G|×|G| tables built from G's ``mul`` and ``inv``, which costs
+what a hom law costs.  Longer relators, which only hand-written
+presentations have, are tested by the letter loop that ``evaluate_word``
+runs, and ``evaluate_word`` is the tests' oracle for both.
+
 Every hom set here is searched in one solving order, ``_solving_order``,
 read off words of generator indices: the basepoint first, then, while one
 exists, the lowest generator that some word determines from the generators
@@ -170,15 +178,48 @@ def _presented_hom_search(p: Presentation, g: FiniteGroup, var: Sequence[int], n
     filed at k reads k's generator x exactly once, w = u·x^±1·v, x is
     solved for: x^±1 = (v·u)^-1, which is the one value that kills w.
     Variables that no generator of p holds get the domain None.
+
+    A relator w = u·v of at most four letters, u its first half (rounded
+    up), is the identity exactly when u = v^-1.  Each side has at most two
+    letters, so it is one read ``t[f[i]][f[j]]`` of a |g|×|g| table built
+    from g's ``mul`` and ``inv``, one per pattern of signs, and the relator
+    costs what a hom law costs.  Longer relators are tested by the letter
+    loop that ``evaluate_word`` runs, the tests' oracle for both.
     """
     first_value = _word_evaluator(g)
-    e = g.identity
+    mul, inv, e = g.mul, g.inv, g.identity
     by_last: list[list[CompiledWord]] = [[] for _ in range(nvars)]
     for w in p.relators + (p.pointed_relator,):
         compiled = _compile_word(w, len(p.generators))
         word = tuple((var[i], inverted) for i, inverted in compiled)
         if word:
             by_last[max(i for i, _ in word)].append(word)
+
+    # tables[signs][a][b] = x·y, x being a^signs[0] and y b^signs[1], or e where a sign is None
+    tables: dict[tuple, list[list[int]]] = {}
+
+    def read(half: CompiledWord, k: int) -> tuple:
+        """(t, i, j) such that t[f[i]][f[j]] is the value of half, a word
+        of at most two letters; a missing letter reads variable k."""
+        padded = half + ((k, None),) * (2 - len(half))
+        signs = tuple(inverted for _, inverted in padded)
+        if signs not in tables:
+            x, y = ([e] * g.size if s is None else inv if s else range(g.size) for s in signs)
+            tables[signs] = [[mul[a][b] for b in y] for a in x]
+        return (tables[signs],) + tuple(i for i, _ in padded)
+
+    # short[k]: each relator of at most four letters filed at k, as (t, i, j, t′, i′, j′)
+    # with t[f[i]][f[j]] its first half and t′[f[i′]][f[j′]] the inverse of its second
+    short: list[list[tuple]] = [[] for _ in range(nvars)]
+    longer: list[list[CompiledWord]] = [[] for _ in range(nvars)]
+    for k, words in enumerate(by_last):
+        for word in words:
+            if len(word) > 4:
+                longer[k].append(word)
+                continue
+            h = (len(word) + 1) // 2
+            v_inverse = tuple((i, not inverted) for i, inverted in reversed(word[h:]))
+            short[k].append(read(word[:h], k) + read(v_inverse, k))
 
     def domain(k: int):
         for word in by_last[k]:
@@ -190,10 +231,16 @@ def _presented_hom_search(p: Presentation, g: FiniteGroup, var: Sequence[int], n
                 return lambda assign: (first_value((solved,), assign),)
         return range(g.size)
 
+    def holds(k: int, f: list) -> bool:
+        for t, i, j, s, a, b in short[k]:
+            if t[f[i]][f[j]] != s[f[a]][f[b]]:
+                return False
+        return not longer[k] or first_value(longer[k], f) == e
+
     domains: list = [None] * nvars
     for i in range(len(p.generators)):
         domains[var[i]] = domain(var[i])
-    return domains, lambda k, assign: first_value(by_last[k], assign) == e
+    return domains, holds
 
 
 def _sorted_maps(search, var: Sequence[int]) -> tuple[tuple[int, ...], ...]:

@@ -59,17 +59,22 @@ def digest_file(path: str | Path) -> str:
     return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def load_document(path: str | Path) -> dict[str, Any]:
-    """Read a document file and inline every ``{"path": ...}`` reference."""
-    return _load(Path(path), ())
+def load_document(path: str | Path, *, read: list[Path] | None = None) -> dict[str, Any]:
+    """Read a document file and inline every ``{"path": ...}`` reference.
+
+    When ``read`` is a list, every file read is appended to it, the files
+    that references name included.
+    """
+    return _load(Path(path), (), [] if read is None else read)
 
 
-def _load(p: Path, loading: tuple[Path, ...]) -> dict[str, Any]:
+def _load(p: Path, loading: tuple[Path, ...], read: list[Path]) -> dict[str, Any]:
     """``loading`` holds the files whose references are being inlined."""
     try:
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {p}: {exc}") from exc
+    read.append(p)
     here = p.resolve()
     if here in loading:
         raise ParseError(f"{p}: path reference cycle")
@@ -82,21 +87,21 @@ def _load(p: Path, loading: tuple[Path, ...]) -> dict[str, Any]:
     if not isinstance(raw, dict):
         raise ParseError(f"{p}: top-level value must be an object")
     try:
-        return _inline(raw, p.parent, loading + (here,))
+        return _inline(raw, p.parent, loading + (here,), read)
     except RecursionError as exc:
         raise ParseError(f"{p}: document nested too deeply") from exc
 
 
-def _inline(value: Any, base: Path, loading: tuple[Path, ...]) -> Any:
+def _inline(value: Any, base: Path, loading: tuple[Path, ...], read: list[Path]) -> Any:
     if isinstance(value, dict):
         if set(value) == {"path"}:
             ref = value["path"]
             if not isinstance(ref, str):
                 raise ParseError("path reference must be a string")
-            return _load(base / ref, loading)
-        return {k: _inline(v, base, loading) for k, v in value.items()}
+            return _load(base / ref, loading, read)
+        return {k: _inline(v, base, loading, read) for k, v in value.items()}
     if isinstance(value, list):
-        return [_inline(v, base, loading) for v in value]
+        return [_inline(v, base, loading, read) for v in value]
     return value
 
 

@@ -7,6 +7,9 @@ all its completions (Golomb and Baumert, "Backtrack Programming", 1965).
 Constraints are filed by last variable, so each is tested at exactly one
 level, and the assignments that come out are exactly the members of the full
 product of the domains that pass every constraint, in that product's order.
+The search is a loop over a stack of one domain iterator per level, not a
+chain of recursive generators, so it has no depth limit: any number of
+variables can be searched.
 
 A domain may also be a function of the assigned prefix that returns the
 values of the full domain, in order, that could pass the constraints of its
@@ -51,21 +54,35 @@ def assignments(
     ``holds`` still tests each value it returns.  With no variables the one
     empty assignment ``()`` is yielded.  When every domain ascends, the
     assignments come out in lexicographic order.
+
+    The search is a loop over a stack of one domain iterator per level, so
+    the number of variables is not limited by Python's recursion depth.
     """
     n = len(domains)
     assign: list = [None] * n
-
-    def extend(k: int) -> Iterator[tuple]:
-        if k == n:
-            yield tuple(assign)
-            return
-        domain = domains[k]
-        for v in domain(assign) if callable(domain) else domain:
+    if not n:
+        yield ()
+        return
+    last = n - 1
+    # values[k]: the iterator over the values of variable k not yet tried
+    values: list = [None] * n
+    domain = domains[0]
+    values[0] = iter(domain(assign) if callable(domain) else domain)
+    k = 0
+    while k >= 0:
+        for v in values[k]:
             assign[k] = v
             if holds(k, assign):
-                yield from extend(k + 1)
-
-    return extend(0)
+                break
+        else:
+            k -= 1
+            continue
+        if k == last:
+            yield tuple(assign)
+        else:
+            k += 1
+            domain = domains[k]
+            values[k] = iter(domain(assign) if callable(domain) else domain)
 
 
 def hom_search(

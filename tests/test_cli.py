@@ -155,6 +155,33 @@ def test_certify_refuses_a_report_onto_an_input_before_searching(
     assert {name: (tmp_path / name).read_bytes() for name in before} == before
 
 
+@pytest.mark.parametrize("report", ["xmod.json", "hom.json", "./link.json"])
+@pytest.mark.parametrize("command", ["universal", "conj-preserves"])
+def test_certify_refuses_a_report_onto_a_referenced_file(
+    monkeypatch, tmp_path, group_xmods, group_homs, capsys, command, report
+):
+    """A file that the request reaches only through a ``{"path"}`` reference
+    is read by the command too, so it is refused as a report before the
+    search runs, and its bytes stay as they were."""
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "xmod.json", group_xmod_document(group_xmods["a3_s3"]))
+    write(tmp_path, "hom.json", hom_document(group_homs["z3_to_s3"]))
+    (tmp_path / "link.json").symlink_to("hom.json")
+    write(tmp_path, "request.json", pullback_request({"path": "xmod.json"}, {"path": "hom.json"}))
+    before = {name: (tmp_path / name).read_bytes() for name in ("request.json", "xmod.json", "hom.json")}
+
+    def no_search(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(cli, "verify_universal_property", no_search)
+    monkeypatch.setattr(cli, "check_conj_preserves_pullback", no_search)
+    assert cli.main(["certify", command, "request.json", "--report", report]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {report}: it is an input of the command\n"
+    assert {name: (tmp_path / name).read_bytes() for name in before} == before
+
+
 def test_construct_conj_of_group_and_hom(tmp_path, groups, group_homs, racks, rack_homs, capsys):
     s3 = write(tmp_path, "s3.json", group_document(groups["s3"]))
     out = tmp_path / "cs3.json"

@@ -6,8 +6,11 @@ with the backtracking one; they are frozen as regression oracles.
 
 import hashlib
 from dataclasses import replace
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rackmod import (
     as_presentation,
@@ -94,6 +97,36 @@ def test_an_empty_relator_constrains_nothing(racks):
     cancelled = enumerate_presented_homs(replace(p, pointed_relator=(1, -1)), z2)
     assert empty == cancelled
     assert len(empty) == 2 * len(enumerate_presented_homs(p, z2))
+
+
+# Z1-Z4 and S3: abelian and not, with elements of every order up to 4
+ORACLE_GROUPS = [cyclic_group(k) for k in range(1, 5)] + [corpus.groups()["s3"]]
+
+
+@st.composite
+def presentations(draw):
+    """Up to three generators and words of 0-7 letters that repeat them, so
+    that relators split into halves of every length from 0 to 4."""
+    n = draw(st.integers(0, 3))
+    letters = st.sampled_from([s * (i + 1) for i in range(n) for s in (1, -1)]) if n else st.nothing()
+    words = st.lists(letters, max_size=7 if n else 0).map(tuple)
+    relators = tuple(draw(st.lists(words, max_size=4)))
+    return Presentation(tuple(f"x{i}" for i in range(n)), relators, draw(words))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(presentations(), st.sampled_from(ORACLE_GROUPS))
+def test_presented_homs_are_the_assignments_that_kill_every_relator(p, g):
+    """Unpruned oracle: every assignment of g to the generators, filtered by
+    ``evaluate_word``'s letter loop, against the search that tests a relator
+    of at most four letters as two table reads and solves what it can."""
+    words = p.relators + (p.pointed_relator,)
+    expected = tuple(
+        f
+        for f in product(range(g.size), repeat=len(p.generators))
+        if all(evaluate_word(w, f, g) == g.identity for w in words)
+    )
+    assert enumerate_presented_homs(p, g) == expected
 
 
 def test_hom_enumeration_into_conj_s3(racks):

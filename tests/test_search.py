@@ -82,6 +82,12 @@ def test_no_variables_give_the_empty_assignment():
     assert calls == []
 
 
+def test_the_kernel_has_no_depth_limit():
+    """The search is a loop, so far more variables than Python's recursion
+    limit still give their one assignment."""
+    assert list(assignments([[0]] * 5000, lambda k, assign: True)) == [(0,) * 5000]
+
+
 def test_an_empty_domain_gives_nothing():
     assert list(assignments([[0, 1], [], [0]], lambda k, assign: True)) == []
 
