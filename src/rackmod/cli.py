@@ -138,27 +138,30 @@ def _certified(args: argparse.Namespace, command: str, inputs: list[tuple[str, s
     )
 
 
-def _load_input(path: str, report: str | None) -> dict[str, Any]:
-    """The document at path, refused when ``report`` is any file it was read
-    from, a file that a ``{"path": ...}`` reference names included, so that
-    the report cannot replace an input."""
+def _load_input(path: str, writes: Iterable[str | None]) -> dict[str, Any]:
+    """The document at path, refused when a path in ``writes`` (a report or
+    an output) is any file it was read from, a file that a ``{"path": ...}``
+    reference names included, so that the command cannot replace an input."""
     read: list[Path] = []
     doc = load_document(path, read=read)
-    # every file was read, so a report that does not exist is none of them
-    if report and os.path.exists(report) and any(os.path.samefile(report, p) for p in read):
-        raise ValueError(f"cannot write {report}: it is an input of the command")
+    for out in writes:
+        # every file was read, so an output that does not exist is none of them
+        if out and os.path.exists(out) and any(os.path.samefile(out, p) for p in read):
+            raise ValueError(f"cannot write {out}: it is an input of the command")
     return doc
 
 
-def _read(path: str, *kinds: str, refusal: str | None = None, report: str | None = None) -> Any:
+def _read(
+    path: str, *kinds: str, refusal: str | None = None, writes: Iterable[str | None] = ()
+) -> Any:
     """The structure in the document at path, parsed by its kind.
 
-    A ``report`` that is a file the document was read from is refused
-    (``_load_input``).  A document of a kind not in ``kinds`` is refused
-    before it is parsed, with ``refusal`` (by default, the kinds expected)
-    and the kind it has.
+    A path in ``writes`` that is a file the document was read from is
+    refused (``_load_input``).  A document of a kind not in ``kinds`` is
+    refused before it is parsed, with ``refusal`` (by default, the kinds
+    expected) and the kind it has.
     """
-    doc = _load_input(path, report)
+    doc = _load_input(path, writes)
     kind = doc.get("kind")
     if kind not in kinds:
         expected = refusal or "expected kind " + " or ".join(map(repr, kinds))
@@ -170,7 +173,7 @@ def _read(path: str, *kinds: str, refusal: str | None = None, report: str | None
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    doc = _load_input(args.file, args.report)
+    doc = _load_input(args.file, [args.report])
     kind = doc.get("kind")
     if kind == "certificate":
         raise ParseError("certificate documents are tool output, not checkable structures")
@@ -226,7 +229,8 @@ def _write(*outputs: tuple[dict[str, Any], str, str]) -> int:
 
 
 def cmd_construct_conj(args: argparse.Namespace) -> int:
-    x = _read(args.file, "group", "hom", refusal="conj expects a group or a group hom")
+    refusal = "conj expects a group or a group hom"
+    x = _read(args.file, "group", "hom", refusal=refusal, writes=[args.out])
     if isinstance(x, FiniteGroup):
         rack = conj_rack(x)
         return _write((document_for(rack), args.out, f"size {rack.size}"))
@@ -237,24 +241,26 @@ def cmd_construct_conj(args: argparse.Namespace) -> int:
 
 
 def cmd_construct_core(args: argparse.Namespace) -> int:
-    rack = core_rack(_read(args.file, "group"))
+    rack = core_rack(_read(args.file, "group", writes=[args.out]))
     return _write((document_for(rack), args.out, f"size {rack.size}"))
 
 
 def cmd_construct_product(args: argparse.Namespace) -> int:
-    rack = product_rack(_read(args.left, "rack"), _read(args.right, "rack"))
+    left, right = (_read(path, "rack", writes=[args.out]) for path in (args.left, args.right))
+    rack = product_rack(left, right)
     return _write((document_for(rack), args.out, f"size {rack.size}"))
 
 
 def cmd_construct_hemisemi(args: argparse.Namespace) -> int:
-    rack = hemi_semidirect(_read(args.file, "action"))
+    rack = hemi_semidirect(_read(args.file, "action", writes=[args.out]))
     return _write((document_for(rack), args.out, f"size {rack.size}"))
 
 
 def cmd_construct_fiber(args: argparse.Namespace) -> int:
     refusal = "fiber expects two rack-xmods or two rack homs"
-    left = _read(args.left, "rack-xmod", "hom", refusal=refusal)
-    right = _read(args.right, "rack-xmod" if isinstance(left, XMod) else "hom", refusal=refusal)
+    left = _read(args.left, "rack-xmod", "hom", refusal=refusal, writes=[args.out])
+    kind = "rack-xmod" if isinstance(left, XMod) else "hom"
+    right = _read(args.right, kind, refusal=refusal, writes=[args.out])
     if isinstance(left, XMod):
         xm = fiber_product_xmod(left, right)
         return _write((document_for(xm), args.out, f"carrier size {xm.dom.size}"))
@@ -267,7 +273,7 @@ def cmd_construct_fiber(args: argparse.Namespace) -> int:
 def cmd_construct_pullback(args: argparse.Namespace) -> int:
     """``construct pullback`` and ``construct group-pullback``; ``args.kind`` is
     the structure the subcommand pulls back, ``args.wrong_kind`` its refusal."""
-    source, phi = _read(args.file, "pullback-request")
+    source, phi = _read(args.file, "pullback-request", writes=[args.out, args.hom_out])
     if not isinstance(source.dom, args.kind):
         raise ParseError(args.wrong_kind)
     pb = pullback_xmod(source, phi)
@@ -283,7 +289,7 @@ def cmd_construct_pullback(args: argparse.Namespace) -> int:
 
 def cmd_certify_universal(args: argparse.Namespace) -> int:
     inputs = [("request", args.file)]
-    source, phi = _read(args.file, "pullback-request", report=args.report)
+    source, phi = _read(args.file, "pullback-request", writes=[args.report])
 
     def fn():
         pb = pullback_xmod(source, phi)
@@ -296,8 +302,8 @@ def cmd_certify_universal(args: argparse.Namespace) -> int:
 
 def cmd_certify_adjunction(args: argparse.Namespace) -> int:
     inputs = [("rack", args.rack), ("group", args.group)]
-    rack = _read(args.rack, "rack", report=args.report)
-    group = _read(args.group, "group", report=args.report)
+    rack = _read(args.rack, "rack", writes=[args.report])
+    group = _read(args.group, "group", writes=[args.report])
 
     def fn():
         count = check_adjunction_bijection(rack, group)
@@ -309,8 +315,8 @@ def cmd_certify_adjunction(args: argparse.Namespace) -> int:
 
 def cmd_certify_xmod_adjunction(args: argparse.Namespace) -> int:
     inputs = [("rack-xmod", args.rack_xmod), ("group-xmod", args.group_xmod)]
-    rx = _read(args.rack_xmod, "rack-xmod", report=args.report)
-    gx = _read(args.group_xmod, "group-xmod", report=args.report)
+    rx = _read(args.rack_xmod, "rack-xmod", writes=[args.report])
+    gx = _read(args.group_xmod, "group-xmod", writes=[args.report])
 
     def fn():
         count = check_xmod_adjunction(rx, gx)
@@ -323,7 +329,7 @@ def cmd_certify_xmod_adjunction(args: argparse.Namespace) -> int:
 
 def cmd_certify_conj_preserves(args: argparse.Namespace) -> int:
     inputs = [("request", args.file)]
-    source, phi = _read(args.file, "pullback-request", report=args.report)
+    source, phi = _read(args.file, "pullback-request", writes=[args.report])
     if not isinstance(source.dom, FiniteGroup):
         raise ParseError("conj-preserves expects a group-xmod request")
 

@@ -10,13 +10,14 @@ literally, as an equality of assignment sets, and return its one count: a
 map in both sets is counted, not kept, and only a map that one side alone
 finds is turned into a witness.
 
-A relator w = u·v dies exactly when u = v^-1.  The presented search splits
-each relator of at most four letters, as every relator of a rack
-presentation is, into halves of at most two letters and tests it as two
-reads of |G|×|G| tables built from G's ``mul`` and ``inv``, which costs
-what a hom law costs.  Longer relators, which only hand-written
-presentations have, are tested by the letter loop that ``evaluate_word``
-runs, and ``evaluate_word`` is the tests' oracle for both.
+A relator w = u·x^±1·v dies exactly when x = ((v·u)^-1)^±1, so a relator
+whose v·u names at most two generators, as every relator y^-1 x^-1 y (x ◁ y)
+of a rack presentation does, is the law f(x) = t[f(a)][f(b)] for a |G|×|G|
+table t built from G's ``mul`` and ``inv``: the form of a hom law, and
+solved the same way, as a mask (``search.law_domains``).  Other relators,
+which only hand-written presentations have, are tested by the letter loop
+that ``evaluate_word`` runs, and ``evaluate_word`` is the tests' oracle for
+both.
 
 Every hom set here is searched in one solving order, ``_solving_order``,
 read off words of generator indices: the basepoint first, then, while one
@@ -52,7 +53,7 @@ from itertools import product
 from .errors import BijectionFail
 from .groups import FiniteGroup
 from .racks import FiniteRack, conj_rack
-from .search import assignments, hom_search, morphism_search
+from .search import assignments, hom_search, law_domains, morphism_search, no_test
 from .tables import _check_endpoints, index_row, validate_hom
 from .xmod import XMod, conj_xmod
 
@@ -98,8 +99,8 @@ def _word_evaluator(g: FiniteGroup):
 
     It returns the value of the first word that does not evaluate to the
     identity, or the identity when every word does.  The group's tables
-    are bound once, so every relator test of a search and of its
-    cross-checks, and ``evaluate_word``, run the same loop.
+    are bound once, so the relators that a search tests letter by letter,
+    and ``evaluate_word``, run the same loop.
     """
     if not isinstance(g, FiniteGroup):
         raise ValueError(f"relators are evaluated in a group, not in a {type(g).__name__}")
@@ -168,78 +169,79 @@ def _solving_order(words: Sequence[Sequence[int]], n: int) -> list[int]:
     return var
 
 
+def _relator_law(word: CompiledWord, g: FiniteGroup, tables: dict):
+    """The relator ``word``, over variables, as a law f[l] = t[f[i]][f[j]] in g.
+
+    A relator w = u·x^±1·v is the identity exactly when x^±1 = (v·u)^-1, so
+    w is the law that sets x to the value of (v·u)^∓1.  That value is a
+    table read when v·u names at most two variables: the last letter whose
+    v·u does is taken, and t is built from g's ``mul`` and ``inv``, once per
+    pattern of signs and repeated variables of v·u, in ``tables``.  None
+    when no letter leaves at most two variables.
+    """
+    mul, inv, e = g.mul, g.inv, g.identity
+    for n in range(len(word) - 1, -1, -1):
+        x, inverted = word[n]
+        vu = word[n + 1 :] + word[:n]
+        names = list(dict.fromkeys(i for i, _ in vu))
+        if len(names) > 2:
+            continue
+        i, j = (names * 2 + [x, x])[:2]
+        pattern = (tuple((names.index(v), s) for v, s in vu), inverted)
+        if pattern not in tables:
+            t = [[e] * g.size for _ in range(g.size)]
+            for a, row in enumerate(t):
+                for b in range(g.size):
+                    acc = e
+                    for slot, s in pattern[0]:
+                        y = (a, b)[slot]
+                        acc = mul[acc][inv[y] if s else y]
+                    row[b] = acc if inverted else inv[acc]
+            tables[pattern] = tuple(map(tuple, t))
+        return tables[pattern], i, j, x
+    return None
+
+
 def _presented_hom_search(p: Presentation, g: FiniteGroup, var: Sequence[int], nvars: int):
     """The domains, by variable, and per-level test of an ``assignments`` search for p in g.
 
     Generator i is held by variable ``var[i]`` and ranges over g in index
     order; a relator is compiled once and filed under its last variable, so
     it is tested as soon as all its letters are assigned.  The empty word is
-    the identity and constrains nothing, so it is not filed.  When a relator
-    filed at k reads k's generator x exactly once, w = u·x^±1·v, x is
-    solved for: x^±1 = (v·u)^-1, which is the one value that kills w.
-    Variables that no generator of p holds get the domain None.
-
-    A relator w = u·v of at most four letters, u its first half (rounded
-    up), is the identity exactly when u = v^-1.  Each side has at most two
-    letters, so it is one read ``t[f[i]][f[j]]`` of a |g|×|g| table built
-    from g's ``mul`` and ``inv``, one per pattern of signs, and the relator
-    costs what a hom law costs.  Longer relators are tested by the letter
-    loop that ``evaluate_word`` runs, the tests' oracle for both.
+    the identity and constrains nothing, so it is not filed.  A relator
+    that solves for one of its letters from at most two other variables
+    (``_relator_law``), as every relator of a rack presentation does, is
+    filed as a mask by ``search.law_domains``, so the values it allows
+    are the only ones tried.  Other relators, which only hand-written
+    presentations have, are tested by the letter loop that
+    ``evaluate_word`` runs, the tests' oracle for both.  Variables that no
+    generator of p holds get the domain None.
     """
     first_value = _word_evaluator(g)
-    mul, inv, e = g.mul, g.inv, g.identity
-    by_last: list[list[CompiledWord]] = [[] for _ in range(nvars)]
+    tables: dict = {}
+    laws = []
+    longer: list[list[CompiledWord]] = [[] for _ in range(nvars)]
     for w in p.relators + (p.pointed_relator,):
         compiled = _compile_word(w, len(p.generators))
         word = tuple((var[i], inverted) for i, inverted in compiled)
-        if word:
-            by_last[max(i for i, _ in word)].append(word)
-
-    # tables[signs][a][b] = x·y, x being a^signs[0] and y b^signs[1], or e where a sign is None
-    tables: dict[tuple, list[list[int]]] = {}
-
-    def read(half: CompiledWord, k: int) -> tuple:
-        """(t, i, j) such that t[f[i]][f[j]] is the value of half, a word
-        of at most two letters; a missing letter reads variable k."""
-        padded = half + ((k, None),) * (2 - len(half))
-        signs = tuple(inverted for _, inverted in padded)
-        if signs not in tables:
-            x, y = ([e] * g.size if s is None else inv if s else range(g.size) for s in signs)
-            tables[signs] = [[mul[a][b] for b in y] for a in x]
-        return (tables[signs],) + tuple(i for i, _ in padded)
-
-    # short[k]: each relator of at most four letters filed at k, as (t, i, j, t′, i′, j′)
-    # with t[f[i]][f[j]] its first half and t′[f[i′]][f[j′]] the inverse of its second
-    short: list[list[tuple]] = [[] for _ in range(nvars)]
-    longer: list[list[CompiledWord]] = [[] for _ in range(nvars)]
-    for k, words in enumerate(by_last):
-        for word in words:
-            if len(word) > 4:
-                longer[k].append(word)
-                continue
-            h = (len(word) + 1) // 2
-            v_inverse = tuple((i, not inverted) for i, inverted in reversed(word[h:]))
-            short[k].append(read(word[:h], k) + read(v_inverse, k))
-
-    def domain(k: int):
-        for word in by_last[k]:
-            at = [n for n, (i, _) in enumerate(word) if i == k]
-            if len(at) == 1:
-                n = at[0]
-                vu = word[n + 1 :] + word[:n]
-                solved = vu if word[n][1] else tuple((i, not inverted) for i, inverted in reversed(vu))
-                return lambda assign: (first_value((solved,), assign),)
-        return range(g.size)
+        if not word:
+            continue
+        law = _relator_law(word, g, tables)
+        if law is None:
+            longer[max(i for i, _ in word)].append(word)
+        else:
+            laws.append(law)
+    bases: list = [None] * nvars
+    for i in range(len(p.generators)):
+        bases[var[i]] = (1 << g.size) - 1
+    domains = law_domains(bases, laws)
+    if not any(longer):
+        return domains, no_test
+    e = g.identity
 
     def holds(k: int, f: list) -> bool:
-        for t, i, j, s, a, b in short[k]:
-            if t[f[i]][f[j]] != s[f[a]][f[b]]:
-                return False
         return not longer[k] or first_value(longer[k], f) == e
 
-    domains: list = [None] * nvars
-    for i in range(len(p.generators)):
-        domains[var[i]] = domain(var[i])
     return domains, holds
 
 
@@ -363,11 +365,11 @@ def check_xmod_adjunction(x: XMod, g: XMod) -> int:
     coincide with the presented assignment pairs.
 
     Each side is a search that sets f0 on x's base and then f1 on its
-    carrier.  The rack side tests the pointed rack hom laws into Conj(g)
-    (``hom_search``), the group side kills the relators of both
-    presentations in g, and ``morphism_search`` joins each side's two
-    searches and tests the boundary and action squares against that side's
-    target once the last coordinate of each is set.  So each side
+    carrier.  The rack side files the pointed rack hom laws into Conj(g)
+    (``hom_search``), the group side the relators of both presentations in
+    g, and ``morphism_search`` joins each side's two searches and files the
+    boundary and action squares against that side's target at the last
+    coordinate of each, all as masks.  So each side
     reaches exactly the pairs of its two hom sets whose squares commute.
     The two searches are independent and merged in lockstep
     (``_count_shared_leaves``), which relies on every domain ascending and

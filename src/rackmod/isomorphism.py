@@ -49,32 +49,35 @@ def element_invariants(r: FiniteRack) -> tuple[tuple, ...]:
     return tuple(out)
 
 
-def _candidates(a: FiniteRack, b: FiniteRack) -> list[list[int]] | None:
+def _candidates(a: FiniteRack, b: FiniteRack, inv_a=None, inv_b=None) -> list[list[int]] | None:
     """For each element of a, the elements of b with its invariants, ascending.
 
     None when no bijection can match the invariants: the sizes or the
     multisets of invariants differ.  Endpoints that no hom joins raise the
     ``ValueError`` of ``validate_hom`` before any invariant is read.
+    ``inv_a`` and ``inv_b``, when given, are the ``element_invariants`` of
+    a and b, which are then not recomputed.
     """
     _check_endpoints(a, b)
     if a.size != b.size:
         return None
-    inv_a = element_invariants(a)
-    inv_b = element_invariants(b)
+    inv_a = element_invariants(a) if inv_a is None else inv_a
+    inv_b = element_invariants(b) if inv_b is None else inv_b
     if sorted(inv_a) != sorted(inv_b):
         return None
     return [[y for y in range(b.size) if inv_b[y] == inv_a[x]] for x in range(a.size)]
 
 
-def _iso_maps(a: FiniteRack, b: FiniteRack) -> Iterator[tuple[int, ...]]:
+def _iso_maps(a: FiniteRack, b: FiniteRack, inv_a=None, inv_b=None) -> Iterator[tuple[int, ...]]:
     """Every pointed isomorphism a -> b as a map tuple, in search order.
 
     One ``assignments`` search built by ``hom_search`` over the elements of
     a, most constrained first (fewest candidates, ties by lowest index),
-    each ranging over its invariant-matched candidates or over the one value
-    a hom law forces, if it is a candidate; each image must also be new.
+    each ranging over its invariant-matched candidates that the hom laws
+    allow (``_candidates``, which takes ``inv_a`` and ``inv_b``); the test
+    keeps what no mask expresses, that each image is new.
     """
-    cands = _candidates(a, b)
+    cands = _candidates(a, b, inv_a, inv_b)
     if cands is None:
         return
     order = sorted(range(a.size), key=lambda x: (len(cands[x]), x))
@@ -117,7 +120,8 @@ def enumerate_pointed_racks(n: int) -> list[FiniteRack]:
     reached are exactly the racks among the tables of the full product of
     column permutations, in that product's order.  Each is validated and
     deduplicated against the representatives found before it with the same
-    sorted element invariants, the only ones it can be isomorphic to.
+    sorted element invariants, the only ones it can be isomorphic to; the
+    invariants of each leaf and each representative are computed once.
     Orders above ``ENUMERATION_CEILING`` raise ``BoundExceeded`` before
     anything is enumerated.
     """
@@ -163,13 +167,15 @@ def enumerate_pointed_racks(n: int) -> list[FiniteRack]:
                         return False
         return True
 
-    classes: dict[tuple, list[FiniteRack]] = {}
+    # classes[sorted invariants]: the representatives found so far, each with its invariants
+    classes: dict[tuple, list[tuple[FiniteRack, tuple]]] = {}
     for _ in assignments([column(k) for k in range(1, n)], holds):
         rack = validate_rack(table, 0)
-        twins = classes.setdefault(tuple(sorted(element_invariants(rack))), [])
-        if not any(find_isomorphism(rack, rep) is not None for rep in twins):
-            twins.append(rack)
-    return sorted((rack for twins in classes.values() for rack in twins), key=lambda r: r.table)
+        inv = element_invariants(rack)
+        twins = classes.setdefault(tuple(sorted(inv)), [])
+        if all(next(_iso_maps(rack, rep, inv, rep_inv), None) is None for rep, rep_inv in twins):
+            twins.append((rack, inv))
+    return sorted((rack for twins in classes.values() for rack, _ in twins), key=lambda r: r.table)
 
 
 def enumerate_pointed_racks_bruteforce(n: int) -> list[FiniteRack]:

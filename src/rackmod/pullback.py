@@ -190,12 +190,12 @@ def verify_universal_property(pb: XModMorphism, cone: XModMorphism) -> Universal
     morphism.  The projection condition reads one coordinate h[x], so one
     ``assignments`` search, built by ``morphism_search`` over
     ``hom_search``es, sets the base map to id and then h, each coordinate
-    of h ranging over the ascending values the projection allows, or over
-    the one allowed value a hom law forces.  ``hom_search`` pins the
-    basepoint and tests each hom law, and ``morphism_search`` each boundary
-    and action square, once its last coordinate is set: the search yields
-    exactly the maps of the full product that pass all five conditions, in
-    the same order.  ``search_space`` is the number of all set maps,
+    of h ranging over the ascending values the projection allows.
+    ``hom_search`` pins the basepoint and files each hom law, and
+    ``morphism_search`` each boundary and action square, as a mask at its
+    last coordinate, which keeps only the values that pass it: the search
+    yields exactly the maps of the full product that pass all five
+    conditions, in the same order.  ``search_space`` is the number of all set maps,
     carrier size to the power of the test carrier's.
     """
     med = mediating_morphism(pb, cone)

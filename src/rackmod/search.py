@@ -13,30 +13,83 @@ variables can be searched.
 
 A domain may also be a function of the assigned prefix that returns the
 values of the full domain, in order, that could pass the constraints of its
-level: a value it leaves out would have been rejected there anyway.  Where
-one constraint determines a variable from earlier ones, its domain is the
-one value that constraint allows, and the search tries that value alone
-instead of scanning the whole domain (forward checking: Haralick and
-Elliott, "Increasing tree search efficiency for constraint satisfaction
-problems", Artificial Intelligence 14, 1980).
+level: a value it leaves out would have been rejected there anyway.  The
+laws of the hom, crossed-module morphism and presented searches have one
+form, f[l] = t[f[i]][f[j]] for a table t, and a law filed at level k leaves
+its variable a set of values that depends only on the law's other
+variables, all assigned earlier.  So each such law becomes one read of a
+support-mask table built once per table: bit c of ``s[f[x]][f[y]]`` is set
+when f[k] = c satisfies the law.  A level's domain is a ``Masked``: the AND
+of its base mask (the values allowed at all) and of the masks its laws
+read, its set bits taken in ascending order.  A value that one law forces
+is a one-bit mask, so every such value is solved for instead of being
+guessed and rejected (forward checking: Haralick and Elliott, "Increasing
+tree search efficiency for constraint satisfaction problems", Artificial
+Intelligence 14, 1980), and the test ``holds`` keeps only what no mask
+expresses.
 
 Every search for homs between racks or groups, isomorphisms and
 crossed-module morphisms is built by the two builders here, which return
 the (domains, test) pair that ``assignments`` takes: ``hom_search`` files
-the hom laws of one map and solves the values they force, and
-``morphism_search`` joins a search for f0 and one for f1, in one layout (f0
-first, then f1), and files the boundary and action squares of the
-morphism.  Two searches file their own constraints instead:
-``functors._presented_hom_search`` files the relators of a presentation,
-and ``isomorphism.enumerate_pointed_racks`` files the self-distributivity
-triples of a table built column by column.
+the hom laws of one map as masks, and ``morphism_search`` joins a search
+for f0 and one for f1, in one layout (f0 first, then f1), and files the
+boundary and action squares of the morphism as masks too.  Two searches
+file their own constraints instead: ``functors._presented_hom_search``
+files the relators of a presentation, through ``law_domains`` where it
+can, and ``isomorphism.enumerate_pointed_racks`` files the
+self-distributivity triples of a table built column by column.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from functools import lru_cache
 
 from .tables import _check_endpoints
+
+Law = tuple[tuple[tuple[int, ...], ...], int, int, int]
+"""(t, i, j, l): the law f[l] = t[f[i]][f[j]], t a tuple of rows.  Row
+indices of t and its values range over one set of values, shared by
+variables i and l, and column indices over the values of variable j."""
+
+
+class Masked:
+    """A domain: the values c, ascending, whose bit 1 << c is set in ``base``
+    and in ``s[f[x]][f[y]]`` for every (s, x, y) of ``reads``, f being the
+    assigned prefix.  Called with f, it returns those values."""
+
+    __slots__ = ("base", "reads")
+
+    def __init__(self, base: int, reads: Iterable[tuple] = ()):
+        self.base = base
+        self.reads = tuple(reads)
+
+    def mask(self, f: list) -> int:
+        m = self.base
+        for s, x, y in self.reads:
+            m &= s[f[x]][f[y]]
+        return m
+
+    def __call__(self, f: list) -> tuple[int, ...]:
+        return _bits(self.mask(f))
+
+
+def _bits(m: int) -> tuple[int, ...]:
+    """The set bits of m, ascending."""
+    return tuple(c for c in range(m.bit_length()) if m >> c & 1)
+
+
+class _Bits(dict):
+    """``_bits`` of each mask, computed on first use."""
+
+    def __missing__(self, m: int) -> tuple[int, ...]:
+        bits = self[m] = _bits(m)
+        return bits
+
+
+def no_test(k: int, assign: list) -> bool:
+    """The test of a search whose domains hold all its constraints."""
+    return True
 
 
 def assignments(
@@ -51,9 +104,11 @@ def assignments(
     branches.  A callable entry ``domains[k]`` is called with ``assign`` once
     variables 0..k-1 are set, may read ``assign[0..k-1]`` only, and must
     return, in domain order, every value that could pass ``holds`` at k;
-    ``holds`` still tests each value it returns.  With no variables the one
-    empty assignment ``()`` is yielded.  When every domain ascends, the
-    assignments come out in lexicographic order.
+    ``holds`` still tests each value it returns.  A ``Masked`` entry is
+    such a function, and its masks are read in the loop itself.  With no
+    variables the one empty assignment ``()`` is yielded.  When every domain
+    ascends, the assignments come out in lexicographic order.  The test
+    ``no_test`` is never called.
 
     The search is a loop over a stack of one domain iterator per level, so
     the number of variables is not limited by Python's recursion depth.
@@ -64,25 +119,140 @@ def assignments(
         yield ()
         return
     last = n - 1
+    test = None if holds is no_test else holds
+    # masked[k]: (base, reads) of a Masked domain k, read here instead of called
+    masked = [(d.base, d.reads) if type(d) is Masked else None for d in domains]
+    bits = _Bits()
     # values[k]: the iterator over the values of variable k not yet tried
     values: list = [None] * n
-    domain = domains[0]
-    values[0] = iter(domain(assign) if callable(domain) else domain)
-    k = 0
+    k, opened = 0, True
     while k >= 0:
+        if opened:
+            plan = masked[k]
+            if plan is None:
+                domain = domains[k]
+                values[k] = iter(domain(assign) if callable(domain) else domain)
+            else:
+                m, reads = plan
+                for s, x, y in reads:
+                    m &= s[assign[x]][assign[y]]
+                values[k] = iter(bits[m])
         for v in values[k]:
             assign[k] = v
-            if holds(k, assign):
+            if test is None or test(k, assign):
                 break
         else:
             k -= 1
+            opened = False
             continue
         if k == last:
             yield tuple(assign)
+            opened = False
         else:
             k += 1
-            domain = domains[k]
-            values[k] = iter(domain(assign) if callable(domain) else domain)
+            opened = True
+
+
+# _READ_AT[at]: the positions of a law (t, i, j, l), 1 to 3, whose values
+# index its support mask, by ``at``, the bits 1, 2 and 4 set when i, j and l
+# are the level's variable; with one position left, it is read twice
+_READ_AT = (None, (2, 3), (1, 3), (3, 3), (1, 2), (2, 2), (1, 1), ())
+
+
+def _support(t: Sequence[Sequence[int]], at: int) -> list[list[int]]:
+    """The support-mask table of the law f[l] = t[f[i]][f[j]] at the level of
+    the positions among (i, j, l) that ``at`` marks (bits 1, 2, 4).
+
+    Entry [u][v] has bit c set when the law holds with c at the marked
+    positions and u, v at the positions ``_READ_AT[at]`` names; with every
+    position marked, the one entry [0][0].  Every cell of t is read once.
+    """
+    rows, cols = len(t), len(t[0]) if t else 0
+    if at == 4:
+        return [[1 << z for z in row] for row in t]
+    if at == 1:
+        s = [[0] * rows for _ in range(cols)]
+        for a, row in enumerate(t):
+            for b, z in enumerate(row):
+                s[b][z] |= 1 << a
+        return s
+    if at == 2:
+        s = [[0] * rows for _ in range(rows)]
+        for a, row in enumerate(t):
+            for b, z in enumerate(row):
+                s[a][z] |= 1 << b
+        return s
+    if at == 7:
+        return [[_mask_of(c for c in range(min(rows, cols)) if t[c][c] == c)]]
+    # two positions marked: a cell counts when they agree, and the third
+    # position x is read twice, so only the diagonal s[u][u] is filled
+    p, q = (n for n in range(3) if at >> n & 1)
+    x = _READ_AT[at][0] - 1
+    size = cols if x == 1 else rows
+    s = [[0] * size for _ in range(size)]
+    for a, row in enumerate(t):
+        for b, z in enumerate(row):
+            cell = (a, b, z)
+            if cell[p] == cell[q]:
+                s[cell[x]][cell[x]] |= 1 << cell[p]
+    return s
+
+
+@lru_cache(maxsize=64)
+def _supports_of(t: tuple) -> list:
+    """The support tables of t, by ``at``, each built on first use: searches
+    into one structure, such as an enumeration's representatives, share them."""
+    return [None] * 8
+
+
+def _filed_masks(laws: Iterable[Law], nvars: int) -> tuple[list[int], list[list[tuple]]]:
+    """(fixed, reads): each law f[l] = t[f[i]][f[j]] filed at its last variable.
+
+    At level k = max(i, j, l) the law allows f[k] the values whose bits are
+    set in a mask: ``fixed[k]`` when every position is k (the mask is then a
+    constant, and -1 where no such law is filed), otherwise one read
+    (s, x, y) of ``reads[k]``, s[f[x]][f[y]] being that mask for the values
+    at the other positions.  The tables s are built once per table t and
+    way of placing k among (i, j, l), and kept for the last 64 tables.
+    """
+    fixed = [-1] * nvars
+    reads: list[list[tuple]] = [[] for _ in range(nvars)]
+    last = tables = None
+    for law in laws:
+        t, i, j, l = law
+        if t is not last:
+            last, tables = t, _supports_of(t)
+        k = i if i > j else j
+        if l > k:
+            k = l
+        at = (i == k) | (j == k) << 1 | (l == k) << 2
+        s = tables[at]
+        if s is None:
+            s = tables[at] = _support(t, at)
+        if at == 7:
+            fixed[k] &= s[0][0]
+        else:
+            x, y = _READ_AT[at]
+            reads[k].append((s, law[x], law[y]))
+    return fixed, reads
+
+
+def law_domains(bases: Sequence[int | None], laws: Iterable[Law]) -> list[Masked | None]:
+    """The ``Masked`` domain of each variable under ``laws``.
+
+    ``bases[k]`` is the mask of the values variable k may take at all, or
+    None when no variable k is searched, whose domain is then None.  Every
+    law is filed by ``_filed_masks`` and must read searched variables only.
+    """
+    fixed, reads = _filed_masks(laws, len(bases))
+    return [None if b is None else Masked(b & fixed[k], reads[k]) for k, b in enumerate(bases)]
+
+
+def _mask_of(values: Iterable[int]) -> int:
+    m = 0
+    for v in values:
+        m |= 1 << v
+    return m
 
 
 def hom_search(
@@ -94,50 +264,40 @@ def hom_search(
     the ``ValueError`` of ``validate_hom``.  Element a is held by variable
     ``var[a]`` and ranges over ``allowed[a]``, an ascending list, or else
     over all of cod; the basepoint's domain is cod's basepoint, if allowed.
-    Each law f(p ◁ q) = f(p) ◁ f(q) is filed under its last variable and
-    tested there.  A law filed at var[a] can force f(a): if a = p ◁ q with p
-    and q set earlier, f(a) = f(p) ◁ f(q); if a = p with q and p ◁ q set
-    earlier, f(a) is the one element whose image under cod's column f(q), a
-    bijection, is f(p ◁ q).  The domain is then that value, or no value if
-    it is not allowed.  Variables that no element of dom holds get the
-    domain None.
+    Each law f(p ◁ q) = f(p) ◁ f(q) is filed under its last variable as a
+    mask (``law_domains``), so a value the law forces, f(p ◁ q) from f(p)
+    and f(q), or f(p) from f(q) and f(p ◁ q), is the one value tried there,
+    and the test is ``no_test``.  Variables that no element of dom holds
+    get the domain None.
     """
     _check_endpoints(dom, cod)
-    laws: list[list[tuple[int, int, int]]] = [[] for _ in range(nvars)]
-    for p, row in enumerate(dom.table):
-        for q, t in enumerate(row):
-            law = (var[p], var[q], var[t])
-            laws[max(law)].append(law)
-    yt = cod.table
-    # left_of[c][z] is the b with b ◁ c = z
-    left_of = [[0] * cod.size for _ in range(cod.size)]
-    for b, row in enumerate(yt):
-        for c, z in enumerate(row):
-            left_of[c][z] = b
-
-    def domain(a: int):
-        values = range(cod.size) if allowed is None else allowed[a]
-        k, ok = var[a], set(values)
-        if a == dom.basepoint:
-            return (cod.basepoint,) if cod.basepoint in ok else ()
-        for i, j, l in laws[k]:
-            if l == k and i < k and j < k:
-                return lambda f: (v,) if (v := yt[f[i]][f[j]]) in ok else ()
-        for i, j, l in laws[k]:
-            if i == k and j < k and l < k:
-                return lambda f: (v,) if (v := left_of[f[j]][f[l]]) in ok else ()
-        return values
-
-    def holds(k: int, f: list) -> bool:
-        for i, j, l in laws[k]:
-            if f[l] != yt[f[i]][f[j]]:
-                return False
-        return True
-
-    domains: list = [None] * nvars
+    t = cod.table
+    laws = [
+        (t, var[p], var[q], var[r])
+        for p, row in enumerate(dom.table)
+        for q, r in enumerate(row)
+    ]
+    every = (1 << cod.size) - 1
+    bases: list = [None] * nvars
     for a in range(dom.size):
-        domains[var[a]] = domain(a)
-    return domains, holds
+        base = every if allowed is None else _mask_of(allowed[a])
+        bases[var[a]] = base & (1 << cod.basepoint) if a == dom.basepoint else base
+    return law_domains(bases, laws), no_test
+
+
+def _narrowed(domain, fixed: int, reads: list[tuple]):
+    """``domain`` keeping only the values that ``fixed`` and every read allow."""
+    if domain is None or (fixed == -1 and not reads):
+        return domain
+    if type(domain) is Masked:
+        return Masked(domain.base & fixed, domain.reads + tuple(reads))
+    narrow = Masked(fixed, reads)
+
+    def values(f: list) -> list:
+        m = narrow.mask(f)
+        return [v for v in (domain(f) if callable(domain) else domain) if m >> v & 1]
+
+    return values
 
 
 def morphism_search(x, target, top, bottom):
@@ -147,31 +307,31 @@ def morphism_search(x, target, top, bottom):
     s and f1(r) is variable |x.cod| + r.  ``top`` and ``bottom`` build the
     searches for f1 and f0: each is called as ``(var, nvars)`` and returns
     its (domains, test) over all the variables, and each variable takes its
-    domain from the search that holds it.  A level passes when both tests
-    pass and the squares filed there commute in target: the boundary square
-    d′(f1(r)) = f0(d(r)) at f1(r), and the action square
-    f1(r.s) = f1(r).f0(s) at the later of f1(r) and f1(r.s).
+    domain from the search that holds it.  The squares are filed as masks
+    on those domains: the boundary square d′(f1(r)) = f0(d(r)) at f1(r),
+    and the action square f1(r.s) = f1(r).f0(s) at the later of f1(r) and
+    f1(r.s).  A level passes when both tests pass.
     """
     ns = x.cod.size
     n = ns + x.dom.size
     bottoms, test0 = bottom(range(ns), n)
     tops, test1 = top(range(ns, n), n)
-    # action[k]: the (f1(r), f0(s), f1(r.s)) variables of the squares filed at k
-    action: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for r in x.dom.elements():
-        for s in range(ns):
-            rs = ns + x.act(r, s)
-            action[max(ns + r, rs)].append((ns + r, s, rs))
-    dx, d, act = x.boundary.map, target.boundary.map, target.action
+    act = target.action
+    fixed, reads = _filed_masks(
+        ((act, ns + r, s, ns + x.act(r, s)) for r in x.dom.elements() for s in range(ns)), n
+    )
+    # preimage[z][z]: the values c with d′(c) = z
+    nz = target.cod.size
+    preimage = [[0] * nz for _ in range(nz)]
+    for c, z in enumerate(target.boundary.map):
+        preimage[z][z] |= 1 << c
+    for r, z in enumerate(x.boundary.map):
+        reads[ns + r].append((preimage, z, z))
+    domains = [_narrowed(d, fixed[k], reads[k]) for k, d in enumerate(bottoms[:ns] + tops[ns:])]
+    if test0 is no_test and test1 is no_test:
+        return domains, no_test
 
     def holds(k: int, f: list) -> bool:
-        if not (test0(k, f) and test1(k, f)):
-            return False
-        if k >= ns and d[f[k]] != f[dx[k - ns]]:
-            return False
-        for i, j, l in action[k]:
-            if f[l] != act[f[i]][f[j]]:
-                return False
-        return True
+        return test0(k, f) and test1(k, f)
 
-    return bottoms[:ns] + tops[ns:], holds
+    return domains, holds

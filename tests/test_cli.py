@@ -182,6 +182,43 @@ def test_certify_refuses_a_report_onto_a_referenced_file(
     assert {name: (tmp_path / name).read_bytes() for name in before} == before
 
 
+def test_construct_refuses_an_out_onto_its_input(tmp_path, groups, capsys):
+    """``construct core s3.json --out s3.json`` would replace the group with
+    its core rack; it is refused before anything is written."""
+    path = write(tmp_path, "s3.json", group_document(groups["s3"]))
+    before = (tmp_path / "s3.json").read_bytes()
+    assert cli.main(["construct", "core", path, "--out", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {path}: it is an input of the command\n"
+    assert (tmp_path / "s3.json").read_bytes() == before
+    assert list(tmp_path.glob(".*.tmp")) == []
+
+
+@pytest.mark.parametrize("flag", ["--out", "--hom-out"])
+@pytest.mark.parametrize("target", ["req.json", "xmod.json", "./link.json"])
+def test_construct_pullback_refuses_an_output_onto_a_file_it_read(
+    monkeypatch, tmp_path, rack_xmods, rack_homs, capsys, flag, target
+):
+    """Neither output of ``construct pullback`` may be the request or a file
+    that the request reaches through a ``{"path"}`` reference: exit 2, empty
+    stdout, every input byte for byte as it was, and no other file."""
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "xmod.json", rack_xmod_document(rack_xmods["identity_cz2"]))
+    (tmp_path / "link.json").symlink_to("xmod.json")
+    request = pullback_request({"path": "xmod.json"}, hom_document(rack_homs["sgn_rack"]))
+    write(tmp_path, "req.json", request)
+    before = {name: (tmp_path / name).read_bytes() for name in ("req.json", "xmod.json")}
+    outputs = {"--out": "pb.json", "--hom-out": "phi.json", flag: target}
+    argv = ["construct", "pullback", "req.json"] + [a for item in outputs.items() for a in item]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {target}: it is an input of the command\n"
+    assert {name: (tmp_path / name).read_bytes() for name in before} == before
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["link.json", "req.json", "xmod.json"]
+
+
 def test_construct_conj_of_group_and_hom(tmp_path, groups, group_homs, racks, rack_homs, capsys):
     s3 = write(tmp_path, "s3.json", group_document(groups["s3"]))
     out = tmp_path / "cs3.json"

@@ -14,7 +14,7 @@ from rackmod import (
     validate_xmod,
 )
 from rackmod.errors import ActionSquareFail, AxiomError, BoundarySquareFail
-from rackmod.search import assignments, hom_search, morphism_search
+from rackmod.search import assignments, hom_search, law_domains, morphism_search, no_test
 from rackmod.tables import validate_hom
 from rackmod.xmod import validate_xmod_morphism
 
@@ -74,6 +74,53 @@ def test_prefix_domains_that_keep_every_survivor_give_the_filtered_product(probl
         for k, d in enumerate(domains)
     ]
     assert list(assignments(mixed, holds)) == expected
+
+
+@st.composite
+def mask_problems(draw):
+    """Variables with value sets of sizes 1 to 3, some with allowed values,
+    and laws f[l] = t[f[i]][f[j]] over random tables, which need not be
+    racks: rows and columns need not be bijections.  Rows of t and its
+    values range over the values of i and l, columns over those of j.  Some
+    laws name one variable at two or three of their positions."""
+    n = draw(st.integers(0, 5))
+    sizes = draw(st.lists(st.sampled_from([3, draw(st.integers(1, 3))]), min_size=n, max_size=n))
+    allowed = [draw(st.none() | st.sets(st.integers(0, size - 1)).map(sorted)) for size in sizes]
+    laws = []
+    for _ in range(draw(st.integers(0, 7)) if n else 0):
+        l, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=n > 1))
+        like = [v for v in range(n) if sizes[v] == sizes[l] and v != l] or [l]
+        i = draw(st.sampled_from(like))
+        tie = draw(st.sampled_from(["none", "none", "ij", "il", "jl", "ijl"]))
+        if tie in ("il", "ijl"):
+            i = l
+        if tie in ("ij", "ijl"):
+            j = i
+        if tie == "jl":
+            j = l
+        rows, cols = sizes[i], sizes[j]
+        cells = st.lists(st.integers(0, rows - 1), min_size=cols, max_size=cols).map(tuple)
+        t = draw(st.lists(cells, min_size=rows, max_size=rows).map(tuple))
+        laws.append((t, i, j, l))
+    return sizes, allowed, laws
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(mask_problems())
+def test_mask_domains_give_the_filtered_product_in_order(problem):
+    """``law_domains`` filed as masks, read by the kernel or called, give
+    exactly the members of the product of the allowed values that satisfy
+    every law, in product order."""
+    sizes, allowed, laws = problem
+    values = [range(size) if a is None else a for size, a in zip(sizes, allowed)]
+    expected = [
+        p for p in product(*values) if all(p[l] == t[p[i]][p[j]] for t, i, j, l in laws)
+    ]
+    bases = [sum(1 << v for v in vs) for vs in values]
+    domains = law_domains(bases, laws)
+    assert list(assignments(domains, no_test)) == expected
+    called = [lambda f, d=d: d(f) for d in domains]
+    assert list(assignments(called, lambda k, f: True)) == expected
 
 
 def test_no_variables_give_the_empty_assignment():
