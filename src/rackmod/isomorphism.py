@@ -68,21 +68,24 @@ def _candidates(a: FiniteRack, b: FiniteRack, inv_a=None, inv_b=None) -> list[li
     return [[y for y in range(b.size) if inv_b[y] == inv_a[x]] for x in range(a.size)]
 
 
-def _iso_maps(a: FiniteRack, b: FiniteRack, inv_a=None, inv_b=None) -> Iterator[tuple[int, ...]]:
+def _iso_maps(
+    a: FiniteRack, b: FiniteRack, inv_a=None, inv_b=None, supports=None
+) -> Iterator[tuple[int, ...]]:
     """Every pointed isomorphism a -> b as a map tuple, in search order.
 
     One ``assignments`` search built by ``hom_search`` over the elements of
     a, most constrained first (fewest candidates, ties by lowest index),
     each ranging over its invariant-matched candidates that the hom laws
     allow (``_candidates``, which takes ``inv_a`` and ``inv_b``); the test
-    keeps what no mask expresses, that each image is new.
+    keeps what no mask expresses, that each image is new.  ``supports`` is
+    passed to ``hom_search``.
     """
     cands = _candidates(a, b, inv_a, inv_b)
     if cands is None:
         return
     order = sorted(range(a.size), key=lambda x: (len(cands[x]), x))
     var = [order.index(x) for x in range(a.size)]
-    domains, laws = hom_search(a, b, var, a.size, cands)
+    domains, laws = hom_search(a, b, var, a.size, cands, supports=supports)
 
     def holds(k: int, img: list) -> bool:
         return img.index(img[k]) == k and laws(k, img)
@@ -91,9 +94,17 @@ def _iso_maps(a: FiniteRack, b: FiniteRack, inv_a=None, inv_b=None) -> Iterator[
         yield tuple(img[v] for v in var)
 
 
-def find_isomorphism(a: FiniteRack, b: FiniteRack) -> Hom | None:
-    """The first pointed isomorphism in most-constrained search order, if any."""
-    m = next(_iso_maps(a, b), None)
+def find_isomorphism(
+    a: FiniteRack, b: FiniteRack, *, inv_a=None, inv_b=None, supports=None
+) -> Hom | None:
+    """The first pointed isomorphism in most-constrained search order, if any.
+
+    ``inv_a`` and ``inv_b``, when given, are the ``element_invariants`` of a
+    and b, which are then not recomputed; ``supports``, when given, is a
+    dict that keeps the search's support tables of b between calls
+    (``search.hom_search``).
+    """
+    m = next(_iso_maps(a, b, inv_a, inv_b, supports), None)
     return None if m is None else validate_hom(a, b, m)
 
 
@@ -119,9 +130,10 @@ def enumerate_pointed_racks(n: int) -> list[FiniteRack]:
     σ_c σ_b σ_c⁻¹, and that column is its whole domain.  So the leaves
     reached are exactly the racks among the tables of the full product of
     column permutations, in that product's order.  Each is validated and
-    deduplicated against the representatives found before it with the same
+    deduplicated, by ``find_isomorphism``, against the representatives found before it with the same
     sorted element invariants, the only ones it can be isomorphic to; the
-    invariants of each leaf and each representative are computed once.
+    invariants of each leaf and each representative are computed once, and
+    the support tables of each representative built once.
     Orders above ``ENUMERATION_CEILING`` raise ``BoundExceeded`` before
     anything is enumerated.
     """
@@ -167,15 +179,19 @@ def enumerate_pointed_racks(n: int) -> list[FiniteRack]:
                         return False
         return True
 
-    # classes[sorted invariants]: the representatives found so far, each with its invariants
-    classes: dict[tuple, list[tuple[FiniteRack, tuple]]] = {}
+    # classes[sorted invariants]: the representatives found so far, each with
+    # its invariants and the support tables of the searches into it
+    classes: dict[tuple, list[tuple[FiniteRack, tuple, dict]]] = {}
     for _ in assignments([column(k) for k in range(1, n)], holds):
         rack = validate_rack(table, 0)
         inv = element_invariants(rack)
         twins = classes.setdefault(tuple(sorted(inv)), [])
-        if all(next(_iso_maps(rack, rep, inv, rep_inv), None) is None for rep, rep_inv in twins):
-            twins.append((rack, inv))
-    return sorted((rack for twins in classes.values() for rack, _ in twins), key=lambda r: r.table)
+        if all(
+            find_isomorphism(rack, rep, inv_a=inv, inv_b=rep_inv, supports=supports) is None
+            for rep, rep_inv, supports in twins
+        ):
+            twins.append((rack, inv, {}))
+    return sorted((twin[0] for twins in classes.values() for twin in twins), key=lambda r: r.table)
 
 
 def enumerate_pointed_racks_bruteforce(n: int) -> list[FiniteRack]:

@@ -43,7 +43,6 @@ self-distributivity triples of a table built column by column.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from functools import lru_cache
 
 from .tables import _check_endpoints
 
@@ -105,10 +104,10 @@ def assignments(
     variables 0..k-1 are set, may read ``assign[0..k-1]`` only, and must
     return, in domain order, every value that could pass ``holds`` at k;
     ``holds`` still tests each value it returns.  A ``Masked`` entry is
-    such a function, and its masks are read in the loop itself.  With no
-    variables the one empty assignment ``()`` is yielded.  When every domain
-    ascends, the assignments come out in lexicographic order.  The test
-    ``no_test`` is never called.
+    such a function; the loop reads its mask and memoises each mask's bits.
+    With no variables the one empty assignment ``()`` is yielded.  When
+    every domain ascends, the assignments come out in lexicographic order.
+    The test ``no_test`` is never called.
 
     The search is a loop over a stack of one domain iterator per level, so
     the number of variables is not limited by Python's recursion depth.
@@ -120,23 +119,20 @@ def assignments(
         return
     last = n - 1
     test = None if holds is no_test else holds
-    # masked[k]: (base, reads) of a Masked domain k, read here instead of called
-    masked = [(d.base, d.reads) if type(d) is Masked else None for d in domains]
+    # masked[k]: the mask of a Masked domain k, read here instead of called
+    masked = [d.mask if type(d) is Masked else None for d in domains]
     bits = _Bits()
     # values[k]: the iterator over the values of variable k not yet tried
     values: list = [None] * n
     k, opened = 0, True
     while k >= 0:
         if opened:
-            plan = masked[k]
-            if plan is None:
+            mask = masked[k]
+            if mask is None:
                 domain = domains[k]
                 values[k] = iter(domain(assign) if callable(domain) else domain)
             else:
-                m, reads = plan
-                for s, x, y in reads:
-                    m &= s[assign[x]][assign[y]]
-                values[k] = iter(bits[m])
+                values[k] = iter(bits[mask(assign)])
         for v in values[k]:
             assign[k] = v
             if test is None or test(k, assign):
@@ -165,63 +161,48 @@ def _support(t: Sequence[Sequence[int]], at: int) -> list[list[int]]:
 
     Entry [u][v] has bit c set when the law holds with c at the marked
     positions and u, v at the positions ``_READ_AT[at]`` names; with every
-    position marked, the one entry [0][0].  Every cell of t is read once.
+    position marked, the one entry [0][0].  Each cell (a, b, t[a][b]) whose
+    marked positions agree sets its bit once.  A table over n values has n²
+    masks of up to n bits, O(n³) bits in all.
     """
     rows, cols = len(t), len(t[0]) if t else 0
-    if at == 4:
-        return [[1 << z for z in row] for row in t]
-    if at == 1:
-        s = [[0] * rows for _ in range(cols)]
-        for a, row in enumerate(t):
-            for b, z in enumerate(row):
-                s[b][z] |= 1 << a
-        return s
-    if at == 2:
-        s = [[0] * rows for _ in range(rows)]
-        for a, row in enumerate(t):
-            for b, z in enumerate(row):
-                s[a][z] |= 1 << b
-        return s
-    if at == 7:
-        return [[_mask_of(c for c in range(min(rows, cols)) if t[c][c] == c)]]
-    # two positions marked: a cell counts when they agree, and the third
-    # position x is read twice, so only the diagonal s[u][u] is filled
-    p, q = (n for n in range(3) if at >> n & 1)
-    x = _READ_AT[at][0] - 1
-    size = cols if x == 1 else rows
-    s = [[0] * size for _ in range(size)]
+    marked = [n for n in range(3) if at >> n & 1]
+    p, q, r = marked[0], marked[len(marked) // 2], marked[-1]
+    # position 3 of a cell is a constant 0, read where no position is left
+    x, y = (n - 1 for n in _READ_AT[at] or (4, 4))
+    size = (rows, cols, rows, 1)
+    s = [[0] * size[y] for _ in range(size[x])]
     for a, row in enumerate(t):
         for b, z in enumerate(row):
-            cell = (a, b, z)
-            if cell[p] == cell[q]:
-                s[cell[x]][cell[x]] |= 1 << cell[p]
+            cell = (a, b, z, 0)
+            if cell[p] == cell[q] == cell[r]:
+                s[cell[x]][cell[y]] |= 1 << cell[p]
     return s
 
 
-@lru_cache(maxsize=64)
-def _supports_of(t: tuple) -> list:
-    """The support tables of t, by ``at``, each built on first use: searches
-    into one structure, such as an enumeration's representatives, share them."""
-    return [None] * 8
-
-
-def _filed_masks(laws: Iterable[Law], nvars: int) -> tuple[list[int], list[list[tuple]]]:
+def _filed_masks(
+    laws: Iterable[Law], nvars: int, supports: dict | None = None
+) -> tuple[list[int], list[list[tuple]]]:
     """(fixed, reads): each law f[l] = t[f[i]][f[j]] filed at its last variable.
 
     At level k = max(i, j, l) the law allows f[k] the values whose bits are
     set in a mask: ``fixed[k]`` when every position is k (the mask is then a
     constant, and -1 where no such law is filed), otherwise one read
     (s, x, y) of ``reads[k]``, s[f[x]][f[y]] being that mask for the values
-    at the other positions.  The tables s are built once per table t and
-    way of placing k among (i, j, l), and kept for the last 64 tables.
+    at the other positions.  The tables s are built once for each table t
+    and way of placing k among (i, j, l), and kept in ``supports``, by
+    default a dict of this call's own, freed with the search; a caller that
+    files laws over one table in many searches may pass one dict to them all.
     """
     fixed = [-1] * nvars
     reads: list[list[tuple]] = [[] for _ in range(nvars)]
+    # supports[id(t)]: t, kept so that its id is not reused, and its tables by ``at``
+    supports = {} if supports is None else supports
     last = tables = None
     for law in laws:
         t, i, j, l = law
         if t is not last:
-            last, tables = t, _supports_of(t)
+            last, tables = t, supports.setdefault(id(t), (t, [None] * 8))[1]
         k = i if i > j else j
         if l > k:
             k = l
@@ -237,14 +218,17 @@ def _filed_masks(laws: Iterable[Law], nvars: int) -> tuple[list[int], list[list[
     return fixed, reads
 
 
-def law_domains(bases: Sequence[int | None], laws: Iterable[Law]) -> list[Masked | None]:
+def law_domains(
+    bases: Sequence[int | None], laws: Iterable[Law], supports: dict | None = None
+) -> list[Masked | None]:
     """The ``Masked`` domain of each variable under ``laws``.
 
     ``bases[k]`` is the mask of the values variable k may take at all, or
     None when no variable k is searched, whose domain is then None.  Every
-    law is filed by ``_filed_masks`` and must read searched variables only.
+    law is filed by ``_filed_masks``, which keeps its tables in ``supports``,
+    and must read searched variables only.
     """
-    fixed, reads = _filed_masks(laws, len(bases))
+    fixed, reads = _filed_masks(laws, len(bases), supports)
     return [None if b is None else Masked(b & fixed[k], reads[k]) for k, b in enumerate(bases)]
 
 
@@ -256,7 +240,13 @@ def _mask_of(values: Iterable[int]) -> int:
 
 
 def hom_search(
-    dom, cod, var: Sequence[int], nvars: int, allowed: Sequence[Sequence[int]] | None = None
+    dom,
+    cod,
+    var: Sequence[int],
+    nvars: int,
+    allowed: Sequence[Sequence[int]] | None = None,
+    *,
+    supports: dict | None = None,
 ):
     """The domains, by variable, and per-level test of an ``assignments`` search for dom -> cod.
 
@@ -268,7 +258,8 @@ def hom_search(
     mask (``law_domains``), so a value the law forces, f(p ◁ q) from f(p)
     and f(q), or f(p) from f(q) and f(p ◁ q), is the one value tried there,
     and the test is ``no_test``.  Variables that no element of dom holds
-    get the domain None.
+    get the domain None.  ``supports``, when given, keeps the support tables
+    of cod's table between searches into cod (``law_domains``).
     """
     _check_endpoints(dom, cod)
     t = cod.table
@@ -282,11 +273,13 @@ def hom_search(
     for a in range(dom.size):
         base = every if allowed is None else _mask_of(allowed[a])
         bases[var[a]] = base & (1 << cod.basepoint) if a == dom.basepoint else base
-    return law_domains(bases, laws), no_test
+    return law_domains(bases, laws, supports), no_test
 
 
 def _narrowed(domain, fixed: int, reads: list[tuple]):
-    """``domain`` keeping only the values that ``fixed`` and every read allow."""
+    """``domain`` keeping only the values that ``fixed`` and every read allow:
+    a ``Masked`` domain with those reads added, or else ``domain`` filtered
+    by ``Masked.mask``."""
     if domain is None or (fixed == -1 and not reads):
         return domain
     if type(domain) is Masked:
@@ -310,7 +303,10 @@ def morphism_search(x, target, top, bottom):
     domain from the search that holds it.  The squares are filed as masks
     on those domains: the boundary square d′(f1(r)) = f0(d(r)) at f1(r),
     and the action square f1(r.s) = f1(r).f0(s) at the later of f1(r) and
-    f1(r.s).  A level passes when both tests pass.
+    f1(r.s).  A level passes when both tests pass.  Every builder in the
+    library returns ``Masked`` domains, to which the squares' reads are
+    added; any other domain, which only a builder from outside the library
+    returns, is kept and filtered by those masks (``_narrowed``).
     """
     ns = x.cod.size
     n = ns + x.dom.size
