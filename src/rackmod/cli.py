@@ -40,6 +40,7 @@ from .errors import AxiomError, BoundExceeded, ParseError
 from .functors import check_adjunction_bijection, check_xmod_adjunction
 from .groups import FiniteGroup
 from .interchange import (
+    _file_identity,
     certificate_document,
     digest_file,
     document_for,
@@ -142,11 +143,11 @@ def _load_input(path: str, writes: Iterable[str | None]) -> dict[str, Any]:
     """The document at path, refused when a path in ``writes`` (a report or
     an output) is any file it was read from, a file that a ``{"path": ...}``
     reference names included, so that the command cannot replace an input."""
-    read: list[Path] = []
+    read: list[tuple[int, int]] = []
     doc = load_document(path, read=read)
     for out in writes:
         # every file was read, so an output that does not exist is none of them
-        if out and os.path.exists(out) and any(os.path.samefile(out, p) for p in read):
+        if out and os.path.exists(out) and _file_identity(out) in read:
             raise ValueError(f"cannot write {out}: it is an input of the command")
     return doc
 

@@ -13,7 +13,11 @@ Every file holds one JSON object with two required keys:
 plus kind-specific payload keys (see the ``*_document`` builders below for
 the exact layout).  Wherever a sub-document is expected, a reference object
 ``{"path": "other.json"}`` may appear instead; the path is resolved relative
-to the file containing the reference.  Emission always inlines.
+to the file containing the reference, and the file it names is loaded and
+inlined as the decoder closes the reference object, so a document is read
+in one pass.  Files are told apart by device and inode, so a reference
+back to a file being loaded, through a symlink or a hard link too, is a
+cycle.  Emission always inlines.
 
 Canonical form is ``json.dumps(doc, indent=2, sort_keys=True,
 ensure_ascii=False)`` plus a trailing newline, so canonical files round-trip
@@ -28,6 +32,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+from collections.abc import Callable
+from functools import wraps
 from pathlib import Path
 from typing import Any
 
@@ -59,50 +66,53 @@ def digest_file(path: str | Path) -> str:
     return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def load_document(path: str | Path, *, read: list[Path] | None = None) -> dict[str, Any]:
-    """Read a document file and inline every ``{"path": ...}`` reference.
+def _file_identity(path: str | Path) -> tuple[int, int]:
+    """The (device, inode) pair of the file at path, symlinks followed: two
+    paths name one file, hard links included, when their pairs are equal."""
+    st = os.stat(path)
+    return st.st_dev, st.st_ino
 
-    When ``read`` is a list, every file read is appended to it, the files
-    that references name included.
+
+def load_document(path: str | Path, *, read: list[tuple[int, int]] | None = None) -> dict[str, Any]:
+    """Read a document file, inlining every ``{"path": ...}`` reference as
+    the decoder closes it.
+
+    When ``read`` is a list, the identity (``_file_identity``) of every file
+    read is appended to it, the files that references name included.
     """
     return _load(Path(path), (), [] if read is None else read)
 
 
-def _load(p: Path, loading: tuple[Path, ...], read: list[Path]) -> dict[str, Any]:
-    """``loading`` holds the files whose references are being inlined."""
+def _load(p: Path, loading: tuple[tuple[int, int], ...], read: list) -> dict[str, Any]:
+    """``loading`` holds the identities of the files whose references are
+    being inlined."""
     try:
         text = p.read_text(encoding="utf-8")
+        here = _file_identity(p)
     except OSError as exc:
         raise ParseError(f"cannot read {p}: {exc}") from exc
-    read.append(p)
-    here = p.resolve()
+    read.append(here)
     if here in loading:
         raise ParseError(f"{p}: path reference cycle")
+    loading += (here,)
+
+    def inline(obj: dict[str, Any]) -> Any:
+        if obj.keys() != {"path"}:
+            return obj
+        ref = obj["path"]
+        if not isinstance(ref, str):
+            raise ParseError("path reference must be a string")
+        return _load(p.parent / ref, loading, read)
+
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_hook=inline)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{p}: invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ParseError(f"{p}: JSON nested too deeply") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"{p}: top-level value must be an object")
-    try:
-        return _inline(raw, p.parent, loading + (here,), read)
-    except RecursionError as exc:
-        raise ParseError(f"{p}: document nested too deeply") from exc
-
-
-def _inline(value: Any, base: Path, loading: tuple[Path, ...], read: list[Path]) -> Any:
-    if isinstance(value, dict):
-        if set(value) == {"path"}:
-            ref = value["path"]
-            if not isinstance(ref, str):
-                raise ParseError("path reference must be a string")
-            return _load(base / ref, loading, read)
-        return {k: _inline(v, base, loading, read) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_inline(v, base, loading, read) for v in value]
-    return value
+    return raw
 
 
 def _payload(doc: Any, expected_kind: str | None = None) -> dict[str, Any]:
@@ -142,127 +152,123 @@ def _check_size(doc: dict[str, Any], actual: int) -> None:
 
 # -- parsing ---------------------------------------------------------------
 
+_PARSERS: dict[str, Callable[[dict[str, Any]], Any]] = {}
 
-def _parse_structure(doc: dict[str, Any], kind: str, validate, *keys: str) -> Any:
-    """Parse a rack, unpointed rack or group: ``validate`` gets the values
-    under ``keys`` and the labels."""
-    doc = _payload(doc, kind)
-    values = [_field(doc, key) for key in keys]
-    try:
-        x = validate(*values, labels=_labels(doc))
-    except (ValueError, TypeError) as exc:
-        raise ParseError(f"{kind}: {exc}") from exc
+
+def _parser(kind: str):
+    """Register the decorated function as the parser of ``kind``.
+
+    The parser checks the header (``_payload``) before the function reads
+    the document, and a ``ValueError`` or ``TypeError`` that the function
+    raises, a validator's included, becomes a ``ParseError`` prefixed with
+    ``kind``.
+    """
+
+    def register(parse):
+        @wraps(parse)
+        def parser(doc: dict[str, Any]) -> Any:
+            doc = _payload(doc, kind)
+            try:
+                return parse(doc)
+            except (ValueError, TypeError) as exc:
+                raise ParseError(f"{kind}: {exc}") from exc
+
+        _PARSERS[kind] = parser
+        return parser
+
+    return register
+
+
+def _structure(doc: dict[str, Any], validate, *keys: str) -> Any:
+    """A rack, unpointed rack or group: ``validate`` gets the values under
+    ``keys`` and the labels."""
+    x = validate(*[_field(doc, key) for key in keys], labels=_labels(doc))
     _check_size(doc, x.size)
     return x
 
 
+@_parser("rack")
 def parse_rack(doc: dict[str, Any]) -> FiniteRack:
-    return _parse_structure(doc, "rack", validate_rack, "table", "basepoint")
+    return _structure(doc, validate_rack, "table", "basepoint")
 
 
+@_parser("unpointed-rack")
 def parse_unpointed_rack(doc: dict[str, Any]) -> UnpointedRack:
-    return _parse_structure(doc, "unpointed-rack", validate_unpointed_rack, "table")
+    return _structure(doc, validate_unpointed_rack, "table")
 
 
+@_parser("group")
 def parse_group(doc: dict[str, Any]) -> FiniteGroup:
-    return _parse_structure(doc, "group", validate_group, "table", "identity")
+    return _structure(doc, validate_group, "table", "identity")
 
 
 def _endpoints(doc: dict[str, Any], what: str, keys: tuple[str, str], parsers, allowed: str):
     """The two endpoint documents under ``keys``, which must be of one kind
-    that ``parsers`` maps to a parser, each parsed by it."""
+    whose parser is one of ``parsers``, each parsed by it."""
     docs = [_field(doc, key) for key in keys]
     kinds = [_payload(d)["kind"] for d in docs]
     if kinds[0] != kinds[1]:
         raise ParseError(f"{what} endpoints disagree: {kinds[0]!r} vs {kinds[1]!r}")
-    parse = parsers.get(kinds[0])
-    if parse is None:
+    parse = _PARSERS.get(kinds[0])
+    if parse not in parsers:
         raise ParseError(f"{what} endpoints must be {allowed}, got {kinds[0]!r}")
     return [parse(d) for d in docs]
 
 
+@_parser("hom")
 def parse_hom(doc: dict[str, Any]) -> Hom:
-    doc = _payload(doc, "hom")
-    parsers = {"rack": parse_rack, "group": parse_group}
+    parsers = (parse_rack, parse_group)
     dom, cod = _endpoints(doc, "hom", ("dom", "cod"), parsers, "racks or groups")
-    try:
-        return validate_hom(dom, cod, _field(doc, "map"))
-    except (ValueError, TypeError) as exc:
-        raise ParseError(f"hom: {exc}") from exc
+    return validate_hom(dom, cod, _field(doc, "map"))
 
 
+@_parser("action")
 def parse_action(doc: dict[str, Any]) -> RackAction:
-    doc = _payload(doc, "action")
-    try:
-        return validate_action(
-            _field(doc, "table"), parse_rack(_field(doc, "actee")), parse_rack(_field(doc, "actor"))
-        )
-    except (ValueError, TypeError) as exc:
-        raise ParseError(f"action: {exc}") from exc
+    return validate_action(
+        _field(doc, "table"), parse_rack(_field(doc, "actee")), parse_rack(_field(doc, "actor"))
+    )
 
 
-def _parse_xmod(doc: dict[str, Any], kind: str, parse_structure) -> XMod:
-    doc = _payload(doc, kind)
+def _xmod(doc: dict[str, Any], parse_structure) -> XMod:
     dom = parse_structure(_field(doc, "dom"))
     cod = parse_structure(_field(doc, "cod"))
-    try:
-        return validate_xmod(validate_hom(dom, cod, _field(doc, "boundary")), _field(doc, "action"))
-    except (ValueError, TypeError) as exc:
-        raise ParseError(f"{kind}: {exc}") from exc
+    return validate_xmod(validate_hom(dom, cod, _field(doc, "boundary")), _field(doc, "action"))
 
 
+@_parser("rack-xmod")
 def parse_rack_xmod(doc: dict[str, Any]) -> XMod:
-    return _parse_xmod(doc, "rack-xmod", parse_rack)
+    return _xmod(doc, parse_rack)
 
 
+@_parser("group-xmod")
 def parse_group_xmod(doc: dict[str, Any]) -> XMod:
-    return _parse_xmod(doc, "group-xmod", parse_group)
+    return _xmod(doc, parse_group)
 
 
+@_parser("xmod-morphism")
 def parse_xmod_morphism(doc: dict[str, Any]) -> XModMorphism:
-    doc = _payload(doc, "xmod-morphism")
-    parsers = {"rack-xmod": parse_rack_xmod, "group-xmod": parse_group_xmod}
+    parsers = (parse_rack_xmod, parse_group_xmod)
     src, dst = _endpoints(doc, "morphism", ("src", "dst"), parsers, "crossed modules")
-    try:
-        f1 = validate_hom(src.dom, dst.dom, _field(doc, "f1"))
-        f0 = validate_hom(src.cod, dst.cod, _field(doc, "f0"))
-        return validate_xmod_morphism(f1, f0, src, dst)
-    except (ValueError, TypeError) as exc:
-        raise ParseError(f"xmod-morphism: {exc}") from exc
+    f1 = validate_hom(src.dom, dst.dom, _field(doc, "f1"))
+    f0 = validate_hom(src.cod, dst.cod, _field(doc, "f0"))
+    return validate_xmod_morphism(f1, f0, src, dst)
 
 
+@_parser("pullback-request")
 def parse_pullback_request(doc: dict[str, Any]) -> tuple[XMod, Hom]:
     """A crossed module paired with a hom into its base, ready to pull back."""
-    doc = _payload(doc, "pullback-request")
     xmod_doc = _field(doc, "xmod")
     hom = parse_hom(_field(doc, "hom"))
-    xmod_kind = _payload(xmod_doc)["kind"]
-    if xmod_kind == "rack-xmod":
-        if not isinstance(hom.dom, FiniteRack):
-            raise ParseError("pullback-request: rack-xmod needs a rack hom")
-        source = parse_rack_xmod(xmod_doc)
-    elif xmod_kind == "group-xmod":
-        if not isinstance(hom.dom, FiniteGroup):
-            raise ParseError("pullback-request: group-xmod needs a group hom")
-        source = parse_group_xmod(xmod_doc)
-    else:
-        raise ParseError(f"pullback-request: unsupported xmod kind {xmod_kind!r}")
+    kind = _payload(xmod_doc)["kind"]
+    parse = _PARSERS.get(kind)
+    if parse not in (parse_rack_xmod, parse_group_xmod):
+        raise ValueError(f"unsupported xmod kind {kind!r}")
+    if not isinstance(hom.dom, FiniteRack if parse is parse_rack_xmod else FiniteGroup):
+        raise ValueError(f"{kind} needs a {kind.split('-')[0]} hom")
+    source = parse(xmod_doc)
     if hom.cod != source.cod:
-        raise ParseError("pullback-request: hom codomain is not the base of the crossed module")
+        raise ValueError("hom codomain is not the base of the crossed module")
     return source, hom
-
-
-_PARSERS = {
-    "rack": parse_rack,
-    "unpointed-rack": parse_unpointed_rack,
-    "group": parse_group,
-    "hom": parse_hom,
-    "action": parse_action,
-    "rack-xmod": parse_rack_xmod,
-    "group-xmod": parse_group_xmod,
-    "xmod-morphism": parse_xmod_morphism,
-    "pullback-request": parse_pullback_request,
-}
 
 
 def parse_document(doc: dict[str, Any]) -> Any:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import AxiomError, ConstructionFail, NoIsomorphismFound, UniquenessFail
 from .racks import _self_action, _validator
-from .search import assignments, hom_search, morphism_search
+from .search import assignments, hom_search, law_domains, morphism_search, no_test
 from .tables import Hom, compose_homs, identity_hom, validate_hom
 from .xmod import (
     XMod,
@@ -188,15 +188,17 @@ def verify_universal_property(pb: XModMorphism, cone: XModMorphism) -> Universal
     from the cone's source to the pullback with pb.f1 . h = cone.f1.
     Exactly one must survive, and it must be the canonical mediating
     morphism.  The projection condition reads one coordinate h[x], so one
-    ``assignments`` search, built by ``morphism_search`` over
-    ``hom_search``es, sets the base map to id and then h, each coordinate
-    of h ranging over the ascending values the projection allows.
-    ``hom_search`` pins the basepoint and files each hom law, and
-    ``morphism_search`` each boundary and action square, as a mask at its
-    last coordinate, which keeps only the values that pass it: the search
-    yields exactly the maps of the full product that pass all five
-    conditions, in the same order.  ``search_space`` is the number of all set maps,
-    carrier size to the power of the test carrier's.
+    ``assignments`` search, built by ``morphism_search``, sets the base map
+    to id and then h, each coordinate of h ranging over the ascending values
+    the projection allows.  Each base coordinate s has the one-value domain
+    {s} (``law_domains`` with no laws): id is a hom of the validated base,
+    so filing the base's hom laws would reject nothing.  ``hom_search``
+    pins the basepoint and files each hom law of h, and ``morphism_search``
+    each boundary and action square, as a mask at its last coordinate,
+    which keeps only the values that pass it: the search yields exactly the
+    maps of the full product that pass all five conditions, in the same
+    order.  ``search_space`` is the number of all set maps, carrier size to
+    the power of the test carrier's.
     """
     med = mediating_morphism(pb, cone)
     mu_xmod, carrier = cone.src, pb.src.dom
@@ -207,7 +209,7 @@ def verify_universal_property(pb: XModMorphism, cone: XModMorphism) -> Universal
         mu_xmod,
         pb.src,
         lambda *v: hom_search(x_dom, carrier, *v, allowed),
-        lambda *v: hom_search(s_x, s_x, *v, [(s,) for s in s_x.elements()]),
+        lambda var, nvars: (law_domains([1 << s for s in var] + [None] * n, ()), no_test),
     )
     satisfying = [h[ns:] for h in assignments(*search)]
     if len(satisfying) != 1:

@@ -102,6 +102,52 @@ def test_check_malformed_inputs_exit_2(tmp_path, capsys, files):
     assert captured.err.startswith("error: ")
 
 
+def _reference_chain(tmp_path, doc, depth):
+    """c0.json holds doc and each c{k}.json is a reference to c{k-1}.json;
+    returns the path of the last."""
+    write(tmp_path, "c0.json", doc)
+    for k in range(1, depth + 1):
+        write(tmp_path, f"c{k}.json", {"path": f"c{k - 1}.json"})
+    return str(tmp_path / f"c{depth}.json")
+
+
+def test_check_loads_a_deep_reference_chain(tmp_path, racks, capsys):
+    path = _reference_chain(tmp_path, rack_document(racks["cs3"]), 100)
+    assert cli.main(["check", path]) == 0
+    assert capsys.readouterr().out == "PASS check rack size=6\n"
+
+
+def test_check_refuses_a_too_deep_reference_chain(tmp_path, racks, capsys):
+    """A chain deeper than Python's recursion limit is a parse error, with
+    one line on stderr and no traceback."""
+    path = _reference_chain(tmp_path, rack_document(racks["cs3"]), 2000)
+    assert cli.main(["check", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.endswith("nested too deeply\n")
+    assert captured.err.count("\n") == 1
+
+
+def test_certify_refuses_a_report_hard_linked_to_a_referenced_file(
+    monkeypatch, tmp_path, group_xmods, group_homs, capsys
+):
+    """A hard link has its own path but is the same file, so a report onto a
+    hard link to a file the request reaches only through a reference is
+    refused, and that file's bytes stay as they were."""
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "xmod.json", group_xmod_document(group_xmods["a3_s3"]))
+    request = pullback_request({"path": "xmod.json"}, hom_document(group_homs["z3_to_s3"]))
+    write(tmp_path, "request.json", request)
+    (tmp_path / "hard.json").hardlink_to(tmp_path / "xmod.json")
+    before = (tmp_path / "xmod.json").read_bytes()
+    assert cli.main(["certify", "universal", "request.json", "--report", "hard.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot write hard.json: it is an input of the command\n"
+    assert (tmp_path / "xmod.json").read_bytes() == before
+
+
 def test_check_rejects_certificates(tmp_path, capsys):
     path = write(tmp_path, "cert.json", certificate_document("check rack", "pass"))
     assert cli.main(["check", path]) == 2

@@ -1,6 +1,7 @@
 """JSON interchange: canonical form, round-trips, and parse failures."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -159,6 +160,19 @@ def test_path_reference_must_be_a_string(tmp_path):
         load_document(path)
 
 
+def test_a_reference_cycle_through_a_hard_link_is_refused(tmp_path):
+    """a.json reaches itself again through a hard link: another path, the
+    same file, refused as soon as it is read a second time."""
+    a = tmp_path / "a.json"
+    write_document({"format-version": 1, "kind": "rack", "table": {"path": "link.json"}}, a)
+    (tmp_path / "link.json").hardlink_to(a)
+    read = []
+    with pytest.raises(ParseError) as exc:
+        load_document(a, read=read)
+    assert str(exc.value) == f"{tmp_path / 'link.json'}: path reference cycle"
+    assert len(read) == 2
+
+
 def test_load_document_failure_modes(tmp_path):
     with pytest.raises(ParseError, match="cannot read"):
         load_document(tmp_path / "absent.json")
@@ -263,3 +277,63 @@ def test_certificate_document_fields():
 def test_document_for_rejects_unknown_objects():
     with pytest.raises(TypeError):
         document_for(17)
+
+
+def _planted(doc, key, *where, value=9):
+    """A copy of doc with entry doc[key][where...] replaced by value."""
+    doc = json.loads(json.dumps(doc))
+    entry = doc[key]
+    for w in where[:-1]:
+        entry = entry[w]
+    entry[where[-1]] = value
+    return doc
+
+
+def _refused_documents():
+    """By kind, a document with one entry that its validator refuses, or,
+    for the request, a hom into another base."""
+    racks, groups, rack_homs = corpus.racks(), corpus.groups(), corpus.rack_homs()
+    rack_xmods, group_xmods = corpus.rack_xmods(), corpus.group_xmods()
+    ident = rack_xmods["identity_cs3"]
+    morphism = enumerate_xmod_morphisms(ident, ident)[0]
+    request = {
+        "format-version": 1,
+        "kind": "pullback-request",
+        "xmod": rack_xmod_document(rack_xmods["identity_cz2"]),
+        "hom": hom_document(rack_homs["id_cs3"]),
+    }
+    return {
+        "rack": _planted(rack_document(racks["cs3"]), "table", 1, 2),
+        "unpointed-rack": _planted(
+            unpointed_rack_document(corpus.unpointed_racks()["r3"]), "table", 0, 0
+        ),
+        "group": _planted(group_document(groups["s3"]), "table", 2, 1),
+        "hom": _planted(hom_document(rack_homs["sgn_rack"]), "map", 1),
+        "action": _planted(action_document(conjugation_action(racks["cs3"])), "table", 0, 1),
+        "rack-xmod": _planted(rack_xmod_document(ident), "boundary", 2),
+        "group-xmod": _planted(group_xmod_document(group_xmods["a3_s3"]), "action", 1, 0),
+        "xmod-morphism": _planted(xmod_morphism_document(morphism), "f1", 0),
+        "pullback-request": request,
+    }
+
+
+REFUSALS = {
+    "action": "action: action table[0][1] = 9 is out of range(0, 6)",
+    "group": "group: multiplication table[2][1] = 9 is out of range(0, 6)",
+    "group-xmod": "group-xmod: action table[1][0] = 9 is out of range(0, 3)",
+    "hom": "hom: hom map[1] = 9 is out of range(0, 2)",
+    "pullback-request": "pullback-request: hom codomain is not the base of the crossed module",
+    "rack": "rack: rack table[1][2] = 9 is out of range(0, 6)",
+    "rack-xmod": "rack-xmod: hom map[2] = 9 is out of range(0, 6)",
+    "unpointed-rack": "unpointed-rack: rack table[0][0] = 9 is out of range(0, 3)",
+    "xmod-morphism": "xmod-morphism: hom map[0] = 9 is out of range(0, 6)",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REFUSALS))
+def test_each_parser_prefixes_a_refusal_with_its_kind(kind):
+    doc = _refused_documents()[kind]
+    assert doc["kind"] == kind
+    with pytest.raises(ParseError) as exc:
+        parse_document(doc)
+    assert str(exc.value) == REFUSALS[kind]
