@@ -85,18 +85,27 @@ def _counts_for(obj: Any) -> dict[str, int]:
     return {}
 
 
-def _emit(
-    args: argparse.Namespace,
-    command: str,
-    inputs: list[tuple[str, str]],
-    verdict: str,
-    *,
-    counts: dict[str, int] | None = None,
-    witnesses: list[Any] | None = None,
-    search_space: int | None = None,
-    t0: float,
-) -> int:
+def _certified(args: argparse.Namespace, command: str, inputs: list[tuple[str, str]], fn) -> int:
+    """Run the check ``fn``, print its verdict line and write its certificate
+    to ``args.report``, if one is named.
+
+    A report that names an existing directory, or whose directory does not
+    exist, is refused before ``fn`` runs.
+    """
     report = getattr(args, "report", None)
+    if report:
+        if os.path.isdir(report):
+            raise IsADirectoryError(f"cannot write {report}: it is a directory")
+        parent = os.path.dirname(report)
+        if parent and not os.path.isdir(parent):
+            raise NotADirectoryError(f"cannot write {report}: {parent} is not a directory")
+    t0 = time.perf_counter()
+    counts = search_space = None
+    try:
+        counts, witnesses, search_space = fn()
+        verdict = "pass"
+    except AxiomError as exc:
+        verdict, witnesses = "fail", [_failure(exc)]
     if report:
         doc = certificate_document(
             command,
@@ -119,24 +128,6 @@ def _emit(
         line += f" [{first['error']}: {first['message']}]"
     print(line)
     return 0 if verdict == "pass" else 1
-
-
-def _certified(args: argparse.Namespace, command: str, inputs: list[tuple[str, str]], fn) -> int:
-    t0 = time.perf_counter()
-    try:
-        counts, witnesses, search_space = fn()
-    except AxiomError as exc:
-        return _emit(args, command, inputs, "fail", witnesses=[_failure(exc)], t0=t0)
-    return _emit(
-        args,
-        command,
-        inputs,
-        "pass",
-        counts=counts,
-        witnesses=witnesses,
-        search_space=search_space,
-        t0=t0,
-    )
 
 
 def _load_input(path: str, writes: Iterable[str | None]) -> dict[str, Any]:

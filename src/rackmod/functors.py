@@ -15,9 +15,9 @@ whose v·u names at most two generators, as every relator y^-1 x^-1 y (x ◁ y)
 of a rack presentation does, is the law f(x) = t[f(a)][f(b)] for a |G|×|G|
 table t built from G's ``mul`` and ``inv``: the form of a hom law, and
 solved the same way, as a mask (``search.law_domains``).  Other relators,
-which only hand-written presentations have, are tested by the letter loop
-that ``evaluate_word`` runs, and ``evaluate_word`` is the tests' oracle for
-both.
+which only hand-written presentations have, filter the domain of their
+last letter through the letter loop that ``evaluate_word`` runs, and
+``evaluate_word`` is the tests' oracle for both.
 
 Every hom set here is searched in one solving order, ``_solving_order``,
 read off words of generator indices: the basepoint first, then, while one
@@ -53,7 +53,7 @@ from itertools import product
 from .errors import BijectionFail
 from .groups import FiniteGroup
 from .racks import FiniteRack, conj_rack
-from .search import assignments, hom_search, law_domains, morphism_search, no_test
+from .search import _narrowed, assignments, hom_search, law_domains, morphism_search
 from .tables import _check_endpoints, index_row, validate_hom
 from .xmod import XMod, conj_xmod
 
@@ -203,19 +203,20 @@ def _relator_law(word: CompiledWord, g: FiniteGroup, tables: dict):
 
 
 def _presented_hom_search(p: Presentation, g: FiniteGroup, var: Sequence[int], nvars: int):
-    """The domains, by variable, and per-level test of an ``assignments`` search for p in g.
+    """The domains, by variable, of an ``assignments`` search for p in g.
 
     Generator i is held by variable ``var[i]`` and ranges over g in index
     order; a relator is compiled once and filed under its last variable, so
-    it is tested as soon as all its letters are assigned.  The empty word is
-    the identity and constrains nothing, so it is not filed.  A relator
-    that solves for one of its letters from at most two other variables
-    (``_relator_law``), as every relator of a rack presentation does, is
-    filed as a mask by ``search.law_domains``, so the values it allows
-    are the only ones tried.  Other relators, which only hand-written
-    presentations have, are tested by the letter loop that
-    ``evaluate_word`` runs, the tests' oracle for both.  Variables that no
-    generator of p holds get the domain None.
+    the domain there keeps only the values under which it dies.  The empty
+    word is the identity and constrains nothing, so it is not filed.  A
+    relator that solves for one of its letters from at most two other
+    variables (``_relator_law``), as every relator of a rack presentation
+    does, is filed as a mask by ``search.law_domains``, so the values it
+    allows are the only ones tried.  Other relators, which only
+    hand-written presentations have, wrap the domain of their last variable,
+    which keeps each value under which the letter loop that
+    ``evaluate_word`` runs, the tests' oracle for both, gives the identity.
+    Variables that no generator of p holds get the domain None.
     """
     first_value = _word_evaluator(g)
     tables: dict = {}
@@ -235,20 +236,22 @@ def _presented_hom_search(p: Presentation, g: FiniteGroup, var: Sequence[int], n
     for i in range(len(p.generators)):
         bases[var[i]] = (1 << g.size) - 1
     domains = law_domains(bases, laws)
-    if not any(longer):
-        return domains, no_test
     e = g.identity
 
-    def holds(k: int, f: list) -> bool:
-        return not longer[k] or first_value(longer[k], f) == e
+    def dying(k: int, domain, words: list[CompiledWord]):
+        def values(f: list) -> list:
+            head = f[:k]
+            return [v for v in domain(f) if first_value(words, head + [v]) == e]
 
-    return domains, holds
+        return values
+
+    return [dying(k, d, longer[k]) if longer[k] else d for k, d in enumerate(domains)]
 
 
 def _sorted_maps(search, var: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """The maps that the ``assignments`` search (domains, test) finds, read
-    by generator through ``var``, in lexicographic order."""
-    return tuple(sorted(tuple(map(f.__getitem__, var)) for f in assignments(*search)))
+    """The maps that the ``assignments`` search over the domains ``search``
+    finds, read by generator through ``var``, in lexicographic order."""
+    return tuple(sorted(tuple(map(f.__getitem__, var)) for f in assignments(search)))
 
 
 def enumerate_presented_homs(p: Presentation, g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
@@ -292,18 +295,17 @@ def enumerate_homs_bruteforce(dom, cod) -> tuple[tuple[int, ...], ...]:
 def _count_shared_leaves(rack, presented, key, explain=None) -> int:
     """The number of leaves that both searches yield.
 
-    ``rack`` and ``presented`` are each the (domains, test) of an
-    ``assignments`` search over the same variables.  Every domain ascends,
-    so each search yields its leaves in lexicographic order, and the two
-    streams are merged in lockstep: a leaf in both is counted, and a leaf
-    in one only is a bad map of that side; only such a leaf is passed to
-    ``key``.  Were a domain out of order, equal leaves could pass
+    ``rack`` and ``presented`` are each the domains of an ``assignments``
+    search over the same variables.  Every domain ascends, so each search
+    yields its leaves in lexicographic order, and the two streams are
+    merged in lockstep: a leaf in both is counted, and a leaf in one only
+    is a bad map of that side; only such a leaf is passed to ``key``.  Were a domain out of order, equal leaves could pass
     unpaired and be reported on both sides, so the check fails closed.
     The least bad rack key raises ``BijectionFail("rack", ...)``; only then
     the least bad presented key is passed to ``explain``, which may raise a
     more specific failure, and raises ``BijectionFail("presented", ...)``.
     """
-    rack_leaves, presented_leaves = assignments(*rack), assignments(*presented)
+    rack_leaves, presented_leaves = assignments(rack), assignments(presented)
     r, p = next(rack_leaves, None), next(presented_leaves, None)
     shared = 0
     bad_rack: list = []
@@ -336,9 +338,10 @@ def check_adjunction_bijection(x: FiniteRack, g: FiniteGroup) -> int:
     x's presentation, merged in lockstep (``_count_shared_leaves``), which
     relies on every domain ascending and fails closed otherwise.  Each
     side is pruned by its own filed laws only: the rack side by the hom
-    laws into Conj G and the basepoint, the presented side by the
-    relators.  A map that only one side finds is a bad map of that side.
-    The least bad rack map is raised first; only then the least bad
+    laws into Conj G and the basepoint, whose domain is narrowed to Conj
+    G's basepoint here whatever ``hom_search`` allows, the presented side
+    by the relators.  A map that only one side finds is a bad map of that
+    side.  The least bad rack map is raised first; only then the least bad
     presented map, through ``validate_hom`` into Conj G when it breaks a
     rack law.  So a map that both sides' filed laws wrongly admit is not
     caught here.
@@ -346,14 +349,11 @@ def check_adjunction_bijection(x: FiniteRack, g: FiniteGroup) -> int:
     cg = conj_rack(g)
     pres = as_presentation(x)
     var, n = _solving_order(_law_letters(x), x.size), x.size
-    rack_domains, rack_laws = hom_search(x, cg, var, n)
+    rack = hom_search(x, cg, var, n)
     bp = var[x.basepoint]
-
-    def hom_laws_and_basepoint(k: int, f: list) -> bool:
-        return rack_laws(k, f) and (k != bp or f[k] == cg.basepoint)
-
+    rack[bp] = _narrowed(rack[bp], 1 << cg.basepoint, [])
     return _count_shared_leaves(
-        (rack_domains, hom_laws_and_basepoint),
+        rack,
         _presented_hom_search(pres, g, var, n),
         lambda f: tuple(map(f.__getitem__, var)),
         lambda m: validate_hom(x, cg, m),
@@ -380,7 +380,7 @@ def check_xmod_adjunction(x: XMod, g: XMod) -> int:
     ns = x.cod.size
 
     def side(search, target):
-        """The domains and test of search's hom pairs into target whose squares commute."""
+        """The domains of search's hom pairs into target whose squares commute."""
         return morphism_search(
             x,
             target,

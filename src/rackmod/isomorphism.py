@@ -1,4 +1,12 @@
-"""Basepoint-preserving isomorphism search and small-order rack enumeration."""
+"""Basepoint-preserving isomorphism search and small-order rack enumeration.
+
+Both are ``search.assignments`` searches whose domains alone decide the
+values tried.  The isomorphism search is a mask search: ``hom_search``
+files the hom laws over the invariant-matched candidates, and injectivity
+is one more read per earlier variable.  Rack enumeration's column domains
+place each candidate column in the table being built and yield it only when
+the self-distributivity triples it completes hold.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +15,7 @@ from itertools import permutations, product
 
 from .errors import AxiomError, BoundExceeded
 from .racks import FiniteRack, rack_orbits, validate_rack
-from .search import assignments, hom_search
+from .search import _narrowed, assignments, hom_search
 from .tables import Hom, _check_endpoints, validate_hom
 
 # The largest order whose enumeration finishes in seconds (order 6: about 2 s;
@@ -76,21 +84,21 @@ def _iso_maps(
     One ``assignments`` search built by ``hom_search`` over the elements of
     a, most constrained first (fewest candidates, ties by lowest index),
     each ranging over its invariant-matched candidates that the hom laws
-    allow (``_candidates``, which takes ``inv_a`` and ``inv_b``); the test
-    keeps what no mask expresses, that each image is new.  ``supports`` is
-    passed to ``hom_search``.
+    allow (``_candidates``, which takes ``inv_a`` and ``inv_b``).  That each
+    image is new is a mask too: level k reads ``other[f[x]][f[x]]``, every
+    value but f[x], for each earlier level x.  ``supports`` is passed to
+    ``hom_search``.
     """
     cands = _candidates(a, b, inv_a, inv_b)
     if cands is None:
         return
     order = sorted(range(a.size), key=lambda x: (len(cands[x]), x))
     var = [order.index(x) for x in range(a.size)]
-    domains, laws = hom_search(a, b, var, a.size, cands, supports=supports)
-
-    def holds(k: int, img: list) -> bool:
-        return img.index(img[k]) == k and laws(k, img)
-
-    for img in assignments(domains, holds):
+    domains = hom_search(a, b, var, a.size, cands, supports=supports)
+    # other[u][u]: the values other than u
+    other = [[~(1 << u)] * b.size for u in range(b.size)]
+    reads = [(other, x, x) for x in range(a.size)]
+    for img in assignments([_narrowed(d, -1, reads[:k]) for k, d in enumerate(domains)]):
         yield tuple(img[v] for v in var)
 
 
@@ -120,20 +128,24 @@ def enumerate_pointed_racks(n: int) -> list[FiniteRack]:
     order.  Generation fixes the basepoint row and column and runs one
     ``assignments`` search with a variable per other column: column 1
     first, each column ranging over the permutations of 1..n-1 in
-    ``permutations`` order.  Once column k is placed, every
-    self-distributivity triple (a, b, c) whose reads have just become
-    known, those with max(b, c, b ◁ c) = k, is tested, and a failing
-    partial table is abandoned with all its completions.  Triples with b = c = 0 read only the fixed column 0 and
-    hold in every candidate; every other triple is tested at exactly one
-    level.  If b ◁ c = k for placed columns b and c, those triples say
+    ``permutations`` order.  The domain of column k places each candidate
+    in the table and yields it only when every self-distributivity triple
+    (a, b, c) whose reads have just become known, those with
+    max(b, c, b ◁ c) = k, holds, so a failing partial table is abandoned
+    with all its completions; it relies on the kernel drawing its next
+    candidate only after every completion of the current one.  Triples
+    with b = c = 0 read only the fixed column 0 and hold in every
+    candidate; every other triple is tested at exactly one level.  If
+    b ◁ c = k for placed columns b and c, those triples say
     σ_c σ_b = σ_k σ_c for the columns σ, so column k can only be
-    σ_c σ_b σ_c⁻¹, and that column is its whole domain.  So the leaves
+    σ_c σ_b σ_c⁻¹, and that column is its only candidate.  So the leaves
     reached are exactly the racks among the tables of the full product of
     column permutations, in that product's order.  Each is validated and
-    deduplicated, by ``find_isomorphism``, against the representatives found before it with the same
-    sorted element invariants, the only ones it can be isomorphic to; the
-    invariants of each leaf and each representative are computed once, and
-    the support tables of each representative built once.
+    deduplicated, by ``find_isomorphism``, against the representatives
+    found before it with the same sorted element invariants, the only ones
+    it can be isomorphic to; the invariants of each leaf and each
+    representative are computed once, and the support tables of each
+    representative built once.
     Orders above ``ENUMERATION_CEILING`` raise ``BoundExceeded`` before
     anything is enumerated.
     """
@@ -148,26 +160,29 @@ def enumerate_pointed_racks(n: int) -> list[FiniteRack]:
 
     def column(k: int):
         """The domain of column k: σ_c σ_b σ_c⁻¹ if b ◁ c = k for some b, c < k,
-        else every permutation.  It reads columns 0..k-1 of ``table``, which
-        ``holds`` has filled from the assigned prefix."""
+        else every permutation, each placed as column k of ``table`` and
+        yielded when ``triples_hold(k)``.  It reads columns 0..k-1 of
+        ``table``, which the domains of the earlier columns have placed."""
 
         def domain(cols: list):
-            for c in range(1, k):
-                for b in range(1, k):
-                    if table[b][c] == k:
-                        back = [0] * n
-                        for a, row in enumerate(table):
-                            back[row[c]] = a
-                        return (tuple(table[table[back[a]][b]][c] for a in range(1, n)),)
-            return perms
+            candidates = perms
+            for c, b in product(range(1, k), repeat=2):
+                if table[b][c] == k:
+                    back = [0] * n
+                    for a, row in enumerate(table):
+                        back[row[c]] = a
+                    candidates = (tuple(table[table[back[a]][b]][c] for a in range(1, n)),)
+                    break
+            for col in candidates:
+                for a, v in enumerate(col, 1):
+                    table[a][k] = v
+                if triples_hold(k):
+                    yield col
 
         return domain
 
-    def holds(i: int, cols: list) -> bool:
-        """Place column k = i + 1, then test the triples first readable there."""
-        k = i + 1
-        for a, v in enumerate(cols[i], 1):
-            table[a][k] = v
+    def triples_hold(k: int) -> bool:
+        """Whether the triples first readable at column k hold in ``table``."""
         for b in range(k + 1):
             row_b = table[b]
             for c in range(k + 1):
@@ -182,7 +197,7 @@ def enumerate_pointed_racks(n: int) -> list[FiniteRack]:
     # classes[sorted invariants]: the representatives found so far, each with
     # its invariants and the support tables of the searches into it
     classes: dict[tuple, list[tuple[FiniteRack, tuple, dict]]] = {}
-    for _ in assignments([column(k) for k in range(1, n)], holds):
+    for _ in assignments([column(k) for k in range(1, n)]):
         rack = validate_rack(table, 0)
         inv = element_invariants(rack)
         twins = classes.setdefault(tuple(sorted(inv)), [])

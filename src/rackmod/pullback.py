@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import AxiomError, ConstructionFail, NoIsomorphismFound, UniquenessFail
 from .racks import _self_action, _validator
-from .search import assignments, hom_search, law_domains, morphism_search, no_test
+from .search import assignments, hom_search, law_domains, morphism_search
 from .tables import Hom, compose_homs, identity_hom, validate_hom
 from .xmod import (
     XMod,
@@ -194,11 +194,12 @@ def verify_universal_property(pb: XModMorphism, cone: XModMorphism) -> Universal
     {s} (``law_domains`` with no laws): id is a hom of the validated base,
     so filing the base's hom laws would reject nothing.  ``hom_search``
     pins the basepoint and files each hom law of h, and ``morphism_search``
-    each boundary and action square, as a mask at its last coordinate,
-    which keeps only the values that pass it: the search yields exactly the
-    maps of the full product that pass all five conditions, in the same
-    order.  ``search_space`` is the number of all set maps, carrier size to
-    the power of the test carrier's.
+    each boundary and action square, as a mask at its last coordinate.
+    Every domain is a ``Masked``, and a coordinate tries only the values
+    its masks keep, so the search yields exactly the maps of the full
+    product that pass all five conditions, in the same order.
+    ``search_space`` is the number of all set maps, carrier size to the
+    power of the test carrier's.
     """
     med = mediating_morphism(pb, cone)
     mu_xmod, carrier = cone.src, pb.src.dom
@@ -209,9 +210,9 @@ def verify_universal_property(pb: XModMorphism, cone: XModMorphism) -> Universal
         mu_xmod,
         pb.src,
         lambda *v: hom_search(x_dom, carrier, *v, allowed),
-        lambda var, nvars: (law_domains([1 << s for s in var] + [None] * n, ()), no_test),
+        lambda var, nvars: law_domains([1 << s for s in var] + [None] * n, ()),
     )
-    satisfying = [h[ns:] for h in assignments(*search)]
+    satisfying = [h[ns:] for h in assignments(search)]
     if len(satisfying) != 1:
         raise UniquenessFail(len(satisfying), tuple(satisfying))
     if satisfying[0] != med.f1.map:

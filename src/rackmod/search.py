@@ -1,43 +1,43 @@
 """The one backtracking search behind every exhaustive search in rackmod.
 
 A search assigns variables 0, 1, ... in index order, each ranging over its
-domain in the order given, and tests every constraint once, as soon as its
-last variable is assigned; a partial assignment that fails is abandoned with
-all its completions (Golomb and Baumert, "Backtrack Programming", 1965).
-Constraints are filed by last variable, so each is tested at exactly one
-level, and the assignments that come out are exactly the members of the full
+domain in the order given; a partial assignment that no value of the next
+level extends is abandoned with all its completions (Golomb and Baumert,
+"Backtrack Programming", 1965).  Constraints are filed by last variable, and
+each level's domain keeps exactly the values that pass the constraints filed
+there, so the assignments that come out are exactly the members of the full
 product of the domains that pass every constraint, in that product's order.
 The search is a loop over a stack of one domain iterator per level, not a
 chain of recursive generators, so it has no depth limit: any number of
 variables can be searched.
 
-A domain may also be a function of the assigned prefix that returns the
-values of the full domain, in order, that could pass the constraints of its
-level: a value it leaves out would have been rejected there anyway.  The
-laws of the hom, crossed-module morphism and presented searches have one
-form, f[l] = t[f[i]][f[j]] for a table t, and a law filed at level k leaves
-its variable a set of values that depends only on the law's other
-variables, all assigned earlier.  So each such law becomes one read of a
-support-mask table built once per table: bit c of ``s[f[x]][f[y]]`` is set
-when f[k] = c satisfies the law.  A level's domain is a ``Masked``: the AND
-of its base mask (the values allowed at all) and of the masks its laws
-read, its set bits taken in ascending order.  A value that one law forces
-is a one-bit mask, so every such value is solved for instead of being
-guessed and rejected (forward checking: Haralick and Elliott, "Increasing
-tree search efficiency for constraint satisfaction problems", Artificial
-Intelligence 14, 1980), and the test ``holds`` keeps only what no mask
-expresses.
+A level's domain is the only thing that decides the values it tries.  A
+domain is a sequence, or a function of the assigned prefix that returns or
+yields, in order, exactly the values of the full domain that pass the
+constraints of its level.  The laws of the hom, crossed-module morphism and
+presented searches have one form, f[l] = t[f[i]][f[j]] for a table t, and a
+law filed at level k leaves its variable a set of values that depends only
+on the law's other variables, all assigned earlier.  So each such law
+becomes one read of a support-mask table built once per table: bit c of
+``s[f[x]][f[y]]`` is set when f[k] = c satisfies the law.  A level's domain
+is then a ``Masked``: the AND of its base mask (the values allowed at all)
+and of the masks its laws read, its set bits taken in ascending order.  A
+value that one law forces is a one-bit mask, so every such value is solved
+for instead of being guessed and rejected (forward checking: Haralick and
+Elliott, "Increasing tree search efficiency for constraint satisfaction
+problems", Artificial Intelligence 14, 1980).
 
 Every search for homs between racks or groups, isomorphisms and
 crossed-module morphisms is built by the two builders here, which return
-the (domains, test) pair that ``assignments`` takes: ``hom_search`` files
-the hom laws of one map as masks, and ``morphism_search`` joins a search
-for f0 and one for f1, in one layout (f0 first, then f1), and files the
-boundary and action squares of the morphism as masks too.  Two searches
-file their own constraints instead: ``functors._presented_hom_search``
-files the relators of a presentation, through ``law_domains`` where it
-can, and ``isomorphism.enumerate_pointed_racks`` files the
-self-distributivity triples of a table built column by column.
+the domains that ``assignments`` takes: ``hom_search`` files the hom laws
+of one map as masks, and ``morphism_search`` joins a search for f0 and one
+for f1, in one layout (f0 first, then f1), and files the boundary and
+action squares of the morphism as masks too.  Two searches build their own
+domains instead: ``functors._presented_hom_search`` files the relators of a
+presentation, through ``law_domains`` where it can, and
+``isomorphism.enumerate_pointed_racks`` places a table column by column and
+keeps the columns that pass the self-distributivity triples first readable
+there.
 """
 
 from __future__ import annotations
@@ -86,28 +86,21 @@ class _Bits(dict):
         return bits
 
 
-def no_test(k: int, assign: list) -> bool:
-    """The test of a search whose domains hold all its constraints."""
-    return True
+def assignments(domains: Sequence[Sequence | Callable[[list], Iterable]]) -> Iterator[tuple]:
+    """Every assignment of the product of ``domains``, each level taking
+    only the values its domain gives.
 
-
-def assignments(
-    domains: Sequence[Sequence | Callable[[list], Sequence]],
-    holds: Callable[[int, list], bool],
-) -> Iterator[tuple]:
-    """Every assignment of the product of ``domains`` that passes ``holds``.
-
-    ``holds(k, assign)`` is called once variable k is set to ``assign[k]``
-    and tests exactly the constraints whose last variable is k; it may read
-    ``assign[0..k]`` only, the later entries being left over from abandoned
-    branches.  A callable entry ``domains[k]`` is called with ``assign`` once
-    variables 0..k-1 are set, may read ``assign[0..k-1]`` only, and must
-    return, in domain order, every value that could pass ``holds`` at k;
-    ``holds`` still tests each value it returns.  A ``Masked`` entry is
-    such a function; the loop reads its mask and memoises each mask's bits.
-    With no variables the one empty assignment ``()`` is yielded.  When
-    every domain ascends, the assignments come out in lexicographic order.
-    The test ``no_test`` is never called.
+    ``domains[k]`` is a sequence, or a callable that is called with
+    ``assign`` once variables 0..k-1 are set, may read ``assign[0..k-1]``
+    only, the later entries being left over from abandoned branches, and
+    returns or yields, in domain order, exactly the values that variable k
+    may take.  A ``Masked`` entry is such a function; the loop reads its
+    mask and memoises each mask's bits.  The kernel draws the next value of
+    level k only after it has yielded every completion of the current value,
+    so a domain that yields may keep state for its current value until it is
+    asked for the next.  With no variables the one empty assignment ``()``
+    is yielded.  When every domain ascends, the assignments come out in
+    lexicographic order.
 
     The search is a loop over a stack of one domain iterator per level, so
     the number of variables is not limited by Python's recursion depth.
@@ -118,7 +111,6 @@ def assignments(
         yield ()
         return
     last = n - 1
-    test = None if holds is no_test else holds
     # masked[k]: the mask of a Masked domain k, read here instead of called
     masked = [d.mask if type(d) is Masked else None for d in domains]
     bits = _Bits()
@@ -135,8 +127,7 @@ def assignments(
                 values[k] = iter(bits[mask(assign)])
         for v in values[k]:
             assign[k] = v
-            if test is None or test(k, assign):
-                break
+            break
         else:
             k -= 1
             opened = False
@@ -248,7 +239,7 @@ def hom_search(
     *,
     supports: dict | None = None,
 ):
-    """The domains, by variable, and per-level test of an ``assignments`` search for dom -> cod.
+    """The domains, by variable, of an ``assignments`` search for dom -> cod.
 
     dom and cod are both pointed racks or both groups; other endpoints raise
     the ``ValueError`` of ``validate_hom``.  Element a is held by variable
@@ -256,10 +247,10 @@ def hom_search(
     over all of cod; the basepoint's domain is cod's basepoint, if allowed.
     Each law f(p ◁ q) = f(p) ◁ f(q) is filed under its last variable as a
     mask (``law_domains``), so a value the law forces, f(p ◁ q) from f(p)
-    and f(q), or f(p) from f(q) and f(p ◁ q), is the one value tried there,
-    and the test is ``no_test``.  Variables that no element of dom holds
-    get the domain None.  ``supports``, when given, keeps the support tables
-    of cod's table between searches into cod (``law_domains``).
+    and f(q), or f(p) from f(q) and f(p ◁ q), is the one value tried there.
+    Variables that no element of dom holds get the domain None.
+    ``supports``, when given, keeps the support tables of cod's table
+    between searches into cod (``law_domains``).
     """
     _check_endpoints(dom, cod)
     t = cod.table
@@ -273,7 +264,7 @@ def hom_search(
     for a in range(dom.size):
         base = every if allowed is None else _mask_of(allowed[a])
         bases[var[a]] = base & (1 << cod.basepoint) if a == dom.basepoint else base
-    return law_domains(bases, laws, supports), no_test
+    return law_domains(bases, laws, supports)
 
 
 def _narrowed(domain, fixed: int, reads: list[tuple]):
@@ -294,24 +285,24 @@ def _narrowed(domain, fixed: int, reads: list[tuple]):
 
 
 def morphism_search(x, target, top, bottom):
-    """The domains and per-level test of an ``assignments`` search for x -> target.
+    """The domains of an ``assignments`` search for x -> target.
 
     Variables 0..|x.cod|-1 hold f0 and the rest hold f1: f0(s) is variable
     s and f1(r) is variable |x.cod| + r.  ``top`` and ``bottom`` build the
     searches for f1 and f0: each is called as ``(var, nvars)`` and returns
-    its (domains, test) over all the variables, and each variable takes its
-    domain from the search that holds it.  The squares are filed as masks
-    on those domains: the boundary square d′(f1(r)) = f0(d(r)) at f1(r),
-    and the action square f1(r.s) = f1(r).f0(s) at the later of f1(r) and
-    f1(r.s).  A level passes when both tests pass.  Every builder in the
-    library returns ``Masked`` domains, to which the squares' reads are
-    added; any other domain, which only a builder from outside the library
-    returns, is kept and filtered by those masks (``_narrowed``).
+    its domains over all the variables, and each variable takes its domain
+    from the search that holds it.  The squares are filed as masks on those
+    domains: the boundary square d′(f1(r)) = f0(d(r)) at f1(r), and the
+    action square f1(r.s) = f1(r).f0(s) at the later of f1(r) and f1(r.s).
+    Every builder in the library returns ``Masked`` domains, to which the
+    squares' reads are added; any other domain, which only a builder from
+    outside the library returns, is kept and filtered by those masks
+    (``_narrowed``).
     """
     ns = x.cod.size
     n = ns + x.dom.size
-    bottoms, test0 = bottom(range(ns), n)
-    tops, test1 = top(range(ns, n), n)
+    bottoms = bottom(range(ns), n)
+    tops = top(range(ns, n), n)
     act = target.action
     fixed, reads = _filed_masks(
         ((act, ns + r, s, ns + x.act(r, s)) for r in x.dom.elements() for s in range(ns)), n
@@ -323,11 +314,4 @@ def morphism_search(x, target, top, bottom):
         preimage[z][z] |= 1 << c
     for r, z in enumerate(x.boundary.map):
         reads[ns + r].append((preimage, z, z))
-    domains = [_narrowed(d, fixed[k], reads[k]) for k, d in enumerate(bottoms[:ns] + tops[ns:])]
-    if test0 is no_test and test1 is no_test:
-        return domains, no_test
-
-    def holds(k: int, f: list) -> bool:
-        return test0(k, f) and test1(k, f)
-
-    return domains, holds
+    return [_narrowed(d, fixed[k], reads[k]) for k, d in enumerate(bottoms[:ns] + tops[ns:])]

@@ -294,7 +294,7 @@ def enumerate_xmod_morphisms(x: XMod, y: XMod) -> list[XModMorphism]:
         validate_xmod_morphism(
             validate_hom(x.dom, y.dom, f[ns:]), validate_hom(x.cod, y.cod, f[:ns]), x, y
         )
-        for f in assignments(*search)
+        for f in assignments(search)
     ]
 
 

@@ -3,12 +3,19 @@ from itertools import combinations, product
 import pytest
 
 from rackmod import (
+    FiniteGroup,
+    Hom,
+    XMod,
     corpus,
     enumerate_pointed_racks,
     enumerate_xmod_morphisms,
     functors,
     identity_hom,
     is_normal_subrack,
+    validate_group,
+    validate_hom,
+    validate_rack,
+    validate_xmod,
 )
 
 
@@ -152,3 +159,27 @@ def shared_leaves():
     """``shared_leaves(check, x, g)``: the sorted maps or pairs that an
     adjunction check counts, with its count checked against them."""
     return _shared_leaves
+
+
+def _relabel(x, perm, cod_perm=None):
+    """x carried along permutations: a rack or a group along ``perm``, a hom
+    or a crossed module along ``perm`` on its domain and ``cod_perm`` on its
+    codomain.  Labels are dropped."""
+    inv = [perm.index(i) for i in range(len(perm))]
+    if isinstance(x, Hom):
+        dom, cod = _relabel(x.dom, perm), _relabel(x.cod, cod_perm)
+        return validate_hom(dom, cod, [cod_perm[x.map[a]] for a in inv])
+    if isinstance(x, XMod):
+        cod_inv = [cod_perm.index(s) for s in range(len(cod_perm))]
+        action = [[perm[x.act(r, s)] for s in cod_inv] for r in inv]
+        return validate_xmod(_relabel(x.boundary, perm, cod_perm), action)
+    table = [[perm[x.table[inv[a]][inv[b]]] for b in range(x.size)] for a in range(x.size)]
+    validate = validate_group if isinstance(x, FiniteGroup) else validate_rack
+    return validate(table, perm[x.basepoint])
+
+
+@pytest.fixture(scope="session")
+def relabel():
+    """``relabel(x, perm, cod_perm=None)``: a rack, group, hom or crossed
+    module carried along permutations of its elements."""
+    return _relabel

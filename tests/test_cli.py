@@ -201,6 +201,36 @@ def test_certify_refuses_a_report_onto_an_input_before_searching(
     assert {name: (tmp_path / name).read_bytes() for name in before} == before
 
 
+@pytest.mark.parametrize("report", ["out-dir", "missing/cert.json"])
+@pytest.mark.parametrize(
+    "argv,check",
+    [
+        (["certify", "adjunction", "r.json", "s3.json"], "check_adjunction_bijection"),
+        (["check", "r.json"], "parse_document"),
+    ],
+)
+def test_an_unusable_report_is_refused_before_the_check(
+    monkeypatch, tmp_path, racks, groups, capsys, argv, check, report
+):
+    """A report that names an existing directory, or whose directory does
+    not exist, exits 2 with nothing on stdout before the check runs."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out-dir").mkdir()
+    write(tmp_path, "r.json", rack_document(racks["cs3"]))
+    write(tmp_path, "s3.json", group_document(groups["s3"]))
+
+    def not_called(*args):
+        raise AssertionError("the check ran")
+
+    monkeypatch.setattr(cli, check, not_called)
+    assert cli.main(argv + ["--report", report]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {report}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out-dir", "r.json", "s3.json"]
+    assert list((tmp_path / "out-dir").iterdir()) == []
+
+
 @pytest.mark.parametrize("report", ["xmod.json", "hom.json", "./link.json"])
 @pytest.mark.parametrize("command", ["universal", "conj-preserves"])
 def test_certify_refuses_a_report_onto_a_referenced_file(

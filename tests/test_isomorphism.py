@@ -207,13 +207,6 @@ def test_automorphism_search_tests_every_law():
     ]
 
 
-def _relabel(r, perm):
-    """The rack r carried along the permutation perm."""
-    inv = [perm.index(i) for i in range(r.size)]
-    table = [[perm[r.table[inv[a]][inv[b]]] for b in range(r.size)] for a in range(r.size)]
-    return validate_rack(table, perm[r.basepoint])
-
-
 def _isomorphisms_by_permutations(a, b):
     """Unpruned oracle: the basepoint-fixing bijections that commute with
     the operations, in lexicographic order."""
@@ -229,25 +222,25 @@ def _isomorphisms_by_permutations(a, b):
     ]
 
 
-def test_isomorphisms_match_the_permutation_oracle_under_every_relabeling():
+def test_isomorphisms_match_the_permutation_oracle_under_every_relabeling(relabel):
     racks = [r for n in (1, 2, 3, 4) for r in enumerate_pointed_racks(n)]
     racks.append(validate_rack(SHIFT_RACK_TABLE, 0))
     for r in racks:
         for rest in permutations(range(1, r.size)):
-            other = _relabel(r, (0,) + rest)
+            other = relabel(r, (0,) + rest)
             found = [h.map for h in all_isomorphisms(r, other)]
             assert found == _isomorphisms_by_permutations(r, other), (r.table, rest)
             first = find_isomorphism(r, other)
             assert first is not None and first.map in found
 
 
-def test_rack_homs_out_of_every_relabeling_match_the_unpruned_oracle(racks):
+def test_rack_homs_out_of_every_relabeling_match_the_unpruned_oracle(racks, relabel):
     """Relabelings move each element before or after the laws that force its
     image, so the hom search reaches both of its forced cases: an image read
     off the target's table, and one read off the inverse of a column."""
     for r in (r for n in (3, 4) for r in enumerate_pointed_racks(n)):
         for perm in permutations(range(r.size)):
-            x = _relabel(r, perm)
+            x = relabel(r, perm)
             for y in (racks["r3plus"], racks["cs3"]):
                 fast = enumerate_homs(x, y)
                 assert fast == enumerate_homs_bruteforce(x, y), (r.table, perm)

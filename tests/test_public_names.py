@@ -57,6 +57,7 @@ REMOVED = (
     "PullbackXMod",
     "FiberProduct",
     "NotAMorphism",
+    "no_test",
 )
 # The two law families of validate_xmod, kept by name in rackmod.xmod alone.
 XMOD_LAWS = ("validate_rack_xmod", "validate_group_xmod")

@@ -14,7 +14,7 @@ from rackmod import (
     validate_xmod,
 )
 from rackmod.errors import ActionSquareFail, AxiomError, BoundarySquareFail
-from rackmod.search import assignments, hom_search, law_domains, morphism_search, no_test
+from rackmod.search import assignments, hom_search, law_domains, morphism_search
 from rackmod.tables import validate_hom
 from rackmod.xmod import validate_xmod_morphism
 
@@ -30,50 +30,62 @@ def problems(draw):
 
 
 def _filed(problem):
-    """The per-level test of a problem's constraints and its filtered full product."""
+    """A problem's constraints filed as domains, where level k keeps, given
+    the prefix, the values that pass the constraints whose last variable is
+    k; and the problem's filtered full product."""
     domains, constraints = problem
     by_last = [[] for _ in domains]
     for i, j, forbidden in constraints:
         by_last[max(i, j)].append((i, j, forbidden))
 
-    def holds(k, assign):
-        return all((assign[i], assign[j]) not in forbidden for i, j, forbidden in by_last[k])
+    def holds(k, f):
+        return all((f[i], f[j]) not in forbidden for i, j, forbidden in by_last[k])
+
+    def survivors(k):
+        def domain(assign):
+            return [v for v in domains[k] if holds(k, assign[:k] + [v])]
+
+        return domain
 
     expected = [
         p
         for p in product(*domains)
         if all((p[i], p[j]) not in forbidden for i, j, forbidden in constraints)
     ]
-    return holds, expected
+    return [survivors(k) for k in range(len(domains))], expected
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(problems())
 def test_assignments_are_the_filtered_product_in_order(problem):
-    holds, expected = _filed(problem)
-    assert list(assignments(problem[0], holds)) == expected
+    filed, expected = _filed(problem)
+    assert list(assignments(filed)) == expected
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(problems(), st.data())
 def test_prefix_domains_that_keep_every_survivor_give_the_filtered_product(problem, data):
-    """A domain computed from the prefix may drop any value that fails at its
-    level and keep any that does not; the result stays the filtered product."""
-    domains, _ = problem
-    holds, expected = _filed(problem)
+    """A domain computed from the prefix may return its survivors or yield
+    them one at a time; the result stays the filtered product, and a level
+    that yields is asked for its next value only once every completion of
+    its current value has come out."""
+    filed, expected = _filed(problem)
+    current = {}  # current[k]: the value that yielding level k gave last
 
-    def survivors(k, kept):
-        def domain(assign):
-            prefix = assign[:k]
-            return [v for v in domains[k] if v in kept or holds(k, prefix + [v])]
+    def yielding(k, domain):
+        def values(assign):
+            for v in domain(assign):
+                current[k] = v
+                yield v
 
-        return domain
+        return values
 
-    mixed = [
-        survivors(k, data.draw(st.frozensets(st.integers(0, 3)))) if data.draw(st.booleans()) else d
-        for k, d in enumerate(domains)
-    ]
-    assert list(assignments(mixed, holds)) == expected
+    mixed = [yielding(k, d) if data.draw(st.booleans()) else d for k, d in enumerate(filed)]
+    found = []
+    for leaf in assignments(mixed):
+        assert all(leaf[k] == v for k, v in current.items())
+        found.append(leaf)
+    assert found == expected
 
 
 @st.composite
@@ -118,36 +130,52 @@ def test_mask_domains_give_the_filtered_product_in_order(problem):
     ]
     bases = [sum(1 << v for v in vs) for vs in values]
     domains = law_domains(bases, laws)
-    assert list(assignments(domains, no_test)) == expected
+    assert list(assignments(domains)) == expected
     called = [lambda f, d=d: d(f) for d in domains]
-    assert list(assignments(called, lambda k, f: True)) == expected
+    assert list(assignments(called)) == expected
 
 
 def test_no_variables_give_the_empty_assignment():
-    calls = []
-    assert list(assignments([], lambda k, assign: calls.append(k))) == [()]
-    assert calls == []
+    assert list(assignments([])) == [()]
 
 
 def test_the_kernel_has_no_depth_limit():
     """The search is a loop, so far more variables than Python's recursion
     limit still give their one assignment."""
-    assert list(assignments([[0]] * 5000, lambda k, assign: True)) == [(0,) * 5000]
+    assert list(assignments([[0]] * 5000)) == [(0,) * 5000]
 
 
 def test_an_empty_domain_gives_nothing():
-    assert list(assignments([[0, 1], [], [0]], lambda k, assign: True)) == []
+    assert list(assignments([[0, 1], [], [0]])) == []
 
 
 def test_a_failing_prefix_is_abandoned():
+    """A value that level 0's domain leaves out is never extended: level 1's
+    domain is called with the prefixes level 0 gives only."""
     calls = []
 
-    def holds(k, assign):
-        calls.append((k, assign[k]))
-        return k > 0 or assign[0] == 1
+    def second(assign):
+        calls.append(assign[:1])
+        return [0, 1]
 
-    assert list(assignments([[0, 1], [0, 1]], holds)) == [(1, 0), (1, 1)]
-    assert calls == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert list(assignments([lambda assign: [v for v in (0, 1) if v == 1], second])) == [(1, 0), (1, 1)]
+    assert calls == [[1]]
+
+
+def test_a_level_draws_its_next_value_after_every_completion_of_the_current_one():
+    """A domain that yields may keep state for its current value, as rack
+    enumeration's columns do: the kernel asks it for the next value only
+    after the last completion of the current one has come out."""
+    events = []
+
+    def first(assign):
+        for v in (0, 1):
+            events.append(("draw", v))
+            yield v
+
+    for leaf in assignments([first, [0, 1]]):
+        events.append(leaf)
+    assert events == [("draw", 0), (0, 0), (0, 1), ("draw", 1), (1, 0), (1, 1)]
 
 
 # Pairs with more set maps than this are skipped, to keep the test fast.
@@ -182,8 +210,8 @@ def test_hom_search_is_the_filtered_product_of_its_allowed_values():
                 restricted = [[v for v in cod.elements() if (a + v) % 3 != 2] for a in range(n)]
                 for allowed, expected in ((None, homs), (restricted, _homs_among(dom, cod, restricted))):
                     for var in (range(n), range(n - 1, -1, -1)):
-                        domains, holds = hom_search(dom, cod, var, n, allowed)
-                        found = [tuple(f[v] for v in var) for f in assignments(domains, holds)]
+                        domains = hom_search(dom, cod, var, n, allowed)
+                        found = [tuple(f[v] for v in var) for f in assignments(domains)]
                         if var.step < 0:
                             found.sort()
                         assert found == expected, (dom, cod, allowed, var)
@@ -212,18 +240,21 @@ def _action_only_xmods():
 
 def _listing(maps):
     """A builder whose search yields exactly ``maps``, maps of one length,
-    in ascending order: each variable offers every value, and its test
-    keeps the prefixes of the listed maps."""
+    in ascending order: the domain of each variable keeps the values of
+    every map that extend the prefix to a prefix of a listed map."""
     prefixes = {m[:i] for m in maps for i in range(len(m) + 1)}
     values = sorted({v for m in maps for v in m})
 
     def build(var, nvars):
+        def listed(i):
+            def domain(f):
+                head = tuple(f[v] for v in var[:i])
+                return [v for v in values if head + (v,) in prefixes]
+
+            return domain
+
         at = {k: i for i, k in enumerate(var)}
-
-        def holds(k, f):
-            return k not in at or tuple(f[v] for v in var[: at[k] + 1]) in prefixes
-
-        return [values if k in at else None for k in range(nvars)], holds
+        return [listed(at[k]) if k in at else None for k in range(nvars)]
 
     return build
 
@@ -235,7 +266,7 @@ def test_morphism_search_is_the_filtered_product_of_two_hom_sets():
     the pairs (f0, f1) of the product of the two hom lists that
     ``validate_xmod_morphism`` accepts, in that order.  Built by searches
     that keep every other hom of each list, it yields exactly the accepted
-    pairs of the kept homs, so each component's test is applied.
+    pairs of the kept homs, so each component's domains are kept.
     ``enumerate_xmod_morphisms`` gives exactly the expected pairs, in order,
     and over every ordered pair of corpus crossed modules of one kind it
     finds 778 morphisms of racks and 378 of groups."""
@@ -279,7 +310,7 @@ def test_morphism_search_is_the_filtered_product_of_two_hom_sets():
                     ),
                     (_listing(tops[::2]), _listing(bottoms[1::2]), kept),
                 ):
-                    found = assignments(*morphism_search(x, target, top, bottom))
+                    found = assignments(morphism_search(x, target, top, bottom))
                     assert [(f[:ns], f[ns:]) for f in found] == want, (x, target)
                 checked += 1
     assert checked > 200
