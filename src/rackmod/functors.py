@@ -24,10 +24,12 @@ read off words of generator indices: the basepoint first, then, while one
 exists, the lowest generator that some word determines from the generators
 already placed, so that a value is solved for as soon as it is determined
 instead of being guessed and rejected later (fail-first: Haralick and
-Elliott, 1980).  For a rack or a group the words are (q, p, q, p ◁ q) for
-every p and q, plus (basepoint,): the letters of a rack presentation's
-relators, which read the same three elements as the hom law
-f(p ◁ q) = f(p) ◁ f(q).  So ``enumerate_homs`` and the rack side of both
+Elliott, 1980), and otherwise the generator that can help to solve others
+in the most words, so that one that helps to solve nothing is not guessed
+near the root (a degree tie-break: Brélaz, 1979).  For a rack or a group
+the words are (q, p, q, p ◁ q) for every p and q, plus (basepoint,): the
+letters of a rack presentation's relators, which read the same three
+elements as the hom law f(p ◁ q) = f(p) ◁ f(q).  So ``enumerate_homs`` and the rack side of both
 checks, searched by ``search.hom_search``, solve every variable the order
 solves, and the presented side searches in the same order; the
 crossed-module check joins each side's two hom searches with
@@ -140,27 +142,38 @@ def _solving_order(words: Sequence[Sequence[int]], n: int) -> list[int]:
     Each word lists the generator indices of its letters.  Generators are
     placed one at a time: the lowest generator that is the only unplaced
     letter, read once, of some word, since that word then solves for it;
-    when there is none, the lowest unplaced generator.  A word of one letter
-    puts its generator first.
+    when there is none, the unplaced generator that is useful in the most
+    words, ties going to the lowest.  A word is useful for generator i when
+    it reads i and reads some other generator exactly once, since placing i
+    can then help to solve that one (the degree tie-break of Brélaz, 1979),
+    so a generator useful in no word is placed after every generator that
+    can help to solve something.  A word of one letter puts its generator
+    first.
     """
     unplaced = [len(w) for w in words]  # letters of each word not yet placed
     reads: list[dict[int, int]] = [{} for _ in range(n)]  # word -> letters of generator i
     for r, word in enumerate(words):
         for i in word:
             reads[i][r] = reads[i].get(r, 0) + 1
+    once = [0] * len(words)  # generators that each word reads exactly once
+    for seen in reads:
+        for r, count in seen.items():
+            once[r] += count == 1
+    useful = [sum(once[r] > (count == 1) for r, count in seen.items()) for seen in reads]
+    free = sorted(range(n), key=lambda i: (-useful[i], i))
     solvable = [word[0] for word in words if len(word) == 1]
     heapify(solvable)
     var: list = [None] * n
-    lowest = 0
+    next_free = 0
     for k in range(n):
         while solvable and var[solvable[0]] is not None:
             heappop(solvable)
         if solvable:
             i = heappop(solvable)
         else:
-            while var[lowest] is not None:
-                lowest += 1
-            i = lowest
+            while var[free[next_free]] is not None:
+                next_free += 1
+            i = free[next_free]
         var[i] = k
         for r, count in reads[i].items():
             unplaced[r] -= count
@@ -206,34 +219,45 @@ def _presented_hom_search(p: Presentation, g: FiniteGroup, var: Sequence[int], n
     """The domains, by variable, of an ``assignments`` search for p in g.
 
     Generator i is held by variable ``var[i]`` and ranges over g in index
-    order; a relator is compiled once and filed under its last variable, so
-    the domain there keeps only the values under which it dies.  The empty
-    word is the identity and constrains nothing, so it is not filed.  A
-    relator that solves for one of its letters from at most two other
-    variables (``_relator_law``), as every relator of a rack presentation
-    does, is filed as a mask by ``search.law_domains``, so the values it
-    allows are the only ones tried.  Other relators, which only
-    hand-written presentations have, wrap the domain of their last variable,
-    which keeps each value under which the letter loop that
+    order; a relator is filed under its last variable, so the domain there
+    keeps only the values under which it dies.  The empty word is the
+    identity and constrains nothing, so it is not filed.  A relator that
+    solves for one of its letters from at most two other variables
+    (``_relator_law``), as every relator of a rack presentation does, is
+    filed as a mask by ``search.law_domains``, so the values it allows are
+    the only ones tried.  Which law a relator is depends only on its shape,
+    the signs of its letters and the rank of each letter's generator by
+    first occurrence, and a rack presentation has only a few shapes: each
+    shape's law is derived once per call, over the ranks, and each relator
+    of that shape reads it at its own variables.  Other relators, which
+    only hand-written presentations have, wrap the domain of their last
+    variable, which keeps each value under which the letter loop that
     ``evaluate_word`` runs, the tests' oracle for both, gives the identity.
     Variables that no generator of p holds get the domain None.
     """
     first_value = _word_evaluator(g)
     tables: dict = {}
+    by_shape: dict = {}  # shape -> its law over the ranks, or None
     laws = []
     longer: list[list[CompiledWord]] = [[] for _ in range(nvars)]
+    n = len(p.generators)
     for w in p.relators + (p.pointed_relator,):
-        compiled = _compile_word(w, len(p.generators))
-        word = tuple((var[i], inverted) for i, inverted in compiled)
-        if not word:
+        compiled = _compile_word(w, n)
+        if not compiled:
             continue
-        law = _relator_law(word, g, tables)
+        rank: dict[int, int] = {}
+        shape = tuple((rank.setdefault(i, len(rank)), inverted) for i, inverted in compiled)
+        if shape not in by_shape:
+            by_shape[shape] = _relator_law(shape, g, tables)
+        law = by_shape[shape]
+        at = [var[i] for i in rank]  # the variable of each rank
         if law is None:
-            longer[max(i for i, _ in word)].append(word)
+            longer[max(at)].append(tuple((var[i], inverted) for i, inverted in compiled))
         else:
-            laws.append(law)
+            t, i, j, x = law
+            laws.append((t, at[i], at[j], at[x]))
     bases: list = [None] * nvars
-    for i in range(len(p.generators)):
+    for i in range(n):
         bases[var[i]] = (1 << g.size) - 1
     domains = law_domains(bases, laws)
     e = g.identity

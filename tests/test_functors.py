@@ -5,6 +5,7 @@ with the backtracking one; they are frozen as regression oracles.
 """
 
 import hashlib
+import random
 from dataclasses import replace
 from itertools import product
 
@@ -489,14 +490,81 @@ def test_solving_order_puts_the_basepoint_first_and_solves_what_it_can(racks):
     # again, and (132) = (123) ◁ (23) solved
     order = sorted(range(x.size), key=var.__getitem__)
     assert order == [0, 1, 2, 5, 3, 4]
-    # the domain of the certify-ladder adjunction, cs3×cz2
+    # the domain of the certify-ladder adjunction, cs3×cz2, (a, b) at 2a + b:
+    # by level, (e,0), then the transpositions, then the 3-cycles, and last
+    # (e,1), which is useful in no word
     x = product_rack(racks["cs3"], racks["cz2"])
     var = functors._solving_order(functors._law_letters(x), x.size)
-    assert var == [0, 1, 2, 3, 4, 6, 8, 10, 9, 11, 5, 7]
+    assert var == [0, 11, 1, 2, 3, 5, 7, 9, 8, 10, 4, 6]
     # the presentation's relators give the same order
     p = as_presentation(x)
     words = [[abs(letter) - 1 for letter in w] for w in p.relators + (p.pointed_relator,)]
     assert functors._solving_order(words, x.size) == var
+
+
+def _useful(words, i):
+    """The number of words that read generator i and some other generator
+    exactly once, counted letter by letter."""
+    return sum(i in w and any(w.count(j) == 1 for j in set(w) - {i}) for w in words)
+
+
+def test_a_generator_useful_in_no_word_is_placed_last(racks):
+    """In cs3×cz2, p ◁ (e,1) = p and (e,1) ◁ q = (e,1), so every word that
+    reads (e,1) reads each other generator twice or not at all: placing it
+    helps to solve nothing, and it is placed after every generator that can."""
+    x = product_rack(racks["cs3"], racks["cz2"])
+    words = functors._law_letters(x)
+    idle = [i for i in x.elements() if i != x.basepoint and _useful(words, i) == 0]
+    assert [x.label(i) for i in idle] == ["(e,1)"]
+    assert functors._solving_order(words, x.size)[idle[0]] == x.size - 1
+
+
+def _rack_side_nodes(monkeypatch, x, g) -> int:
+    """The number of domain evaluations of the rack side of
+    ``check_adjunction_bijection(x, g)``: each ``hom_search`` domain is
+    wrapped in a callable that counts its calls."""
+    real = functors.hom_search
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        def counted(domain):
+            def values(f):
+                calls[0] += 1
+                return domain(f)
+
+            return values
+
+        return [None if d is None else counted(d) for d in real(*args, **kwargs)]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(functors, "hom_search", counting)
+        check_adjunction_bijection(x, g)
+    return calls[0]
+
+
+@pytest.mark.parametrize("gname,nodes", [("z6", 3392), ("s3", 578)])
+def test_the_rack_side_of_the_benchmark_adjunction_makes_pinned_node_counts(
+    monkeypatch, racks, groups, gname, nodes
+):
+    """Node counts repeat exactly, so they catch a worse solving order that
+    timings cannot; (e,1) at level 1 of cs3×cz2 made 12,572 and 1,028."""
+    x = product_rack(racks["cs3"], racks["cz2"])
+    assert _rack_side_nodes(monkeypatch, x, groups[gname]) == nodes
+
+
+def test_the_node_count_hardly_depends_on_the_labelling(monkeypatch, racks, groups, relabel):
+    """Over relabellings of cs3×cz2 that fix the basepoint, the rack side
+    into Z6 stays within 1.1× of the node count of the catalog labelling.
+    With the lowest free generator placed first it spanned 3,182 to 19,052."""
+    x, z6 = product_rack(racks["cs3"], racks["cz2"]), groups["z6"]
+    base = _rack_side_nodes(monkeypatch, x, z6)
+    rng = random.Random(0)
+    for _ in range(20):
+        rest = [a for a in x.elements() if a != x.basepoint]
+        rng.shuffle(rest)
+        perm = rest[: x.basepoint] + [x.basepoint] + rest[x.basepoint :]
+        nodes = _rack_side_nodes(monkeypatch, relabel(x, perm), z6)
+        assert base / 1.1 <= nodes <= base * 1.1, perm
 
 
 @pytest.mark.parametrize(
@@ -517,8 +585,8 @@ def test_adjunction_reports_the_least_bad_map(monkeypatch, racks, groups, builde
 
 @pytest.mark.parametrize("side,builder", [("rack", "_presented_hom_search"), ("presented", "hom_search")])
 def test_adjunction_rejects_a_map_missing_from_one_side(monkeypatch, racks, groups, side, builder):
-    """A hom that one side's search loses, here by a wrong domain that its
-    test never sees, is reported from the other side."""
+    """A hom that one side's search loses, here because that side's last
+    domain drops the hom's last value, is reported from the other side."""
     x, g = racks["cs3"], groups["s3"]
     missing = enumerate_homs(x, conj_rack(g))[5]
     monkeypatch.setattr(functors, builder, _rejecting(getattr(functors, builder), missing))
@@ -529,8 +597,9 @@ def test_adjunction_rejects_a_map_missing_from_one_side(monkeypatch, racks, grou
 
 def test_adjunction_rechecks_the_basepoint_of_presented_maps(monkeypatch, racks, groups):
     """When both builders admit a map that moves the basepoint, the rack
-    side's basepoint test still drops it, so the presented side reports it
-    with ``validate_hom``'s basepoint failure."""
+    side's basepoint domain, which the check narrows to Conj G's basepoint
+    itself, still drops it, so the presented side reports it with
+    ``validate_hom``'s basepoint failure."""
     x, g = racks["t2"], groups["z2"]
     for builder in ("hom_search", "_presented_hom_search"):
         monkeypatch.setattr(functors, builder, _admitting(getattr(functors, builder), (1, 1)))
