@@ -42,7 +42,6 @@ from .groups import FiniteGroup
 from .interchange import (
     _file_identity,
     certificate_document,
-    digest_file,
     document_for,
     load_document,
     parse_document,
@@ -82,23 +81,12 @@ def _counts_for(obj: Any) -> dict[str, int]:
     if isinstance(obj, tuple) and len(obj) == 2:
         source, hom = obj
         return {"xmod-dom-size": source.dom.size, "hom-dom-size": hom.dom.size}
-    return {}
 
 
-def _certified(args: argparse.Namespace, command: str, inputs: list[tuple[str, str]], fn) -> int:
+def _certified(args: argparse.Namespace, command: str, fn) -> int:
     """Run the check ``fn``, print its verdict line and write its certificate
-    to ``args.report``, if one is named.
-
-    A report that names an existing directory, or whose directory does not
-    exist, is refused before ``fn`` runs.
-    """
-    report = getattr(args, "report", None)
-    if report:
-        if os.path.isdir(report):
-            raise IsADirectoryError(f"cannot write {report}: it is a directory")
-        parent = os.path.dirname(report)
-        if parent and not os.path.isdir(parent):
-            raise NotADirectoryError(f"cannot write {report}: {parent} is not a directory")
+    to ``args.report``, if one is named, with the digests of the files the
+    inputs were read from (``_load_input``)."""
     t0 = time.perf_counter()
     counts = search_space = None
     try:
@@ -106,7 +94,7 @@ def _certified(args: argparse.Namespace, command: str, inputs: list[tuple[str, s
         verdict = "pass"
     except AxiomError as exc:
         verdict, witnesses = "fail", [_failure(exc)]
-    if report:
+    if args.report:
         doc = certificate_document(
             command,
             verdict,
@@ -114,9 +102,9 @@ def _certified(args: argparse.Namespace, command: str, inputs: list[tuple[str, s
             witnesses=witnesses,
             search_space=search_space,
             timing_ms=round((time.perf_counter() - t0) * 1000.0, 3),
-            input_digests={name: digest_file(path) for name, path in inputs},
+            input_digests=args.digests,
         )
-        write_document(doc, report)
+        _write_all([(doc, args.report)])
     bits = [verdict.upper(), command]
     if counts:
         bits.extend(f"{k}={v}" for k, v in sorted(counts.items()))
@@ -130,30 +118,34 @@ def _certified(args: argparse.Namespace, command: str, inputs: list[tuple[str, s
     return 0 if verdict == "pass" else 1
 
 
-def _load_input(path: str, writes: Iterable[str | None]) -> dict[str, Any]:
-    """The document at path, refused when a path in ``writes`` (a report or
-    an output) is any file it was read from, a file that a ``{"path": ...}``
-    reference names included, so that the command cannot replace an input."""
-    read: list[tuple[int, int]] = []
-    doc = load_document(path, read=read)
-    for out in writes:
-        # every file was read, so an output that does not exist is none of them
-        if out and os.path.exists(out) and _file_identity(out) in read:
+def _load_input(args: argparse.Namespace, dest: str) -> dict[str, Any]:
+    """The document at the path ``args.<dest>``.
+
+    Every file it was read from, a file that a ``{"path": ...}`` reference
+    names included, has the digest of the bytes that were read recorded in
+    ``args.digests``, under the input's role (``dest`` with dashes) and the
+    references that reach it, as in ``"request -> xmod.json"``.  Such a file
+    that is also an output in ``args.writes`` is refused, so that the
+    command cannot replace an input.
+    """
+    read: list = []
+    doc = load_document(getattr(args, dest), read=read)
+    for here, digest, chain in read:
+        args.digests[" -> ".join((dest.replace("_", "-"), *chain))] = digest
+    for out, same in args.writes.items():
+        if same in {here for here, _, _ in read}:
             raise ValueError(f"cannot write {out}: it is an input of the command")
     return doc
 
 
-def _read(
-    path: str, *kinds: str, refusal: str | None = None, writes: Iterable[str | None] = ()
-) -> Any:
-    """The structure in the document at path, parsed by its kind.
+def _read(args: argparse.Namespace, dest: str, *kinds: str, refusal: str | None = None) -> Any:
+    """The structure in the document at ``args.<dest>``, loaded by
+    ``_load_input`` and parsed by its kind.
 
-    A path in ``writes`` that is a file the document was read from is
-    refused (``_load_input``).  A document of a kind not in ``kinds`` is
-    refused before it is parsed, with ``refusal`` (by default, the kinds
-    expected) and the kind it has.
+    A document of a kind not in ``kinds`` is refused before it is parsed,
+    with ``refusal`` (by default, the kinds expected) and the kind it has.
     """
-    doc = _load_input(path, writes)
+    doc = _load_input(args, dest)
     kind = doc.get("kind")
     if kind not in kinds:
         expected = refusal or "expected kind " + " or ".join(map(repr, kinds))
@@ -165,7 +157,7 @@ def _read(
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    doc = _load_input(args.file, [args.report])
+    doc = _load_input(args, "input")
     kind = doc.get("kind")
     if kind == "certificate":
         raise ParseError("certificate documents are tool output, not checkable structures")
@@ -173,33 +165,50 @@ def cmd_check(args: argparse.Namespace) -> int:
     def fn():
         return _counts_for(parse_document(doc)), None, None
 
-    return _certified(args, f"check {kind}", [("input", args.file)], fn)
+    return _certified(args, f"check {kind}", fn)
 
 
 # ---------------------------------------------------------------- construct
+
+
+def _claim_outputs(outputs: Iterable[str | Path]) -> dict[str | Path, tuple]:
+    """Each output path mapped to the file it names, by ``_file_identity``
+    or, for a file that does not exist yet, by its directory's identity and
+    its name.
+
+    An output that is an existing directory, that lies in a directory that
+    does not exist, or that names the same file as an earlier output is
+    refused; a command claims its outputs before it reads anything.
+    """
+    claimed: dict[str | Path, tuple] = {}
+    for out in outputs:
+        if os.path.isdir(out):
+            raise IsADirectoryError(f"cannot write {out}: it is a directory")
+        parent = os.path.dirname(out)
+        if parent and not os.path.isdir(parent):
+            raise NotADirectoryError(f"cannot write {out}: {parent} is not a directory")
+        try:
+            same = _file_identity(out)
+        except FileNotFoundError:
+            same = _file_identity(parent or "."), os.path.basename(out)
+        if same in claimed.values():
+            raise ValueError(f"cannot write {out}: the command writes another document there")
+        claimed[out] = same
+    return claimed
 
 
 def _write_all(outputs: Iterable[tuple[dict[str, Any], str | Path]]) -> None:
     """Write every (document, path) to a temporary file beside its path, then
     move each onto its path in order, so that a failed write leaves no file.
 
-    A path that is an existing directory, or that resolves to the path of an
-    earlier document, is refused before anything is written.  On a failure
-    every temporary file is removed; a failure while moving leaves the
-    documents already moved in place.
+    The paths are claimed (``_claim_outputs``) before the command reads
+    anything.  On a failure every temporary file is removed; a failure
+    while moving leaves the documents already moved in place.
     """
-    outputs = [(doc, Path(out)) for doc, out in outputs]
-    seen: set[Path] = set()
-    for _, target in outputs:
-        if target.is_dir():
-            raise IsADirectoryError(f"cannot write {target}: it is a directory")
-        resolved = target.resolve()
-        if resolved in seen:
-            raise ValueError(f"cannot write {target}: the command writes another document there")
-        seen.add(resolved)
     staged: list[tuple[Path, Path]] = []
     try:
-        for doc, target in outputs:
+        for doc, out in outputs:
+            target = Path(out)
             tmp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
             staged.append((tmp, target))
             write_document(doc, tmp)
@@ -222,7 +231,7 @@ def _write(*outputs: tuple[dict[str, Any], str, str]) -> int:
 
 def cmd_construct_conj(args: argparse.Namespace) -> int:
     refusal = "conj expects a group or a group hom"
-    x = _read(args.file, "group", "hom", refusal=refusal, writes=[args.out])
+    x = _read(args, "file", "group", "hom", refusal=refusal)
     if isinstance(x, FiniteGroup):
         rack = conj_rack(x)
         return _write((document_for(rack), args.out, f"size {rack.size}"))
@@ -233,26 +242,26 @@ def cmd_construct_conj(args: argparse.Namespace) -> int:
 
 
 def cmd_construct_core(args: argparse.Namespace) -> int:
-    rack = core_rack(_read(args.file, "group", writes=[args.out]))
+    rack = core_rack(_read(args, "file", "group"))
     return _write((document_for(rack), args.out, f"size {rack.size}"))
 
 
 def cmd_construct_product(args: argparse.Namespace) -> int:
-    left, right = (_read(path, "rack", writes=[args.out]) for path in (args.left, args.right))
+    left, right = (_read(args, dest, "rack") for dest in ("left", "right"))
     rack = product_rack(left, right)
     return _write((document_for(rack), args.out, f"size {rack.size}"))
 
 
 def cmd_construct_hemisemi(args: argparse.Namespace) -> int:
-    rack = hemi_semidirect(_read(args.file, "action", writes=[args.out]))
+    rack = hemi_semidirect(_read(args, "file", "action"))
     return _write((document_for(rack), args.out, f"size {rack.size}"))
 
 
 def cmd_construct_fiber(args: argparse.Namespace) -> int:
     refusal = "fiber expects two rack-xmods or two rack homs"
-    left = _read(args.left, "rack-xmod", "hom", refusal=refusal, writes=[args.out])
+    left = _read(args, "left", "rack-xmod", "hom", refusal=refusal)
     kind = "rack-xmod" if isinstance(left, XMod) else "hom"
-    right = _read(args.right, kind, refusal=refusal, writes=[args.out])
+    right = _read(args, "right", kind, refusal=refusal)
     if isinstance(left, XMod):
         xm = fiber_product_xmod(left, right)
         return _write((document_for(xm), args.out, f"carrier size {xm.dom.size}"))
@@ -265,7 +274,7 @@ def cmd_construct_fiber(args: argparse.Namespace) -> int:
 def cmd_construct_pullback(args: argparse.Namespace) -> int:
     """``construct pullback`` and ``construct group-pullback``; ``args.kind`` is
     the structure the subcommand pulls back, ``args.wrong_kind`` its refusal."""
-    source, phi = _read(args.file, "pullback-request", writes=[args.out, args.hom_out])
+    source, phi = _read(args, "file", "pullback-request")
     if not isinstance(source.dom, args.kind):
         raise ParseError(args.wrong_kind)
     pb = pullback_xmod(source, phi)
@@ -280,8 +289,7 @@ def cmd_construct_pullback(args: argparse.Namespace) -> int:
 
 
 def cmd_certify_universal(args: argparse.Namespace) -> int:
-    inputs = [("request", args.file)]
-    source, phi = _read(args.file, "pullback-request", writes=[args.report])
+    source, phi = _read(args, "request", "pullback-request")
 
     def fn():
         pb = pullback_xmod(source, phi)
@@ -289,26 +297,24 @@ def cmd_certify_universal(args: argparse.Namespace) -> int:
         counts = {"carrier-size": pb.src.dom.size, "factorizations": 1}
         return counts, None, cert.search_space
 
-    return _certified(args, "certify universal", inputs, fn)
+    return _certified(args, "certify universal", fn)
 
 
 def cmd_certify_adjunction(args: argparse.Namespace) -> int:
-    inputs = [("rack", args.rack), ("group", args.group)]
-    rack = _read(args.rack, "rack", writes=[args.report])
-    group = _read(args.group, "group", writes=[args.report])
+    rack = _read(args, "rack", "rack")
+    group = _read(args, "group", "group")
 
     def fn():
         count = check_adjunction_bijection(rack, group)
         counts = {"rack-homs": count, "presented-homs": count}
         return counts, None, group.size**rack.size
 
-    return _certified(args, "certify adjunction", inputs, fn)
+    return _certified(args, "certify adjunction", fn)
 
 
 def cmd_certify_xmod_adjunction(args: argparse.Namespace) -> int:
-    inputs = [("rack-xmod", args.rack_xmod), ("group-xmod", args.group_xmod)]
-    rx = _read(args.rack_xmod, "rack-xmod", writes=[args.report])
-    gx = _read(args.group_xmod, "group-xmod", writes=[args.report])
+    rx = _read(args, "rack_xmod", "rack-xmod")
+    gx = _read(args, "group_xmod", "group-xmod")
 
     def fn():
         count = check_xmod_adjunction(rx, gx)
@@ -316,12 +322,11 @@ def cmd_certify_xmod_adjunction(args: argparse.Namespace) -> int:
         space = (gx.dom.size ** rx.dom.size) * (gx.cod.size ** rx.cod.size)
         return counts, None, space
 
-    return _certified(args, "certify xmod-adjunction", inputs, fn)
+    return _certified(args, "certify xmod-adjunction", fn)
 
 
 def cmd_certify_conj_preserves(args: argparse.Namespace) -> int:
-    inputs = [("request", args.file)]
-    source, phi = _read(args.file, "pullback-request", writes=[args.report])
+    source, phi = _read(args, "request", "pullback-request")
     if not isinstance(source.dom, FiniteGroup):
         raise ParseError("conj-preserves expects a group-xmod request")
 
@@ -330,7 +335,7 @@ def cmd_certify_conj_preserves(args: argparse.Namespace) -> int:
         witnesses = [{"f1": list(m.f1.map), "f0": list(m.f0.map)}]
         return {"carrier-size": m.src.dom.size}, witnesses, None
 
-    return _certified(args, "certify conj-preserves", inputs, fn)
+    return _certified(args, "certify conj-preserves", fn)
 
 
 # ------------------------------------------------------------------- corpus
@@ -361,8 +366,8 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     lines += [f"catalog {prefix}: {len(catalog())} entries" for prefix, catalog in _CATALOGS]
     # every document is written before the first line is printed, so that a
     # failed write leaves stdout empty
-    if args.out:
-        outdir = Path(args.out)
+    if args.outdir:
+        outdir = Path(args.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         outputs = [
             (document_for(obj), outdir / f"{prefix}-{name}.json")
@@ -374,6 +379,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
             for n, found in per_size.items()
             for i, rk in enumerate(found)
         ]
+        _claim_outputs(out for _, out in outputs)
         _write_all(outputs)
         lines.append(f"wrote {len(outputs)} documents to {outdir}")
     print("\n".join(lines))
@@ -393,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="parse and validate one document")
-    check.add_argument("file")
+    check.add_argument("input", metavar="file")
     check.add_argument("--report", help="write a certificate document here")
     check.set_defaults(func=cmd_check)
 
@@ -444,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
     universal = ssub.add_parser(
         "universal", help="brute-force the pullback universal property"
     )
-    universal.add_argument("file", help="a pullback-request document")
+    universal.add_argument("request", metavar="file", help="a pullback-request document")
     universal.add_argument("--report")
     universal.set_defaults(func=cmd_certify_universal)
 
@@ -465,12 +471,13 @@ def _build_parser() -> argparse.ArgumentParser:
     conjp = ssub.add_parser(
         "conj-preserves", help="conjugation of a group pullback vs rack pullback"
     )
-    conjp.add_argument("file", help="a pullback-request document")
+    conjp.add_argument("request", metavar="file", help="a pullback-request document")
     conjp.add_argument("--report")
     conjp.set_defaults(func=cmd_certify_conj_preserves)
 
     corpus = sub.add_parser("corpus", help="enumerate small racks and dump the catalog")
-    corpus.add_argument("--out", help="directory to write catalog documents into")
+    corpus.add_argument("--out", dest="outdir", metavar="OUT",
+                        help="directory to write catalog documents into")
     corpus.add_argument(
         "--bound",
         type=int,
@@ -484,7 +491,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # every output is claimed, in write order, before any input is read
+    outputs = [getattr(args, flag, None) for flag in ("hom_out", "out", "report")]
     try:
+        args.writes, args.digests = _claim_outputs(filter(None, outputs)), {}
         return args.func(args)
     except (ParseError, BoundExceeded, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

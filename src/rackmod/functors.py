@@ -82,22 +82,34 @@ def as_presentation(x: FiniteRack) -> Presentation:
     return Presentation(gens, relators, (x.basepoint + 1,))
 
 
-CompiledWord = tuple[tuple[int, bool], ...]
-"""A word as (generator index, inverted) pairs, one per letter."""
+CompiledWord = tuple[tuple[tuple[int, bool], ...], tuple[int, ...]]
+"""A word as its shape and its generators: the shape has one (rank,
+inverted) pair per letter, where a letter's rank is the rank of its
+generator by first occurrence in the word, and the generators are listed
+by rank."""
 
 
 def _compile_word(word: Word, n: int) -> CompiledWord:
-    """word, each of whose letters must name one of n generators."""
+    """word, each of whose letters must name one of n generators, compiled
+    in one pass over its letters."""
+    rank, shape = {}, []  # generator -> rank; (rank, inverted) per letter
     for letter in word:
         if type(letter) is not int or not 0 < abs(letter) <= n:
             raise ValueError(
                 f"word {word!r} has the letter {letter!r}; letters are -{n}..-1 and 1..{n}"
             )
-    return tuple((abs(letter) - 1, letter < 0) for letter in word)
+        shape.append((rank.setdefault(abs(letter) - 1, len(rank)), letter < 0))
+    return tuple(shape), tuple(rank)
+
+
+def _compile_relators(p: Presentation) -> list[CompiledWord]:
+    """The relators of p, its pointed relator last, compiled."""
+    return [_compile_word(w, len(p.generators)) for w in p.relators + (p.pointed_relator,)]
 
 
 def _word_evaluator(g: FiniteGroup):
-    """The function (compiled words, assignment) -> a value in g.
+    """The function (words, assignment) -> a value in g, where each word is
+    a shape and the index into the assignment of each rank (``CompiledWord``).
 
     It returns the value of the first word that does not evaluate to the
     identity, or the identity when every word does.  The group's tables
@@ -109,10 +121,10 @@ def _word_evaluator(g: FiniteGroup):
     mul, inv, e = g.mul, g.inv, g.identity
 
     def first_value(words, assignment) -> int:
-        for word in words:
+        for shape, at in words:
             acc = e
-            for i, inverted in word:
-                v = assignment[i]
+            for r, inverted in shape:
+                v = assignment[at[r]]
                 acc = mul[acc][inv[v] if inverted else v]
             if acc != e:
                 return acc
@@ -182,8 +194,9 @@ def _solving_order(words: Sequence[Sequence[int]], n: int) -> list[int]:
     return var
 
 
-def _relator_law(word: CompiledWord, g: FiniteGroup, tables: dict):
-    """The relator ``word``, over variables, as a law f[l] = t[f[i]][f[j]] in g.
+def _relator_law(word, g: FiniteGroup, tables: dict):
+    """The relator ``word``, one (variable, inverted) pair per letter, as a
+    law f[l] = t[f[i]][f[j]] in g.
 
     A relator w = u·x^±1·v is the identity exactly when x^±1 = (v·u)^-1, so
     w is the law that sets x to the value of (v·u)^∓1.  That value is a
@@ -215,8 +228,9 @@ def _relator_law(word: CompiledWord, g: FiniteGroup, tables: dict):
     return None
 
 
-def _presented_hom_search(p: Presentation, g: FiniteGroup, var: Sequence[int], nvars: int):
-    """The domains, by variable, of an ``assignments`` search for p in g.
+def _presented_hom_search(relators, g: FiniteGroup, var: Sequence[int], nvars: int):
+    """The domains, by variable, of an ``assignments`` search for a
+    presentation in g, given by its compiled relators (``_compile_relators``).
 
     Generator i is held by variable ``var[i]`` and ranges over g in index
     order; a relator is filed under its last variable, so the domain there
@@ -233,36 +247,32 @@ def _presented_hom_search(p: Presentation, g: FiniteGroup, var: Sequence[int], n
     only hand-written presentations have, wrap the domain of their last
     variable, which keeps each value under which the letter loop that
     ``evaluate_word`` runs, the tests' oracle for both, gives the identity.
-    Variables that no generator of p holds get the domain None.
+    Variables that no generator holds get the domain None.
     """
     first_value = _word_evaluator(g)
     tables: dict = {}
     by_shape: dict = {}  # shape -> its law over the ranks, or None
     laws = []
-    longer: list[list[CompiledWord]] = [[] for _ in range(nvars)]
-    n = len(p.generators)
-    for w in p.relators + (p.pointed_relator,):
-        compiled = _compile_word(w, n)
-        if not compiled:
+    longer: list[list] = [[] for _ in range(nvars)]
+    for shape, gens in relators:
+        if not shape:
             continue
-        rank: dict[int, int] = {}
-        shape = tuple((rank.setdefault(i, len(rank)), inverted) for i, inverted in compiled)
         if shape not in by_shape:
             by_shape[shape] = _relator_law(shape, g, tables)
         law = by_shape[shape]
-        at = [var[i] for i in rank]  # the variable of each rank
+        at = [var[i] for i in gens]  # the variable of each rank
         if law is None:
-            longer[max(at)].append(tuple((var[i], inverted) for i, inverted in compiled))
+            longer[max(at)].append((shape, at))
         else:
             t, i, j, x = law
             laws.append((t, at[i], at[j], at[x]))
     bases: list = [None] * nvars
-    for i in range(n):
-        bases[var[i]] = (1 << g.size) - 1
+    for k in var:
+        bases[k] = (1 << g.size) - 1
     domains = law_domains(bases, laws)
     e = g.identity
 
-    def dying(k: int, domain, words: list[CompiledWord]):
+    def dying(k: int, domain, words: list):
         def values(f: list) -> list:
             head = f[:k]
             return [v for v in domain(f) if first_value(words, head + [v]) == e]
@@ -283,10 +293,10 @@ def enumerate_presented_homs(p: Presentation, g: FiniteGroup) -> tuple[tuple[int
 
     One ``assignments`` search in the solving order of p's words, sorted.
     """
-    n = len(p.generators)
-    words = [[i for i, _ in _compile_word(w, n)] for w in p.relators + (p.pointed_relator,)]
-    var = _solving_order(words, n)
-    return _sorted_maps(_presented_hom_search(p, g, var, n), var)
+    relators = _compile_relators(p)
+    words = [[gens[r] for r, _ in shape] for shape, gens in relators]
+    var = _solving_order(words, len(p.generators))
+    return _sorted_maps(_presented_hom_search(relators, g, var, len(var)), var)
 
 
 def enumerate_homs(dom, cod) -> tuple[tuple[int, ...], ...]:
@@ -371,14 +381,14 @@ def check_adjunction_bijection(x: FiniteRack, g: FiniteGroup) -> int:
     caught here.
     """
     cg = conj_rack(g)
-    pres = as_presentation(x)
+    relators = _compile_relators(as_presentation(x))
     var, n = _solving_order(_law_letters(x), x.size), x.size
     rack = hom_search(x, cg, var, n)
     bp = var[x.basepoint]
     rack[bp] = _narrowed(rack[bp], 1 << cg.basepoint, [])
     return _count_shared_leaves(
         rack,
-        _presented_hom_search(pres, g, var, n),
+        _presented_hom_search(relators, g, var, n),
         lambda f: tuple(map(f.__getitem__, var)),
         lambda m: validate_hom(x, cg, m),
     )
@@ -412,6 +422,7 @@ def check_xmod_adjunction(x: XMod, g: XMod) -> int:
             lambda *v: search(x.cod, target.cod, *v),
         )
 
-    group = side(lambda r, h, *v: _presented_hom_search(as_presentation(r), h, *v), g)
+    relators = {r: _compile_relators(as_presentation(r)) for r in (x.dom, x.cod)}
+    group = side(lambda r, h, *v: _presented_hom_search(relators[r], h, *v), g)
     rack = side(hom_search, conj_xmod(g))
     return _count_shared_leaves(rack, group, lambda f: (f[ns:], f[:ns]))

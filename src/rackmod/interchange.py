@@ -62,10 +62,6 @@ def write_document(doc: dict[str, Any], path: str | Path) -> None:
     Path(path).write_text(canonical_json(doc), encoding="utf-8")
 
 
-def digest_file(path: str | Path) -> str:
-    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _file_identity(path: str | Path) -> tuple[int, int]:
     """The (device, inode) pair of the file at path, symlinks followed: two
     paths name one file, hard links included, when their pairs are equal."""
@@ -73,25 +69,28 @@ def _file_identity(path: str | Path) -> tuple[int, int]:
     return st.st_dev, st.st_ino
 
 
-def load_document(path: str | Path, *, read: list[tuple[int, int]] | None = None) -> dict[str, Any]:
+def load_document(path: str | Path, *, read: list | None = None) -> dict[str, Any]:
     """Read a document file, inlining every ``{"path": ...}`` reference as
     the decoder closes it.
 
-    When ``read`` is a list, the identity (``_file_identity``) of every file
-    read is appended to it, the files that references name included.
+    When ``read`` is a list, every file read, the files that references
+    name included, is appended to it as (identity, digest, chain): its
+    ``_file_identity``, ``"sha256:"`` and the hex digest of the very bytes
+    that were decoded, and the reference strings, as written, through
+    which it was reached (empty for the file at path).
     """
-    return _load(Path(path), (), [] if read is None else read)
+    return _load(Path(path), (), (), [] if read is None else read)
 
 
-def _load(p: Path, loading: tuple[tuple[int, int], ...], read: list) -> dict[str, Any]:
+def _load(p: Path, loading: tuple, chain: tuple[str, ...], read: list) -> dict[str, Any]:
     """``loading`` holds the identities of the files whose references are
-    being inlined."""
+    being inlined, and ``chain`` the references that reach p."""
     try:
-        text = p.read_text(encoding="utf-8")
+        data = p.read_bytes()
         here = _file_identity(p)
     except OSError as exc:
         raise ParseError(f"cannot read {p}: {exc}") from exc
-    read.append(here)
+    read.append((here, "sha256:" + hashlib.sha256(data).hexdigest(), chain))
     if here in loading:
         raise ParseError(f"{p}: path reference cycle")
     loading += (here,)
@@ -102,11 +101,11 @@ def _load(p: Path, loading: tuple[tuple[int, int], ...], read: list) -> dict[str
         ref = obj["path"]
         if not isinstance(ref, str):
             raise ParseError("path reference must be a string")
-        return _load(p.parent / ref, loading, read)
+        return _load(p.parent / ref, loading, chain + (ref,), read)
 
     try:
-        raw = json.loads(text, object_hook=inline)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(data.decode("utf-8"), object_hook=inline)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{p}: invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ParseError(f"{p}: JSON nested too deeply") from exc

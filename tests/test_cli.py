@@ -3,23 +3,33 @@ written documents, and certificate reports.
 """
 
 import dataclasses
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from rackmod import cli, conjugation_action, pullback, pullback_xmod
+from rackmod import (
+    cli,
+    conjugation_action,
+    identity_hom,
+    pullback,
+    pullback_xmod,
+    validate_xmod_morphism,
+)
 from rackmod.interchange import (
     action_document,
     certificate_document,
-    digest_file,
     group_document,
     group_xmod_document,
     hom_document,
     load_document,
+    canonical_json,
     parse_document,
     rack_document,
     rack_xmod_document,
     write_document,
+    xmod_morphism_document,
 )
 
 
@@ -27,6 +37,10 @@ def write(tmp_path, name, doc):
     path = tmp_path / name
     write_document(doc, path)
     return str(path)
+
+
+def digest(path):
+    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def pullback_request(xmod_doc, hom_doc):
@@ -42,6 +56,32 @@ def test_check_valid_rack(tmp_path, racks, capsys):
     path = write(tmp_path, "cs3.json", rack_document(racks["cs3"]))
     assert cli.main(["check", path]) == 0
     assert capsys.readouterr().out == "PASS check rack size=6\n"
+
+
+@pytest.mark.parametrize(
+    "kind,expected",
+    [
+        ("action", "PASS check action actee-size=6 actor-size=6\n"),
+        ("xmod-morphism", "PASS check xmod-morphism dst-dom-size=6 src-dom-size=3\n"),
+        ("pullback-request", "PASS check pullback-request hom-dom-size=6 xmod-dom-size=2\n"),
+    ],
+)
+def test_check_reports_the_sizes_of_a_composite_document(
+    tmp_path, racks, rack_xmods, rack_homs, capsys, kind, expected
+):
+    incl, ident = rack_xmods["a3r_cs3"], rack_xmods["identity_cs3"]
+    docs = {
+        "action": lambda: action_document(conjugation_action(racks["cs3"])),
+        "xmod-morphism": lambda: xmod_morphism_document(
+            validate_xmod_morphism(incl.boundary, identity_hom(racks["cs3"]), incl, ident)
+        ),
+        "pullback-request": lambda: pullback_request(
+            rack_xmod_document(rack_xmods["identity_cz2"]), hom_document(rack_homs["sgn_rack"])
+        ),
+    }
+    path = write(tmp_path, f"{kind}.json", docs[kind]())
+    assert cli.main(["check", path]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_check_reports_axiom_failure(tmp_path, capsys):
@@ -163,7 +203,7 @@ def test_check_writes_a_certificate(tmp_path, racks, capsys):
     assert doc["command"] == "check rack"
     assert doc["verdict"] == "pass"
     assert doc["counts"] == {"size": 3}
-    assert doc["input-digests"] == {"input": digest_file(path)}
+    assert doc["input-digests"] == {"input": digest(path)}
     assert isinstance(doc["timing-ms"], float)
 
 
@@ -205,30 +245,111 @@ def test_certify_refuses_a_report_onto_an_input_before_searching(
 @pytest.mark.parametrize(
     "argv,check",
     [
-        (["certify", "adjunction", "r.json", "s3.json"], "check_adjunction_bijection"),
-        (["check", "r.json"], "parse_document"),
+        (["certify", "adjunction", "r.json", "s3.json", "--report"], "check_adjunction_bijection"),
+        (["check", "r.json", "--report"], "parse_document"),
+        (["construct", "conj", "s3.json", "--out"], "conj_rack"),
     ],
 )
 def test_an_unusable_report_is_refused_before_the_check(
     monkeypatch, tmp_path, racks, groups, capsys, argv, check, report
 ):
-    """A report that names an existing directory, or whose directory does
-    not exist, exits 2 with nothing on stdout before the check runs."""
+    """A report, or an output, that names an existing directory, or whose
+    directory does not exist, exits 2 with nothing on stdout before the
+    check or the construction runs."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "out-dir").mkdir()
     write(tmp_path, "r.json", rack_document(racks["cs3"]))
     write(tmp_path, "s3.json", group_document(groups["s3"]))
 
     def not_called(*args):
-        raise AssertionError("the check ran")
+        raise AssertionError(f"{check} ran")
 
     monkeypatch.setattr(cli, check, not_called)
-    assert cli.main(argv + ["--report", report]) == 2
+    assert cli.main(argv + [report]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {report}: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out-dir", "r.json", "s3.json"]
     assert list((tmp_path / "out-dir").iterdir()) == []
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_a_failed_certificate_write_leaves_no_report(
+    monkeypatch, tmp_path, racks, groups, capsys, existing
+):
+    """The certificate is staged and renamed like every output: a write that
+    fails part way exits 2 with nothing on stdout, leaves no temporary
+    file, and leaves an earlier report as it was."""
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "r.json", rack_document(racks["t2"]))
+    write(tmp_path, "s3.json", group_document(groups["s3"]))
+    if existing:
+        (tmp_path / "cert.json").write_text("earlier\n", encoding="utf-8")
+
+    def failing(doc, path):
+        Path(path).write_text(canonical_json(doc)[:20], encoding="utf-8")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_document", failing)
+    argv = ["certify", "adjunction", "r.json", "s3.json", "--report", "cert.json"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: disk full\n"
+    expected = ["cert.json", "r.json", "s3.json"] if existing else ["r.json", "s3.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == expected
+    if existing:
+        assert (tmp_path / "cert.json").read_text(encoding="utf-8") == "earlier\n"
+
+
+def test_a_certificate_digests_the_bytes_that_were_checked(monkeypatch, tmp_path, racks, groups, capsys):
+    """An input rewritten while the search runs is certified with the digest
+    of the bytes that were parsed, not of the bytes on disk afterwards."""
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "r.json", rack_document(racks["t2"]))
+    write(tmp_path, "s3.json", group_document(groups["s3"]))
+    checked = {name: digest(tmp_path / name) for name in ("r.json", "s3.json")}
+    real = cli.check_adjunction_bijection
+
+    def rewriting(rack, group):
+        write(tmp_path, "s3.json", group_document(groups["z6"]))
+        return real(rack, group)
+
+    monkeypatch.setattr(cli, "check_adjunction_bijection", rewriting)
+    argv = ["certify", "adjunction", "r.json", "s3.json", "--report", "cert.json"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == (
+        "PASS certify adjunction presented-homs=6 rack-homs=6 search-space=36\n"
+    )
+    cert = json.loads((tmp_path / "cert.json").read_text(encoding="utf-8"))
+    assert cert["input-digests"] == {"rack": checked["r.json"], "group": checked["s3.json"]}
+    assert digest(tmp_path / "s3.json") != checked["s3.json"]
+
+
+def test_a_certificate_digests_every_referenced_file(monkeypatch, tmp_path, rack_xmods, racks, rack_homs, capsys):
+    """Each file reached through a ``{"path"}`` reference is digested under
+    the input's role and the references as written, whatever the spelling
+    of the path on the command line."""
+    (tmp_path / "defs").mkdir()
+    write(tmp_path / "defs", "cz2.json", rack_document(racks["cz2"]))
+    xmod = rack_xmod_document(rack_xmods["identity_cz2"])
+    write(tmp_path, "xmod.json", dict(xmod, dom={"path": "defs/cz2.json"}))
+    request = pullback_request({"path": "xmod.json"}, hom_document(rack_homs["sgn_rack"]))
+    write(tmp_path, "ref-request.json", request)
+    expected = {
+        "request": digest(tmp_path / "ref-request.json"),
+        "request -> xmod.json": digest(tmp_path / "xmod.json"),
+        "request -> xmod.json -> defs/cz2.json": digest(tmp_path / "defs" / "cz2.json"),
+    }
+    monkeypatch.chdir(tmp_path)
+    for spelling in ("ref-request.json", "./ref-request.json", str(tmp_path / "ref-request.json")):
+        argv = ["certify", "universal", spelling, "--report", "c.json"]
+        assert cli.main(argv) == 0, spelling
+        assert capsys.readouterr().out == (
+            "PASS certify universal carrier-size=6 factorizations=1 search-space=46656\n"
+        )
+        cert = json.loads((tmp_path / "c.json").read_text(encoding="utf-8"))
+        assert cert["input-digests"] == expected, spelling
 
 
 @pytest.mark.parametrize("report", ["xmod.json", "hom.json", "./link.json"])
@@ -507,7 +628,7 @@ def test_certify_universal(tmp_path, rack_xmods, rack_homs, capsys):
     assert cert["verdict"] == "pass"
     assert cert["counts"] == {"carrier-size": 6, "factorizations": 1}
     assert cert["search-space"] == 46656
-    assert cert["input-digests"] == {"request": digest_file(req)}
+    assert cert["input-digests"] == {"request": digest(req)}
 
 
 def test_certify_universal_group_side(tmp_path, group_xmods, group_homs, capsys):
@@ -704,7 +825,8 @@ def test_construct_pullback_refuses_one_path_named_twice(
         ),
     )
     monkeypatch.chdir(tmp_path)
-    for hom_out in ("same.json", "./same.json"):
+    (tmp_path / "here").symlink_to(tmp_path)
+    for hom_out in ("same.json", "./same.json", "here/same.json"):
         argv = ["construct", "pullback", req, "--hom-out", hom_out, "--out", "same.json"]
         assert cli.main(argv) == 2, hom_out
         captured = capsys.readouterr()

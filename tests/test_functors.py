@@ -469,10 +469,10 @@ def test_reversed_variable_order_finds_the_same_hom_sets(adjunction_pairs):
     """Domains are placed by variable, so any order finds the same maps."""
     for name, x, g in adjunction_pairs:
         n = x.size
-        pres = as_presentation(x)
+        relators = functors._compile_relators(as_presentation(x))
         for search in (
             lambda *v: functors.hom_search(x, conj_rack(g), *v),
-            lambda *v: functors._presented_hom_search(pres, g, *v),
+            lambda *v: functors._presented_hom_search(relators, g, *v),
         ):
             found = {}
             for var in (range(n), range(n - 1, -1, -1)):

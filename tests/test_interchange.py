@@ -12,7 +12,6 @@ from rackmod.interchange import (
     action_document,
     canonical_json,
     certificate_document,
-    digest_file,
     document_for,
     group_document,
     group_xmod_document,
@@ -84,6 +83,19 @@ def test_action_round_trip(tmp_path, racks):
     assert parse_document(load_document(path)) == act
 
 
+def test_document_for_an_action_round_trips(racks):
+    act = conjugation_action(racks["cs3"])
+    doc = document_for(act)
+    assert doc == action_document(act)
+    assert parse_document(doc) == act
+
+
+def test_an_action_refuses_a_group_actee(racks, groups):
+    doc = action_document(conjugation_action(racks["cs3"]))
+    with pytest.raises(ParseError, match="expected kind 'rack', got 'group'"):
+        parse_document(dict(doc, actee=group_document(groups["s3"])))
+
+
 def test_rack_xmod_round_trip(tmp_path, rack_xmods):
     doc = rack_xmod_document(rack_xmods["a3r_cs3"])
     path = tmp_path / "xm.json"
@@ -125,14 +137,20 @@ def test_write_is_deterministic(tmp_path, racks):
     write_document(doc, p1)
     write_document(doc, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    assert digest_file(p1) == digest_file(p2)
+    read = []
+    load_document(p1, read=read)
+    load_document(p2, read=read)
+    assert read[0][1] == read[1][1]
 
 
 def test_digest_format(tmp_path):
+    """load_document records the digest of the bytes it read."""
     path = tmp_path / "x.json"
     path.write_bytes(b"{}\n")
     expected = hashlib.sha256(b"{}\n").hexdigest()
-    assert digest_file(path) == "sha256:" + expected
+    read = []
+    load_document(path, read=read)
+    assert [digest for _, digest, _ in read] == ["sha256:" + expected]
 
 
 def test_path_references_resolve_relative_to_the_file(tmp_path, rack_homs):
@@ -180,6 +198,10 @@ def test_load_document_failure_modes(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ParseError, match="invalid JSON"):
         load_document(bad)
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"labels": ["\xe9"]}')
+    with pytest.raises(ParseError, match="latin1.json: invalid JSON: 'utf-8' codec"):
+        load_document(latin1)
     toplevel = tmp_path / "list.json"
     toplevel.write_text("[1, 2]\n", encoding="utf-8")
     with pytest.raises(ParseError, match="top-level"):
@@ -255,6 +277,17 @@ def test_pullback_request_parsing(rack_xmods, rack_homs, group_homs):
     wrong_base = dict(doc, hom=hom_document(rack_homs["id_cs3"]))
     with pytest.raises(ParseError, match="not the base"):
         parse_document(wrong_base)
+
+
+def test_a_pullback_request_refuses_a_rack_as_its_crossed_module(racks, rack_homs):
+    doc = {
+        "format-version": 1,
+        "kind": "pullback-request",
+        "xmod": rack_document(racks["cz2"]),
+        "hom": hom_document(rack_homs["sgn_rack"]),
+    }
+    with pytest.raises(ParseError, match="pullback-request: unsupported xmod kind 'rack'"):
+        parse_document(doc)
 
 
 def test_certificate_document_fields():

@@ -10,7 +10,9 @@ copies of the substructure functions that ``substructure`` and
 check returns its comparison morphism, and the pullback and fibre-product
 records and the error for a cone that is not a morphism, now that a
 pullback is its crossed-module morphism, a fibre product its two
-projections, and a cone arrives as a validated morphism."""
+projections, and a cone arrives as a validated morphism, and the
+re-reading file digest, now that loading a document records the digest of
+the bytes it read."""
 
 import pkgutil
 from importlib import import_module
@@ -58,6 +60,7 @@ REMOVED = (
     "FiberProduct",
     "NotAMorphism",
     "no_test",
+    "digest_file",
 )
 # The two law families of validate_xmod, kept by name in rackmod.xmod alone.
 XMOD_LAWS = ("validate_rack_xmod", "validate_group_xmod")

@@ -70,6 +70,18 @@ def test_action_law_failures(racks):
         validate_action(table, v3, cs3)
 
 
+def test_action_distributivity_failure_names_its_witness(racks):
+    """t2 acting on cs3, its generator swapping (23) and (123): each
+    translation is a bijection and the exchange law holds, but
+    ((23) ◁ (12)).1 = (13).1 = (13) while ((23).1) ◁ ((12).1) = (123) ◁ (12)
+    = (132)."""
+    cs3, t2 = racks["cs3"], racks["t2"]
+    table = [[s, {1: 3, 3: 1}.get(s, s)] for s in cs3.elements()]
+    with pytest.raises(ActionAxiom2Fail) as exc:
+        validate_action(table, cs3, t2)
+    assert exc.value.witness == (1, 2, 1)
+
+
 def test_validate_action_refuses_groups(racks, groups, group_xmods):
     for gx in group_xmods.values():
         with pytest.raises(ValueError, match="pointed racks on both sides"):
@@ -208,6 +220,17 @@ def test_xmod_morphism_squares(rack_xmods, racks):
         validate_xmod_morphism(bad, id_cs3, incl, ident)
 
 
+def test_xmod_morphism_endpoints_must_match(rack_xmods, racks):
+    incl, ident = rack_xmods["a3r_cs3"], rack_xmods["identity_cs3"]
+    id_cs3 = identity_hom(racks["cs3"])
+    # f1 must run from the source carrier A3 ⊂ cs3, not from cs3
+    with pytest.raises(ValueError, match="f1 endpoints do not match"):
+        validate_xmod_morphism(id_cs3, id_cs3, incl, ident)
+    # f0 must run from the source base cs3, not from A3
+    with pytest.raises(ValueError, match="f0 endpoints do not match"):
+        validate_xmod_morphism(incl.boundary, incl.boundary, incl, ident)
+
+
 def test_group_xmod_validation(groups, group_xmods):
     a3s3 = group_xmods["a3_s3"]
     assert a3s3.dom.size == 3 and a3s3.cod.size == 6
@@ -243,6 +266,16 @@ def test_group_xmod_action_failures(groups):
     with pytest.raises(EquivarianceFail) as exc:
         validate_xmod(ident, trivial)
     assert exc.value.witness == (1, 2)
+
+
+def test_a_group_action_failure_on_a_product_names_three_elements(groups):
+    """Z3 acting on Z3 by m.1 = -m, with 0 and 2 acting trivially: every
+    column is an automorphism and 0 acts as the identity, but
+    (1.1).2 = 2.2 = 2 while 1.(1*2) = 1.0 = 1."""
+    z3 = groups["z3"]
+    with pytest.raises(GroupActionFail) as exc:
+        validate_xmod(validate_hom(z3, z3, [0, 0, 0]), [[0, 0, 0], [1, 2, 1], [2, 1, 2]])
+    assert exc.value.witness == (1, 1, 2)
 
 
 def test_group_xmod_laws_refuse_racks(rack_xmods):
