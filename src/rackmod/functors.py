@@ -94,11 +94,11 @@ def _compile_word(word: Word, n: int) -> CompiledWord:
     in one pass over its letters."""
     rank, shape = {}, []  # generator -> rank; (rank, inverted) per letter
     for letter in word:
-        if type(letter) is not int or not 0 < abs(letter) <= n:
+        if type(letter) is not int or not 0 < (gen := abs(letter)) <= n:
             raise ValueError(
                 f"word {word!r} has the letter {letter!r}; letters are -{n}..-1 and 1..{n}"
             )
-        shape.append((rank.setdefault(abs(letter) - 1, len(rank)), letter < 0))
+        shape.append((rank.setdefault(gen - 1, len(rank)), letter < 0))
     return tuple(shape), tuple(rank)
 
 

@@ -77,17 +77,26 @@ def load_document(path: str | Path, *, read: list | None = None) -> dict[str, An
     name included, is appended to it as (identity, digest, chain): its
     ``_file_identity``, ``"sha256:"`` and the hex digest of the very bytes
     that were decoded, and the reference strings, as written, through
-    which it was reached (empty for the file at path).
+    which it was reached (empty for the file at path).  A file that several
+    references from one directory name is read, digested, decoded and
+    appended once, through the first reference to it; every later one
+    inlines the same value.
     """
-    return _load(Path(path), (), (), [] if read is None else read)
+    return _load(Path(path), (), (), [] if read is None else read, {})
 
 
-def _load(p: Path, loading: tuple, chain: tuple[str, ...], read: list) -> dict[str, Any]:
+def _load(
+    p: Path, loading: tuple, chain: tuple[str, ...], read: list, done: dict
+) -> dict[str, Any]:
     """``loading`` holds the identities of the files whose references are
-    being inlined, and ``chain`` the references that reach p."""
+    being inlined, ``chain`` the references that reach p, and ``done`` the
+    value of each file loaded, by its identity and the directory that its
+    references resolve from."""
     try:
-        data = p.read_bytes()
         here = _file_identity(p)
+        if (here, p.parent) in done:
+            return done[here, p.parent]
+        data = p.read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {p}: {exc}") from exc
     read.append((here, "sha256:" + hashlib.sha256(data).hexdigest(), chain))
@@ -101,7 +110,7 @@ def _load(p: Path, loading: tuple, chain: tuple[str, ...], read: list) -> dict[s
         ref = obj["path"]
         if not isinstance(ref, str):
             raise ParseError("path reference must be a string")
-        return _load(p.parent / ref, loading, chain + (ref,), read)
+        return _load(p.parent / ref, loading, chain + (ref,), read, done)
 
     try:
         raw = json.loads(data.decode("utf-8"), object_hook=inline)
@@ -111,6 +120,7 @@ def _load(p: Path, loading: tuple, chain: tuple[str, ...], read: list) -> dict[s
         raise ParseError(f"{p}: JSON nested too deeply") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"{p}: top-level value must be an object")
+    done[here, p.parent] = raw
     return raw
 
 

@@ -5,12 +5,15 @@ values tried.  The isomorphism search is a mask search: ``hom_search``
 files the hom laws over the invariant-matched candidates, and injectivity
 is one more read per earlier variable.  Rack enumeration's column domains
 place each candidate column in the table being built and yield it only when
-the self-distributivity triples it completes hold.
+the self-distributivity triples it completes hold and no relabelling makes
+the placed columns smaller, so it makes one table per isomorphism class and
+no isomorphism search.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import partial
 from itertools import permutations, product
 
 from .errors import AxiomError, BoundExceeded
@@ -18,9 +21,9 @@ from .racks import FiniteRack, rack_orbits, validate_rack
 from .search import _narrowed, assignments, hom_search
 from .tables import Hom, _check_endpoints, validate_hom
 
-# The largest order whose enumeration finishes in seconds (order 6: about 2 s;
-# order 7 does not finish in practical time).
-ENUMERATION_CEILING = 6
+# The largest order whose enumeration finishes in seconds (order 7: about 1.4 s
+# on a 2-vCPU VM; order 8 is not measured).
+ENUMERATION_CEILING = 7
 BRUTEFORCE_LIMIT = 3
 
 
@@ -57,44 +60,38 @@ def element_invariants(r: FiniteRack) -> tuple[tuple, ...]:
     return tuple(out)
 
 
-def _candidates(a: FiniteRack, b: FiniteRack, inv_a=None, inv_b=None) -> list[list[int]] | None:
+def _candidates(a: FiniteRack, b: FiniteRack) -> list[list[int]] | None:
     """For each element of a, the elements of b with its invariants, ascending.
 
     None when no bijection can match the invariants: the sizes or the
     multisets of invariants differ.  Endpoints that no hom joins raise the
     ``ValueError`` of ``validate_hom`` before any invariant is read.
-    ``inv_a`` and ``inv_b``, when given, are the ``element_invariants`` of
-    a and b, which are then not recomputed.
     """
     _check_endpoints(a, b)
     if a.size != b.size:
         return None
-    inv_a = element_invariants(a) if inv_a is None else inv_a
-    inv_b = element_invariants(b) if inv_b is None else inv_b
+    inv_a, inv_b = element_invariants(a), element_invariants(b)
     if sorted(inv_a) != sorted(inv_b):
         return None
     return [[y for y in range(b.size) if inv_b[y] == inv_a[x]] for x in range(a.size)]
 
 
-def _iso_maps(
-    a: FiniteRack, b: FiniteRack, inv_a=None, inv_b=None, supports=None
-) -> Iterator[tuple[int, ...]]:
+def _iso_maps(a: FiniteRack, b: FiniteRack) -> Iterator[tuple[int, ...]]:
     """Every pointed isomorphism a -> b as a map tuple, in search order.
 
     One ``assignments`` search built by ``hom_search`` over the elements of
     a, most constrained first (fewest candidates, ties by lowest index),
     each ranging over its invariant-matched candidates that the hom laws
-    allow (``_candidates``, which takes ``inv_a`` and ``inv_b``).  That each
-    image is new is a mask too: level k reads ``other[f[x]][f[x]]``, every
-    value but f[x], for each earlier level x.  ``supports`` is passed to
-    ``hom_search``.
+    allow (``_candidates``).  That each image is new is a mask too: level k
+    reads ``other[f[x]][f[x]]``, every value but f[x], for each earlier
+    level x.
     """
-    cands = _candidates(a, b, inv_a, inv_b)
+    cands = _candidates(a, b)
     if cands is None:
         return
     order = sorted(range(a.size), key=lambda x: (len(cands[x]), x))
     var = [order.index(x) for x in range(a.size)]
-    domains = hom_search(a, b, var, a.size, cands, supports=supports)
+    domains = hom_search(a, b, var, a.size, cands)
     # other[u][u]: the values other than u
     other = [[~(1 << u)] * b.size for u in range(b.size)]
     reads = [(other, x, x) for x in range(a.size)]
@@ -102,17 +99,13 @@ def _iso_maps(
         yield tuple(img[v] for v in var)
 
 
-def find_isomorphism(
-    a: FiniteRack, b: FiniteRack, *, inv_a=None, inv_b=None, supports=None
-) -> Hom | None:
+def find_isomorphism(a: FiniteRack, b: FiniteRack) -> Hom | None:
     """The first pointed isomorphism in most-constrained search order, if any.
 
-    ``inv_a`` and ``inv_b``, when given, are the ``element_invariants`` of a
-    and b, which are then not recomputed; ``supports``, when given, is a
-    dict that keeps the search's support tables of b between calls
-    (``search.hom_search``).
+    Each call computes the ``element_invariants`` of a and b and the
+    support tables of b's search afresh.
     """
-    m = next(_iso_maps(a, b, inv_a, inv_b, supports), None)
+    m = next(_iso_maps(a, b), None)
     return None if m is None else validate_hom(a, b, m)
 
 
@@ -128,24 +121,30 @@ def enumerate_pointed_racks(n: int) -> list[FiniteRack]:
     order.  Generation fixes the basepoint row and column and runs one
     ``assignments`` search with a variable per other column: column 1
     first, each column ranging over the permutations of 1..n-1 in
-    ``permutations`` order.  The domain of column k places each candidate
-    in the table and yields it only when every self-distributivity triple
-    (a, b, c) whose reads have just become known, those with
-    max(b, c, b ◁ c) = k, holds, so a failing partial table is abandoned
-    with all its completions; it relies on the kernel drawing its next
-    candidate only after every completion of the current one.  Triples
-    with b = c = 0 read only the fixed column 0 and hold in every
-    candidate; every other triple is tested at exactly one level.  If
-    b ◁ c = k for placed columns b and c, those triples say
-    σ_c σ_b = σ_k σ_c for the columns σ, so column k can only be
-    σ_c σ_b σ_c⁻¹, and that column is its only candidate.  So the leaves
-    reached are exactly the racks among the tables of the full product of
-    column permutations, in that product's order.  Each is validated and
-    deduplicated, by ``find_isomorphism``, against the representatives
-    found before it with the same sorted element invariants, the only ones
-    it can be isomorphic to; the invariants of each leaf and each
-    representative are computed once, and the support tables of each
-    representative built once.
+    ``permutations`` order, so the leaves come out in the lexicographic
+    order of (column 1, ..., column n-1).  The domain of column k places
+    each candidate in the table and yields it only when two tests pass.
+    First, every self-distributivity triple (a, b, c) whose reads have just
+    become known, those with max(b, c, b ◁ c) = k, holds; triples with
+    b = c = 0 read only the fixed column 0 and hold in every candidate, and
+    every other triple is tested at exactly one level.  If b ◁ c = k for
+    placed columns b and c, those triples say σ_c σ_b = σ_k σ_c for the
+    columns σ, so column k can only be σ_c σ_b σ_c⁻¹, and that column is
+    its only candidate.  Second, no relabelling π fixing 0 makes the
+    readable prefix smaller (orderly generation: Read, "Every one a
+    winner", Ann. Discrete Math. 2, 1978): column j of the relabelled table
+    is π[table[π⁻¹a][π⁻¹j]], readable once π⁻¹(j) ≤ k, and the columns
+    j = 1, 2, ... are compared while both j ≤ k and π⁻¹(j) ≤ k; the
+    candidate is rejected when the first that differs is smaller in the
+    relabelled table.  Every completion keeps those columns, so a rejected
+    prefix has no completion that is the column-lex-least of its class.
+    Only relabellings with π⁻¹(1) ≤ k compare any column at level k.  A
+    failing partial table is abandoned with all its completions; this
+    relies on the kernel drawing its next candidate only after every
+    completion of the current one.  Relabelling a rack gives a rack, so the
+    leaves are exactly the column-lex-least racks of their classes: the
+    first leaf of each class in the full product of column permutations.
+    Each is checked by ``validate_rack``.
     Orders above ``ENUMERATION_CEILING`` raise ``BoundExceeded`` before
     anything is enumerated.
     """
@@ -153,33 +152,31 @@ def enumerate_pointed_racks(n: int) -> list[FiniteRack]:
         raise ValueError("rack order must be positive")
     if n > ENUMERATION_CEILING:
         raise BoundExceeded(f"order {n} exceeds the enumeration ceiling {ENUMERATION_CEILING}")
-    table = [[0] * n for _ in range(n)]
-    for a in range(1, n):
-        table[a][0] = a
-    perms = list(permutations(range(1, n)))
+    table = [[a] + [0] * (n - 1) for a in range(n)]
+    perms = [(0, *p) for p in permutations(range(1, n))]
+    # columns[b]: column b of ``table``, rows 0..n-1, once placed
+    columns: list = [tuple(range(n))] + [None] * (n - 1)
+    # (π⁻¹, π) for each relabelling π fixing 0, in the order of π⁻¹
+    relabellings = sorted((tuple(sorted(range(n), key=p.__getitem__)), p) for p in perms)
 
-    def column(k: int):
+    def column(k: int, cols: list):
         """The domain of column k: σ_c σ_b σ_c⁻¹ if b ◁ c = k for some b, c < k,
         else every permutation, each placed as column k of ``table`` and
-        yielded when ``triples_hold(k)``.  It reads columns 0..k-1 of
-        ``table``, which the domains of the earlier columns have placed."""
-
-        def domain(cols: list):
-            candidates = perms
-            for c, b in product(range(1, k), repeat=2):
-                if table[b][c] == k:
-                    back = [0] * n
-                    for a, row in enumerate(table):
-                        back[row[c]] = a
-                    candidates = (tuple(table[table[back[a]][b]][c] for a in range(1, n)),)
-                    break
-            for col in candidates:
-                for a, v in enumerate(col, 1):
-                    table[a][k] = v
-                if triples_hold(k):
-                    yield col
-
-        return domain
+        ``columns`` and yielded when ``triples_hold(k)`` and ``least(k)``.
+        It reads columns 0..k-1, which the domains of the earlier columns
+        have placed."""
+        candidates = perms
+        for c, b in product(range(1, k), repeat=2):
+            if table[b][c] == k:
+                back = sorted(range(n), key=columns[c].__getitem__)
+                candidates = (tuple(table[table[back[a]][b]][c] for a in range(n)),)
+                break
+        for col in candidates:
+            for a, v in enumerate(col):
+                table[a][k] = v
+            columns[k] = col
+            if triples_hold(k) and least(k):
+                yield col
 
     def triples_hold(k: int) -> bool:
         """Whether the triples first readable at column k hold in ``table``."""
@@ -194,19 +191,24 @@ def enumerate_pointed_racks(n: int) -> list[FiniteRack]:
                         return False
         return True
 
-    # classes[sorted invariants]: the representatives found so far, each with
-    # its invariants and the support tables of the searches into it
-    classes: dict[tuple, list[tuple[FiniteRack, tuple, dict]]] = {}
-    for _ in assignments([column(k) for k in range(1, n)]):
-        rack = validate_rack(table, 0)
-        inv = element_invariants(rack)
-        twins = classes.setdefault(tuple(sorted(inv)), [])
-        if all(
-            find_isomorphism(rack, rep, inv_a=inv, inv_b=rep_inv, supports=supports) is None
-            for rep, rep_inv, supports in twins
-        ):
-            twins.append((rack, inv, {}))
-    return sorted((twin[0] for twins in classes.values() for twin in twins), key=lambda r: r.table)
+    def least(k: int) -> bool:
+        """Whether no relabelling makes columns 1..k smaller where it can be read."""
+        for back, pi in relabellings:
+            if back[1] > k:
+                return True
+            for j in range(1, k + 1):
+                if back[j] > k:
+                    break
+                col = columns[back[j]]
+                moved = tuple([pi[col[x]] for x in back])
+                if moved < columns[j]:
+                    return False
+                if moved > columns[j]:
+                    break
+        return True
+
+    leaves = assignments([partial(column, k) for k in range(1, n)])
+    return sorted((validate_rack(table, 0) for _ in leaves), key=lambda r: r.table)
 
 
 def enumerate_pointed_racks_bruteforce(n: int) -> list[FiniteRack]:

@@ -37,7 +37,9 @@ domains instead: ``functors._presented_hom_search`` files the relators of a
 presentation, through ``law_domains`` where it can, and
 ``isomorphism.enumerate_pointed_racks`` places a table column by column and
 keeps the columns that pass the self-distributivity triples first readable
-there.
+there and that no relabelling fixing the basepoint makes smaller, so that
+it yields one table per isomorphism class without calling the isomorphism
+search.
 """
 
 from __future__ import annotations
@@ -171,9 +173,7 @@ def _support(t: Sequence[Sequence[int]], at: int) -> list[list[int]]:
     return s
 
 
-def _filed_masks(
-    laws: Iterable[Law], nvars: int, supports: dict | None = None
-) -> tuple[list[int], list[list[tuple]]]:
+def _filed_masks(laws: Iterable[Law], nvars: int) -> tuple[list[int], list[list[tuple]]]:
     """(fixed, reads): each law f[l] = t[f[i]][f[j]] filed at its last variable.
 
     At level k = max(i, j, l) the law allows f[k] the values whose bits are
@@ -181,14 +181,12 @@ def _filed_masks(
     constant, and -1 where no such law is filed), otherwise one read
     (s, x, y) of ``reads[k]``, s[f[x]][f[y]] being that mask for the values
     at the other positions.  The tables s are built once for each table t
-    and way of placing k among (i, j, l), and kept in ``supports``, by
-    default a dict of this call's own, freed with the search; a caller that
-    files laws over one table in many searches may pass one dict to them all.
+    and way of placing k among (i, j, l), and freed with the search.
     """
     fixed = [-1] * nvars
     reads: list[list[tuple]] = [[] for _ in range(nvars)]
     # supports[id(t)]: t, kept so that its id is not reused, and its tables by ``at``
-    supports = {} if supports is None else supports
+    supports: dict = {}
     last = tables = None
     for law in laws:
         t, i, j, l = law
@@ -209,17 +207,14 @@ def _filed_masks(
     return fixed, reads
 
 
-def law_domains(
-    bases: Sequence[int | None], laws: Iterable[Law], supports: dict | None = None
-) -> list[Masked | None]:
+def law_domains(bases: Sequence[int | None], laws: Iterable[Law]) -> list[Masked | None]:
     """The ``Masked`` domain of each variable under ``laws``.
 
     ``bases[k]`` is the mask of the values variable k may take at all, or
     None when no variable k is searched, whose domain is then None.  Every
-    law is filed by ``_filed_masks``, which keeps its tables in ``supports``,
-    and must read searched variables only.
+    law is filed by ``_filed_masks`` and must read searched variables only.
     """
-    fixed, reads = _filed_masks(laws, len(bases), supports)
+    fixed, reads = _filed_masks(laws, len(bases))
     return [None if b is None else Masked(b & fixed[k], reads[k]) for k, b in enumerate(bases)]
 
 
@@ -231,13 +226,7 @@ def _mask_of(values: Iterable[int]) -> int:
 
 
 def hom_search(
-    dom,
-    cod,
-    var: Sequence[int],
-    nvars: int,
-    allowed: Sequence[Sequence[int]] | None = None,
-    *,
-    supports: dict | None = None,
+    dom, cod, var: Sequence[int], nvars: int, allowed: Sequence[Sequence[int]] | None = None
 ):
     """The domains, by variable, of an ``assignments`` search for dom -> cod.
 
@@ -249,8 +238,6 @@ def hom_search(
     mask (``law_domains``), so a value the law forces, f(p ◁ q) from f(p)
     and f(q), or f(p) from f(q) and f(p ◁ q), is the one value tried there.
     Variables that no element of dom holds get the domain None.
-    ``supports``, when given, keeps the support tables of cod's table
-    between searches into cod (``law_domains``).
     """
     _check_endpoints(dom, cod)
     t = cod.table
@@ -264,7 +251,7 @@ def hom_search(
     for a in range(dom.size):
         base = every if allowed is None else _mask_of(allowed[a])
         bases[var[a]] = base & (1 << cod.basepoint) if a == dom.basepoint else base
-    return law_domains(bases, laws, supports)
+    return law_domains(bases, laws)
 
 
 def _narrowed(domain, fixed: int, reads: list[tuple]):

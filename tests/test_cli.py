@@ -728,7 +728,7 @@ def test_corpus_rejects_bad_bound(capsys):
     assert cli.main(["corpus", "--bound", "0"]) == 2
 
 
-@pytest.mark.parametrize("argv", [["corpus", "--bound", "7"]], ids=["flag"])
+@pytest.mark.parametrize("argv", [["corpus", "--bound", "8"]], ids=["flag"])
 def test_corpus_above_the_ceiling_exits_2_before_enumerating(monkeypatch, capsys, argv):
     def no_enumeration(n, **kwargs):
         raise AssertionError(f"enumerated order {n}")
@@ -737,7 +737,7 @@ def test_corpus_above_the_ceiling_exits_2_before_enumerating(monkeypatch, capsys
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and "ceiling 6" in captured.err
+    assert captured.err.startswith("error: ") and "ceiling 7" in captured.err
 
 
 def test_corpus_dumps_documents(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -169,6 +170,32 @@ def test_path_references_resolve_relative_to_the_file(tmp_path, rack_homs):
     path = tmp_path / "hom.json"
     write_document(hom_doc, path)
     assert parse_document(load_document(path)) == sgn
+
+
+def test_a_file_referenced_twice_is_read_once(tmp_path, racks, monkeypatch):
+    """dom and cod both name cs3.json: it is read, digested and listed once,
+    and both references inline the one decoded value."""
+    cs3 = racks["cs3"]
+    write_document(rack_document(cs3), tmp_path / "cs3.json")
+    hom_doc = {
+        "format-version": 1,
+        "kind": "hom",
+        "dom": {"path": "cs3.json"},
+        "cod": {"path": "cs3.json"},
+        "map": list(range(cs3.size)),
+    }
+    write_document(hom_doc, tmp_path / "hom.json")
+    opened = []
+    read_bytes = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda p: opened.append(p.name) or read_bytes(p))
+    read = []
+    doc = load_document(tmp_path / "hom.json", read=read)
+    assert opened == ["hom.json", "cs3.json"]
+    digest = "sha256:" + hashlib.sha256((tmp_path / "cs3.json").read_bytes()).hexdigest()
+    assert [(d, chain) for _, d, chain in read][1:] == [(digest, ("cs3.json",))]
+    assert doc["dom"] is doc["cod"]
+    hom = parse_document(doc)
+    assert hom.dom == hom.cod == cs3 and hom.map == tuple(range(cs3.size))
 
 
 def test_path_reference_must_be_a_string(tmp_path):

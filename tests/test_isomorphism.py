@@ -54,7 +54,7 @@ def test_adjoined_dihedral_rack_appears_at_order_four(racks):
 
 def test_bounds():
     with pytest.raises(BoundExceeded):
-        enumerate_pointed_racks(7)
+        enumerate_pointed_racks(8)
     with pytest.raises(BoundExceeded):
         enumerate_pointed_racks_bruteforce(4)
     with pytest.raises(ValueError):
@@ -166,6 +166,72 @@ def test_order_six_representatives_are_pinned():
     assert all(r.basepoint == 0 for r in reps)
     tables = repr(tuple(r.table for r in reps)).encode()
     assert hashlib.sha256(tables).hexdigest() == ORDER_SIX_SHA256
+
+
+# The same digest of the 353 order-7 representatives (the number of racks of
+# order 6, OEIS A181771).  The column search that deduplicated every leaf by
+# isomorphism search gives the same digest in about 225 s.
+ORDER_SEVEN_SHA256 = "122b8189d68ba68e244aec3818862f5b416b357b5ab147752bd1272180a426fd"
+
+
+def test_order_seven_representatives_are_pinned():
+    reps = enumerate_pointed_racks(7)
+    assert len(reps) == 353
+    assert all(r.basepoint == 0 for r in reps)
+    tables = repr(tuple(r.table for r in reps)).encode()
+    assert hashlib.sha256(tables).hexdigest() == ORDER_SEVEN_SHA256
+
+
+def _columns(r):
+    """The columns of r's table, column 0 first."""
+    return tuple(zip(*r.table))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_representatives_are_column_lex_least(n, relabel):
+    """No relabelling fixing the basepoint makes a representative's columns
+    lexicographically smaller."""
+    for r in enumerate_pointed_racks(n):
+        for rest in permutations(range(1, n)):
+            assert _columns(relabel(r, (0,) + rest)) >= _columns(r), (r.table, rest)
+
+
+def _labelled_racks(n, placed=()):
+    """Every rack table with the basepoint row and column fixed, in the
+    lexicographic order of its columns 1..n-1, each a permutation of 1..n-1,
+    found column by column: a column is kept when every self-distributivity
+    triple whose reads are all placed holds."""
+    k = len(placed) + 1
+    if k == n:
+        yield [[a] + [col[a] for col in placed] for a in range(n)]
+        return
+    for rest in permutations(range(1, n)):
+        cols = [tuple(range(n)), *placed, (0,) + rest]
+        if all(
+            cols[c][cols[b][a]] == cols[cols[c][b]][cols[c][a]]
+            for a in range(n)
+            for b in range(k + 1)
+            for c in range(k + 1)
+            if cols[c][b] <= k
+        ):
+            yield from _labelled_racks(n, placed + ((0,) + rest,))
+
+
+def _deduplicated_by_isomorphism(n):
+    """The first of each isomorphism class among ``_labelled_racks(n)``,
+    found by pairwise isomorphism search, in table order."""
+    reps = []
+    for table in _labelled_racks(n):
+        rack = validate_rack(table, 0)
+        if all(find_isomorphism(rack, rep) is None for rep in reps):
+            reps.append(rack)
+    return sorted(reps, key=lambda r: r.table)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_enumeration_matches_pairwise_deduplication(n):
+    fast = enumerate_pointed_racks(n)
+    assert [r.table for r in fast] == [r.table for r in _deduplicated_by_isomorphism(n)]
 
 
 # sha256 of repr of the maps over every ordered pair of the 29 representatives
