@@ -33,16 +33,18 @@ elements as the hom law f(p ◁ q) = f(p) ◁ f(q).  So ``enumerate_homs`` and t
 checks, searched by ``search.hom_search``, solve every variable the order
 solves, and the presented side searches in the same order; the
 crossed-module check joins each side's two hom searches with
-``search.morphism_search``.  Both adjunction checks run the two sides as
-two independent ``assignments`` searches and merge their leaves in
-lockstep: every domain ascends, so each search yields its maps in
-lexicographic order, a map in both streams is counted, and a map in one
-only is missing from the other.  Were a domain ever out of order, equal
-maps could pass unpaired and be reported on both sides, so the merge fails
-closed: it can refuse a true bijection, never pass a false one.  Each side
-is pruned by its own filed laws only, so a map that both sides' laws
-wrongly admit is not caught here; the tests check every shared map against
-the hom laws and the relators over the corpus instead.
+``search.morphism_search``.  Both adjunction checks compare the two sides
+node by node, in one ``assignments`` walk over both sides' domains
+(``_count_shared_leaves``): each node reads the two sides' masks and goes
+on with the values both allow, and the last level counts those values by
+popcount, so no map in both sets is built.  A value that one side allows
+at a node both reach, and the other does not, is completed by that side's
+own search, and each leaf it yields is a map that only that side finds.
+Masks are sets, so the comparison does not rest on the order in which a
+domain gives its values.  Each side is pruned by its own filed laws only,
+so a map that both sides' laws wrongly admit is not caught here; the tests
+check every shared map against the hom laws and the relators over the
+corpus instead.
 """
 
 from __future__ import annotations
@@ -55,7 +57,17 @@ from itertools import product
 from .errors import BijectionFail
 from .groups import FiniteGroup
 from .racks import FiniteRack, conj_rack
-from .search import _narrowed, assignments, hom_search, law_domains, morphism_search
+from .search import (
+    Masked,
+    _Bits,
+    _bits,
+    _mask_of,
+    _narrowed,
+    assignments,
+    hom_search,
+    law_domains,
+    morphism_search,
+)
 from .tables import _check_endpoints, index_row, validate_hom
 from .xmod import XMod, conj_xmod
 
@@ -326,36 +338,75 @@ def enumerate_homs_bruteforce(dom, cod) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _mask_reader(domain):
+    """The function f -> the mask of the values ``domain`` gives at f: a
+    ``Masked`` domain's own mask, else the mask of its values."""
+    if type(domain) is Masked:
+        return domain.mask
+    if callable(domain):
+        return lambda f: _mask_of(domain(f))
+    m = _mask_of(domain)
+    return lambda f: m
+
+
 def _count_shared_leaves(rack, presented, key, explain=None) -> int:
     """The number of leaves that both searches yield.
 
     ``rack`` and ``presented`` are each the domains of an ``assignments``
-    search over the same variables.  Every domain ascends, so each search
-    yields its leaves in lexicographic order, and the two streams are
-    merged in lockstep: a leaf in both is counted, and a leaf in one only
-    is a bad map of that side; only such a leaf is passed to ``key``.  Were a domain out of order, equal leaves could pass
-    unpaired and be reported on both sides, so the check fails closed.
+    search over the same variables, at least one.  One ``assignments``
+    walk runs over both: at each node the two domains' masks a and b are
+    read (``_mask_reader``), the walk goes on with the values of a & b, and
+    at the last level it counts them instead, so no shared leaf is built or
+    compared.  A prefix that both searches reach is a node of the walk, so
+    a leaf of one side only has a first value that the other side's domain
+    leaves out, at a node of the walk: the walk notes each such node's
+    values a & ~b and b & ~a, and afterwards each value is completed by
+    that side's own search alone, its prefix pinned by one-value domains.
+    A value with no completion yields no leaf.  Only the leaves those
+    completions yield, the bad maps of their side, are passed to ``key``.
     The least bad rack key raises ``BijectionFail("rack", ...)``; only then
     the least bad presented key is passed to ``explain``, which may raise a
     more specific failure, and raises ``BijectionFail("presented", ...)``.
+    Masks are sets, so neither the count nor a witness depends on the order
+    in which a domain gives its values.
     """
-    rack_leaves, presented_leaves = assignments(rack), assignments(presented)
-    r, p = next(rack_leaves, None), next(presented_leaves, None)
+    bits = _Bits()
+    last = len(rack) - 1
+    # (prefix, rack values the presented side lacks, and the converse)
+    diverged: list[tuple[list, int, int]] = []
     shared = 0
-    bad_rack: list = []
-    bad_presented: list = []
-    while r is not None or p is not None:
-        if r == p:
-            shared += 1
-            r, p = next(rack_leaves, None), next(presented_leaves, None)
-        elif p is None or (r is not None and r < p):
-            bad_rack.append(key(r))
-            r = next(rack_leaves, None)
-        else:
-            bad_presented.append(key(p))
-            p = next(presented_leaves, None)
+
+    def level(k: int, rack_mask, presented_mask):
+        def values(f: list):
+            nonlocal shared
+            a, b = rack_mask(f), presented_mask(f)
+            if a != b:
+                diverged.append((f[:k], a & ~b, b & ~a))
+            if k == last:
+                shared += (a & b).bit_count()
+                return ()
+            return bits[a & b]
+
+        return values
+
+    readers = zip(map(_mask_reader, rack), map(_mask_reader, presented))
+    # the last level ends every branch, so the walk yields nothing
+    next(assignments([level(k, *masks) for k, masks in enumerate(readers)]), None)
+
+    def bad(side: int, domains) -> list:
+        """The keys of the leaves of ``domains`` that begin with a value that
+        only this side's domain gives at a node of the walk."""
+        return [
+            key(f)
+            for head, *only in diverged
+            for v in _bits(only[side])
+            for f in assignments([*((u,) for u in head), (v,), *domains[len(head) + 1 :]])
+        ]
+
+    bad_rack = bad(0, rack)
     if bad_rack:
         raise BijectionFail("rack", min(bad_rack))
+    bad_presented = bad(1, presented)
     if bad_presented:
         m = min(bad_presented)
         if explain is not None:
@@ -368,10 +419,10 @@ def check_adjunction_bijection(x: FiniteRack, g: FiniteGroup) -> int:
     """The number of maps in Hom(X, Conj G), which must coincide with
     Hom(As X, G) as an assignment set.
 
-    The two sides are two independent searches in the solving order of
-    x's presentation, merged in lockstep (``_count_shared_leaves``), which
-    relies on every domain ascending and fails closed otherwise.  Each
-    side is pruned by its own filed laws only: the rack side by the hom
+    The two sides are two searches in the solving order of x's
+    presentation, compared node by node in one walk
+    (``_count_shared_leaves``).  Each side is pruned by its own filed laws
+    only: the rack side by the hom
     laws into Conj G and the basepoint, whose domain is narrowed to Conj
     G's basepoint here whatever ``hom_search`` allows, the presented side
     by the relators.  A map that only one side finds is a bad map of that
@@ -405,9 +456,8 @@ def check_xmod_adjunction(x: XMod, g: XMod) -> int:
     boundary and action squares against that side's target at the last
     coordinate of each, all as masks.  So each side
     reaches exactly the pairs of its two hom sets whose squares commute.
-    The two searches are independent and merged in lockstep
-    (``_count_shared_leaves``), which relies on every domain ascending and
-    fails closed otherwise, and the two sides must be literally equal: the
+    The two searches are compared node by node in one walk
+    (``_count_shared_leaves``), and the two sides must be literally equal: the
     least pair (f1, f0) that only the rack side reaches is raised first,
     then the least that only the group side reaches.
     """

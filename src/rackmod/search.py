@@ -22,6 +22,8 @@ becomes one read of a support-mask table built once per table: bit c of
 ``s[f[x]][f[y]]`` is set when f[k] = c satisfies the law.  A level's domain
 is then a ``Masked``: the AND of its base mask (the values allowed at all)
 and of the masks its laws read, its set bits taken in ascending order.  A
+read that allows every value whatever it reads, and a read that another
+law of the level already makes, change no AND and are not filed.  A
 value that one law forces is a one-bit mask, so every such value is solved
 for instead of being guessed and rejected (forward checking: Haralick and
 Elliott, "Increasing tree search efficiency for constraint satisfaction
@@ -182,11 +184,24 @@ def _filed_masks(laws: Iterable[Law], nvars: int) -> tuple[list[int], list[list[
     (s, x, y) of ``reads[k]``, s[f[x]][f[y]] being that mask for the values
     at the other positions.  The tables s are built once for each table t
     and way of placing k among (i, j, l), and freed with the search.
+
+    A read that cannot narrow a domain is not filed.  Whether a read of s
+    can is decided once per table s: a read whose every entry, read only
+    on the diagonal when x == y, has every value's bit set allows every
+    value, and is dropped.  Every value is the whole range of the marked
+    position, the columns of t when only j is marked and its rows
+    otherwise, which holds every value its variable takes (``Law``).  A
+    read that another at level k already makes is filed once: reads are
+    the same when they have the same x, y and s, or, when x == y, the same
+    x and the same diagonal of s.
     """
     fixed = [-1] * nvars
     reads: list[list[tuple]] = [[] for _ in range(nvars)]
-    # supports[id(t)]: t, kept so that its id is not reused, and its tables by ``at``
+    # supports[id(t)]: t, kept so that its id is not reused, and by ``at``
+    # its table s, whether every entry of s allows every value, s's
+    # diagonal, and whether the diagonal does
     supports: dict = {}
+    filed: set = set()  # (k, x, y, id(s)), or (k, x, diagonal) when x == y
     last = tables = None
     for law in laws:
         t, i, j, l = law
@@ -196,14 +211,29 @@ def _filed_masks(laws: Iterable[Law], nvars: int) -> tuple[list[int], list[list[
         if l > k:
             k = l
         at = (i == k) | (j == k) << 1 | (l == k) << 2
-        s = tables[at]
-        if s is None:
-            s = tables[at] = _support(t, at)
+        if tables[at] is None:
+            s = _support(t, at)
+            every = (1 << (len(t[0]) if at == 2 else len(t))) - 1
+            diagonal = tuple(row[u] for u, row in enumerate(s) if u < len(row))
+            tables[at] = (
+                s,
+                all(m == every for row in s for m in row),
+                diagonal,
+                all(m == every for m in diagonal),
+            )
+        s, vacuous, diagonal, vacuous_diagonal = tables[at]
         if at == 7:
             fixed[k] &= s[0][0]
+            continue
+        p, q = _READ_AT[at]
+        x, y = law[p], law[q]
+        if x != y:
+            key = None if vacuous else (k, x, y, id(s))
         else:
-            x, y = _READ_AT[at]
-            reads[k].append((s, law[x], law[y]))
+            key = None if vacuous_diagonal else (k, x, diagonal)
+        if key is not None and key not in filed:
+            filed.add(key)
+            reads[k].append((s, x, y))
     return fixed, reads
 
 

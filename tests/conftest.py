@@ -118,28 +118,28 @@ def _shared_leaves(check, x, g):
     """What ``check(x, g)`` counts, kept: every leaf that both sides reach, sorted.
 
     ``check`` is ``check_adjunction_bijection`` or ``check_xmod_adjunction``.
-    The check must make exactly two ``assignments`` searches, the rack
-    side's first, and each is recorded as it passes, unchanged.  Each
-    stream must be strictly increasing, as the check's lockstep merge of
-    the two assumes.  A shared leaf is one in both streams, read by element
-    through the solving order of x's presentation (a hom), or as (f1, f0)
-    (a crossed-module pair).  The count the check returns must be the
-    number of shared leaves.
+    The check must pass exactly one pair of domain lists, the rack side's
+    first, to ``_count_shared_leaves``, which counts without making any
+    leaf; the pair is recorded, and here each list is searched by
+    ``assignments`` on its own.  Each stream must be strictly increasing.
+    A shared leaf is one in both streams, read by element through the
+    solving order of x's presentation (a hom), or as (f1, f0) (a
+    crossed-module pair).  The count the check returns must be the number
+    of shared leaves.
     """
-    real = functors.assignments
-    streams = []
+    real = functors._count_shared_leaves
+    sides = []
 
-    def recording(*search):
-        leaves = []
-        streams.append(leaves)
-        for f in real(*search):
-            leaves.append(f)
-            yield f
+    def recording(rack, presented, *rest):
+        sides.append((rack, presented))
+        return real(rack, presented, *rest)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(functors, "assignments", recording)
+        mp.setattr(functors, "_count_shared_leaves", recording)
         count = check(x, g)
-    assert len(streams) == 2, "one search per side"
+    assert len(sides) == 1, "one pair of sides"
+    assert len({len(domains) for domains in sides[0]}) == 1, "two sides over one set of variables"
+    streams = [list(functors.assignments(domains)) for domains in sides[0]]
     for leaves in streams:
         assert all(a < b for a, b in zip(leaves, leaves[1:])), "a stream out of order"
     rack, presented = streams

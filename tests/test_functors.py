@@ -28,7 +28,7 @@ from rackmod import (
     trivial_rack,
 )
 from rackmod import corpus, functors
-from rackmod.errors import BijectionFail, HomBasepointFail, HomLawFail
+from rackmod.errors import AxiomError, BijectionFail, HomBasepointFail, HomLawFail
 from rackmod.functors import Presentation, enumerate_homs_bruteforce
 from rackmod.search import assignments
 from rackmod.tables import validate_hom
@@ -351,6 +351,9 @@ def test_homs_out_of_a_trivial_rack_are_the_commuting_tuples(groups):
             counts[name].append(expected)
     assert counts["s3"] == [6, 18, 48, 126, 336, 918]
     assert counts["z6"] == [6**m for m in range(1, 7)]
+    # one size further, on the check alone: 6^7 maps, none built
+    z6 = groups["z6"]
+    assert check_adjunction_bijection(trivial_rack(8), z6) == _commuting_tuples(z6, 7, memo) == 279_936
 
 
 def test_homs_out_of_a_cyclic_group_are_the_elements_of_dividing_order(groups):
@@ -552,6 +555,21 @@ def test_the_rack_side_of_the_benchmark_adjunction_makes_pinned_node_counts(
     assert _rack_side_nodes(monkeypatch, x, groups[gname]) == nodes
 
 
+@pytest.mark.parametrize("gname,reads", [("z6", 72), ("s3", 102)])
+def test_the_benchmark_adjunction_files_pinned_read_counts(racks, groups, gname, reads):
+    """Both sides of cs3×cz2 file 132 reads without pruning; a read that
+    allows every value, most of them into the trivial rack Conj Z6, or that
+    repeats another of its level, is dropped."""
+    x, g = product_rack(racks["cs3"], racks["cz2"]), groups[gname]
+    var = functors._solving_order(functors._law_letters(x), x.size)
+    relators = functors._compile_relators(as_presentation(x))
+    for domains in (
+        functors.hom_search(x, conj_rack(g), var, x.size),
+        functors._presented_hom_search(relators, g, var, x.size),
+    ):
+        assert sum(len(d.reads) for d in domains) == reads
+
+
 def test_the_node_count_hardly_depends_on_the_labelling(monkeypatch, racks, groups, relabel):
     """Over relabellings of cs3×cz2 that fix the basepoint, the rack side
     into Z6 stays within 1.1× of the node count of the catalog labelling.
@@ -609,7 +627,7 @@ def test_adjunction_rechecks_the_basepoint_of_presented_maps(monkeypatch, racks,
 
 
 def test_merge_counts_shared_leaves_and_raises_the_least_bad_one():
-    """The two searches are merged in lockstep: a leaf in both is counted,
+    """The two searches are walked together: a leaf in both is counted,
     and a leaf in one only is a bad map of that side.  Here (0, 0) is
     shared, and the presented side alone finds (0, 1), (0, 2), (1, 0) and
     (1, 1), of which (0, 1) is the least."""
@@ -628,6 +646,170 @@ def test_merge_raises_the_rack_side_first():
     with pytest.raises(BijectionFail) as exc:
         functors._count_shared_leaves(rack, presented, lambda f: f)
     assert (exc.value.side, exc.value.witness) == ("rack", (0, 1))
+
+
+def test_a_value_with_no_completion_is_no_bad_map():
+    """The presented side gives 1 at level 0, which the rack side does not,
+    but no value at level 1 completes it: the two leaf sets are equal, so
+    the walk counts both shared leaves and raises nothing."""
+    rack = [(0,), (0, 1)]
+    presented = [(0, 1), lambda f: (0, 1) if f[0] == 0 else ()]
+    assert functors._count_shared_leaves(rack, presented, lambda f: f) == 2
+
+
+def test_the_least_bad_map_is_taken_over_every_divergence():
+    """The rack side alone gives 1 at level 0, whose completions (1, 0) and
+    (1, 1) are bad maps, and then 1 after (0,), a divergence the walk meets
+    later at a deeper node; its leaf (0, 1) is the least, so it is raised."""
+    rack = [range(3), range(2)]
+    presented = [(0, 2), lambda f: (0,) if f[0] == 0 else (0, 1)]
+    with pytest.raises(BijectionFail) as exc:
+        functors._count_shared_leaves(rack, presented, lambda f: f)
+    assert (exc.value.side, exc.value.witness) == ("rack", (0, 1))
+
+
+def test_the_walk_reads_values_in_any_order():
+    """Masks are sets: domains that give their values in descending order
+    are compared as they are ascending."""
+    rack = [(1, 0), lambda f: (2, 0) if f[0] else (1, 0)]
+    presented = [(0, 1), lambda f: (0, 2) if f[0] else (0, 1)]
+    assert functors._count_shared_leaves(rack, presented, lambda f: f) == 4
+
+
+def _dead_ends(search, k, stuck_at):
+    """``search`` with level k's domain widened to every value of the target
+    and every value it gains there given no completion: level k + 1 gives
+    nothing after a value that level k did not give before.  Each prefix
+    that level k + 1 gives nothing for is appended to ``stuck_at``."""
+
+    def tampered(*args):
+        domains = search(*args)
+        own, after = domains[k], domains[k + 1]
+        every = range(args[1].size)
+
+        def stuck(f):
+            if f[k] in own(f):
+                return after(f)
+            stuck_at.append(tuple(f[: k + 1]))
+            return ()
+
+        return domains[:k] + [lambda f: every, stuck] + domains[k + 2 :]
+
+    return tampered
+
+
+def _lockstep(rack, presented, key, explain=None):
+    """Test-only oracle: the two-stream merge that the walk of
+    ``_count_shared_leaves`` replaced.  Each side is its own ``assignments``
+    search, every domain ascending, and the two leaf streams are merged in
+    lockstep; it raises by the same rules."""
+    rack_leaves, presented_leaves = assignments(rack), assignments(presented)
+    r, p = next(rack_leaves, None), next(presented_leaves, None)
+    shared = 0
+    bad_rack, bad_presented = [], []
+    while r is not None or p is not None:
+        if r == p:
+            shared += 1
+            r, p = next(rack_leaves, None), next(presented_leaves, None)
+        elif p is None or (r is not None and r < p):
+            bad_rack.append(key(r))
+            r = next(rack_leaves, None)
+        else:
+            bad_presented.append(key(p))
+            p = next(presented_leaves, None)
+    if bad_rack:
+        raise BijectionFail("rack", min(bad_rack))
+    if bad_presented:
+        m = min(bad_presented)
+        if explain is not None:
+            explain(m)
+        raise BijectionFail("presented", m)
+    return shared
+
+
+def _outcome(count, *args):
+    """The count, or the type, side and witness of the failure raised."""
+    try:
+        return count(*args)
+    except AxiomError as exc:
+        return type(exc).__name__, getattr(exc, "side", None), exc.witness
+
+
+def _walk_against_the_merge(check, x, g) -> tuple:
+    """The outcome of ``check(x, g)``, asserted equal to the lockstep
+    merge's over the very domains that the check passes to
+    ``_count_shared_leaves``."""
+    real, calls = functors._count_shared_leaves, []
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(functors, "_count_shared_leaves", recording)
+        outcome = _outcome(check, x, g)
+    (args,) = calls
+    assert _outcome(real, *args) == _outcome(_lockstep, *args) == outcome, (x, g)
+    return outcome
+
+
+def test_the_walk_agrees_with_the_lockstep_merge(adjunction_pairs, xmod_adjunction_pairs):
+    for name, x, g in adjunction_pairs:
+        assert _walk_against_the_merge(check_adjunction_bijection, x, g) >= 1, name
+    for name, x, g in xmod_adjunction_pairs:
+        assert _walk_against_the_merge(check_xmod_adjunction, x, g) >= 1, name
+
+
+@pytest.mark.parametrize(
+    "tamper,builder,xname,gname,expected",
+    [
+        ("admit", "hom_search", "cs3", "z2", ("BijectionFail", "rack", (0, 1, 0, 0, 0, 0))),
+        ("admit", "_presented_hom_search", "cs3", "z2", ("HomLawFail", None, (1, 2))),
+        ("admit", "_presented_hom_search", "t2", "z2", ("HomBasepointFail", None, (0, 1))),
+        ("reject", "hom_search", "cs3", "s3", "presented"),
+        ("reject", "_presented_hom_search", "cs3", "s3", "rack"),
+        ("dead end", "hom_search", "cs3", "s3", 24),
+        ("dead end", "_presented_hom_search", "cs3", "s3", 24),
+    ],
+)
+def test_the_walk_agrees_with_the_lockstep_merge_on_tampered_sides(
+    monkeypatch, racks, groups, tamper, builder, xname, gname, expected
+):
+    """The tampers of the tests above, each compared with the merge.  A dead
+    end widens level 3 of one side of cs3 into S3, where (13) is solved
+    for, to all of S3, with no completion for any value it gains: that
+    side's leaves are unchanged, so the count stays 24 and nothing is
+    raised."""
+    x, g = racks[xname], groups[gname]
+    real = getattr(functors, builder)
+    stuck_at: list = []
+    if tamper == "admit":
+        extra = (0, 1, 0, 0, 0, 0)[: x.size] if x.size > 2 else (1, 1)
+        tampered = _admitting(real, extra)
+    elif tamper == "reject":
+        tampered = _rejecting(real, enumerate_homs(x, conj_rack(g))[5])
+    else:
+        tampered = _dead_ends(real, 3, stuck_at)
+    monkeypatch.setattr(functors, builder, tampered)
+    outcome = _walk_against_the_merge(check_adjunction_bijection, x, g)
+    if expected in ("rack", "presented"):
+        assert outcome[:2] == ("BijectionFail", expected)
+    else:
+        assert outcome == expected
+    assert bool(stuck_at) == (tamper == "dead end"), "no value was added"
+
+
+@pytest.mark.parametrize("builder", ["hom_search", "_presented_hom_search"])
+def test_the_xmod_walk_agrees_with_the_lockstep_merge_on_tampered_sides(
+    monkeypatch, rack_xmods, group_xmods, builder
+):
+    x, g = rack_xmods["identity_cs3"], group_xmods["identity_s3"]
+    real = getattr(functors, builder)
+    a, b = (1, 0, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0)
+    for tampered in (_admitting(real, b, a), _rejecting(real, enumerate_homs(x.dom, conj_rack(g.dom))[5])):
+        with monkeypatch.context() as mp:
+            mp.setattr(functors, builder, tampered)
+            assert _walk_against_the_merge(check_xmod_adjunction, x, g)[0] == "BijectionFail"
 
 
 def test_adjunction_and_presentations_refuse_groups_and_unpointed_racks(groups, group_xmods):

@@ -2,7 +2,7 @@
 
 from itertools import product
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rackmod import (
@@ -117,12 +117,41 @@ def mask_problems(draw):
     return sizes, allowed, laws
 
 
+def _law_mask(k, prefix, size, base, laws):
+    """The mask of the values c of variable k that ``base`` allows and under
+    which every law whose last variable is k holds, ``prefix`` holding the
+    earlier variables: every law read once, straight from its table."""
+    m = base
+    for t, i, j, l in laws:
+        if max(i, j, l) == k:
+            m &= sum(
+                1 << c
+                for c in range(size)
+                if (f := [*prefix, c])[l] == t[f[i]][f[j]]
+            )
+    return m
+
+
+# f[0] = t[f[0]][f[1]] over a table of 2 rows and 3 columns: the one read at
+# level 1, on the diagonal, allows the columns {0, 1} for either f[0], which
+# every value of the rows would take for every value; and f[0] = u[f[0]][f[1]],
+# whose read allows all three columns and is dropped
+RECTANGULAR = (
+    [2, 3],
+    [None, None],
+    [(((0, 0, 1), (1, 1, 0)), 0, 1, 0), (((0, 0, 0), (1, 1, 1)), 0, 1, 0)],
+)
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
+@example(RECTANGULAR)
 @given(mask_problems())
 def test_mask_domains_give_the_filtered_product_in_order(problem):
     """``law_domains`` filed as masks, read by the kernel or called, give
     exactly the members of the product of the allowed values that satisfy
-    every law, in product order."""
+    every law, in product order.  Reads that allow every value or repeat
+    another are not filed, yet at every prefix of values, allowed or not,
+    each level's mask is the mask of every law read once."""
     sizes, allowed, laws = problem
     values = [range(size) if a is None else a for size, a in zip(sizes, allowed)]
     expected = [
@@ -133,6 +162,20 @@ def test_mask_domains_give_the_filtered_product_in_order(problem):
     assert list(assignments(domains)) == expected
     called = [lambda f, d=d: d(f) for d in domains]
     assert list(assignments(called)) == expected
+    for k, domain in enumerate(domains):
+        for prefix in product(*map(range, sizes[:k])):
+            want = _law_mask(k, prefix, sizes[k], bases[k], laws)
+            assert domain.mask([*prefix, None]) == want, (k, prefix)
+
+
+def test_a_read_over_columns_is_pruned_by_the_columns():
+    """Of the two laws of ``RECTANGULAR``, filed where only j is marked, the
+    one whose diagonal allows every column is dropped, and the one that
+    allows two of the three is kept."""
+    sizes, _, laws = RECTANGULAR
+    domains = law_domains([(1 << n) - 1 for n in sizes], laws)
+    assert [len(d.reads) for d in domains] == [0, 1]
+    assert list(assignments(domains)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_no_variables_give_the_empty_assignment():
