@@ -94,7 +94,7 @@ def _certified(args: argparse.Namespace, command: str, fn) -> int:
         verdict = "pass"
     except AxiomError as exc:
         verdict, witnesses = "fail", [_failure(exc)]
-    if args.report:
+    if args.report is not None:
         doc = certificate_document(
             command,
             verdict,
@@ -176,12 +176,15 @@ def _claim_outputs(outputs: Iterable[str | Path]) -> dict[str | Path, tuple]:
     or, for a file that does not exist yet, by its directory's identity and
     its name.
 
-    An output that is an existing directory, that lies in a directory that
-    does not exist, or that names the same file as an earlier output is
-    refused; a command claims its outputs before it reads anything.
+    An output that is an empty path, that is an existing directory, that
+    lies in a directory that does not exist, or that names the same file as
+    an earlier output is refused; a command claims its outputs before it
+    reads anything.
     """
     claimed: dict[str | Path, tuple] = {}
     for out in outputs:
+        if out == "":
+            raise ValueError("cannot write to an empty path")
         if os.path.isdir(out):
             raise IsADirectoryError(f"cannot write {out}: it is a directory")
         parent = os.path.dirname(out)
@@ -279,7 +282,7 @@ def cmd_construct_pullback(args: argparse.Namespace) -> int:
         raise ParseError(args.wrong_kind)
     pb = pullback_xmod(source, phi)
     outputs = [(document_for(pb.src), args.out, f"carrier size {pb.src.dom.size}")]
-    if args.hom_out:
+    if args.hom_out is not None:
         note = "comparison back to the source"
         outputs.insert(0, (document_for(pb.f1), args.hom_out, note))
     return _write(*outputs)
@@ -353,6 +356,8 @@ _CATALOGS = (
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
+    if args.outdir == "":
+        raise ValueError("cannot write to an empty path")
     bound = args.bound
     if bound < 1:
         raise ParseError(f"bound must be at least 1, got {bound}")
@@ -366,7 +371,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     lines += [f"catalog {prefix}: {len(catalog())} entries" for prefix, catalog in _CATALOGS]
     # every document is written before the first line is printed, so that a
     # failed write leaves stdout empty
-    if args.outdir:
+    if args.outdir is not None:
         outdir = Path(args.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         outputs = [
@@ -494,7 +499,7 @@ def main(argv: list[str] | None = None) -> int:
     # every output is claimed, in write order, before any input is read
     outputs = [getattr(args, flag, None) for flag in ("hom_out", "out", "report")]
     try:
-        args.writes, args.digests = _claim_outputs(filter(None, outputs)), {}
+        args.writes, args.digests = _claim_outputs(o for o in outputs if o is not None), {}
         return args.func(args)
     except (ParseError, BoundExceeded, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,13 +1,14 @@
 """Basepoint-preserving isomorphism search and small-order rack enumeration.
 
 Both are ``search.assignments`` searches whose domains alone decide the
-values tried.  The isomorphism search is a mask search: ``hom_search``
-files the hom laws over the invariant-matched candidates, and injectivity
-is one more read per earlier variable.  Rack enumeration's column domains
-place each candidate column in the table being built and yield it only when
-the self-distributivity triples it completes hold and no relabelling makes
-the placed columns smaller, so it makes one table per isomorphism class and
-no isomorphism search.
+values tried.  The isomorphism search is the hom search: ``hom_search``
+files the hom laws in the solving order of every hom-set search
+(``functors._solving_order``), and injectivity is one more read per
+earlier variable.  Rack enumeration's column domains place each candidate
+column in the table being built and yield it only when the
+self-distributivity triples it completes hold and no relabelling makes the
+placed columns smaller, so it makes one table per isomorphism class and no
+isomorphism search.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from functools import partial
 from itertools import permutations, product
 
 from .errors import AxiomError, BoundExceeded
-from .racks import FiniteRack, rack_orbits, validate_rack
+from .functors import _law_letters, _solving_order
+from .racks import FiniteRack, validate_rack
 from .search import _narrowed, assignments, hom_search
 from .tables import Hom, _check_endpoints, validate_hom
 
@@ -27,71 +29,23 @@ ENUMERATION_CEILING = 7
 BRUTEFORCE_LIMIT = 3
 
 
-def _cycle_type(perm: list[int]) -> tuple[int, ...]:
-    seen = [False] * len(perm)
-    lengths = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = perm[x]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths))
-
-
-def element_invariants(r: FiniteRack) -> tuple[tuple, ...]:
-    """Per-element fingerprint preserved by any pointed isomorphism.
-
-    Combines the basepoint flag, the orbit size, idempotency of a ◁ a, and
-    the cycle type of the column permutation x -> x ◁ a.
-    """
-    orbit_size = {}
-    for orb in rack_orbits(r):
-        for a in orb:
-            orbit_size[a] = len(orb)
-    out = []
-    for a in range(r.size):
-        col = [r.table[x][a] for x in range(r.size)]
-        out.append((a == r.basepoint, orbit_size[a], r.table[a][a] == a, _cycle_type(col)))
-    return tuple(out)
-
-
-def _candidates(a: FiniteRack, b: FiniteRack) -> list[list[int]] | None:
-    """For each element of a, the elements of b with its invariants, ascending.
-
-    None when no bijection can match the invariants: the sizes or the
-    multisets of invariants differ.  Endpoints that no hom joins raise the
-    ``ValueError`` of ``validate_hom`` before any invariant is read.
-    """
-    _check_endpoints(a, b)
-    if a.size != b.size:
-        return None
-    inv_a, inv_b = element_invariants(a), element_invariants(b)
-    if sorted(inv_a) != sorted(inv_b):
-        return None
-    return [[y for y in range(b.size) if inv_b[y] == inv_a[x]] for x in range(a.size)]
-
-
 def _iso_maps(a: FiniteRack, b: FiniteRack) -> Iterator[tuple[int, ...]]:
     """Every pointed isomorphism a -> b as a map tuple, in search order.
 
-    One ``assignments`` search built by ``hom_search`` over the elements of
-    a, most constrained first (fewest candidates, ties by lowest index),
-    each ranging over its invariant-matched candidates that the hom laws
-    allow (``_candidates``).  That each image is new is a mask too: level k
-    reads ``other[f[x]][f[x]]``, every value but f[x], for each earlier
-    level x.
+    The hom search a -> b (``hom_search``) in the solving order of a's law
+    letters, ``functors._solving_order``, the order of every hom-set
+    search, plus injectivity: that each image is new is one more mask read
+    per earlier variable, level k reading ``other[f[x]][f[x]]``, every
+    value but f[x], for each earlier level x.  Racks of different sizes
+    have no isomorphism, so no search runs for them.  Endpoints that no hom
+    joins raise the ``ValueError`` of ``validate_hom`` before the letters,
+    which read the basepoint, are taken.
     """
-    cands = _candidates(a, b)
-    if cands is None:
+    _check_endpoints(a, b)
+    if a.size != b.size:
         return
-    order = sorted(range(a.size), key=lambda x: (len(cands[x]), x))
-    var = [order.index(x) for x in range(a.size)]
-    domains = hom_search(a, b, var, a.size, cands)
+    var = _solving_order(_law_letters(a), a.size)
+    domains = hom_search(a, b, var, a.size)
     # other[u][u]: the values other than u
     other = [[~(1 << u)] * b.size for u in range(b.size)]
     reads = [(other, x, x) for x in range(a.size)]
@@ -100,10 +54,11 @@ def _iso_maps(a: FiniteRack, b: FiniteRack) -> Iterator[tuple[int, ...]]:
 
 
 def find_isomorphism(a: FiniteRack, b: FiniteRack) -> Hom | None:
-    """The first pointed isomorphism in most-constrained search order, if any.
+    """The first pointed isomorphism in the solving order, if any: the least
+    map when its images are read in the order in which the search assigns
+    a's elements.
 
-    Each call computes the ``element_invariants`` of a and b and the
-    support tables of b's search afresh.
+    Each call builds the support tables of b's search afresh.
     """
     m = next(_iso_maps(a, b), None)
     return None if m is None else validate_hom(a, b, m)

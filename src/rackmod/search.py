@@ -23,16 +23,18 @@ becomes one read of a support-mask table built once per table: bit c of
 is then a ``Masked``: the AND of its base mask (the values allowed at all)
 and of the masks its laws read, its set bits taken in ascending order.  A
 read that allows every value whatever it reads, and a read that another
-law of the level already makes, change no AND and are not filed.  A
-value that one law forces is a one-bit mask, so every such value is solved
-for instead of being guessed and rejected (forward checking: Haralick and
-Elliott, "Increasing tree search efficiency for constraint satisfaction
-problems", Artificial Intelligence 14, 1980).
+law of the level already makes, change no AND and are not filed; two laws
+over different tables make the same read when their support tables have
+the same rows.  A value that one law forces is a one-bit mask, so every
+such value is solved for instead of being guessed and rejected (forward
+checking: Haralick and Elliott, "Increasing tree search efficiency for
+constraint satisfaction problems", Artificial Intelligence 14, 1980).
 
 Every search for homs between racks or groups, isomorphisms and
 crossed-module morphisms is built by the two builders here, which return
 the domains that ``assignments`` takes: ``hom_search`` files the hom laws
-of one map as masks, and ``morphism_search`` joins a search for f0 and one
+of one map as masks, the isomorphism search adding one injectivity read
+per earlier variable, and ``morphism_search`` joins a search for f0 and one
 for f1, in one layout (f0 first, then f1), and files the boundary and
 action squares of the morphism as masks too.  Two searches build their own
 domains instead: ``functors._presented_hom_search`` files the relators of a
@@ -183,7 +185,9 @@ def _filed_masks(laws: Iterable[Law], nvars: int) -> tuple[list[int], list[list[
     constant, and -1 where no such law is filed), otherwise one read
     (s, x, y) of ``reads[k]``, s[f[x]][f[y]] being that mask for the values
     at the other positions.  The tables s are built once for each table t
-    and way of placing k among (i, j, l), and freed with the search.
+    and way of placing k among (i, j, l), and freed with the search; a
+    table s with the same rows as one built before is that one, so that
+    reads of equal tables are the same read.
 
     A read that cannot narrow a domain is not filed.  Whether a read of s
     can is decided once per table s: a read whose every entry, read only
@@ -192,8 +196,8 @@ def _filed_masks(laws: Iterable[Law], nvars: int) -> tuple[list[int], list[list[
     position, the columns of t when only j is marked and its rows
     otherwise, which holds every value its variable takes (``Law``).  A
     read that another at level k already makes is filed once: reads are
-    the same when they have the same x, y and s, or, when x == y, the same
-    x and the same diagonal of s.
+    the same when they have the same x, y and rows of s, or, when x == y,
+    the same x and the same diagonal of s.
     """
     fixed = [-1] * nvars
     reads: list[list[tuple]] = [[] for _ in range(nvars)]
@@ -201,6 +205,7 @@ def _filed_masks(laws: Iterable[Law], nvars: int) -> tuple[list[int], list[list[
     # its table s, whether every entry of s allows every value, s's
     # diagonal, and whether the diagonal does
     supports: dict = {}
+    interned: dict = {}  # the rows of each table s built -> the first s with them
     filed: set = set()  # (k, x, y, id(s)), or (k, x, diagonal) when x == y
     last = tables = None
     for law in laws:
@@ -213,6 +218,7 @@ def _filed_masks(laws: Iterable[Law], nvars: int) -> tuple[list[int], list[list[
         at = (i == k) | (j == k) << 1 | (l == k) << 2
         if tables[at] is None:
             s = _support(t, at)
+            s = interned.setdefault(tuple(map(tuple, s)), s)
             every = (1 << (len(t[0]) if at == 2 else len(t))) - 1
             diagonal = tuple(row[u] for u, row in enumerate(s) if u < len(row))
             tables[at] = (

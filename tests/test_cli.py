@@ -273,6 +273,42 @@ def test_an_unusable_report_is_refused_before_the_check(
     assert list((tmp_path / "out-dir").iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv,work",
+    [
+        (["certify", "adjunction", "r.json", "z2.json", "--report", ""], "check_adjunction_bijection"),
+        (["check", "r.json", "--report", ""], "parse_document"),
+        (["construct", "pullback", "req.json", "--hom-out", "", "--out", "pb.json"], "pullback_xmod"),
+        (["construct", "core", "s3.json", "--out", ""], "core_rack"),
+        (["corpus", "--out", ""], "enumerate_pointed_racks"),
+    ],
+    ids=["certify-report", "check-report", "hom-out", "construct-out", "corpus-out"],
+)
+def test_an_empty_output_path_is_refused_before_any_input_is_read(
+    monkeypatch, tmp_path, racks, groups, rack_xmods, rack_homs, capsys, argv, work
+):
+    """An empty path names no file: it exits 2 with nothing on stdout before
+    any input is read or any structure is built, and nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "r.json", rack_document(racks["cs3"]))
+    write(tmp_path, "z2.json", group_document(groups["z2"]))
+    write(tmp_path, "s3.json", group_document(groups["s3"]))
+    xmod, hom = rack_xmod_document(rack_xmods["identity_cz2"]), hom_document(rack_homs["sgn_rack"])
+    write(tmp_path, "req.json", pullback_request(xmod, hom))
+    inputs = sorted(p.name for p in tmp_path.iterdir())
+
+    def not_called(*args, **kwargs):
+        raise AssertionError("the command went on")
+
+    monkeypatch.setattr(cli, "load_document", not_called)
+    monkeypatch.setattr(cli, work, not_called)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot write to an empty path\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
 def test_a_failed_certificate_write_leaves_no_report(
     monkeypatch, tmp_path, racks, groups, capsys, existing

@@ -555,19 +555,26 @@ def test_the_rack_side_of_the_benchmark_adjunction_makes_pinned_node_counts(
     assert _rack_side_nodes(monkeypatch, x, groups[gname]) == nodes
 
 
-@pytest.mark.parametrize("gname,reads", [("z6", 72), ("s3", 102)])
-def test_the_benchmark_adjunction_files_pinned_read_counts(racks, groups, gname, reads):
+@pytest.mark.parametrize(
+    "gname,rack_reads,presented_reads",
+    [("z6", 72, 52), ("s3", 102, 102)],
+    ids=["z6-72", "s3-102"],
+)
+def test_the_benchmark_adjunction_files_pinned_read_counts(
+    racks, groups, gname, rack_reads, presented_reads
+):
     """Both sides of cs3×cz2 file 132 reads without pruning; a read that
     allows every value, most of them into the trivial rack Conj Z6, or that
-    repeats another of its level, is dropped."""
+    repeats another of its level, is dropped.  Into Z6 the presented side
+    builds support tables with equal rows from different relator tables,
+    and a read of one repeats a read of the other."""
     x, g = product_rack(racks["cs3"], racks["cz2"]), groups[gname]
     var = functors._solving_order(functors._law_letters(x), x.size)
     relators = functors._compile_relators(as_presentation(x))
-    for domains in (
-        functors.hom_search(x, conj_rack(g), var, x.size),
-        functors._presented_hom_search(relators, g, var, x.size),
-    ):
-        assert sum(len(d.reads) for d in domains) == reads
+    rack = functors.hom_search(x, conj_rack(g), var, x.size)
+    presented = functors._presented_hom_search(relators, g, var, x.size)
+    assert sum(len(d.reads) for d in rack) == rack_reads
+    assert sum(len(d.reads) for d in presented) == presented_reads
 
 
 def test_the_node_count_hardly_depends_on_the_labelling(monkeypatch, racks, groups, relabel):

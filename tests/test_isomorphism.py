@@ -14,7 +14,12 @@ from rackmod import (
 )
 from rackmod import corpus, isomorphism
 from rackmod.errors import BoundExceeded
-from rackmod.functors import enumerate_homs, enumerate_homs_bruteforce
+from rackmod.functors import (
+    _law_letters,
+    _solving_order,
+    enumerate_homs,
+    enumerate_homs_bruteforce,
+)
 from rackmod.isomorphism import enumerate_pointed_racks_bruteforce
 from rackmod.racks import _self_distributivity_witness
 
@@ -63,12 +68,12 @@ def test_bounds():
 
 def test_find_isomorphism_refuses_unpointed_racks(monkeypatch):
     """A pointed isomorphism needs basepoints; the refusal comes before any
-    invariant is read."""
+    search is built."""
 
-    def unread(r):
-        raise AssertionError("an invariant was read")
+    def unsearched(*args):
+        raise AssertionError("a search was built")
 
-    monkeypatch.setattr(isomorphism, "element_invariants", unread)
+    monkeypatch.setattr(isomorphism, "hom_search", unsearched)
     r3 = corpus.unpointed_racks()["r3"]
     with pytest.raises(ValueError, match="pointed racks or groups"):
         find_isomorphism(r3, r3)
@@ -289,15 +294,37 @@ def _isomorphisms_by_permutations(a, b):
 
 
 def test_isomorphisms_match_the_permutation_oracle_under_every_relabeling(relabel):
-    racks = [r for n in (1, 2, 3, 4) for r in enumerate_pointed_racks(n)]
-    racks.append(validate_rack(SHIFT_RACK_TABLE, 0))
-    for r in racks:
-        for rest in permutations(range(1, r.size)):
-            other = relabel(r, (0,) + rest)
-            found = [h.map for h in all_isomorphisms(r, other)]
-            assert found == _isomorphisms_by_permutations(r, other), (r.table, rest)
-            first = find_isomorphism(r, other)
-            assert first is not None and first.map in found
+    """Each representative of order <= 4 against every relabelling of every
+    representative of its order, so every pair has equal sizes and most
+    have no isomorphism; the shift rack against its own relabellings."""
+    reps = [enumerate_pointed_racks(n) for n in (1, 2, 3, 4)]
+    shift = validate_rack(SHIFT_RACK_TABLE, 0)
+    pairs = [(a, b) for same in reps for a in same for b in same] + [(shift, shift)]
+    for a, b in pairs:
+        for rest in permutations(range(1, b.size)):
+            other = relabel(b, (0,) + rest)
+            found = [h.map for h in all_isomorphisms(a, other)]
+            assert found == _isomorphisms_by_permutations(a, other), (a.table, b.table, rest)
+            first = find_isomorphism(a, other)
+            assert (first is None) == (a is not b), (a.table, b.table, rest)
+            assert first is None or first.map in found
+
+
+def test_find_isomorphism_is_the_least_in_the_solving_order(racks, relabel):
+    """The first isomorphism is the least map read in the solving order of
+    every hom-set search, the order in which its variables are assigned."""
+    cs3 = racks["cs3"]
+    var = _solving_order(_law_letters(cs3), cs3.size)
+    by_variable = sorted(range(cs3.size), key=var.__getitem__)
+    for rest in permutations(range(1, cs3.size)):
+        other = relabel(cs3, (0,) + rest)
+        least = min(
+            (h.map for h in all_isomorphisms(cs3, other)),
+            key=lambda m: [m[a] for a in by_variable],
+        )
+        assert find_isomorphism(cs3, other).map == least, rest
+    other = relabel(cs3, (0, 2, 3, 5, 1, 4))
+    assert find_isomorphism(cs3, other).map == (0, 2, 3, 5, 1, 4)
 
 
 def test_rack_homs_out_of_every_relabeling_match_the_unpruned_oracle(racks, relabel):

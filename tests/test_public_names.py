@@ -61,6 +61,7 @@ REMOVED = (
     "NotAMorphism",
     "no_test",
     "digest_file",
+    "element_invariants",
 )
 # The two law families of validate_xmod, kept by name in rackmod.xmod alone.
 XMOD_LAWS = ("validate_rack_xmod", "validate_group_xmod")
