@@ -41,10 +41,20 @@ popcount, so no map in both sets is built.  A value that one side allows
 at a node both reach, and the other does not, is completed by that side's
 own search, and each leaf it yields is a map that only that side finds.
 Masks are sets, so the comparison does not rest on the order in which a
-domain gives its values.  Each side is pruned by its own filed laws only,
-so a map that both sides' laws wrongly admit is not caught here; the tests
-check every shared map against the hom laws and the relators over the
-corpus instead.
+domain gives its values.  Before that walk, each side is presolved from its
+own masks (``_parts``): a read that says an equality, f[k] = f[x],
+f[k] = f[y] or f[x] = f[y], merges its variables into one class, and the
+classes fall into parts that no other read of either side joins.  Into an
+abelian G, Conj G is a trivial rack and every law is such an equality, so
+the 12 variables of cs3×cz2 into Z6 become 6 classes in 6 parts.  When both
+sides give the same classes and class bases, and each part's two searches
+agree at every node of its own walk, the count is the product of the
+parts' counts, and a part of one class with no read is one popcount
+(component decomposition: Bacchus, Dalmao and Pitassi, FOCS 2003).
+Otherwise the whole walk runs, so a failure keeps its side and witness.
+Each side is pruned by its own filed laws only, so a map that both sides'
+laws wrongly admit is not caught here; the tests check every shared map
+against the hom laws and the relators over the corpus instead.
 """
 
 from __future__ import annotations
@@ -349,30 +359,140 @@ def _mask_reader(domain):
     return lambda f: m
 
 
-def _count_shared_leaves(rack, presented, key, explain=None) -> int:
-    """The number of leaves that both searches yield.
+def _equality(s, diagonal: bool) -> int:
+    """Which equality every read (s, x, y) at a level k says, read over
+    every entry of s, or over its diagonal only when ``diagonal`` (x == y):
+    1 when each entry s[u][v] is 1 << u, so f[k] = f[x]; 2 when it is
+    1 << v, so f[k] = f[y]; 3 when it is s[0][0] for u == v and 0
+    otherwise, so f[x] = f[y] and f[k] takes a value of s[0][0]; 0 when
+    none of these holds."""
+    d = s[0][0]
+    entries = (lambda u, v: 1 << u, lambda u, v: 1 << v, lambda u, v: d if u == v else 0)
+    for shape, entry in enumerate(entries, 1):
+        if all(
+            m == entry(u, v)
+            for u, row in enumerate(s)
+            for v, m in enumerate(row)
+            if u == v or not diagonal
+        ):
+            return shape
+    return 0
 
-    ``rack`` and ``presented`` are each the domains of an ``assignments``
-    search over the same variables, at least one.  One ``assignments``
-    walk runs over both: at each node the two domains' masks a and b are
-    read (``_mask_reader``), the walk goes on with the values of a & b, and
-    at the last level it counts them instead, so no shared leaf is built or
-    compared.  A prefix that both searches reach is a node of the walk, so
-    a leaf of one side only has a first value that the other side's domain
-    leaves out, at a node of the walk: the walk notes each such node's
-    values a & ~b and b & ~a, and afterwards each value is completed by
-    that side's own search alone, its prefix pinned by one-value domains.
-    A value with no completion yields no leaf.  Only the leaves those
-    completions yield, the bad maps of their side, are passed to ``key``.
-    The least bad rack key raises ``BijectionFail("rack", ...)``; only then
-    the least bad presented key is passed to ``explain``, which may raise a
-    more specific failure, and raises ``BijectionFail("presented", ...)``.
-    Masks are sets, so neither the count nor a witness depends on the order
-    in which a domain gives its values.
+
+def _merged(root: list[int], pairs) -> list[int]:
+    """``root`` with every pair (a, b) of ``pairs`` merged into one class.
+
+    ``root`` is a union-find forest over 0..n-1 in which each class's root
+    is its least member, ``list(range(n))`` to begin with; it is returned
+    with each member pointing at its root.
+    """
+    for a, b in pairs:
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        while root[b] != b:
+            root[b] = root[root[b]]
+            b = root[b]
+        if a != b:
+            root[max(a, b)] = min(a, b)
+    # a root is below its members, so ascending, each member's root is final
+    for v in range(len(root)):
+        root[v] = root[root[v]]
+    return root
+
+
+def _presolved(domains, shapes: dict):
+    """(classes, bases, reads) of one side's ``Masked`` domains, or None when
+    a domain is not ``Masked`` or a kept read reads its own class or a
+    later one, by least variable, and so cannot be filed at its class.
+
+    The reads that say an equality (``_equality``, decided once per support
+    table and diagonal in ``shapes``) merge their variables: ``classes[k]``
+    is the least variable of k's class, and ``bases`` maps each class to
+    the AND of its members' bases and of the masks the equalities give
+    them.  Each other read (s, x, y) at level k is kept as the same read of
+    the classes, (K, s, X, Y).  On maps constant on each class, the kept
+    reads and the bases allow exactly what all the reads and bases do.
+    """
+    if any(type(d) is not Masked for d in domains):
+        return None
+    bases = [d.base for d in domains]
+    pairs, kept = [], []
+    for k, d in enumerate(domains):
+        for s, x, y in d.reads:
+            key = (id(s), x == y)
+            shape = shapes.get(key)
+            if shape is None:
+                shape = shapes[key] = _equality(s, x == y)
+            if shape == 0:
+                kept.append((k, s, x, y))
+                continue
+            if shape == 3:
+                bases[k] &= s[0][0]
+            pairs.append(((k, x), (k, y), (x, y))[shape - 1])
+    classes = _merged(list(range(len(domains))), pairs)
+    reads = [(classes[k], s, classes[x], classes[y]) for k, s, x, y in kept]
+    if any(not (x < c and y < c) for c, _, x, y in reads):
+        return None
+    merged: dict = {}
+    for k, c in enumerate(classes):
+        merged[c] = merged.get(c, -1) & bases[k]
+    return classes, merged, reads
+
+
+def _parts(rack, presented):
+    """The two sides' domains, part by part, or None when the presolve does
+    not reduce them to parts that can be compared one by one.
+
+    Each side is presolved from its own domains (``_presolved``), and the
+    two must have the same classes and the same class bases.  Two classes
+    are in one part when some kept read of either side joins them.  A part
+    is searched over its classes, least variable first, each class with its
+    base and the kept reads filed at it, which must read earlier classes
+    only.  A map of a side is then one map of each part, read on each
+    class's members, so each side's number of maps is the product of its
+    parts'.  None when a side does not presolve, the classes or their
+    bases differ, or one part holds every variable unmerged, which is the
+    search the domains already are.
+    """
+    shapes: dict = {}
+    part = list(range(len(rack)))
+    sides = []
+    for domains in (rack, presented):
+        side = _presolved(domains, shapes)
+        if side is None or (sides and side[:2] != sides[0][:2]):
+            return None
+        sides.append(side)
+        classes, bases, reads = side
+        _merged(part, [(c, z) for c, _, x, y in reads for z in (x, y)])
+        if len(bases) == len(classes) and not any(part):
+            return None
+    members: dict = {}
+    for c in sorted(bases):
+        members.setdefault(part[c], []).append(c)
+    # at[c]: the level of class c in its part's search
+    at = {c: i for cs in members.values() for i, c in enumerate(cs)}
+    filed = {p: ([[] for _ in cs], [[] for _ in cs]) for p, cs in members.items()}
+    for side, (*_, reads) in enumerate(sides):
+        for c, s, x, y in reads:
+            filed[part[c]][side][at[c]].append((s, at[x], at[y]))
+    return [
+        tuple([Masked(bases[c], r) for c, r in zip(cs, levels)] for levels in filed[p])
+        for p, cs in members.items()
+    ]
+
+
+def _walk(rack, presented) -> tuple[int, list[tuple[list, int, int]]]:
+    """(shared, diverged): one ``assignments`` walk over both searches.
+
+    At each node the two domains' masks a and b are read (``_mask_reader``),
+    the walk goes on with the values of a & b, and at the last level it
+    adds their number to ``shared`` instead, so no shared leaf is built.
+    Each node where a != b is noted in ``diverged`` as its prefix and the
+    values a & ~b and b & ~a.
     """
     bits = _Bits()
     last = len(rack) - 1
-    # (prefix, rack values the presented side lacks, and the converse)
     diverged: list[tuple[list, int, int]] = []
     shared = 0
 
@@ -392,6 +512,45 @@ def _count_shared_leaves(rack, presented, key, explain=None) -> int:
     readers = zip(map(_mask_reader, rack), map(_mask_reader, presented))
     # the last level ends every branch, so the walk yields nothing
     next(assignments([level(k, *masks) for k, masks in enumerate(readers)]), None)
+    return shared, diverged
+
+
+def _count_shared_leaves(rack, presented, key, explain=None) -> int:
+    """The number of leaves that both searches yield.
+
+    ``rack`` and ``presented`` are each the domains of an ``assignments``
+    search over the same variables, at least one.  First the presolve: when
+    both sides reduce to the same parts (``_parts``), each part's two
+    searches are walked (``_walk``), and when no walk notes a node where
+    the two sides' masks differ, each part's two sides have the same maps,
+    so both sides do, and their number is the product of the parts'.  A
+    part of one class and no read is counted by the popcount of its base.
+
+    Otherwise, or when some part diverges, the two searches are walked
+    whole.  A prefix that both searches reach is a node of that walk, so a
+    leaf of one side only has a first value that the other side's domain
+    leaves out, at a node of the walk, which notes it: afterwards each such
+    value is completed by that side's own search alone, its prefix pinned
+    by one-value domains.  A value with no completion yields no leaf.  Only
+    the leaves those completions yield, the bad maps of their side, are
+    passed to ``key``.  The least bad rack key raises
+    ``BijectionFail("rack", ...)``; only then the least bad presented key
+    is passed to ``explain``, which may raise a more specific failure, and
+    raises ``BijectionFail("presented", ...)``.  Masks are sets, so neither
+    the count nor a witness depends on the order in which a domain gives
+    its values.
+    """
+    parts = _parts(rack, presented)
+    if parts is not None:
+        count = 1
+        for part in parts:
+            shared, diverged = _walk(*part)
+            if diverged:
+                break
+            count *= shared
+        else:
+            return count
+    shared, diverged = _walk(rack, presented)
 
     def bad(side: int, domains) -> list:
         """The keys of the leaves of ``domains`` that begin with a value that

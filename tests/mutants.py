@@ -93,6 +93,30 @@ MUTANTS = (
         "a word with one unplaced letter no longer solves for it",
     ),
     Mutant(
+        "presolve-row-zero",
+        "functors.py",
+        "for u, row in enumerate(s)",
+        "for u, row in enumerate(s[:1])",
+        True,
+        "a table that says an equality in row 0 only merges its variables",
+    ),
+    Mutant(
+        "presolve-classes-not-compared",
+        "functors.py",
+        "if side is None or (sides and side[:2] != sides[0][:2]):",
+        "if side is None:",
+        True,
+        "an equality that one side alone says is not reported",
+    ),
+    Mutant(
+        "presolve-representative-base",
+        "functors.py",
+        "merged[c] = merged.get(c, -1) & bases[k]",
+        "merged.setdefault(c, bases[k])",
+        True,
+        "a class allows the values of its least member that another member's base excludes",
+    ),
+    Mutant(
         "filed-masks-whole-table-vacuity",
         "search.py",
         "key = None if vacuous_diagonal else (k, x, diagonal)",

@@ -21,6 +21,7 @@ from rackmod import (
     conj_xmod,
     cyclic_group,
     enumerate_homs,
+    enumerate_pointed_racks,
     enumerate_presented_homs,
     evaluate_word,
     product_rack,
@@ -30,7 +31,7 @@ from rackmod import (
 from rackmod import corpus, functors
 from rackmod.errors import AxiomError, BijectionFail, HomBasepointFail, HomLawFail
 from rackmod.functors import Presentation, enumerate_homs_bruteforce
-from rackmod.search import assignments
+from rackmod.search import Masked, assignments
 from rackmod.tables import validate_hom
 from rackmod.xmod import validate_xmod_morphism
 
@@ -356,6 +357,40 @@ def test_homs_out_of_a_trivial_rack_are_the_commuting_tuples(groups):
     assert check_adjunction_bijection(trivial_rack(8), z6) == _commuting_tuples(z6, 7, memo) == 279_936
 
 
+def _orbit_count(x) -> int:
+    """The number of orbits of the rack x: each orbit is the closure of one
+    of its elements under p -> p ◁ q, each q acting by a permutation."""
+    seen, orbits = set(), 0
+    for a in x.elements():
+        if a in seen:
+            continue
+        orbits += 1
+        todo = [a]
+        while todo:
+            p = todo.pop()
+            if p not in seen:
+                seen.add(p)
+                todo.extend(x.table[p])
+    return orbits
+
+
+def test_homs_into_an_abelian_group_are_constant_on_the_orbits(racks, groups):
+    """Into an abelian G, Conj G is a trivial rack, so a hom X -> Conj G is
+    a map constant on X's orbits that sends the basepoint's orbit to e:
+    |G|^(orbits - 1) of them.  The larger racks reach counts that only the
+    presolve makes cheap, such as 6^11 out of trivial_rack(12)."""
+    small = [rk for n in range(1, 6) for rk in enumerate_pointed_racks(n)]
+    cs3 = racks["cs3"]
+    large = [product_rack(cs3, racks[b]) for b in ("cz2", "cz3", "cs3")] + [trivial_rack(12)]
+    assert [_orbit_count(x) for x in large] == [6, 9, 9, 12]
+    for x in small + large:
+        for gname in ("z2", "z3", "z4", "z6"):
+            g = groups[gname]
+            expected = g.size ** (_orbit_count(x) - 1)
+            assert check_adjunction_bijection(x, g) == expected, (x.size, gname)
+    assert len(small) == 29
+
+
 def test_homs_out_of_a_cyclic_group_are_the_elements_of_dividing_order(groups):
     """A hom out of Z_n is fixed by the image g of its generator, which may
     be any g with g^n = e."""
@@ -522,37 +557,36 @@ def test_a_generator_useful_in_no_word_is_placed_last(racks):
     assert functors._solving_order(words, x.size)[idle[0]] == x.size - 1
 
 
-def _rack_side_nodes(monkeypatch, x, g) -> int:
-    """The number of domain evaluations of the rack side of
-    ``check_adjunction_bijection(x, g)``: each ``hom_search`` domain is
-    wrapped in a callable that counts its calls."""
-    real = functors.hom_search
+def _rack_side_nodes(x, g) -> int:
+    """The number of domain evaluations of the rack side's own search in
+    ``check_adjunction_bijection(x, g)``: the rack domains that the check
+    passes to ``_count_shared_leaves`` (``_sides``) are each wrapped in a
+    callable that counts its calls, and ``assignments`` searches them to
+    the end.  The check itself runs unwrapped, so its presolve is not
+    disturbed, and the count does not depend on whether it walks."""
+    _, (rack, *_) = _sides(check_adjunction_bijection, x, g)
     calls = [0]
 
-    def counting(*args, **kwargs):
-        def counted(domain):
-            def values(f):
-                calls[0] += 1
-                return domain(f)
+    def counted(domain):
+        def values(f):
+            calls[0] += 1
+            return domain(f)
 
-            return values
+        return values
 
-        return [None if d is None else counted(d) for d in real(*args, **kwargs)]
-
-    with monkeypatch.context() as mp:
-        mp.setattr(functors, "hom_search", counting)
-        check_adjunction_bijection(x, g)
+    for _ in assignments([counted(d) for d in rack]):
+        pass
     return calls[0]
 
 
 @pytest.mark.parametrize("gname,nodes", [("z6", 3392), ("s3", 578)])
 def test_the_rack_side_of_the_benchmark_adjunction_makes_pinned_node_counts(
-    monkeypatch, racks, groups, gname, nodes
+    racks, groups, gname, nodes
 ):
     """Node counts repeat exactly, so they catch a worse solving order that
     timings cannot; (e,1) at level 1 of cs3×cz2 made 12,572 and 1,028."""
     x = product_rack(racks["cs3"], racks["cz2"])
-    assert _rack_side_nodes(monkeypatch, x, groups[gname]) == nodes
+    assert _rack_side_nodes(x, groups[gname]) == nodes
 
 
 @pytest.mark.parametrize(
@@ -577,18 +611,18 @@ def test_the_benchmark_adjunction_files_pinned_read_counts(
     assert sum(len(d.reads) for d in presented) == presented_reads
 
 
-def test_the_node_count_hardly_depends_on_the_labelling(monkeypatch, racks, groups, relabel):
+def test_the_node_count_hardly_depends_on_the_labelling(racks, groups, relabel):
     """Over relabellings of cs3×cz2 that fix the basepoint, the rack side
     into Z6 stays within 1.1× of the node count of the catalog labelling.
     With the lowest free generator placed first it spanned 3,182 to 19,052."""
     x, z6 = product_rack(racks["cs3"], racks["cz2"]), groups["z6"]
-    base = _rack_side_nodes(monkeypatch, x, z6)
+    base = _rack_side_nodes(x, z6)
     rng = random.Random(0)
     for _ in range(20):
         rest = [a for a in x.elements() if a != x.basepoint]
         rng.shuffle(rest)
         perm = rest[: x.basepoint] + [x.basepoint] + rest[x.basepoint :]
-        nodes = _rack_side_nodes(monkeypatch, relabel(x, perm), z6)
+        nodes = _rack_side_nodes(relabel(x, perm), z6)
         assert base / 1.1 <= nodes <= base * 1.1, perm
 
 
@@ -742,10 +776,10 @@ def _outcome(count, *args):
         return type(exc).__name__, getattr(exc, "side", None), exc.witness
 
 
-def _walk_against_the_merge(check, x, g) -> tuple:
-    """The outcome of ``check(x, g)``, asserted equal to the lockstep
-    merge's over the very domains that the check passes to
-    ``_count_shared_leaves``."""
+def _sides(check, x, g) -> tuple:
+    """(outcome, args): the outcome of ``check(x, g)``, and the arguments it
+    passes to ``_count_shared_leaves``: the rack side's domains, the
+    presented side's, the key and, for the rack adjunction, ``explain``."""
     real, calls = functors._count_shared_leaves, []
 
     def recording(*args):
@@ -756,6 +790,15 @@ def _walk_against_the_merge(check, x, g) -> tuple:
         mp.setattr(functors, "_count_shared_leaves", recording)
         outcome = _outcome(check, x, g)
     (args,) = calls
+    return outcome, args
+
+
+def _walk_against_the_merge(check, x, g) -> tuple:
+    """The outcome of ``check(x, g)``, asserted equal to the lockstep
+    merge's over the very domains that the check passes to
+    ``_count_shared_leaves``."""
+    outcome, args = _sides(check, x, g)
+    real = functors._count_shared_leaves
     assert _outcome(real, *args) == _outcome(_lockstep, *args) == outcome, (x, g)
     return outcome
 
@@ -817,6 +860,169 @@ def test_the_xmod_walk_agrees_with_the_lockstep_merge_on_tampered_sides(
         with monkeypatch.context() as mp:
             mp.setattr(functors, builder, tampered)
             assert _walk_against_the_merge(check_xmod_adjunction, x, g)[0] == "BijectionFail"
+
+
+def test_the_presolved_count_is_the_walks(
+    racks, groups, adjunction_pairs, xmod_adjunction_pairs, relabel
+):
+    """Wherever the presolve counts, its count is the whole walk's, and
+    that walk finds no node where the two sides differ."""
+    cases = [(check_adjunction_bijection, x, g) for _, x, g in adjunction_pairs]
+    cases += [(check_xmod_adjunction, x, g) for _, x, g in xmod_adjunction_pairs]
+    rng = random.Random(2)
+    for b, gnames in (("cz2", ("z4", "z6", "s3")), ("cz3", ("z3",))):
+        x = product_rack(racks["cs3"], racks[b])
+        for gname in gnames:
+            g = groups[gname]
+            for _ in range(3):
+                perm, gperm = rng.sample(range(x.size), x.size), rng.sample(range(g.size), g.size)
+                cases.append((check_adjunction_bijection, relabel(x, perm), relabel(g, gperm)))
+    presolved = 0
+    for check, x, g in cases:
+        _, (rack, presented, *rest) = _sides(check, x, g)
+        presolved += functors._parts(rack, presented) is not None
+        assert functors._count_shared_leaves(rack, presented, *rest) == functors._walk(
+            rack, presented
+        )[0], (x, g)
+        assert functors._walk(rack, presented)[1] == [], (x, g)
+    assert (len(cases), presolved) == (184, 139)
+
+
+@pytest.mark.parametrize(
+    "gname,count,parts,walks",
+    [("z6", 7776, [(1, 1)] * 6, [1] * 6), ("s3", 342, None, [12])],
+)
+def test_the_benchmark_adjunction_is_presolved_into_z6_and_walked_into_s3(
+    monkeypatch, racks, groups, gname, count, parts, walks
+):
+    """Into Z6 every read of both sides of cs3×cz2 is an equality: the 12
+    variables merge into 6 classes, one per orbit, in 6 parts of one
+    class each, each walked at one level.  Into S3 nothing merges and the
+    kept reads join every variable, so the 12 variables are walked whole.
+    A silent fall back to the walk fails here."""
+    x, g = product_rack(racks["cs3"], racks["cz2"]), groups[gname]
+    _, (rack, presented, *_) = _sides(check_adjunction_bijection, x, g)
+    classes = functors._presolved(rack, {})[0]
+    assert len(set(classes)) == (6 if gname == "z6" else 12)
+    found = functors._parts(rack, presented)
+    assert found is None if parts is None else [tuple(map(len, p)) for p in found] == parts
+    real, walked = functors._walk, []
+
+    def recording(a, b):
+        walked.append(len(a))
+        return real(a, b)
+
+    monkeypatch.setattr(functors, "_walk", recording)
+    assert check_adjunction_bijection(x, g) == count
+    assert walked == walks
+
+
+def _dropping(search, k, i):
+    """``search`` with read i of level k's domain removed."""
+
+    def tampered(*args):
+        domains = search(*args)
+        d = domains[k]
+        return domains[:k] + [Masked(d.base, d.reads[:i] + d.reads[i + 1 :])] + domains[k + 1 :]
+
+    return tampered
+
+
+def _tying(search, k, x):
+    """``search`` with the equality f[k] = f[x] added to level k's domain,
+    as a read of the diagonal of a table whose entry [u][v] is 1 << u."""
+
+    def tampered(*args):
+        domains = search(*args)
+        n, d = args[1].size, domains[k]
+        s = [[1 << u] * n for u in range(n)]
+        return domains[:k] + [Masked(d.base, d.reads + ((s, x, x),))] + domains[k + 1 :]
+
+    return tampered
+
+
+# the least hom cs3×cz2 -> Conj Z6 that sends (e,1) and ((23),0), which
+# variables 11 and 1 hold, to different values
+_TIED_APART = (0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "tamper,builder,expected",
+    [
+        ("drop", "hom_search", ("BijectionFail", "rack", (0, 0, 1))),
+        ("drop", "_presented_hom_search", ("HomLawFail", None, (1, 1))),
+        ("tie", "hom_search", ("BijectionFail", "presented", _TIED_APART)),
+        ("tie", "_presented_hom_search", ("BijectionFail", "rack", _TIED_APART)),
+    ],
+)
+def test_one_equality_read_on_one_side_only_is_found_by_the_walk(
+    monkeypatch, racks, groups, tamper, builder, expected
+):
+    """Removing the one read that merges two variables of v3 into Z3, or
+    tying (e,1), the last variable of cs3×cz2, to variable 1 into Z6, on
+    one side only gives the two sides different classes.  The presolve then
+    declines, and the walk raises what the lockstep merge raises."""
+    real = getattr(functors, builder)
+    if tamper == "drop":
+        x, g = racks["v3"], groups["z3"]
+        _, (rack, presented, *_) = _sides(check_adjunction_bijection, x, g)
+        assert functors._presolved(rack, {})[0] == [0, 1, 1]
+        tampered = _dropping(real, 2, 0)
+    else:
+        x, g = product_rack(racks["cs3"], racks["cz2"]), groups["z6"]
+        tampered = _tying(real, 11, 1)
+    monkeypatch.setattr(functors, builder, tampered)
+    _, (rack, presented, *_) = _sides(check_adjunction_bijection, x, g)
+    assert functors._parts(rack, presented) is None
+    assert _walk_against_the_merge(check_adjunction_bijection, x, g) == expected
+
+
+# tables over two values whose every entry says an equality: [u][v] is
+# 1 << u (f[k] = f[x]), 1 << v (f[k] = f[y]), and every value or none as
+# u == v or not (f[x] = f[y])
+_TAKES_X, _TAKES_Y, _SAME = [[1, 1], [2, 2]], [[1, 2], [1, 2]], [[3, 0], [0, 3]]
+
+
+@pytest.mark.parametrize(
+    "table,classes", [(_TAKES_X, [0, 1, 0]), (_TAKES_Y, [0, 1, 1]), (_SAME, [0, 0, 2])]
+)
+def test_each_equality_shape_merges_its_variables(table, classes):
+    """A read (s, 0, 1) at level 2 merges what its table says; the merged
+    search counts the same 4 maps as the lockstep merge."""
+    domains = [Masked(3), Masked(3), Masked(3, [(table, 0, 1)])]
+    assert functors._presolved(domains, {})[0] == classes
+    assert functors._parts(domains, domains) is not None
+    assert functors._count_shared_leaves(domains, domains, tuple) == 4
+    assert _lockstep(domains, domains, tuple) == 4
+
+
+def test_an_equality_in_one_row_only_merges_nothing():
+    """s[0][0] is 1 << 0 but s[1][1] is not 1 << 1: the diagonal read says
+    f[1] = 0 after f[0] = 0 and f[1] in {0, 1} after f[0] = 1, so three
+    maps, not the two of f[1] = f[0]."""
+    s = [[1, 0], [0, 3]]
+    domains = [Masked(3), Masked(3, [(s, 0, 0)])]
+    assert functors._presolved(domains, {})[0] == [0, 1]
+    assert functors._count_shared_leaves(domains, domains, tuple) == 3
+
+
+def test_a_class_takes_the_and_of_its_members_bases():
+    """f[1] = f[0], with f[0] in {0, 1} and f[1] in {0}: one map, though the
+    class's least member, variable 0, allows two values."""
+    domains = [Masked(3), Masked(1, [(_TAKES_X, 0, 0)])]
+    assert functors._presolved(domains, {})[1] == {0: 1}
+    assert functors._count_shared_leaves(domains, domains, tuple) == 1
+
+
+def test_sides_with_different_classes_are_walked():
+    """Only the rack side says f[1] = f[0], so the presented side's maps
+    (0, 1) and (1, 0) are its own."""
+    rack = [Masked(3), Masked(3, [(_TAKES_X, 0, 0)])]
+    presented = [Masked(3), Masked(3)]
+    assert functors._parts(rack, presented) is None
+    with pytest.raises(BijectionFail) as exc:
+        functors._count_shared_leaves(rack, presented, tuple)
+    assert (exc.value.side, exc.value.witness) == ("presented", (0, 1))
 
 
 def test_adjunction_and_presentations_refuse_groups_and_unpointed_racks(groups, group_xmods):
