@@ -23,8 +23,9 @@ Canonical form is ``json.dumps(doc, indent=2, sort_keys=True,
 ensure_ascii=False)`` plus a trailing newline, so canonical files round-trip
 byte for byte.
 
-Malformed documents raise :class:`~rackmod.errors.ParseError`; documents
-that parse but describe structures violating the axioms raise the relevant
+Malformed documents, an object that repeats a key among them, raise
+:class:`~rackmod.errors.ParseError`; documents that parse but describe
+structures violating the axioms raise the relevant
 :class:`~rackmod.errors.AxiomError` subclass from the validators.
 """
 
@@ -104,7 +105,12 @@ def _load(
         raise ParseError(f"{p}: path reference cycle")
     loading += (here,)
 
-    def inline(obj: dict[str, Any]) -> Any:
+    def inline(pairs: list[tuple[str, Any]]) -> Any:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [k for k, _ in pairs]
+            key = next(k for n, k in enumerate(keys) if k in keys[:n])
+            raise ParseError(f"{p}: duplicate key {key!r}")
         if obj.keys() != {"path"}:
             return obj
         ref = obj["path"]
@@ -113,7 +119,7 @@ def _load(
         return _load(p.parent / ref, loading, chain + (ref,), read, done)
 
     try:
-        raw = json.loads(data.decode("utf-8"), object_hook=inline)
+        raw = json.loads(data.decode("utf-8"), object_pairs_hook=inline)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{p}: invalid JSON: {exc}") from exc
     except RecursionError as exc:

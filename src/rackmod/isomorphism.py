@@ -1,14 +1,14 @@
 """Basepoint-preserving isomorphism search and small-order rack enumeration.
 
 Both are ``search.assignments`` searches whose domains alone decide the
-values tried.  The isomorphism search is the hom search: ``hom_search``
-files the hom laws in the solving order of every hom-set search
-(``functors._solving_order``), and injectivity is one more read per
-earlier variable.  Rack enumeration's column domains place each candidate
-column in the table being built and yield it only when the
-self-distributivity triples it completes hold and no relabelling makes the
-placed columns smaller, so it makes one table per isomorphism class and no
-isomorphism search.
+values tried.  The isomorphism search is the hom search: its builder,
+``search.iso_search``, files the hom laws (``hom_search``) in the solving
+order of every hom-set search (``search._solving_order``), and
+injectivity as one more read per earlier variable.  Rack enumeration's
+column domains place each candidate column in the table being built and
+yield it only when the self-distributivity triples it completes hold and
+no relabelling makes the placed columns smaller, so it makes one table per
+isomorphism class and no isomorphism search.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ from functools import partial
 from itertools import permutations, product
 
 from .errors import AxiomError, BoundExceeded
-from .functors import _law_letters, _solving_order
 from .racks import FiniteRack, validate_rack
-from .search import _narrowed, assignments, hom_search
+from .search import _law_letters, _solving_order, assignments, iso_search
 from .tables import Hom, _check_endpoints, validate_hom
 
 # The largest order whose enumeration finishes in seconds (order 7: about 0.9 s
@@ -32,24 +31,18 @@ BRUTEFORCE_LIMIT = 3
 def _iso_maps(a: FiniteRack, b: FiniteRack) -> Iterator[tuple[int, ...]]:
     """Every pointed isomorphism a -> b as a map tuple, in search order.
 
-    The hom search a -> b (``hom_search``) in the solving order of a's law
-    letters, ``functors._solving_order``, the order of every hom-set
-    search, plus injectivity: that each image is new is one more mask read
-    per earlier variable, level k reading ``other[f[x]][f[x]]``, every
-    value but f[x], for each earlier level x.  Racks of different sizes
-    have no isomorphism, so no search runs for them.  Endpoints that no hom
-    joins raise the ``ValueError`` of ``validate_hom`` before the letters,
-    which read the basepoint, are taken.
+    One ``search.iso_search``, the hom search with injectivity, in the
+    solving order of a's law letters, ``search._solving_order``, the order
+    of every hom-set search.  Racks of different sizes have no isomorphism,
+    so no search runs for them.  Endpoints that no hom joins raise the
+    ``ValueError`` of ``validate_hom`` before the letters, which read the
+    basepoint, are taken.
     """
     _check_endpoints(a, b)
     if a.size != b.size:
         return
     var = _solving_order(_law_letters(a), a.size)
-    domains = hom_search(a, b, var, a.size)
-    # other[u][u]: the values other than u
-    other = [[~(1 << u)] * b.size for u in range(b.size)]
-    reads = [(other, x, x) for x in range(a.size)]
-    for img in assignments([_narrowed(d, -1, reads[:k]) for k, d in enumerate(domains)]):
+    for img in assignments(iso_search(a, b, var, a.size)):
         yield tuple(img[v] for v in var)
 
 

@@ -25,7 +25,9 @@ from .errors import (
     SelfDistributivityFail,
 )
 from .groups import FiniteGroup, validate_group
-from .tables import FiniteStructure, Hom, check_index, label_row, square_table, validate_hom
+from .tables import (
+    FiniteStructure, Hom, _merged, check_index, label_row, square_table, validate_hom
+)
 
 
 @dataclass(frozen=True)
@@ -258,20 +260,5 @@ def kernel(f: Hom) -> Hom:
 
 def rack_orbits(r: FiniteRack | UnpointedRack) -> tuple[tuple[int, ...], ...]:
     """Components of the element set under all column maps a -> a ◁ b."""
-    parent = list(range(r.size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in range(r.size):
-        for b in range(r.size):
-            ra, rb = find(a), find(r.table[a][b])
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[int, list[int]] = {}
-    for a in range(r.size):
-        groups.setdefault(find(a), []).append(a)
-    return tuple(tuple(sorted(v)) for _, v in sorted(groups.items()))
+    root = _merged(list(range(r.size)), ((a, c) for a, row in enumerate(r.table) for c in row))
+    return tuple(tuple(a for a in r.elements() if root[a] == c) for c in sorted(set(root)))

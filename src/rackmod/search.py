@@ -31,12 +31,12 @@ checking: Haralick and Elliott, "Increasing tree search efficiency for
 constraint satisfaction problems", Artificial Intelligence 14, 1980).
 
 Every search for homs between racks or groups, isomorphisms and
-crossed-module morphisms is built by the two builders here, which return
+crossed-module morphisms is built by the three builders here, which return
 the domains that ``assignments`` takes: ``hom_search`` files the hom laws
-of one map as masks, the isomorphism search adding one injectivity read
-per earlier variable, and ``morphism_search`` joins a search for f0 and one
-for f1, in one layout (f0 first, then f1), and files the boundary and
-action squares of the morphism as masks too.  Two searches build their own
+of one map as masks, ``iso_search`` adds to them one injectivity read per
+earlier variable, and ``morphism_search`` joins a search for f0 and one for
+f1, in one layout (f0 first, then f1), and files the boundary and action
+squares of the morphism as masks too.  Two searches build their own
 domains instead: ``functors._presented_hom_search`` files the relators of a
 presentation, through ``law_domains`` where it can, and
 ``isomorphism.enumerate_pointed_racks`` places a table column by column and
@@ -44,13 +44,50 @@ keeps the columns that pass the self-distributivity triples first readable
 there and that no relabelling fixing the basepoint makes smaller, so that
 it yields one table per isomorphism class without calling the isomorphism
 search.
+
+Every hom set is searched in one solving order, ``_solving_order``, read
+off words of generator indices: the basepoint first, then, while one
+exists, the lowest generator that some word determines from the generators
+already placed, so that a value is solved for as soon as it is determined
+instead of being guessed and rejected later (fail-first: Haralick and
+Elliott, 1980), and otherwise the generator that can help to solve others
+in the most words, so that one that helps to solve nothing is not guessed
+near the root (a degree tie-break: Brélaz, 1979).  For a rack or a group
+the words are (q, p, q, p ◁ q) for every p and q, plus (basepoint,)
+(``_law_letters``): the letters of a rack presentation's relators, which
+read the same three elements as the hom law f(p ◁ q) = f(p) ◁ f(q).  So a
+``hom_search`` in that order solves every variable the order solves, and a
+presented search in the same order does too.
+
+Two searches over the same variables, such as the two sides of an
+adjunction check, are compared node by node in one ``assignments`` walk
+over both sides' domains (``_count_shared_leaves``): each node reads the
+two sides' masks and goes on with the values both allow, and the last
+level counts those values by popcount, so no leaf of both is built.  A
+value that one side allows at a node both reach, and the other does not,
+is completed by that side's own search, and each leaf it yields is a leaf
+that only that side finds.  Masks are sets, so the comparison does not
+rest on the order in which a domain gives its values.  Before that walk,
+each side is presolved from its own masks (``_parts``): a read that says
+an equality, f[k] = f[x], f[k] = f[y] or f[x] = f[y], merges its variables
+into one class, and the classes fall into parts that no other read of
+either side joins.  Into an abelian G, Conj G is a trivial rack and every
+hom law is such an equality, so the 12 variables of cs3×cz2 into Z6 become
+6 classes in 6 parts.  When both sides give the same classes and class
+bases, and each part's two searches agree at every node of its own walk,
+the count is the product of the parts' counts, and a part of one class
+with no read is one popcount (component decomposition: Bacchus, Dalmao and
+Pitassi, FOCS 2003).  Otherwise the whole walk runs, so a failure keeps
+its side and witness.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from heapq import heapify, heappop, heappush
 
-from .tables import _check_endpoints
+from .errors import BijectionFail
+from .tables import _check_endpoints, _merged
 
 Law = tuple[tuple[tuple[int, ...], ...], int, int, int]
 """(t, i, j, l): the law f[l] = t[f[i]][f[j]], t a tuple of rows.  Row
@@ -290,6 +327,22 @@ def hom_search(
     return law_domains(bases, laws)
 
 
+def iso_search(a, b, var: Sequence[int], nvars: int):
+    """The domains, by variable, of an ``assignments`` search for the
+    pointed isomorphisms a -> b, racks of one size.
+
+    The hom search a -> b (``hom_search``) plus injectivity: that each image
+    is new is one more mask read per earlier variable, level k reading
+    ``other[f[x]][f[x]]``, every value but f[x], for each earlier level x.
+    ``var`` places a's elements at variables 0..nvars-1.
+    """
+    domains = hom_search(a, b, var, nvars)
+    # other[u][u]: the values other than u
+    other = [[~(1 << u)] * b.size for u in range(b.size)]
+    reads = [(other, x, x) for x in range(nvars)]
+    return [_narrowed(d, -1, reads[:k]) for k, d in enumerate(domains)]
+
+
 def _narrowed(domain, fixed: int, reads: list[tuple]):
     """``domain`` keeping only the values that ``fixed`` and every read allow:
     a ``Masked`` domain with those reads added, or else ``domain`` filtered
@@ -338,3 +391,260 @@ def morphism_search(x, target, top, bottom):
     for r, z in enumerate(x.boundary.map):
         reads[ns + r].append((preimage, z, z))
     return [_narrowed(d, fixed[k], reads[k]) for k, d in enumerate(bottoms[:ns] + tops[ns:])]
+
+
+def _law_letters(x) -> list[tuple[int, ...]]:
+    """The words (q, p, q, p ◁ q) for every p and q of a rack or a group x,
+    then (basepoint,): the letters of the relators of x's presentation."""
+    words = [(q, p, q, t) for p, row in enumerate(x.table) for q, t in enumerate(row)]
+    return words + [(x.basepoint,)]
+
+
+def _solving_order(words: Sequence[Sequence[int]], n: int) -> list[int]:
+    """``var[i]``, the variable that holds generator i of n in a hom search.
+
+    Each word lists the generator indices of its letters.  Generators are
+    placed one at a time: the lowest generator that is the only unplaced
+    letter, read once, of some word, since that word then solves for it;
+    when there is none, the unplaced generator that is useful in the most
+    words, ties going to the lowest.  A word is useful for generator i when
+    it reads i and reads some other generator exactly once, since placing i
+    can then help to solve that one (the degree tie-break of Brélaz, 1979),
+    so a generator useful in no word is placed after every generator that
+    can help to solve something.  A word of one letter puts its generator
+    first.
+    """
+    unplaced = [len(w) for w in words]  # letters of each word not yet placed
+    reads: list[dict[int, int]] = [{} for _ in range(n)]  # word -> letters of generator i
+    for r, word in enumerate(words):
+        for i in word:
+            reads[i][r] = reads[i].get(r, 0) + 1
+    once = [0] * len(words)  # generators that each word reads exactly once
+    for seen in reads:
+        for r, count in seen.items():
+            once[r] += count == 1
+    useful = [sum(once[r] > (count == 1) for r, count in seen.items()) for seen in reads]
+    free = sorted(range(n), key=lambda i: (-useful[i], i))
+    solvable = [word[0] for word in words if len(word) == 1]
+    heapify(solvable)
+    var: list = [None] * n
+    next_free = 0
+    for k in range(n):
+        while solvable and var[solvable[0]] is not None:
+            heappop(solvable)
+        if solvable:
+            i = heappop(solvable)
+        else:
+            while var[free[next_free]] is not None:
+                next_free += 1
+            i = free[next_free]
+        var[i] = k
+        for r, count in reads[i].items():
+            unplaced[r] -= count
+            if unplaced[r] == 1:
+                heappush(solvable, next(j for j in words[r] if var[j] is None))
+    return var
+
+
+def _mask_reader(domain):
+    """The function f -> the mask of the values ``domain`` gives at f: a
+    ``Masked`` domain's own mask, else the mask of its values."""
+    if type(domain) is Masked:
+        return domain.mask
+    if callable(domain):
+        return lambda f: _mask_of(domain(f))
+    m = _mask_of(domain)
+    return lambda f: m
+
+
+def _equality(s, diagonal: bool) -> int:
+    """Which equality every read (s, x, y) at a level k says, read over
+    every entry of s, or over its diagonal only when ``diagonal`` (x == y):
+    1 when each entry s[u][v] is 1 << u, so f[k] = f[x]; 2 when it is
+    1 << v, so f[k] = f[y]; 3 when it is s[0][0] for u == v and 0
+    otherwise, so f[x] = f[y] and f[k] takes a value of s[0][0]; 0 when
+    none of these holds."""
+    d = s[0][0]
+    entries = (lambda u, v: 1 << u, lambda u, v: 1 << v, lambda u, v: d if u == v else 0)
+    for shape, entry in enumerate(entries, 1):
+        if all(
+            m == entry(u, v)
+            for u, row in enumerate(s)
+            for v, m in enumerate(row)
+            if u == v or not diagonal
+        ):
+            return shape
+    return 0
+
+
+def _presolved(domains, shapes: dict):
+    """(classes, bases, reads) of one side's ``Masked`` domains, or None when
+    a domain is not ``Masked`` or a kept read reads its own class or a
+    later one, by least variable, and so cannot be filed at its class.
+
+    The reads that say an equality (``_equality``, decided once per support
+    table and diagonal in ``shapes``) merge their variables: ``classes[k]``
+    is the least variable of k's class, and ``bases`` maps each class to
+    the AND of its members' bases and of the masks the equalities give
+    them.  Each other read (s, x, y) at level k is kept as the same read of
+    the classes, (K, s, X, Y).  On maps constant on each class, the kept
+    reads and the bases allow exactly what all the reads and bases do.
+    """
+    if any(type(d) is not Masked for d in domains):
+        return None
+    bases = [d.base for d in domains]
+    pairs, kept = [], []
+    for k, d in enumerate(domains):
+        for s, x, y in d.reads:
+            key = (id(s), x == y)
+            shape = shapes.get(key)
+            if shape is None:
+                shape = shapes[key] = _equality(s, x == y)
+            if shape == 0:
+                kept.append((k, s, x, y))
+                continue
+            if shape == 3:
+                bases[k] &= s[0][0]
+            pairs.append(((k, x), (k, y), (x, y))[shape - 1])
+    classes = _merged(list(range(len(domains))), pairs)
+    reads = [(classes[k], s, classes[x], classes[y]) for k, s, x, y in kept]
+    if any(not (x < c and y < c) for c, _, x, y in reads):
+        return None
+    merged: dict = {}
+    for k, c in enumerate(classes):
+        merged[c] = merged.get(c, -1) & bases[k]
+    return classes, merged, reads
+
+
+def _parts(rack, presented):
+    """The two sides' domains, part by part, or None when the presolve does
+    not reduce them to parts that can be compared one by one.
+
+    Each side is presolved from its own domains (``_presolved``), and the
+    two must have the same classes and the same class bases.  Two classes
+    are in one part when some kept read of either side joins them.  A part
+    is searched over its classes, least variable first, each class with its
+    base and the kept reads filed at it, which must read earlier classes
+    only.  A map of a side is then one map of each part, read on each
+    class's members, so each side's number of maps is the product of its
+    parts'.  None when a side does not presolve, the classes or their
+    bases differ, or one part holds every variable unmerged, which is the
+    search the domains already are.
+    """
+    shapes: dict = {}
+    part = list(range(len(rack)))
+    sides = []
+    for domains in (rack, presented):
+        side = _presolved(domains, shapes)
+        if side is None or (sides and side[:2] != sides[0][:2]):
+            return None
+        sides.append(side)
+        classes, bases, reads = side
+        _merged(part, [(c, z) for c, _, x, y in reads for z in (x, y)])
+        if len(bases) == len(classes) and not any(part):
+            return None
+    members: dict = {}
+    for c in sorted(bases):
+        members.setdefault(part[c], []).append(c)
+    # at[c]: the level of class c in its part's search
+    at = {c: i for cs in members.values() for i, c in enumerate(cs)}
+    filed = {p: ([[] for _ in cs], [[] for _ in cs]) for p, cs in members.items()}
+    for side, (*_, reads) in enumerate(sides):
+        for c, s, x, y in reads:
+            filed[part[c]][side][at[c]].append((s, at[x], at[y]))
+    return [
+        tuple([Masked(bases[c], r) for c, r in zip(cs, levels)] for levels in filed[p])
+        for p, cs in members.items()
+    ]
+
+
+def _walk(rack, presented) -> tuple[int, list[tuple[list, int, int]]]:
+    """(shared, diverged): one ``assignments`` walk over both searches.
+
+    At each node the two domains' masks a and b are read (``_mask_reader``),
+    the walk goes on with the values of a & b, and at the last level it
+    adds their number to ``shared`` instead, so no shared leaf is built.
+    Each node where a != b is noted in ``diverged`` as its prefix and the
+    values a & ~b and b & ~a.
+    """
+    bits = _Bits()
+    last = len(rack) - 1
+    diverged: list[tuple[list, int, int]] = []
+    shared = 0
+
+    def level(k: int, rack_mask, presented_mask):
+        def values(f: list):
+            nonlocal shared
+            a, b = rack_mask(f), presented_mask(f)
+            if a != b:
+                diverged.append((f[:k], a & ~b, b & ~a))
+            if k == last:
+                shared += (a & b).bit_count()
+                return ()
+            return bits[a & b]
+
+        return values
+
+    readers = zip(map(_mask_reader, rack), map(_mask_reader, presented))
+    # the last level ends every branch, so the walk yields nothing
+    next(assignments([level(k, *masks) for k, masks in enumerate(readers)]), None)
+    return shared, diverged
+
+
+def _count_shared_leaves(rack, presented, key, explain=None) -> int:
+    """The number of leaves that both searches yield.
+
+    ``rack`` and ``presented`` are each the domains of an ``assignments``
+    search over the same variables, at least one.  First the presolve: when
+    both sides reduce to the same parts (``_parts``), each part's two
+    searches are walked (``_walk``), and when no walk notes a node where
+    the two sides' masks differ, each part's two sides have the same maps,
+    so both sides do, and their number is the product of the parts'.  A
+    part of one class and no read is counted by the popcount of its base.
+
+    Otherwise, or when some part diverges, the two searches are walked
+    whole.  A prefix that both searches reach is a node of that walk, so a
+    leaf of one side only has a first value that the other side's domain
+    leaves out, at a node of the walk, which notes it: afterwards each such
+    value is completed by that side's own search alone, its prefix pinned
+    by one-value domains.  A value with no completion yields no leaf.  Only
+    the leaves those completions yield, the bad maps of their side, are
+    passed to ``key``.  The least bad rack key raises
+    ``BijectionFail("rack", ...)``; only then the least bad presented key
+    is passed to ``explain``, which may raise a more specific failure, and
+    raises ``BijectionFail("presented", ...)``.  Masks are sets, so neither
+    the count nor a witness depends on the order in which a domain gives
+    its values.
+    """
+    parts = _parts(rack, presented)
+    if parts is not None:
+        count = 1
+        for part in parts:
+            shared, diverged = _walk(*part)
+            if diverged:
+                break
+            count *= shared
+        else:
+            return count
+    shared, diverged = _walk(rack, presented)
+
+    def bad(side: int, domains) -> list:
+        """The keys of the leaves of ``domains`` that begin with a value that
+        only this side's domain gives at a node of the walk."""
+        return [
+            key(f)
+            for head, *only in diverged
+            for v in _bits(only[side])
+            for f in assignments([*((u,) for u in head), (v,), *domains[len(head) + 1 :]])
+        ]
+
+    bad_rack = bad(0, rack)
+    if bad_rack:
+        raise BijectionFail("rack", min(bad_rack))
+    bad_presented = bad(1, presented)
+    if bad_presented:
+        m = min(bad_presented)
+        if explain is not None:
+            explain(m)
+        raise BijectionFail("presented", m)
+    return shared

@@ -1,5 +1,6 @@
-"""Plumbing for dense 0-based operation tables and index maps, and the
-accessors and homs shared by racks and groups.
+"""Plumbing for dense 0-based operation tables and index maps, the
+accessors and homs shared by racks and groups, and the one union-find
+(``_merged``), which rack orbits and the presolve of ``search`` share.
 
 Both are a carrier {0..n-1} with a ``table`` and a distinguished
 ``basepoint`` (a group's identity), which is all a hom needs to know.
@@ -140,3 +141,25 @@ def compose_homs(f: Hom, g: Hom) -> Hom:
     if f.cod != g.dom:
         raise ValueError("homs are not composable")
     return validate_hom(f.dom, g.cod, tuple(g.map[v] for v in f.map))
+
+
+def _merged(root: list[int], pairs) -> list[int]:
+    """``root`` with every pair (a, b) of ``pairs`` merged into one class.
+
+    ``root`` is a union-find forest over 0..n-1 in which each class's root
+    is its least member, ``list(range(n))`` to begin with; it is returned
+    with each member pointing at its root.
+    """
+    for a, b in pairs:
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        while root[b] != b:
+            root[b] = root[root[b]]
+            b = root[b]
+        if a != b:
+            root[max(a, b)] = min(a, b)
+    # a root is below its members, so ascending, each member's root is final
+    for v in range(len(root)):
+        root[v] = root[root[v]]
+    return root

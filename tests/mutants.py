@@ -46,7 +46,7 @@ class Mutant:
 MUTANTS = (
     Mutant(
         "iso-no-injectivity",
-        "isomorphism.py",
+        "search.py",
         "_narrowed(d, -1, reads[:k])",
         "_narrowed(d, -1, [])",
         True,
@@ -70,7 +70,7 @@ MUTANTS = (
     ),
     Mutant(
         "shared-leaves-no-divergence",
-        "functors.py",
+        "search.py",
         "diverged.append((f[:k], a & ~b, b & ~a))",
         "pass",
         True,
@@ -86,7 +86,7 @@ MUTANTS = (
     ),
     Mutant(
         "solving-order-none-solvable",
-        "functors.py",
+        "search.py",
         "if unplaced[r] == 1:",
         "if unplaced[r] == 0:",
         True,
@@ -94,15 +94,15 @@ MUTANTS = (
     ),
     Mutant(
         "presolve-row-zero",
-        "functors.py",
-        "for u, row in enumerate(s)",
-        "for u, row in enumerate(s[:1])",
+        "search.py",
+        "for u, row in enumerate(s)\n",
+        "for u, row in enumerate(s[:1])\n",
         True,
         "a table that says an equality in row 0 only merges its variables",
     ),
     Mutant(
         "presolve-classes-not-compared",
-        "functors.py",
+        "search.py",
         "if side is None or (sides and side[:2] != sides[0][:2]):",
         "if side is None:",
         True,
@@ -110,11 +110,19 @@ MUTANTS = (
     ),
     Mutant(
         "presolve-representative-base",
-        "functors.py",
+        "search.py",
         "merged[c] = merged.get(c, -1) & bases[k]",
         "merged.setdefault(c, bases[k])",
         True,
         "a class allows the values of its least member that another member's base excludes",
+    ),
+    Mutant(
+        "presolve-ignores-part-divergence",
+        "search.py",
+        "            if diverged:\n                break\n",
+        "",
+        True,
+        "a part whose two sides differ is counted by what both share",
     ),
     Mutant(
         "filed-masks-whole-table-vacuity",

@@ -97,6 +97,20 @@ def test_check_missing_file_exits_2(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_check_a_repeated_key_exits_2(tmp_path, capsys):
+    """The last value of a repeated key does not win: the document is refused."""
+    path = tmp_path / "twice.json"
+    path.write_text(
+        '{"format-version": 1, "kind": "rack", "kind": "group", "table": [[0]],'
+        ' "basepoint": 0, "identity": 0}',
+        encoding="utf-8",
+    )
+    assert cli.main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{path}: duplicate key 'kind'" in captured.err
+
+
 def test_check_bad_version_exits_2(tmp_path, capsys):
     path = write(tmp_path, "v9.json", {"format-version": 9, "kind": "rack"})
     assert cli.main(["check", path]) == 2

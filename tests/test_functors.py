@@ -28,7 +28,7 @@ from rackmod import (
     substructure,
     trivial_rack,
 )
-from rackmod import corpus, functors
+from rackmod import corpus, functors, search
 from rackmod.errors import AxiomError, BijectionFail, HomBasepointFail, HomLawFail
 from rackmod.functors import Presentation, enumerate_homs_bruteforce
 from rackmod.search import Masked, assignments
@@ -880,11 +880,11 @@ def test_the_presolved_count_is_the_walks(
     presolved = 0
     for check, x, g in cases:
         _, (rack, presented, *rest) = _sides(check, x, g)
-        presolved += functors._parts(rack, presented) is not None
-        assert functors._count_shared_leaves(rack, presented, *rest) == functors._walk(
+        presolved += search._parts(rack, presented) is not None
+        assert functors._count_shared_leaves(rack, presented, *rest) == search._walk(
             rack, presented
         )[0], (x, g)
-        assert functors._walk(rack, presented)[1] == [], (x, g)
+        assert search._walk(rack, presented)[1] == [], (x, g)
     assert (len(cases), presolved) == (184, 139)
 
 
@@ -902,17 +902,17 @@ def test_the_benchmark_adjunction_is_presolved_into_z6_and_walked_into_s3(
     A silent fall back to the walk fails here."""
     x, g = product_rack(racks["cs3"], racks["cz2"]), groups[gname]
     _, (rack, presented, *_) = _sides(check_adjunction_bijection, x, g)
-    classes = functors._presolved(rack, {})[0]
+    classes = search._presolved(rack, {})[0]
     assert len(set(classes)) == (6 if gname == "z6" else 12)
-    found = functors._parts(rack, presented)
+    found = search._parts(rack, presented)
     assert found is None if parts is None else [tuple(map(len, p)) for p in found] == parts
-    real, walked = functors._walk, []
+    real, walked = search._walk, []
 
     def recording(a, b):
         walked.append(len(a))
         return real(a, b)
 
-    monkeypatch.setattr(functors, "_walk", recording)
+    monkeypatch.setattr(search, "_walk", recording)
     assert check_adjunction_bijection(x, g) == count
     assert walked == walks
 
@@ -966,14 +966,14 @@ def test_one_equality_read_on_one_side_only_is_found_by_the_walk(
     if tamper == "drop":
         x, g = racks["v3"], groups["z3"]
         _, (rack, presented, *_) = _sides(check_adjunction_bijection, x, g)
-        assert functors._presolved(rack, {})[0] == [0, 1, 1]
+        assert search._presolved(rack, {})[0] == [0, 1, 1]
         tampered = _dropping(real, 2, 0)
     else:
         x, g = product_rack(racks["cs3"], racks["cz2"]), groups["z6"]
         tampered = _tying(real, 11, 1)
     monkeypatch.setattr(functors, builder, tampered)
     _, (rack, presented, *_) = _sides(check_adjunction_bijection, x, g)
-    assert functors._parts(rack, presented) is None
+    assert search._parts(rack, presented) is None
     assert _walk_against_the_merge(check_adjunction_bijection, x, g) == expected
 
 
@@ -990,8 +990,8 @@ def test_each_equality_shape_merges_its_variables(table, classes):
     """A read (s, 0, 1) at level 2 merges what its table says; the merged
     search counts the same 4 maps as the lockstep merge."""
     domains = [Masked(3), Masked(3), Masked(3, [(table, 0, 1)])]
-    assert functors._presolved(domains, {})[0] == classes
-    assert functors._parts(domains, domains) is not None
+    assert search._presolved(domains, {})[0] == classes
+    assert search._parts(domains, domains) is not None
     assert functors._count_shared_leaves(domains, domains, tuple) == 4
     assert _lockstep(domains, domains, tuple) == 4
 
@@ -1002,7 +1002,7 @@ def test_an_equality_in_one_row_only_merges_nothing():
     maps, not the two of f[1] = f[0]."""
     s = [[1, 0], [0, 3]]
     domains = [Masked(3), Masked(3, [(s, 0, 0)])]
-    assert functors._presolved(domains, {})[0] == [0, 1]
+    assert search._presolved(domains, {})[0] == [0, 1]
     assert functors._count_shared_leaves(domains, domains, tuple) == 3
 
 
@@ -1010,7 +1010,7 @@ def test_a_class_takes_the_and_of_its_members_bases():
     """f[1] = f[0], with f[0] in {0, 1} and f[1] in {0}: one map, though the
     class's least member, variable 0, allows two values."""
     domains = [Masked(3), Masked(1, [(_TAKES_X, 0, 0)])]
-    assert functors._presolved(domains, {})[1] == {0: 1}
+    assert search._presolved(domains, {})[1] == {0: 1}
     assert functors._count_shared_leaves(domains, domains, tuple) == 1
 
 
@@ -1019,10 +1019,45 @@ def test_sides_with_different_classes_are_walked():
     (0, 1) and (1, 0) are its own."""
     rack = [Masked(3), Masked(3, [(_TAKES_X, 0, 0)])]
     presented = [Masked(3), Masked(3)]
-    assert functors._parts(rack, presented) is None
+    assert search._parts(rack, presented) is None
     with pytest.raises(BijectionFail) as exc:
         functors._count_shared_leaves(rack, presented, tuple)
     assert (exc.value.side, exc.value.witness) == ("presented", (0, 1))
+
+
+def test_a_part_that_diverges_is_walked_whole():
+    """Both sides say f[1] = f[0] and read (K, 1, 2) at level 3, where the
+    rack side's K allows both values after f[1] = f[2] = 1 and the
+    presented side's only 0.  The presolve gives one part of 3 classes on
+    which the two sides diverge, so the whole walk runs and raises the
+    rack side's own map; the product of the parts' shared counts would
+    pass with 5."""
+    rack, presented = (
+        [Masked(3), Masked(3, [(_TAKES_X, 0, 0)]), Masked(3), Masked(3, [(k, 1, 2)])]
+        for k in ([[1, 3], [2, 3]], [[1, 3], [2, 1]])
+    )
+    assert [len(part[0]) for part in search._parts(rack, presented)] == [3]
+    expected = ("BijectionFail", "rack", (1, 1, 1, 1))
+    assert _outcome(search._count_shared_leaves, rack, presented, tuple) == expected
+    assert _outcome(_lockstep, rack, presented, tuple) == expected
+
+
+def test_a_kept_read_dropped_on_one_side_makes_a_part_diverge(rack_xmods, group_xmods):
+    """identity_cz2 into triv_z2 is presolved.  Without read 0 of level 3,
+    a read that says no equality, on the rack side only, the two sides
+    keep their classes and parts, but a part's walk diverges: the whole
+    walk runs and raises what the lockstep merge raises."""
+    x, g = rack_xmods["identity_cz2"], group_xmods["triv_z2"]
+    _, (rack, presented, key) = _sides(check_xmod_adjunction, x, g)
+    s, a, b = rack[3].reads[0]
+    assert search._equality(s, a == b) == 0
+    assert search._parts(rack, presented) is not None
+    dropped = _dropping(lambda: rack, 3, 0)()
+    parts = search._parts(dropped, presented)
+    assert any(search._walk(*part)[1] for part in parts)
+    expected = ("BijectionFail", "rack", ((0, 0), (0, 1)))
+    assert _outcome(search._count_shared_leaves, dropped, presented, key) == expected
+    assert _outcome(_lockstep, dropped, presented, key) == expected
 
 
 def test_adjunction_and_presentations_refuse_groups_and_unpointed_racks(groups, group_xmods):

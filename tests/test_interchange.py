@@ -205,6 +205,21 @@ def test_path_reference_must_be_a_string(tmp_path):
         load_document(path)
 
 
+def test_a_repeated_key_in_a_nested_object_is_refused(tmp_path, racks):
+    """A reference that names two files is refused, not read as its last one."""
+    for name in ("a.json", "b.json"):
+        write_document(rack_document(racks["cs3"]), tmp_path / name)
+    path = tmp_path / "hom.json"
+    path.write_text(
+        '{"format-version": 1, "kind": "hom", "cod": {"path": "a.json"},'
+        ' "dom": {"path": "a.json", "path": "b.json"}, "map": [0, 1, 2, 3, 4, 5]}',
+        encoding="utf-8",
+    )
+    with pytest.raises(ParseError) as exc:
+        load_document(path)
+    assert str(exc.value) == f"{path}: duplicate key 'path'"
+
+
 def test_a_reference_cycle_through_a_hard_link_is_refused(tmp_path):
     """a.json reaches itself again through a hard link: another path, the
     same file, refused as soon as it is read a second time."""

@@ -14,14 +14,10 @@ from rackmod import (
 )
 from rackmod import corpus, isomorphism
 from rackmod.errors import BoundExceeded
-from rackmod.functors import (
-    _law_letters,
-    _solving_order,
-    enumerate_homs,
-    enumerate_homs_bruteforce,
-)
+from rackmod.functors import enumerate_homs, enumerate_homs_bruteforce
 from rackmod.isomorphism import enumerate_pointed_racks_bruteforce
 from rackmod.racks import _self_distributivity_witness
+from rackmod.search import _law_letters, _solving_order
 
 
 def test_counts_up_to_isomorphism():
@@ -73,7 +69,7 @@ def test_find_isomorphism_refuses_unpointed_racks(monkeypatch):
     def unsearched(*args):
         raise AssertionError("a search was built")
 
-    monkeypatch.setattr(isomorphism, "hom_search", unsearched)
+    monkeypatch.setattr(isomorphism, "iso_search", unsearched)
     r3 = corpus.unpointed_racks()["r3"]
     with pytest.raises(ValueError, match="pointed racks or groups"):
         find_isomorphism(r3, r3)
