@@ -287,12 +287,13 @@ def check_adjunction_bijection(x: FiniteRack, g: FiniteGroup) -> int:
     rack = hom_search(x, cg, var, n)
     bp = var[x.basepoint]
     rack[bp] = _narrowed(rack[bp], 1 << cg.basepoint, [])
-    return _count_shared_leaves(
-        rack,
-        _presented_hom_search(relators, g, var, n),
-        lambda f: tuple(map(f.__getitem__, var)),
-        lambda m: validate_hom(x, cg, m),
-    )
+    presented = _presented_hom_search(relators, g, var, n)
+    try:
+        return _count_shared_leaves(rack, presented, lambda f: tuple(map(f.__getitem__, var)))
+    except BijectionFail as exc:
+        if exc.side == "presented":
+            validate_hom(x, cg, exc.witness)
+        raise
 
 
 def check_xmod_adjunction(x: XMod, g: XMod) -> int:

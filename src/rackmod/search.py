@@ -15,20 +15,22 @@ A level's domain is the only thing that decides the values it tries.  A
 domain is a sequence, or a function of the assigned prefix that returns or
 yields, in order, exactly the values of the full domain that pass the
 constraints of its level.  The laws of the hom, crossed-module morphism and
-presented searches have one form, f[l] = t[f[i]][f[j]] for a table t, and a
-law filed at level k leaves its variable a set of values that depends only
-on the law's other variables, all assigned earlier.  So each such law
-becomes one read of a support-mask table built once per table: bit c of
-``s[f[x]][f[y]]`` is set when f[k] = c satisfies the law.  A level's domain
-is then a ``Masked``: the AND of its base mask (the values allowed at all)
-and of the masks its laws read, its set bits taken in ascending order.  A
-read that allows every value whatever it reads, and a read that another
-law of the level already makes, change no AND and are not filed; two laws
-over different tables make the same read when their support tables have
-the same rows.  A value that one law forces is a one-bit mask, so every
-such value is solved for instead of being guessed and rejected (forward
-checking: Haralick and Elliott, "Increasing tree search efficiency for
-constraint satisfaction problems", Artificial Intelligence 14, 1980).
+presented searches have one form, f[l] = t[f[i]][f[j]] for a table t; a
+law whose square table ignores its row, its column or both reads only the
+rest, and is filed at the last variable it reads.  A law filed at level k
+leaves its variable a set of values that depends only on the law's other
+variables, all assigned earlier.  So each such law becomes one read of a
+support-mask table built once per table: bit c of ``s[f[x]][f[y]]`` is set
+when f[k] = c satisfies the law.  A level's domain is then a ``Masked``:
+the AND of its base mask (the values allowed at all) and of the masks its
+laws read, its set bits taken in ascending order.  A read that allows
+every value whatever it reads, and a read that another law of the level
+already makes, change no AND and are not filed; two reads of one variable
+on the diagonal are the same read when the diagonals are equal.  A value
+that one law forces is a one-bit mask, so every such value is solved for
+instead of being guessed and rejected (forward checking: Haralick and
+Elliott, "Increasing tree search efficiency for constraint satisfaction
+problems", Artificial Intelligence 14, 1980).
 
 Every search for homs between racks or groups, isomorphisms and
 crossed-module morphisms is built by the three builders here, which return
@@ -68,17 +70,16 @@ value that one side allows at a node both reach, and the other does not,
 is completed by that side's own search, and each leaf it yields is a leaf
 that only that side finds.  Masks are sets, so the comparison does not
 rest on the order in which a domain gives its values.  Before that walk,
-each side is presolved from its own masks (``_parts``): a read that says
-an equality, f[k] = f[x], f[k] = f[y] or f[x] = f[y], merges its variables
-into one class, and the classes fall into parts that no other read of
-either side joins.  Into an abelian G, Conj G is a trivial rack and every
-hom law is such an equality, so the 12 variables of cs3×cz2 into Z6 become
-6 classes in 6 parts.  When both sides give the same classes and class
-bases, and each part's two searches agree at every node of its own walk,
-the count is the product of the parts' counts, and a part of one class
-with no read is one popcount (component decomposition: Bacchus, Dalmao and
-Pitassi, FOCS 2003).  Otherwise the whole walk runs, so a failure keeps
-its side and witness.
+the variables are split into parts (``_parts``), the connected components
+of both sides' reads, each searched over its own variables.  Into an
+abelian G, Conj G is a trivial rack, whose rows are constant, so every hom
+law and relator law reads only orbit-mates, and the 12 variables of
+cs3×cz2 into Z6 fall into its 6 orbits.  When each part's two searches
+agree at every node of its own walk, the count is the product of the
+parts' counts, and a part of one variable is one popcount (component
+decomposition: Bacchus, Dalmao and Pitassi, FOCS 2003).  Otherwise, or
+when the reads join every variable into one part, the whole walk runs, so
+a failure keeps its side and witness.
 """
 
 from __future__ import annotations
@@ -92,7 +93,9 @@ from .tables import _check_endpoints, _merged
 Law = tuple[tuple[tuple[int, ...], ...], int, int, int]
 """(t, i, j, l): the law f[l] = t[f[i]][f[j]], t a tuple of rows.  Row
 indices of t and its values range over one set of values, shared by
-variables i and l, and column indices over the values of variable j."""
+variables i and l, and column indices over the values of variable j; so
+when t is square, the values of each of the three index both its rows and
+its columns."""
 
 
 class Masked:
@@ -214,17 +217,36 @@ def _support(t: Sequence[Sequence[int]], at: int) -> list[list[int]]:
     return s
 
 
-def _filed_masks(laws: Iterable[Law], nvars: int) -> tuple[list[int], list[list[tuple]]]:
-    """(fixed, reads): each law f[l] = t[f[i]][f[j]] filed at its last variable.
+def _read_positions(t: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """The positions of a law (t, i, j, l) whose values index the rows and
+    the columns of t: i and j, (1, 2), unless t is square and ignores one.
+    When every row of t is constant, f[i] serves as the column too, (1, 1);
+    when every column is, f[j] serves as the row, (2, 2); and when t is
+    constant, f[l] serves as both, (3, 3).  The values of every variable of
+    a square table's law index both (``Law``), so each of these reads the
+    entry the law reads."""
+    if len(t) != len(t[0]):
+        return 1, 2
+    ignores_column = all(len(set(row)) == 1 for row in t)
+    ignores_row = all(row == t[0] for row in t)
+    return ((1, 2), (1, 1), (2, 2), (3, 3))[ignores_column | ignores_row << 1]
 
-    At level k = max(i, j, l) the law allows f[k] the values whose bits are
-    set in a mask: ``fixed[k]`` when every position is k (the mask is then a
-    constant, and -1 where no such law is filed), otherwise one read
-    (s, x, y) of ``reads[k]``, s[f[x]][f[y]] being that mask for the values
-    at the other positions.  The tables s are built once for each table t
-    and way of placing k among (i, j, l), and freed with the search; a
-    table s with the same rows as one built before is that one, so that
-    reads of equal tables are the same read.
+
+def _filed_masks(laws: Iterable[Law], nvars: int) -> tuple[list[int], list[list[tuple]]]:
+    """(fixed, reads): each law f[l] = t[f[i]][f[j]] filed at the last
+    variable that its table reads.
+
+    A square table that ignores its column, its row or both
+    (``_read_positions``, decided once per table t) makes the law f[l] =
+    t[f[i]][f[i]], t[f[j]][f[j]] or t[f[l]][f[l]]; a rectangular table,
+    such as ``morphism_search``'s action squares, is read as it is.  At
+    level k = max(i, j, l) of the law so read, it allows f[k] the values
+    whose bits are set in a mask: ``fixed[k]`` when every position is k
+    (the mask is then a constant, and -1 where no such law is filed),
+    otherwise one read (s, x, y) of ``reads[k]``, s[f[x]][f[y]] being that
+    mask for the values at the other positions.  The tables s are built
+    once for each table t and way of placing k among (i, j, l), and freed
+    with the search.
 
     A read that cannot narrow a domain is not filed.  Whether a read of s
     can is decided once per table s: a read whose every entry, read only
@@ -233,29 +255,31 @@ def _filed_masks(laws: Iterable[Law], nvars: int) -> tuple[list[int], list[list[
     position, the columns of t when only j is marked and its rows
     otherwise, which holds every value its variable takes (``Law``).  A
     read that another at level k already makes is filed once: reads are
-    the same when they have the same x, y and rows of s, or, when x == y,
+    the same when they have the same x, y and table s, or, when x == y,
     the same x and the same diagonal of s.
     """
     fixed = [-1] * nvars
     reads: list[list[tuple]] = [[] for _ in range(nvars)]
-    # supports[id(t)]: t, kept so that its id is not reused, and by ``at``
-    # its table s, whether every entry of s allows every value, s's
-    # diagonal, and whether the diagonal does
+    # supports[id(t)]: t, kept so that its id is not reused, by ``at`` its
+    # table s, whether every entry of s allows every value, s's diagonal,
+    # and whether the diagonal does, and the positions t reads
     supports: dict = {}
-    interned: dict = {}  # the rows of each table s built -> the first s with them
     filed: set = set()  # (k, x, y, id(s)), or (k, x, diagonal) when x == y
     last = tables = None
     for law in laws:
-        t, i, j, l = law
+        t = law[0]
         if t is not last:
-            last, tables = t, supports.setdefault(id(t), (t, [None] * 8))[1]
+            if id(t) not in supports:
+                supports[id(t)] = (t, [None] * 8, _read_positions(t))
+            last, (_, tables, (read_i, read_j)) = t, supports[id(t)]
+        law = (t, law[read_i], law[read_j], law[3])
+        _, i, j, l = law
         k = i if i > j else j
         if l > k:
             k = l
         at = (i == k) | (j == k) << 1 | (l == k) << 2
         if tables[at] is None:
             s = _support(t, at)
-            s = interned.setdefault(tuple(map(tuple, s)), s)
             every = (1 << (len(t[0]) if at == 2 else len(t))) - 1
             diagonal = tuple(row[u] for u, row in enumerate(s) if u < len(row))
             tables[at] = (
@@ -457,104 +481,43 @@ def _mask_reader(domain):
     return lambda f: m
 
 
-def _equality(s, diagonal: bool) -> int:
-    """Which equality every read (s, x, y) at a level k says, read over
-    every entry of s, or over its diagonal only when ``diagonal`` (x == y):
-    1 when each entry s[u][v] is 1 << u, so f[k] = f[x]; 2 when it is
-    1 << v, so f[k] = f[y]; 3 when it is s[0][0] for u == v and 0
-    otherwise, so f[x] = f[y] and f[k] takes a value of s[0][0]; 0 when
-    none of these holds."""
-    d = s[0][0]
-    entries = (lambda u, v: 1 << u, lambda u, v: 1 << v, lambda u, v: d if u == v else 0)
-    for shape, entry in enumerate(entries, 1):
-        if all(
-            m == entry(u, v)
-            for u, row in enumerate(s)
-            for v, m in enumerate(row)
-            if u == v or not diagonal
-        ):
-            return shape
-    return 0
-
-
-def _presolved(domains, shapes: dict):
-    """(classes, bases, reads) of one side's ``Masked`` domains, or None when
-    a domain is not ``Masked`` or a kept read reads its own class or a
-    later one, by least variable, and so cannot be filed at its class.
-
-    The reads that say an equality (``_equality``, decided once per support
-    table and diagonal in ``shapes``) merge their variables: ``classes[k]``
-    is the least variable of k's class, and ``bases`` maps each class to
-    the AND of its members' bases and of the masks the equalities give
-    them.  Each other read (s, x, y) at level k is kept as the same read of
-    the classes, (K, s, X, Y).  On maps constant on each class, the kept
-    reads and the bases allow exactly what all the reads and bases do.
-    """
-    if any(type(d) is not Masked for d in domains):
-        return None
-    bases = [d.base for d in domains]
-    pairs, kept = [], []
-    for k, d in enumerate(domains):
-        for s, x, y in d.reads:
-            key = (id(s), x == y)
-            shape = shapes.get(key)
-            if shape is None:
-                shape = shapes[key] = _equality(s, x == y)
-            if shape == 0:
-                kept.append((k, s, x, y))
-                continue
-            if shape == 3:
-                bases[k] &= s[0][0]
-            pairs.append(((k, x), (k, y), (x, y))[shape - 1])
-    classes = _merged(list(range(len(domains))), pairs)
-    reads = [(classes[k], s, classes[x], classes[y]) for k, s, x, y in kept]
-    if any(not (x < c and y < c) for c, _, x, y in reads):
-        return None
-    merged: dict = {}
-    for k, c in enumerate(classes):
-        merged[c] = merged.get(c, -1) & bases[k]
-    return classes, merged, reads
-
-
 def _parts(rack, presented):
-    """The two sides' domains, part by part, or None when the presolve does
-    not reduce them to parts that can be compared one by one.
+    """The two sides' domains, part by part, or None when a domain is not
+    ``Masked`` or the reads join every variable into one part.
 
-    Each side is presolved from its own domains (``_presolved``), and the
-    two must have the same classes and the same class bases.  Two classes
-    are in one part when some kept read of either side joins them.  A part
-    is searched over its classes, least variable first, each class with its
-    base and the kept reads filed at it, which must read earlier classes
-    only.  A map of a side is then one map of each part, read on each
-    class's members, so each side's number of maps is the product of its
-    parts'.  None when a side does not presolve, the classes or their
-    bases differ, or one part holds every variable unmerged, which is the
-    search the domains already are.
+    Two variables are in one part when a read of either side joins them:
+    the parts are the connected components of every read (s, x, y) at
+    level k, each joining k, x and y (``_merged``).  A part is searched
+    over its own variables in ascending order, each with its own base and
+    reads, re-indexed to the part's levels.  A map of a side is then one
+    map of each part, so each side's number of maps is the product of its
+    parts' (component decomposition: Bacchus, Dalmao and Pitassi, FOCS
+    2003).
     """
-    shapes: dict = {}
-    part = list(range(len(rack)))
-    sides = []
-    for domains in (rack, presented):
-        side = _presolved(domains, shapes)
-        if side is None or (sides and side[:2] != sides[0][:2]):
-            return None
-        sides.append(side)
-        classes, bases, reads = side
-        _merged(part, [(c, z) for c, _, x, y in reads for z in (x, y)])
-        if len(bases) == len(classes) and not any(part):
-            return None
+    if any(type(d) is not Masked for d in (*rack, *presented)):
+        return None
+    pairs = [
+        (k, z)
+        for side in (rack, presented)
+        for k, d in enumerate(side)
+        for _, x, y in d.reads
+        for z in (x, y)
+    ]
+    part = _merged(list(range(len(rack))), pairs)
+    # a part's root is its least variable, so one part is every root 0
+    if not any(part):
+        return None
     members: dict = {}
-    for c in sorted(bases):
-        members.setdefault(part[c], []).append(c)
-    # at[c]: the level of class c in its part's search
-    at = {c: i for cs in members.values() for i, c in enumerate(cs)}
-    filed = {p: ([[] for _ in cs], [[] for _ in cs]) for p, cs in members.items()}
-    for side, (*_, reads) in enumerate(sides):
-        for c, s, x, y in reads:
-            filed[part[c]][side][at[c]].append((s, at[x], at[y]))
+    at = []  # at[k]: the level of variable k in its part's search
+    for k, root in enumerate(part):
+        at.append(len(members.setdefault(root, [])))
+        members[root].append(k)
     return [
-        tuple([Masked(bases[c], r) for c, r in zip(cs, levels)] for levels in filed[p])
-        for p, cs in members.items()
+        tuple(
+            [Masked(side[k].base, [(s, at[x], at[y]) for s, x, y in side[k].reads]) for k in ks]
+            for side in (rack, presented)
+        )
+        for ks in members.values()
     ]
 
 
@@ -591,16 +554,16 @@ def _walk(rack, presented) -> tuple[int, list[tuple[list, int, int]]]:
     return shared, diverged
 
 
-def _count_shared_leaves(rack, presented, key, explain=None) -> int:
+def _count_shared_leaves(rack, presented, key) -> int:
     """The number of leaves that both searches yield.
 
     ``rack`` and ``presented`` are each the domains of an ``assignments``
-    search over the same variables, at least one.  First the presolve: when
-    both sides reduce to the same parts (``_parts``), each part's two
-    searches are walked (``_walk``), and when no walk notes a node where
-    the two sides' masks differ, each part's two sides have the same maps,
-    so both sides do, and their number is the product of the parts'.  A
-    part of one class and no read is counted by the popcount of its base.
+    search over the same variables, at least one.  First the split: when
+    both sides' reads fall into more than one part (``_parts``), each
+    part's two searches are walked (``_walk``), and when no walk notes a
+    node where the two sides' masks differ, each part's two sides have the
+    same maps, so both sides do, and their number is the product of the
+    parts'.  A part of one variable is counted by the popcount of its mask.
 
     Otherwise, or when some part diverges, the two searches are walked
     whole.  A prefix that both searches reach is a node of that walk, so a
@@ -610,8 +573,7 @@ def _count_shared_leaves(rack, presented, key, explain=None) -> int:
     by one-value domains.  A value with no completion yields no leaf.  Only
     the leaves those completions yield, the bad maps of their side, are
     passed to ``key``.  The least bad rack key raises
-    ``BijectionFail("rack", ...)``; only then the least bad presented key
-    is passed to ``explain``, which may raise a more specific failure, and
+    ``BijectionFail("rack", ...)``, and else the least bad presented key
     raises ``BijectionFail("presented", ...)``.  Masks are sets, so neither
     the count nor a witness depends on the order in which a domain gives
     its values.
@@ -643,8 +605,5 @@ def _count_shared_leaves(rack, presented, key, explain=None) -> int:
         raise BijectionFail("rack", min(bad_rack))
     bad_presented = bad(1, presented)
     if bad_presented:
-        m = min(bad_presented)
-        if explain is not None:
-            explain(m)
-        raise BijectionFail("presented", m)
+        raise BijectionFail("presented", min(bad_presented))
     return shared

@@ -1,6 +1,6 @@
 """Plumbing for dense 0-based operation tables and index maps, the
 accessors and homs shared by racks and groups, and the one union-find
-(``_merged``), which rack orbits and the presolve of ``search`` share.
+(``_merged``), which rack orbits and the split of ``search`` share.
 
 Both are a carrier {0..n-1} with a ``table`` and a distinguished
 ``basepoint`` (a group's identity), which is all a hom needs to know.
@@ -144,7 +144,9 @@ def compose_homs(f: Hom, g: Hom) -> Hom:
 
 
 def _merged(root: list[int], pairs) -> list[int]:
-    """``root`` with every pair (a, b) of ``pairs`` merged into one class.
+    """``root`` with every pair (a, b) of ``pairs`` merged into one class:
+    the orbits of a rack, or the parts of ``search._parts``, the connected
+    components of the pairs.
 
     ``root`` is a union-find forest over 0..n-1 in which each class's root
     is its least member, ``list(range(n))`` to begin with; it is returned

@@ -61,14 +61,6 @@ MUTANTS = (
         "t2 -> t3 has injective homs, which are no isomorphisms",
     ),
     Mutant(
-        "filed-masks-no-interning",
-        "search.py",
-        "            s = interned.setdefault(tuple(map(tuple, s)), s)\n",
-        "",
-        True,
-        "support tables with equal rows are filed as separate reads",
-    ),
-    Mutant(
         "shared-leaves-no-divergence",
         "search.py",
         "diverged.append((f[:k], a & ~b, b & ~a))",
@@ -93,31 +85,31 @@ MUTANTS = (
         "a word with one unplaced letter no longer solves for it",
     ),
     Mutant(
-        "presolve-row-zero",
+        "read-positions-row-zero",
         "search.py",
-        "for u, row in enumerate(s)\n",
-        "for u, row in enumerate(s[:1])\n",
+        "ignores_column = all(len(set(row)) == 1 for row in t)",
+        "ignores_column = all(len(set(row)) == 1 for row in t[:1])",
         True,
-        "a table that says an equality in row 0 only merges its variables",
+        "a table whose row 0 alone is constant, as Conj S3's identity row is, loses its column",
     ),
     Mutant(
-        "presolve-classes-not-compared",
+        "filed-masks-reads-every-position",
         "search.py",
-        "if side is None or (sides and side[:2] != sides[0][:2]):",
-        "if side is None:",
+        "        law = (t, law[read_i], law[read_j], law[3])\n",
+        "",
         True,
-        "an equality that one side alone says is not reported",
+        "a law is filed at the last of its three variables, after one its table ignores",
     ),
     Mutant(
-        "presolve-representative-base",
+        "parts-from-rack-reads-only",
         "search.py",
-        "merged[c] = merged.get(c, -1) & bases[k]",
-        "merged.setdefault(c, bases[k])",
+        "for side in (rack, presented)\n        for k, d in enumerate(side)",
+        "for side in (rack,)\n        for k, d in enumerate(side)",
         True,
-        "a class allows the values of its least member that another member's base excludes",
+        "a read of the presented side alone no longer joins its variables into one part",
     ),
     Mutant(
-        "presolve-ignores-part-divergence",
+        "split-ignores-part-divergence",
         "search.py",
         "            if diverged:\n                break\n",
         "",

@@ -25,13 +25,14 @@ from rackmod import (
     enumerate_presented_homs,
     evaluate_word,
     product_rack,
+    rack_orbits,
     substructure,
     trivial_rack,
 )
 from rackmod import corpus, functors, search
 from rackmod.errors import AxiomError, BijectionFail, HomBasepointFail, HomLawFail
 from rackmod.functors import Presentation, enumerate_homs_bruteforce
-from rackmod.search import Masked, assignments
+from rackmod.search import Masked, assignments, law_domains
 from rackmod.tables import validate_hom
 from rackmod.xmod import validate_xmod_morphism
 
@@ -378,7 +379,7 @@ def test_homs_into_an_abelian_group_are_constant_on_the_orbits(racks, groups):
     """Into an abelian G, Conj G is a trivial rack, so a hom X -> Conj G is
     a map constant on X's orbits that sends the basepoint's orbit to e:
     |G|^(orbits - 1) of them.  The larger racks reach counts that only the
-    presolve makes cheap, such as 6^11 out of trivial_rack(12)."""
+    split into parts makes cheap, such as 6^11 out of trivial_rack(12)."""
     small = [rk for n in range(1, 6) for rk in enumerate_pointed_racks(n)]
     cs3 = racks["cs3"]
     large = [product_rack(cs3, racks[b]) for b in ("cz2", "cz3", "cs3")] + [trivial_rack(12)]
@@ -562,7 +563,7 @@ def _rack_side_nodes(x, g) -> int:
     ``check_adjunction_bijection(x, g)``: the rack domains that the check
     passes to ``_count_shared_leaves`` (``_sides``) are each wrapped in a
     callable that counts its calls, and ``assignments`` searches them to
-    the end.  The check itself runs unwrapped, so its presolve is not
+    the end.  The check itself runs unwrapped, so its split is not
     disturbed, and the count does not depend on whether it walks."""
     _, (rack, *_) = _sides(check_adjunction_bijection, x, g)
     calls = [0]
@@ -579,29 +580,35 @@ def _rack_side_nodes(x, g) -> int:
     return calls[0]
 
 
-@pytest.mark.parametrize("gname,nodes", [("z6", 3392), ("s3", 578)])
+@pytest.mark.parametrize("gname,nodes", [("z6", 3212), ("s3", 578)])
 def test_the_rack_side_of_the_benchmark_adjunction_makes_pinned_node_counts(
     racks, groups, gname, nodes
 ):
     """Node counts repeat exactly, so they catch a worse solving order that
-    timings cannot; (e,1) at level 1 of cs3×cz2 made 12,572 and 1,028."""
+    timings cannot; (e,1) at level 1 of cs3×cz2 made 12,572 and 1,028.
+    Into Z6 each law is filed at the last variable its table reads, Conj
+    Z6's rows being constant, which made 3,392 while it was filed at the
+    last of its three."""
     x = product_rack(racks["cs3"], racks["cz2"])
     assert _rack_side_nodes(x, groups[gname]) == nodes
 
 
 @pytest.mark.parametrize(
     "gname,rack_reads,presented_reads",
-    [("z6", 72, 52), ("s3", 102, 102)],
-    ids=["z6-72", "s3-102"],
+    [("z6", 8, 8), ("s3", 102, 102)],
+    ids=["z6-8", "s3-102"],
 )
 def test_the_benchmark_adjunction_files_pinned_read_counts(
     racks, groups, gname, rack_reads, presented_reads
 ):
     """Both sides of cs3×cz2 file 132 reads without pruning; a read that
-    allows every value, most of them into the trivial rack Conj Z6, or that
-    repeats another of its level, is dropped.  Into Z6 the presented side
-    builds support tables with equal rows from different relator tables,
-    and a read of one repeats a read of the other."""
+    allows every value, or that repeats another of its level, is dropped.
+    Into Z6 every table of both sides ignores a position: Conj Z6's rows
+    are constant, so each hom law reads f(p ◁ q) = f(p), and each relator
+    law reads one generator too.  A law of one variable then allows every
+    value, and every other law is an equality f[k] = f[x] of orbit-mates:
+    each variable files one read per earlier orbit-mate, 8 per side, 72
+    and 52 while every law read its three positions."""
     x, g = product_rack(racks["cs3"], racks["cz2"]), groups[gname]
     var = functors._solving_order(functors._law_letters(x), x.size)
     relators = functors._compile_relators(as_presentation(x))
@@ -739,7 +746,7 @@ def _dead_ends(search, k, stuck_at):
     return tampered
 
 
-def _lockstep(rack, presented, key, explain=None):
+def _lockstep(rack, presented, key):
     """Test-only oracle: the two-stream merge that the walk of
     ``_count_shared_leaves`` replaced.  Each side is its own ``assignments``
     search, every domain ascending, and the two leaf streams are merged in
@@ -761,10 +768,7 @@ def _lockstep(rack, presented, key, explain=None):
     if bad_rack:
         raise BijectionFail("rack", min(bad_rack))
     if bad_presented:
-        m = min(bad_presented)
-        if explain is not None:
-            explain(m)
-        raise BijectionFail("presented", m)
+        raise BijectionFail("presented", min(bad_presented))
     return shared
 
 
@@ -779,7 +783,7 @@ def _outcome(count, *args):
 def _sides(check, x, g) -> tuple:
     """(outcome, args): the outcome of ``check(x, g)``, and the arguments it
     passes to ``_count_shared_leaves``: the rack side's domains, the
-    presented side's, the key and, for the rack adjunction, ``explain``."""
+    presented side's and the key."""
     real, calls = functors._count_shared_leaves, []
 
     def recording(*args):
@@ -794,12 +798,18 @@ def _sides(check, x, g) -> tuple:
 
 
 def _walk_against_the_merge(check, x, g) -> tuple:
-    """The outcome of ``check(x, g)``, asserted equal to the lockstep
-    merge's over the very domains that the check passes to
-    ``_count_shared_leaves``."""
+    """The outcome of ``check(x, g)``.  Over the very domains that the check
+    passes to ``_count_shared_leaves``, the walk's outcome must be the
+    lockstep merge's, and so must the check's, but for a map that only the
+    presented side finds and that breaks a rack law: the rack adjunction
+    raises ``validate_hom``'s failure into Conj G for it instead."""
     outcome, args = _sides(check, x, g)
-    real = functors._count_shared_leaves
-    assert _outcome(real, *args) == _outcome(_lockstep, *args) == outcome, (x, g)
+    merged = _outcome(_lockstep, *args)
+    assert _outcome(functors._count_shared_leaves, *args) == merged, (x, g)
+    if outcome != merged:
+        assert check is check_adjunction_bijection, (x, g)
+        assert merged[:2] == ("BijectionFail", "presented"), (x, g)
+        assert outcome == _outcome(validate_hom, x, conj_rack(g), merged[2]), (x, g)
     return outcome
 
 
@@ -865,8 +875,10 @@ def test_the_xmod_walk_agrees_with_the_lockstep_merge_on_tampered_sides(
 def test_the_presolved_count_is_the_walks(
     racks, groups, adjunction_pairs, xmod_adjunction_pairs, relabel
 ):
-    """Wherever the presolve counts, its count is the whole walk's, and
-    that walk finds no node where the two sides differ."""
+    """Wherever the split counts, its count is the whole walk's, and that
+    walk finds no node where the two sides differ.  v3 into S3, and the
+    crossed modules identity_v3 into triv_s3 and point_v3 into triv_s3 and
+    a3_s3, are one part each, so they are walked whole."""
     cases = [(check_adjunction_bijection, x, g) for _, x, g in adjunction_pairs]
     cases += [(check_xmod_adjunction, x, g) for _, x, g in xmod_adjunction_pairs]
     rng = random.Random(2)
@@ -877,35 +889,44 @@ def test_the_presolved_count_is_the_walks(
             for _ in range(3):
                 perm, gperm = rng.sample(range(x.size), x.size), rng.sample(range(g.size), g.size)
                 cases.append((check_adjunction_bijection, relabel(x, perm), relabel(g, gperm)))
-    presolved = 0
+    split = 0
     for check, x, g in cases:
         _, (rack, presented, *rest) = _sides(check, x, g)
-        presolved += search._parts(rack, presented) is not None
+        split += search._parts(rack, presented) is not None
         assert functors._count_shared_leaves(rack, presented, *rest) == search._walk(
             rack, presented
         )[0], (x, g)
         assert search._walk(rack, presented)[1] == [], (x, g)
-    assert (len(cases), presolved) == (184, 139)
+    assert (len(cases), split) == (184, 135)
 
 
 @pytest.mark.parametrize(
     "gname,count,parts,walks",
-    [("z6", 7776, [(1, 1)] * 6, [1] * 6), ("s3", 342, None, [12])],
+    [("z6", 7776, [1, 3, 3, 2, 2, 1], [1, 3, 3, 2, 2, 1]), ("s3", 342, None, [12])],
 )
 def test_the_benchmark_adjunction_is_presolved_into_z6_and_walked_into_s3(
     monkeypatch, racks, groups, gname, count, parts, walks
 ):
-    """Into Z6 every read of both sides of cs3×cz2 is an equality: the 12
-    variables merge into 6 classes, one per orbit, in 6 parts of one
-    class each, each walked at one level.  Into S3 nothing merges and the
-    kept reads join every variable, so the 12 variables are walked whole.
+    """Into Z6 every read of both sides of cs3×cz2 reads orbit-mates only:
+    the 12 variables split into the 6 orbits that ``rack_orbits`` gives, by
+    least variable, each searched over its own variables in ascending order
+    with its reads re-indexed, and each walked at its own levels.  Into S3
+    the reads join every variable, so the 12 variables are walked whole.
     A silent fall back to the walk fails here."""
     x, g = product_rack(racks["cs3"], racks["cz2"]), groups[gname]
     _, (rack, presented, *_) = _sides(check_adjunction_bijection, x, g)
-    classes = search._presolved(rack, {})[0]
-    assert len(set(classes)) == (6 if gname == "z6" else 12)
     found = search._parts(rack, presented)
-    assert found is None if parts is None else [tuple(map(len, p)) for p in found] == parts
+    if parts is None:
+        assert found is None
+    else:
+        var = functors._solving_order(functors._law_letters(x), x.size)
+        orbits = sorted(sorted(var[a] for a in orbit) for orbit in rack_orbits(x))
+        assert list(map(len, orbits)) == parts
+        for (a, b), ks in zip(found, orbits, strict=True):
+            for part, side in ((a, rack), (b, presented)):
+                at = {k: level for level, k in enumerate(ks)}
+                want = [(side[k].base, [(s, at[u], at[v]) for s, u, v in side[k].reads]) for k in ks]
+                assert [(d.base, list(d.reads)) for d in part] == want
     real, walked = search._walk, []
 
     def recording(a, b):
@@ -958,22 +979,24 @@ _TIED_APART = (0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1, 0)
 def test_one_equality_read_on_one_side_only_is_found_by_the_walk(
     monkeypatch, racks, groups, tamper, builder, expected
 ):
-    """Removing the one read that merges two variables of v3 into Z3, or
-    tying (e,1), the last variable of cs3×cz2, to variable 1 into Z6, on
-    one side only gives the two sides different classes.  The presolve then
-    declines, and the walk raises what the lockstep merge raises."""
+    """Removing the one read of v3 into Z3, which ties variable 2 to
+    variable 1, or tying (e,1), the last variable of cs3×cz2, to variable
+    1 into Z6, on one side only.  The other side's reads, or the tie, still
+    join the two variables into one part, and that part's walk diverges,
+    so the whole walk raises what the lockstep merge raises."""
     real = getattr(functors, builder)
     if tamper == "drop":
         x, g = racks["v3"], groups["z3"]
         _, (rack, presented, *_) = _sides(check_adjunction_bijection, x, g)
-        assert search._presolved(rack, {})[0] == [0, 1, 1]
+        assert [[(u, v) for _, u, v in d.reads] for d in rack] == [[], [], [(1, 1)]]
         tampered = _dropping(real, 2, 0)
     else:
         x, g = product_rack(racks["cs3"], racks["cz2"]), groups["z6"]
         tampered = _tying(real, 11, 1)
     monkeypatch.setattr(functors, builder, tampered)
     _, (rack, presented, *_) = _sides(check_adjunction_bijection, x, g)
-    assert search._parts(rack, presented) is None
+    parts = search._parts(rack, presented)
+    assert any(search._walk(*part)[1] for part in parts)
     assert _walk_against_the_merge(check_adjunction_bijection, x, g) == expected
 
 
@@ -987,36 +1010,51 @@ _TAKES_X, _TAKES_Y, _SAME = [[1, 1], [2, 2]], [[1, 2], [1, 2]], [[3, 0], [0, 3]]
     "table,classes", [(_TAKES_X, [0, 1, 0]), (_TAKES_Y, [0, 1, 1]), (_SAME, [0, 0, 2])]
 )
 def test_each_equality_shape_merges_its_variables(table, classes):
-    """A read (s, 0, 1) at level 2 merges what its table says; the merged
-    search counts the same 4 maps as the lockstep merge."""
-    domains = [Masked(3), Masked(3), Masked(3, [(table, 0, 1)])]
-    assert search._presolved(domains, {})[0] == classes
-    assert search._parts(domains, domains) is not None
-    assert functors._count_shared_leaves(domains, domains, tuple) == 4
-    assert _lockstep(domains, domains, tuple) == 4
+    """A read (s, 0, 1) at level 2 joins variables 0, 1 and 2 into one
+    part, whose maps are those that take one value on each class of the
+    equality its table says (``classes[k]``, the least variable equal to
+    k); a fourth variable that nothing reads is a part of its own, and the
+    split counts the same 8 maps as the lockstep merge."""
+    domains = [Masked(3), Masked(3), Masked(3, [(table, 0, 1)]), Masked(3)]
+    parts = search._parts(domains, domains)
+    assert [len(rack) for rack, _ in parts] == [3, 1]
+    equal = [f for f in product(range(2), repeat=3) if all(f[k] == f[c] for k, c in enumerate(classes))]
+    assert list(assignments(parts[0][0])) == equal
+    assert functors._count_shared_leaves(domains, domains, tuple) == 8
+    assert _lockstep(domains, domains, tuple) == 8
 
 
 def test_an_equality_in_one_row_only_merges_nothing():
     """s[0][0] is 1 << 0 but s[1][1] is not 1 << 1: the diagonal read says
     f[1] = 0 after f[0] = 0 and f[1] in {0, 1} after f[0] = 1, so three
-    maps, not the two of f[1] = f[0]."""
+    maps, not the two of f[1] = f[0].  Likewise a law table constant in
+    row 0 only still reads its column: f[2] = t[f[0]][f[1]] with rows (0,
+    0) and (0, 1) is filed at level 2 reading both, not as f[2] =
+    t[f[0]][f[0]], which would send (1, 0) to 1."""
     s = [[1, 0], [0, 3]]
     domains = [Masked(3), Masked(3, [(s, 0, 0)])]
-    assert search._presolved(domains, {})[0] == [0, 1]
     assert functors._count_shared_leaves(domains, domains, tuple) == 3
+    t = ((0, 0), (0, 1))
+    domains = law_domains([3, 3, 3], [(t, 0, 1, 2)])
+    assert [[(u, v) for _, u, v in d.reads] for d in domains] == [[], [], [(0, 1)]]
+    assert list(assignments(domains)) == [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 1)]
 
 
 def test_a_class_takes_the_and_of_its_members_bases():
-    """f[1] = f[0], with f[0] in {0, 1} and f[1] in {0}: one map, though the
-    class's least member, variable 0, allows two values."""
-    domains = [Masked(3), Masked(1, [(_TAKES_X, 0, 0)])]
-    assert search._presolved(domains, {})[1] == {0: 1}
-    assert functors._count_shared_leaves(domains, domains, tuple) == 1
+    """f[1] = f[0], with f[0] in {0, 1} and f[1] in {0}: one map of their
+    part, though variable 0 allows two values.  Each variable keeps its own
+    base in its part, so with a third variable free in {0, 1}, two maps."""
+    domains = [Masked(3), Masked(1, [(_TAKES_X, 0, 0)]), Masked(3)]
+    parts = search._parts(domains, domains)
+    assert [[d.base for d in rack] for rack, _ in parts] == [[3, 1], [3]]
+    assert functors._count_shared_leaves(domains, domains, tuple) == 2
+    assert _lockstep(domains, domains, tuple) == 2
 
 
 def test_sides_with_different_classes_are_walked():
     """Only the rack side says f[1] = f[0], so the presented side's maps
-    (0, 1) and (1, 0) are its own."""
+    (0, 1) and (1, 0) are its own.  The rack side's read joins the two
+    variables into one part, so the sides are walked whole."""
     rack = [Masked(3), Masked(3, [(_TAKES_X, 0, 0)])]
     presented = [Masked(3), Masked(3)]
     assert search._parts(rack, presented) is None
@@ -1028,33 +1066,37 @@ def test_sides_with_different_classes_are_walked():
 def test_a_part_that_diverges_is_walked_whole():
     """Both sides say f[1] = f[0] and read (K, 1, 2) at level 3, where the
     rack side's K allows both values after f[1] = f[2] = 1 and the
-    presented side's only 0.  The presolve gives one part of 3 classes on
-    which the two sides diverge, so the whole walk runs and raises the
-    rack side's own map; the product of the parts' shared counts would
-    pass with 5."""
+    presented side's only 0; variable 4 is read by nothing.  The split
+    gives a part of 4 variables, on which the two sides diverge, and one
+    of variable 4, so the whole walk runs and raises the rack side's own
+    map; the product of the parts' shared counts would pass with 10."""
     rack, presented = (
-        [Masked(3), Masked(3, [(_TAKES_X, 0, 0)]), Masked(3), Masked(3, [(k, 1, 2)])]
+        [Masked(3), Masked(3, [(_TAKES_X, 0, 0)]), Masked(3), Masked(3, [(k, 1, 2)]), Masked(3)]
         for k in ([[1, 3], [2, 3]], [[1, 3], [2, 1]])
     )
-    assert [len(part[0]) for part in search._parts(rack, presented)] == [3]
-    expected = ("BijectionFail", "rack", (1, 1, 1, 1))
+    parts = search._parts(rack, presented)
+    assert [len(part[0]) for part in parts] == [4, 1]
+    assert [search._walk(*part)[0] for part in parts] == [5, 2]
+    expected = ("BijectionFail", "rack", (1, 1, 1, 1, 0))
     assert _outcome(search._count_shared_leaves, rack, presented, tuple) == expected
     assert _outcome(_lockstep, rack, presented, tuple) == expected
 
 
 def test_a_kept_read_dropped_on_one_side_makes_a_part_diverge(rack_xmods, group_xmods):
-    """identity_cz2 into triv_z2 is presolved.  Without read 0 of level 3,
-    a read that says no equality, on the rack side only, the two sides
-    keep their classes and parts, but a part's walk diverges: the whole
-    walk runs and raises what the lockstep merge raises."""
+    """identity_cz2 into triv_z2 splits into two parts, f0 and f1 of each
+    element.  Without read 0 of level 3, which ties f1 of element 1 to f0
+    of element 1 through the boundary, on the rack side only, the
+    presented side's read keeps the parts as they were, but a part's walk
+    diverges: the whole walk runs and raises what the lockstep merge
+    raises."""
     x, g = rack_xmods["identity_cz2"], group_xmods["triv_z2"]
     _, (rack, presented, key) = _sides(check_xmod_adjunction, x, g)
-    s, a, b = rack[3].reads[0]
-    assert search._equality(s, a == b) == 0
-    assert search._parts(rack, presented) is not None
+    assert rack[3].reads[0][1:] == (1, 1)
+    assert [tuple(map(len, part)) for part in search._parts(rack, presented)] == [(2, 2)] * 2
     dropped = _dropping(lambda: rack, 3, 0)()
     parts = search._parts(dropped, presented)
-    assert any(search._walk(*part)[1] for part in parts)
+    assert [tuple(map(len, part)) for part in parts] == [(2, 2)] * 2
+    assert [bool(search._walk(*part)[1]) for part in parts] == [False, True]
     expected = ("BijectionFail", "rack", ((0, 0), (0, 1)))
     assert _outcome(search._count_shared_leaves, dropped, presented, key) == expected
     assert _outcome(_lockstep, dropped, presented, key) == expected

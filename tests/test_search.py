@@ -117,17 +117,30 @@ def mask_problems(draw):
     return sizes, allowed, laws
 
 
+def _needs(t) -> tuple[bool, bool]:
+    """Whether the law f[l] = t[f[i]][f[j]] needs f[i] and f[j]: a square
+    t needs no f[j] when its every row is constant, and no f[i] when its
+    every column is; a rectangular t needs both."""
+    square = len(t) == len(t[0])
+    return (
+        not (square and all(row == t[0] for row in t)),
+        not (square and all(len(set(row)) == 1 for row in t)),
+    )
+
+
 def _law_mask(k, prefix, size, base, laws):
     """The mask of the values c of variable k that ``base`` allows and under
-    which every law whose last variable is k holds, ``prefix`` holding the
-    earlier variables: every law read once, straight from its table."""
+    which every law whose last needed variable is k holds, ``prefix``
+    holding the earlier variables: every law read once, straight from its
+    table, with 0 at a position it does not need."""
     m = base
     for t, i, j, l in laws:
-        if max(i, j, l) == k:
+        row, column = _needs(t)
+        if max(i if row else l, j if column else l, l) == k:
             m &= sum(
                 1 << c
                 for c in range(size)
-                if (f := [*prefix, c])[l] == t[f[i]][f[j]]
+                if (f := [*prefix, c])[l] == t[f[i] if row else 0][f[j] if column else 0]
             )
     return m
 
@@ -151,7 +164,8 @@ def test_mask_domains_give_the_filtered_product_in_order(problem):
     exactly the members of the product of the allowed values that satisfy
     every law, in product order.  Reads that allow every value or repeat
     another are not filed, yet at every prefix of values, allowed or not,
-    each level's mask is the mask of every law read once."""
+    each level's mask is the mask of every law read once, each law at the
+    last variable that its table needs."""
     sizes, allowed, laws = problem
     values = [range(size) if a is None else a for size, a in zip(sizes, allowed)]
     expected = [
